@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -66,6 +67,20 @@ def _add_link_args(p, with_rho=True):
     group.add_argument("--lambda", dest="lam", type=float, help="total arrival rate, packets/s")
     if with_rho:
         group.add_argument("--rho", type=float, help="load factor; lambda = rho * C")
+
+
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+    return value
+
+
+def _unreadable(what: str, path: str, exc: OSError) -> QoskitError:
+    return QoskitError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
 
 
 def _link_params(args) -> LinkParams:
@@ -245,7 +260,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    scenario = load_scenario(args.scenario)
+    try:
+        scenario = load_scenario(args.scenario)
+    except OSError as exc:
+        raise _unreadable("scenario file", args.scenario, exc) from None
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     rows = synth_mobility_trace(scenario)
@@ -258,8 +276,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    with open(args.log, "rb") as fh:
-        rows = parse_log(fh.read())
+    try:
+        with open(args.log, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise _unreadable("log file", args.log, exc) from None
+    rows = parse_log(data)
     report = analyze_rows(
         rows, by_speed=args.by_speed, speed_bin_width_kmh=args.speed_bin_width
     )
@@ -374,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list or start:stop:step range of loads")
     p.add_argument("--packets", type=int, default=1_000_000)
     p.add_argument("--seeds", type=int, default=5, help="independent runs per grid point")
-    p.add_argument("--threshold", type=float, default=DEFAULT_VALIDATION_THRESHOLD,
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_VALIDATION_THRESHOLD,
                    help="max tolerated relative error (exit 2 beyond it)")
     p.add_argument("--variant", choices=VARIANTS, default=DEFAULT_VARIANT)
     p.add_argument("--tagged-fraction", type=float, default=0.1)

@@ -337,15 +337,15 @@ def _bisect_to_budget(func, lo, hi, budget, feasible_side="lo"):
     """Bisect func(v) = budget on [lo, hi].
 
     One endpoint satisfies func <= budget (named by ``feasible_side``), the
-    other exceeds it. Stops when the value matches the budget to _REL_TOL or
-    the interval collapses; returns (v, func(v)) on the feasible side.
+    other exceeds it. Stops when a value within budget matches it to _REL_TOL
+    or the interval collapses; returns (v, func(v)) with func(v) <= budget.
     """
     f_lo = func(lo)
     f_hi = func(hi)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = func(mid)
-        if abs(f_mid - budget) <= _REL_TOL * budget:
+        if f_mid <= budget and budget - f_mid <= _REL_TOL * budget:
             return mid, f_mid
         if (f_mid <= budget) == (feasible_side == "lo"):
             lo, f_lo = mid, f_mid

@@ -204,6 +204,15 @@ class RunSummary:
     config: SimConfig
 
 
+#: Buffer size from which the finite-buffer queue uses block-of-K acceptance
+#: instead of the sequential ring loop (see ``fcfs_departures``).
+_BLOCK_MIN_BUFFER = 96
+
+#: Packets per ``tolist()`` conversion in the ring loop; bounds its Python
+#: objects to a fixed size whatever the run length.
+_RING_CHUNK = 32_768
+
+
 def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = None):
     """Run the FCFS queue over explicit arrival and service times.
 
@@ -211,6 +220,38 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     hook for hand-built packet patterns. Returns ``(departures, dropped)``
     where departures holds NaN for dropped packets. A departure occurring
     exactly at an arrival instant frees its buffer slot first.
+
+    The unbounded buffer uses the closed-form Lindley recursion. A finite
+    buffer of K packets takes one of two paths, chosen from K alone:
+
+    - ``K < 96``: a sequential loop over a ring of the last K accepted
+      departures, bit-identical to the per-packet recursion
+      ``d = max(a, d_prev) + s`` with tail drop.
+    - ``K >= 96``: K acceptances at a time (one ``searchsorted`` plus a
+      block Lindley pass), so dropped packets cost nothing. The sums are
+      taken in another order, so departures may differ from the recursion's
+      in the last digits (the tests hold them to 1e-12 relative); they are
+      bit-identical whenever the sums are exact, as with integer times.
+
+    On both paths packet i is dropped exactly when the accepted packet K
+    places before it has not departed by ``a_i``, so the drop set is the
+    recursion's. The one exception would be an arrival falling between the
+    two paths' roundings of that departure instant.
+
+    The crossover comes from CPU ms per call at 1M packets with exponential
+    interarrivals and services (ring / block; 2-vCPU Xeon at 2.1 GHz,
+    CPython 3.11, numpy 2.4, best of 7):
+
+    ====  ===========  ===========  ===========
+    K     rho 0.5      rho 1.0      rho 2.5
+    ====  ===========  ===========  ===========
+    16    211 / 528    154 / 505    133 / 209
+    32    218 / 419    202 / 407    179 / 184
+    64    225 / 264    205 / 254    187 / 111
+    96    225 / 197    198 / 199    183 / 83
+    128   211 / 173    214 / 167    176 / 75
+    256   209 / 118    207 / 108    133 / 40
+    ====  ===========  ===========  ===========
     """
     arr = np.ascontiguousarray(arrival_times, dtype=float)
     srv = np.ascontiguousarray(service_times, dtype=float)
@@ -233,32 +274,88 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
         departures = arr + waits + srv
         return departures, np.zeros(n, dtype=bool)
 
-    if buffer_capacity < 1:
-        raise DomainError(f"buffer capacity must be >= 1, got {buffer_capacity}")
+    if not (isinstance(buffer_capacity, (int, np.integer)) and buffer_capacity >= 1):
+        raise DomainError(f"buffer capacity must be an integer >= 1, got {buffer_capacity!r}")
+    if buffer_capacity < _BLOCK_MIN_BUFFER:
+        departures = _fcfs_ring(arr, srv, buffer_capacity)
+    else:
+        departures = _fcfs_blocks(arr, srv, buffer_capacity)
+    return departures, np.isnan(departures)
 
-    a = arr.tolist()
-    s = srv.tolist()
-    departures = [math.nan] * n
-    dropped = [False] * n
-    accepted_dep = [0.0] * n     # departures of accepted packets, in order
-    n_acc = 0
-    head = 0                     # accepted packets departed by current time
-    for i in range(n):
-        t = a[i]
-        while head < n_acc and accepted_dep[head] <= t:
-            head += 1
-        if n_acc - head >= buffer_capacity:
-            dropped[i] = True
-            continue
-        if n_acc and accepted_dep[n_acc - 1] > t:
-            start = accepted_dep[n_acc - 1]
-        else:
-            start = t
-        d = start + s[i]
-        accepted_dep[n_acc] = d
-        n_acc += 1
-        departures[i] = d
-    return np.asarray(departures), np.asarray(dropped)
+
+def _fcfs_ring(arr, srv, buffer_capacity):
+    """Sequential tail-drop FCFS; NaN marks a dropped packet.
+
+    ``ring[pos]`` holds the departure of the accepted packet K places back
+    (-inf until K have been accepted): an arrival is admitted exactly when
+    that packet has left, i.e. fewer than K accepted packets remain.
+    """
+    n = arr.size
+    departures = np.empty(n)
+    ring = [-math.inf] * buffer_capacity
+    pos = 0
+    last = -math.inf
+    nan = math.nan
+    for lo in range(0, n, _RING_CHUNK):
+        hi = min(lo + _RING_CHUNK, n)
+        out = []
+        append = out.append
+        for t, s in zip(arr[lo:hi].tolist(), srv[lo:hi].tolist()):
+            if t < ring[pos]:
+                append(nan)
+                continue
+            last = (last if last > t else t) + s
+            ring[pos] = last
+            pos += 1
+            if pos == buffer_capacity:
+                pos = 0
+            append(last)
+        departures[lo:hi] = out
+    return departures
+
+
+def _fcfs_blocks(arr, srv, buffer_capacity):
+    """Tail-drop FCFS, K acceptances per step; NaN marks a dropped packet.
+
+    Accepted packet m needs ``a >= D[m-K]`` (D: departures of accepted
+    packets, non-decreasing), so once K departures are known the next K
+    admissions follow from them alone: the first arrival at or after each
+    threshold (``side="left"``: a departure frees its slot first), pushed
+    past the previous admission by a running max of ``x_j - j``. Their
+    departures come from the Lindley recursion in closed form,
+    ``D = cs + max.accumulate(max(a - cs_prev, D_prev))``. While fewer than
+    K packets have been accepted every arrival is admitted.
+    """
+    n = arr.size
+    departures = np.full(n, math.nan)
+    k = min(buffer_capacity, n)
+    steps = np.arange(k)
+    thresholds = np.full(k, -math.inf)
+    next_free = 0               # first arrival index not yet considered
+    d_prev = -math.inf          # departure of the last accepted packet
+    while True:
+        idx = arr.searchsorted(thresholds, side="left")
+        idx -= steps
+        np.maximum.accumulate(idx, out=idx)
+        np.maximum(idx, next_free, out=idx)
+        idx += steps
+        if idx[-1] >= n:
+            idx = idx[: idx.searchsorted(n)]
+            if idx.size == 0:
+                break
+        cs = np.zeros(idx.size + 1)
+        np.add.accumulate(srv[idx], out=cs[1:])
+        dep = arr[idx] - cs[:-1]
+        dep[0] = max(dep[0], d_prev)
+        np.maximum.accumulate(dep, out=dep)
+        dep += cs[1:]
+        departures[idx] = dep
+        if dep.size < k:
+            break
+        thresholds = dep
+        next_free = int(idx[-1]) + 1
+        d_prev = float(dep[-1])
+    return departures
 
 
 def _jitter_pair_samples(sojourn, tagged_idx, dropped):

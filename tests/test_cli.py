@@ -174,6 +174,17 @@ class TestValidateCommand:
         assert code == 0
         assert "all points within" in out
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1"])
+    def test_bad_threshold_rejected(self, capsys, tmp_path, threshold):
+        code, _, err = run_cli(
+            capsys, "validate", "--capacity", "1000", "--rho-grid", "0.5",
+            "--packets", "20000", "--seeds", "1", "--threshold", threshold,
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert "--threshold" in err
+        assert not (tmp_path / "validation.csv").exists()
+
     def test_plot_data_files_two_columns(self, capsys, tmp_path):
         run_cli(
             capsys, "validate", "--capacity", "1000", "--rho-grid", "0.4,0.5",
@@ -237,6 +248,14 @@ class TestSynthCommand:
         run_cli(capsys, "synth", "--scenario", scn, "--output", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_missing_scenario_file_errors(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope.scn")
+        code, _, err = run_cli(
+            capsys, "synth", "--scenario", missing, "--output", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert missing in err
+
     def test_seed_override_changes_bytes(self, capsys, tmp_path):
         scn = _write_scenario(tmp_path, "kind = constant_speed\nduration_s = 20\nseed = 8\n")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -295,6 +314,13 @@ class TestAnalyzeCommand:
         bins = payload["speed_bins"]
         assert len(bins) >= 3
         assert all(b["n"] >= 1 for b in bins)
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_log_errors(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        code, _, err = run_cli(capsys, "analyze", "--log", path)
+        assert code == 1
+        assert path in err
 
     def test_parse_error_propagates_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -232,6 +232,21 @@ class TestInvertLoad:
             invert_load_for_jitter(1000.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "invert,fixed,budgets",
+    [
+        (invert_load_for_jitter, 1000.0, [0.00099 + 0.00001 * k for k in range(24)]),
+        (invert_capacity_for_jitter, 600.0, [0.0002 * 1.2**k for k in range(24)]),
+    ],
+)
+def test_inversion_never_exceeds_budget(invert, fixed, budgets):
+    """The bisection may stop within 1e-9 of the budget, but only from the
+    feasible side: the jitter at the solution is at most the budget itself."""
+    for budget in budgets:
+        res = invert(fixed, budget)
+        assert res.jitter_seconds <= budget, (budget, res)
+
+
 class TestInvertCapacity:
     @pytest.mark.parametrize("lam,capacity", [(600.0, 1000.0), (50.0, 500.0), (900.0, 2000.0)])
     def test_round_trip(self, lam, capacity):

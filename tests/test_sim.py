@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qoskit import sim
 from qoskit.errors import (
     DomainError,
     EmptyRunError,
@@ -12,6 +14,7 @@ from qoskit.errors import (
     InstabilityError,
 )
 from qoskit.sim import (
+    PACKET_TRACE_HEADER,
     SimConfig,
     child_seed,
     fcfs_departures,
@@ -52,6 +55,11 @@ class TestEngine:
         assert dropped.tolist() == [False, False]
         assert dep.tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("buffer_capacity", [0, -3, 2.5])
+    def test_bad_buffer_rejected(self, buffer_capacity):
+        with pytest.raises(DomainError, match="buffer capacity"):
+            fcfs_departures([0.0, 1.0], [1.0, 1.0], buffer_capacity)
+
     def test_unsorted_arrivals_rejected(self):
         with pytest.raises(DomainError):
             fcfs_departures([1.0, 0.5], [0.1, 0.1])
@@ -75,6 +83,93 @@ class TestEngine:
         # up to accumulated rounding of the Lindley recursion
         assert np.allclose(starts, np.maximum(acc_arr, prev_dep), rtol=1e-9, atol=1e-9)
         assert np.all(acc_dep >= acc_arr + acc_srv - 1e-9)
+
+
+def _reference_fcfs(arrival_times, service_times, buffer_capacity):
+    """The per-packet tail-drop loop that ``fcfs_departures`` ran before its
+    two finite-buffer paths, kept verbatim as their oracle."""
+    a = np.asarray(arrival_times, dtype=float).tolist()
+    s = np.asarray(service_times, dtype=float).tolist()
+    n = len(a)
+    departures = [math.nan] * n
+    dropped = [False] * n
+    accepted_dep = [0.0] * n     # departures of accepted packets, in order
+    n_acc = 0
+    head = 0                     # accepted packets departed by current time
+    for i in range(n):
+        t = a[i]
+        while head < n_acc and accepted_dep[head] <= t:
+            head += 1
+        if n_acc - head >= buffer_capacity:
+            dropped[i] = True
+            continue
+        if n_acc and accepted_dep[n_acc - 1] > t:
+            start = accepted_dep[n_acc - 1]
+        else:
+            start = t
+        d = start + s[i]
+        accepted_dep[n_acc] = d
+        n_acc += 1
+        departures[i] = d
+    return np.asarray(departures), np.asarray(dropped)
+
+
+_CROSSOVER = sim._BLOCK_MIN_BUFFER
+_BUFFERS = st.sampled_from([1, 2, 3, 7, _CROSSOVER - 1, _CROSSOVER, _CROSSOVER + 1, 250])
+
+
+@st.composite
+def _integer_times(draw):
+    """Integer-valued arrivals and services: every sum is exact, so arrival
+    instants tie exactly with departure instants. Zero gaps repeat arrival
+    instants; zero services occur; the load runs from idle to overload."""
+    n = draw(st.integers(1, 4 * _CROSSOVER))
+    max_gap = draw(st.integers(0, 3))
+    max_service = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrivals = np.cumsum(rng.integers(0, max_gap, size=n, endpoint=True)).astype(float)
+    services = rng.integers(0, max_service, size=n, endpoint=True).astype(float)
+    return arrivals, services
+
+
+class TestFiniteBufferOracle:
+    @settings(deadline=None)
+    @given(times=_integer_times(), buffer_capacity=_BUFFERS)
+    def test_exact_on_integer_times(self, times, buffer_capacity):
+        arrivals, services = times
+        dep, dropped = fcfs_departures(arrivals, services, buffer_capacity)
+        ref_dep, ref_dropped = _reference_fcfs(arrivals, services, buffer_capacity)
+        assert np.array_equal(dropped, ref_dropped)
+        assert np.array_equal(dep, ref_dep, equal_nan=True)
+
+    @pytest.mark.parametrize("path", [sim._fcfs_ring, sim._fcfs_blocks])
+    @settings(deadline=None)
+    @given(times=_integer_times(), buffer_capacity=st.integers(1, 12) | _BUFFERS)
+    def test_each_path_exact_at_any_buffer(self, path, times, buffer_capacity):
+        arrivals, services = times
+        ref_dep, _ = _reference_fcfs(arrivals, services, buffer_capacity)
+        assert np.array_equal(path(arrivals, services, buffer_capacity), ref_dep,
+                              equal_nan=True)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rho=st.floats(0.3, 4.0),
+        n=st.integers(1, 3000),
+        buffer_capacity=_BUFFERS,
+    )
+    def test_matches_reference_on_continuous_times(self, seed, rho, n, buffer_capacity):
+        rng = np.random.default_rng(seed)
+        arrivals = np.cumsum(rng.exponential(1.0, size=n))
+        services = rng.exponential(rho, size=n)
+        dep, dropped = fcfs_departures(arrivals, services, buffer_capacity)
+        ref_dep, ref_dropped = _reference_fcfs(arrivals, services, buffer_capacity)
+        assert np.array_equal(dropped, ref_dropped)
+        kept = ~ref_dropped
+        assert np.allclose(dep[kept], ref_dep[kept], rtol=1e-12, atol=0.0)
+        assert np.isnan(dep[ref_dropped]).all()
+        if buffer_capacity < _CROSSOVER:
+            assert np.array_equal(dep, ref_dep, equal_nan=True)
 
 
 class TestSimConfig:
@@ -293,6 +388,18 @@ class TestPacketTrace:
         kept = ~log.dropped
         assert np.array_equal(back.departure_times[kept], log.departure_times[kept])
         assert np.isnan(back.departure_times[log.dropped]).all()
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("index,flow,arrival_s\n0,tagged,0.5\n")
+        with pytest.raises(DomainError, match="header"):
+            read_packet_trace(path)
+
+    def test_short_line_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(PACKET_TRACE_HEADER + "\n0,tagged,0.5,0.1,0.6,0.1,0\n1,background,0.7\n")
+        with pytest.raises(DomainError, match="malformed packet trace line"):
+            read_packet_trace(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         cfg = SimConfig(1000.0, 500.0, horizon_packets=500, seed=2)

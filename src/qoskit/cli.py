@@ -109,9 +109,25 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+def _json_safe(value):
+    """JSON has no NaN or infinity: a non-finite float (an undefined
+    estimate) becomes null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def _print_json(payload: dict) -> None:
+    print(json.dumps(_json_safe(payload), allow_nan=False))
+
+
 def _emit(payload: dict, as_json: bool):
     if as_json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -207,7 +223,7 @@ def _cmd_simulate(args) -> int:
         "config": dataclasses.asdict(config),
     }
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for key, value in payload.items():
             if key != "config":
@@ -327,7 +343,7 @@ def _cmd_analyze(args) -> int:
                 }
                 for b in report.speed_bins
             ]
-        print(json.dumps(payload))
+        _print_json(payload)
         return 0
 
     print(f"rows: {report.n_rows}   span: {report.duration_s} s")

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     AccountingError,
@@ -171,6 +170,10 @@ def correlate(series_a, series_b) -> SeriesStats:
         raise ConstantSeriesError("first series is constant; correlation undefined")
     if np.all(b == b[0]):
         raise ConstantSeriesError("second series is constant; correlation undefined")
+    # Imported here: scipy.stats takes most of a second to import, and only
+    # correlations need it.
+    from scipy import stats
+
     pearson = stats.pearsonr(a, b).statistic
     spearman = stats.spearmanr(a, b).statistic
     return SeriesStats(pearson_r=float(pearson), spearman_rho=float(spearman), n=int(a.size))

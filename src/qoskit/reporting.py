@@ -92,6 +92,13 @@ def run_validation(
     rows = []
     for i, rho in enumerate(grid):
         group = summaries[i * seeds_per_point:(i + 1) * seeds_per_point]
+        short = sum(1 for s in group if s.n_jitter_samples == 0)
+        if short:
+            raise InsufficientDataError(
+                f"load point rho={rho:.12g}: {short} of {len(group)} runs have no pair of "
+                f"consecutive delivered tagged packets after warm-up; "
+                f"raise the packet count or the tagged fraction"
+            )
         agg = merge_summaries(group)
         pred = analytical_jitter(LinkParams.from_rho(capacity_C, rho), variant)
         rel = abs(pred.jitter_seconds - agg.jitter_mean) / agg.jitter_mean

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -517,47 +518,149 @@ def merge_summaries(summaries) -> SweepAggregate:
     )
 
 
+#: Packets formatted per ``write`` call by ``write_packet_trace``.
+_DUMP_WRITE_PACKETS = 65_536
+
+#: Bytes read per block by ``read_packet_trace``; each block is cut back to
+#: whole lines, so this bounds the reader's working memory.
+_DUMP_READ_BYTES = 4 << 20
+
+_DELIVERED_LINE = "%d,%s,%.17g,%.17g,%.17g,%.17g,0\n"
+_DROPPED_LINE = "%d,%s,%.17g,%.17g,,,1\n"
+
+
 def write_packet_trace(log: PacketLog, path) -> None:
     """Dump one packet per line; floats carry 17 significant digits so the
-    file round-trips to the exact same doubles."""
+    file round-trips to the exact same doubles.
+
+    The log is written ``_DUMP_WRITE_PACKETS`` packets at a time: each
+    chunk's columns become Python lists once, each line is one ``%``
+    format, and each chunk is one write.
+    """
+    columns = [np.asarray(c) for c in (log.tagged, log.dropped, log.arrival_times,
+                                       log.service_times, log.departure_times,
+                                       log.sojourn_times)]
+    n = len(log)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(PACKET_TRACE_HEADER + "\n")
-        for i in range(len(log)):
-            flow = "tagged" if log.tagged[i] else "background"
-            arr = f"{log.arrival_times[i]:.17g}"
-            srv = f"{log.service_times[i]:.17g}"
-            if log.dropped[i]:
-                fh.write(f"{i},{flow},{arr},{srv},,,1\n")
-            else:
-                dep = f"{log.departure_times[i]:.17g}"
-                soj = f"{log.sojourn_times[i]:.17g}"
-                fh.write(f"{i},{flow},{arr},{srv},{dep},{soj},0\n")
+        for lo in range(0, n, _DUMP_WRITE_PACKETS):
+            hi = min(lo + _DUMP_WRITE_PACKETS, n)
+            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
+            fh.write("".join([
+                _DROPPED_LINE % (i, "tagged" if tag else "background", arr, srv)
+                if drop else
+                _DELIVERED_LINE % (i, "tagged" if tag else "background", arr, srv, dep, soj)
+                for i, tag, drop, arr, srv, dep, soj in rows
+            ]))
 
 
 def read_packet_trace(path) -> PacketLog:
-    """Inverse of write_packet_trace."""
-    arrivals, services, departures, sojourns, tagged, dropped = [], [], [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    """Inverse of write_packet_trace.
+
+    Two passes: the first counts lines so the six output arrays are
+    allocated once; the second parses blocks of whole lines of about
+    ``_DUMP_READ_BYTES``, so memory is the output arrays plus one block and
+    no per-packet Python object outlives its block.
+
+    Raises DomainError, naming the 1-based line, on a wrong header, a line
+    without exactly 7 fields or with a NUL byte, a flow other than
+    tagged/background, a dropped flag other than 0/1, or a time that is not
+    a number (a delivered packet needs its departure and sojourn; a dropped
+    one's are ignored).
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
         if header != PACKET_TRACE_HEADER:
             raise DomainError(f"unexpected packet trace header: {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 7:
-                raise DomainError(f"malformed packet trace line: {line!r}")
-            _, flow, arr, srv, dep, soj, drop = parts
-            arrivals.append(float(arr))
-            services.append(float(srv))
-            is_dropped = drop == "1"
-            departures.append(math.nan if is_dropped else float(dep))
-            sojourns.append(math.nan if is_dropped else float(soj))
-            tagged.append(flow == "tagged")
-            dropped.append(is_dropped)
-    return PacketLog(
-        np.asarray(arrivals),
-        np.asarray(services),
-        np.asarray(departures),
-        np.asarray(sojourns),
-        np.asarray(tagged, dtype=bool),
-        np.asarray(dropped, dtype=bool),
-    )
+        body = fh.tell()
+        n = 0
+        last = b"\n"
+        while block := fh.read(_DUMP_READ_BYTES):
+            n += block.count(b"\n")
+            last = block[-1:]
+        n += last != b"\n"
+        fh.seek(body)
+        log = PacketLog(np.empty(n), np.empty(n), np.full(n, math.nan), np.full(n, math.nan),
+                        np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+        done = 0
+        tail = b""
+        while data := fh.read(_DUMP_READ_BYTES):
+            block = tail + data
+            cut = block.rfind(b"\n") + 1
+            tail = block[cut:]
+            done += _read_trace_lines(block[:cut], done, log)
+        if tail:
+            done += _read_trace_lines(tail + b"\n", done, log)
+    if done != n:
+        raise DomainError(f"packet trace changed while it was read: {path!r}")
+    return log
+
+
+def _read_trace_lines(block: bytes, first: int, log: PacketLog) -> int:
+    """Parse whole newline-terminated dump lines into ``log`` from packet
+    ``first`` on; returns the number of lines parsed."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    m = ends.size
+    line0 = first + 2       # 1-based line number of the block's first line
+    if first + m > len(log):
+        raise DomainError(f"packet trace line {line0}: the file changed while it was read")
+    n_fields = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0) + 1
+    bad = np.flatnonzero(n_fields != 7)
+    if bad.size:
+        j = int(bad[0])
+        line = block[ends[j - 1] + 1 if j else 0:ends[j]].decode("utf-8", "replace")
+        raise DomainError(f"packet trace line {line0 + j}: "
+                          f"malformed packet trace line: {line!r}")
+    if b"\0" in block:     # numpy bytes arrays drop trailing NULs: "1\0" would read as "1"
+        j = int(np.searchsorted(ends, block.index(b"\0")))
+        raise DomainError(f"packet trace line {line0 + j}: NUL byte in packet trace line")
+    # Newlines become field separators, so column k of the block is
+    # fields[k::7]; the empty field after the last newline is never read.
+    fields = block.replace(b"\n", b",").split(b",")
+    line_nos = np.arange(line0, line0 + m)
+    span = slice(first, first + m)
+
+    flow = np.array(fields[1::7])
+    tagged = flow == b"tagged"
+    _check_tokens(tagged | (flow == b"background"), flow, line_nos, "flow")
+    flag = np.array(fields[6::7])
+    dropped = flag == b"1"
+    _check_tokens(dropped | (flag == b"0"), flag, line_nos, "dropped flag")
+    log.tagged[span] = tagged
+    log.dropped[span] = dropped
+
+    log.arrival_times[span] = _parse_floats(fields[2::7], line_nos, "arrival_s")
+    log.service_times[span] = _parse_floats(fields[3::7], line_nos, "service_s")
+    delivered = ~dropped
+    keep = delivered.tolist()
+    log.departure_times[span][delivered] = _parse_floats(
+        list(compress(fields[4::7], keep)), line_nos[delivered], "departure_s")
+    log.sojourn_times[span][delivered] = _parse_floats(
+        list(compress(fields[5::7], keep)), line_nos[delivered], "sojourn_s")
+    return m
+
+
+def _check_tokens(known, tokens, line_nos, what: str) -> None:
+    bad = np.flatnonzero(~known)
+    if bad.size:
+        j = int(bad[0])
+        raise DomainError(f"packet trace line {line_nos[j]}: unknown {what} "
+                          f"{tokens[j].decode('utf-8', 'replace')!r}")
+
+
+def _parse_floats(tokens: list, line_nos, column: str) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        for token, line_no in zip(tokens, line_nos):
+            try:
+                float(token)
+            except ValueError:
+                raise DomainError(
+                    f"packet trace line {line_no}: {column} "
+                    f"{token.decode('utf-8', 'replace')!r} is not a number"
+                ) from None
+        raise

@@ -505,7 +505,7 @@ def _parse_zones(text: str) -> tuple[tuple[float, float], ...]:
 
 def parse_scenario(text: str) -> MobilityScenario:
     """Parse the flat key/value scenario format documented above."""
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -515,13 +515,14 @@ def parse_scenario(text: str) -> MobilityScenario:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in raw:
             raise DomainError(f"scenario line {line_no}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = (value, line_no)
 
     if "kind" not in raw or "duration_s" not in raw:
         raise DomainError("a scenario needs at least 'kind' and 'duration_s'")
 
-    kwargs: dict = {"kind": raw.pop("kind"), "duration_s": int(raw.pop("duration_s"))}
+    kwargs: dict = {"kind": raw.pop("kind")[0]}
     converters = {
+        "duration_s": int,
         "seed": int,
         "static_dist_m": float,
         "speed_kmh": float,
@@ -537,22 +538,26 @@ def parse_scenario(text: str) -> MobilityScenario:
         "track_bearing_deg": float,
     }
     map_kwargs: dict = {}
-    for key, value in raw.items():
-        if key in converters:
-            try:
-                kwargs[key] = converters[key](value)
-            except ValueError:
-                raise DomainError(f"scenario key {key!r}: cannot parse {value!r}") from None
-        elif key == "speed_profile":
-            kwargs["speed_profile"] = _parse_pairs(value, "speed_profile")
-        elif key == "rate_anchors":
-            map_kwargs["anchors"] = _parse_pairs(value, "rate_anchors")
-        elif key == "rate_interpolation":
-            map_kwargs["interpolation"] = value
-        elif key == "mask_zones":
-            map_kwargs["mask_zones"] = _parse_zones(value)
-        else:
-            raise DomainError(f"unknown scenario key {key!r}")
+    for key, (value, line_no) in raw.items():
+        try:
+            if key in converters:
+                try:
+                    kwargs[key] = converters[key](value)
+                except ValueError:
+                    raise DomainError(f"key {key!r}: cannot parse {value!r} "
+                                      f"as {converters[key].__name__}") from None
+            elif key == "speed_profile":
+                kwargs["speed_profile"] = _parse_pairs(value, "speed_profile")
+            elif key == "rate_anchors":
+                map_kwargs["anchors"] = _parse_pairs(value, "rate_anchors")
+            elif key == "rate_interpolation":
+                map_kwargs["interpolation"] = value
+            elif key == "mask_zones":
+                map_kwargs["mask_zones"] = _parse_zones(value)
+            else:
+                raise DomainError(f"unknown scenario key {key!r}")
+        except DomainError as exc:
+            raise DomainError(f"scenario line {line_no}: {exc}") from None
     if map_kwargs:
         base = default_rate_map()
         kwargs["rate_map"] = RateDistanceMap(

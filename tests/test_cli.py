@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,18 @@ class TestSimulateCommand:
         oracle = 0.2 * 0.8**10 / (1 - 0.8**11)
         assert json.loads(out)["loss_B"] == pytest.approx(oracle, rel=0.05)
 
+    def test_json_writes_undefined_jitter_as_null(self, capsys):
+        """Too few tagged packets for a pair: the estimate is undefined, and
+        JSON has no NaN, so it is null."""
+        code, out, _ = run_cli(
+            capsys, "simulate", "--capacity", "1000", "--rho", "0.5", "--packets", "20",
+            "--tagged-fraction", "0.05", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"bare {name}"))
+        assert payload["empirical_jitter_J_s"] is None
+        assert payload["n_jitter_samples"] == 0
+
     def test_unstable_config_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--capacity", "1000", "--rho", "1.1", "--packets", "10"
@@ -185,6 +201,17 @@ class TestValidateCommand:
         assert "--threshold" in err
         assert not (tmp_path / "validation.csv").exists()
 
+    def test_too_few_tagged_pairs_names_the_load_point(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "validate", "--capacity", "1000", "--rho-grid", "0.3,0.5",
+            "--packets", "20", "--seeds", "2", "--tagged-fraction", "0.05",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert "load point rho=0.3" in err
+        assert "nan" not in out
+        assert not (tmp_path / "validation.csv").exists()
+
     def test_plot_data_files_two_columns(self, capsys, tmp_path):
         run_cli(
             capsys, "validate", "--capacity", "1000", "--rho-grid", "0.4,0.5",
@@ -240,6 +267,23 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "zero-duration" in err
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("kind = static\nduration_s = abc\n", "line 2: key 'duration_s'"),
+            ("# seeded\nkind = static\nduration_s = 20\nseed = 1.5\n", "line 4: key 'seed'"),
+            ("kind = constant_speed\nspeed_kmh = fast\nduration_s = 20\n",
+             "line 2: key 'speed_kmh'"),
+        ],
+    )
+    def test_unparsable_number_names_key_and_line(self, capsys, tmp_path, text, expected):
+        scn = _write_scenario(tmp_path, text)
+        code, _, err = run_cli(
+            capsys, "synth", "--scenario", scn, "--output", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert f"scenario {expected}: cannot parse" in err
 
     def test_same_seed_identical_bytes(self, capsys, tmp_path):
         scn = _write_scenario(tmp_path, "kind = constant_speed\nduration_s = 20\nseed = 8\n")
@@ -331,6 +375,16 @@ class TestAnalyzeCommand:
 
 
 class TestUsageContract:
+    def test_import_leaves_scipy_unloaded(self):
+        """Only correlations need scipy; every other command skips its
+        import cost."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, qoskit.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -15,6 +15,7 @@ from qoskit.errors import (
 )
 from qoskit.sim import (
     PACKET_TRACE_HEADER,
+    PacketLog,
     SimConfig,
     child_seed,
     fcfs_departures,
@@ -374,6 +375,87 @@ class TestMerge:
             merge_summaries([])
 
 
+def _reference_write_packet_trace(log, path):
+    """The per-line writer that ``write_packet_trace`` replaced, kept
+    verbatim as the oracle for its bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(PACKET_TRACE_HEADER + "\n")
+        for i in range(len(log)):
+            flow = "tagged" if log.tagged[i] else "background"
+            arr = f"{log.arrival_times[i]:.17g}"
+            srv = f"{log.service_times[i]:.17g}"
+            if log.dropped[i]:
+                fh.write(f"{i},{flow},{arr},{srv},,,1\n")
+            else:
+                dep = f"{log.departure_times[i]:.17g}"
+                soj = f"{log.sojourn_times[i]:.17g}"
+                fh.write(f"{i},{flow},{arr},{srv},{dep},{soj},0\n")
+
+
+def _reference_read_packet_trace(path):
+    """The per-line reader that ``read_packet_trace`` replaced, kept
+    verbatim as the oracle for its arrays on well-formed dumps."""
+    arrivals, services, departures, sojourns, tagged, dropped = [], [], [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != PACKET_TRACE_HEADER:
+            raise DomainError(f"unexpected packet trace header: {header!r}")
+        for line in fh:
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 7:
+                raise DomainError(f"malformed packet trace line: {line!r}")
+            _, flow, arr, srv, dep, soj, drop = parts
+            arrivals.append(float(arr))
+            services.append(float(srv))
+            is_dropped = drop == "1"
+            departures.append(math.nan if is_dropped else float(dep))
+            sojourns.append(math.nan if is_dropped else float(soj))
+            tagged.append(flow == "tagged")
+            dropped.append(is_dropped)
+    return PacketLog(
+        np.asarray(arrivals),
+        np.asarray(services),
+        np.asarray(departures),
+        np.asarray(sojourns),
+        np.asarray(tagged, dtype=bool),
+        np.asarray(dropped, dtype=bool),
+    )
+
+
+_DUMP_ARRAYS = ("arrival_times", "service_times", "departure_times", "sojourn_times",
+                "tagged", "dropped")
+
+#: Doubles whose 17-digit text is easy to get wrong: subnormals down to the
+#: smallest, the smallest normal, huge values, signed zero, inexact fractions.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1e300,
+                1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+@st.composite
+def _packet_logs(draw, times=st.floats(allow_nan=False, allow_infinity=False)):
+    """Arbitrary logs as the writer sees them: any doubles, drops anywhere
+    (their departure and sojourn NaN), and all, none or some packets tagged."""
+    n = draw(st.integers(0, 40))
+    values = st.sampled_from(_EDGE_FLOATS) | times
+    column = st.lists(values, min_size=n, max_size=n)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    tagging = draw(st.sampled_from(["all", "none", "some"]))
+    tagged = {"all": [True] * n, "none": [False] * n}.get(tagging) or draw(flags)
+    dropped = np.array(draw(flags), dtype=bool)
+    departures = np.array(draw(column), dtype=float)
+    sojourns = np.array(draw(column), dtype=float)
+    departures[dropped] = np.nan
+    sojourns[dropped] = np.nan
+    return PacketLog(np.array(draw(column), dtype=float), np.array(draw(column), dtype=float),
+                     departures, sojourns, np.array(tagged, dtype=bool), dropped)
+
+
+def _assert_same_log(got, want):
+    for name in _DUMP_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestPacketTrace:
     def test_round_trip_exact(self, tmp_path):
         cfg = SimConfig(1000.0, 900.0, buffer_capacity=5, horizon_packets=3000, seed=21)
@@ -400,6 +482,96 @@ class TestPacketTrace:
         path.write_text(PACKET_TRACE_HEADER + "\n0,tagged,0.5,0.1,0.6,0.1,0\n1,background,0.7\n")
         with pytest.raises(DomainError, match="malformed packet trace line"):
             read_packet_trace(path)
+
+    @settings(deadline=None)
+    @given(log=_packet_logs(times=st.floats()), chunk=st.integers(1, 8))
+    def test_writer_bytes_match_reference(self, tmp_path_factory, log, chunk):
+        """Any doubles, NaN and infinities included, format as before."""
+        out = tmp_path_factory.mktemp("dump")
+        _reference_write_packet_trace(log, out / "reference.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_DUMP_WRITE_PACKETS", chunk)
+            write_packet_trace(log, out / "chunked.csv")
+        assert (out / "chunked.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+    @settings(deadline=None)
+    @given(log=_packet_logs(), write_chunk=st.integers(1, 8), read_bytes=st.integers(1, 300))
+    def test_read_back_bit_identical_across_blocks(self, tmp_path_factory, log, write_chunk,
+                                                   read_bytes):
+        """Blocks as small as one byte cut lines anywhere; the arrays still
+        come back bit for bit, and equal to the reference reader's."""
+        path = tmp_path_factory.mktemp("dump") / "trace.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_DUMP_WRITE_PACKETS", write_chunk)
+            mp.setattr(sim, "_DUMP_READ_BYTES", read_bytes)
+            write_packet_trace(log, path)
+            back = read_packet_trace(path)
+        _assert_same_log(back, log)
+        _assert_same_log(back, _reference_read_packet_trace(path))
+
+    def test_simulated_run_across_many_blocks(self, tmp_path, monkeypatch):
+        cfg = SimConfig(1000.0, 1500.0, buffer_capacity=4, horizon_packets=3000, seed=9)
+        log, _ = simulate_run(cfg)
+        monkeypatch.setattr(sim, "_DUMP_WRITE_PACKETS", 777)
+        monkeypatch.setattr(sim, "_DUMP_READ_BYTES", 1000)
+        write_packet_trace(log, tmp_path / "a.csv")
+        _reference_write_packet_trace(log, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        _assert_same_log(read_packet_trace(tmp_path / "a.csv"), log)
+
+    def test_header_only_file_is_an_empty_log(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        empty = PacketLog(np.empty(0), np.empty(0), np.empty(0), np.empty(0),
+                          np.empty(0, dtype=bool), np.empty(0, dtype=bool))
+        write_packet_trace(empty, path)
+        assert path.read_text() == PACKET_TRACE_HEADER + "\n"
+        _assert_same_log(read_packet_trace(path), empty)
+        path.write_text(PACKET_TRACE_HEADER)
+        assert len(read_packet_trace(path)) == 0
+
+    def test_last_line_without_final_newline(self, tmp_path):
+        log, _ = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=50, seed=4))
+        path = tmp_path / "trace.csv"
+        write_packet_trace(log, path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        _assert_same_log(read_packet_trace(path), log)
+
+    def test_crlf_line_ends_read_as_before(self, tmp_path):
+        log, _ = simulate_run(SimConfig(1000.0, 2000.0, buffer_capacity=2,
+                                        horizon_packets=50, seed=4))
+        path = tmp_path / "trace.csv"
+        write_packet_trace(log, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        _assert_same_log(read_packet_trace(path), log)
+        _assert_same_log(read_packet_trace(path), _reference_read_packet_trace(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1,tagged,abc,0.1,0.8,0.1,0", "arrival_s 'abc' is not a number"),
+            ("1,tagged,0.7,0.1,,,0", "departure_s '' is not a number"),
+            ("1,tagged,0.7,0.1,0.8,x,0", "sojourn_s 'x' is not a number"),
+            ("1,probe,0.7,0.1,0.8,0.1,0", "unknown flow 'probe'"),
+            ("1,tagged,0.7,0.1,0.8,0.1,yes", "unknown dropped flag 'yes'"),
+            ("1,tagged\0,0.7,0.1,0.8,0.1,0", "NUL byte"),
+            ("1,tagged,0.7,0.1,0.8,0.1,0,",
+             "malformed packet trace line: '1,tagged,0.7,0.1,0.8,0.1,0,'"),
+        ],
+        ids=["non-numeric", "delivered-without-departure", "bad-sojourn", "unknown-flow",
+             "unknown-drop-flag", "nul-padded-flow", "eight-fields"],
+    )
+    def test_bad_field_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(PACKET_TRACE_HEADER + "\n0,background,0.5,0.1,0.6,0.1,0\n"
+                        + line + "\n2,background,0.9,0.1,1.0,0.1,0\n")
+        with pytest.raises(DomainError, match=f"line 3: {message}"):
+            read_packet_trace(path)
+
+    def test_dropped_row_ignores_departure_fields(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(PACKET_TRACE_HEADER + "\n0,tagged,0.5,0.1,n/a,n/a,1\n")
+        back = read_packet_trace(path)
+        assert back.dropped.tolist() == [True] and np.isnan(back.sojourn_times).all()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         cfg = SimConfig(1000.0, 500.0, horizon_packets=500, seed=2)

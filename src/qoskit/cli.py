@@ -126,11 +126,13 @@ def _print_json(payload: dict) -> None:
 
 
 def _emit(payload: dict, as_json: bool):
+    """Print ``payload`` as JSON or as ``key: value`` lines; both forms
+    write an undefined estimate as null."""
     if as_json:
         _print_json(payload)
     else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+        for key, value in _json_safe(payload).items():
+            print(f"{key}: {'null' if value is None else value}")
 
 
 def _cmd_model(args) -> int:
@@ -220,14 +222,10 @@ def _cmd_simulate(args) -> int:
         "offered_count": summary.offered_count,
         "delivered_count": summary.delivered_count,
         "seed": summary.seed,
-        "config": dataclasses.asdict(config),
     }
     if args.json:
-        _print_json(payload)
-    else:
-        for key, value in payload.items():
-            if key != "config":
-                print(f"{key}: {value}")
+        payload["config"] = dataclasses.asdict(config)
+    _emit(payload, args.json)
     return 0
 
 
@@ -446,6 +444,10 @@ def main(argv=None) -> int:
         return 1
     except QoskitError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OSError as exc:
+        # An output path that is a directory, a file, or under a missing one.
+        sys.stderr.write(f"error: cannot write {exc.filename!r}: {exc.strerror or exc}\n")
         return 1
 
 

@@ -31,6 +31,7 @@ capacity, and the smallest capacity under a budget at fixed arrival rate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -170,9 +171,9 @@ def capacity_from_bandwidth(bandwidth_bps: float, mean_packet_bits: float) -> fl
 def _shape_factor(x: float, variant: str) -> float:
     """Dimensionless bracket of the jitter formula, as a function of x = (1-rho)/rho."""
     if variant == "nonneg-v1":
-        # exp(-2x) evaluated on the doubled argument rather than by squaring
-        # exp(-x), so extreme loads underflow cleanly instead of rounding twice.
-        return 1.0 - x * math.exp(-x) - math.exp(-2.0 * x)
+        # 1 - exp(-2x) as -expm1(-2x): near rho -> 1 both terms tend to 0
+        # and the subtraction from 1 would cancel most of their digits.
+        return -math.expm1(-2.0 * x) - x * math.exp(-x)
     if variant == "printed-literal":
         # The literal bracket 1 - exp(-x) * (x + exp(x)) simplifies exactly to
         # -x * exp(-x); evaluating the simplification avoids overflowing the
@@ -187,7 +188,11 @@ def analytical_jitter(params: LinkParams, variant: str = DEFAULT_VARIANT) -> Jit
     The result depends on traffic only through (C, lambda, rho) and scales
     as 1/C at fixed load.
     """
-    x = (1.0 - params.load_rho) / params.load_rho
+    # (C - lambda) is exact near saturation; 1 - rho would round rho first.
+    # At loads below about 1e-308 the ratio overflows; the largest double
+    # gives the same bracket, 1, without an inf * 0.
+    x = min((params.capacity_C - params.arrival_rate_lambda) / params.arrival_rate_lambda,
+            sys.float_info.max)
     shape = _shape_factor(x, variant)
     jitter = shape / (params.capacity_C - params.arrival_rate_lambda)
     return JitterPrediction(jitter_seconds=jitter, params=params, formula_variant=variant)

@@ -9,6 +9,7 @@ curve, so any plotting tool can consume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,10 +254,15 @@ def analyze_rows(
 
     speed_bins = None
     if by_speed:
-        if speed_bin_width_kmh <= 0:
-            raise DomainError("speed bin width must be positive")
+        if not (speed_bin_width_kmh > 0 and math.isfinite(speed_bin_width_kmh)):
+            raise DomainError(f"speed bin width must be positive and finite, "
+                              f"got {speed_bin_width_kmh!r}")
         speeds = np.array([r.speed_kmh for r in rows])
-        bins = np.floor(speeds / speed_bin_width_kmh).astype(int)
+        bins = np.floor(speeds / speed_bin_width_kmh)
+        if not np.all(np.abs(bins) < 2**53):
+            raise DomainError(f"speed bin width {speed_bin_width_kmh!r} km/h gives more "
+                              f"bins than can be counted")
+        bins = bins.astype(int)
         out = []
         for b in sorted(set(bins.tolist())):
             mask = bins == b

@@ -70,6 +70,11 @@ def child_seed(base_seed: int, *indices: int) -> int:
     return s
 
 
+def _is_count(value) -> bool:
+    """An integer that is not a bool: ``True`` would silently mean 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run depends on, including the seed."""
@@ -98,14 +103,14 @@ class SimConfig:
                     f"unbounded buffer requires lambda < C; got load {self.rho:.6g}"
                 )
         else:
-            if not (isinstance(self.buffer_capacity, int) and self.buffer_capacity >= 1):
+            if not (_is_count(self.buffer_capacity) and self.buffer_capacity >= 1):
                 raise DomainError(
                     f"buffer capacity must be a positive packet count or None, "
                     f"got {self.buffer_capacity!r}"
                 )
         if not (0.0 < self.tagged_fraction <= 1.0):
             raise DomainError(f"tagged fraction must lie in (0, 1], got {self.tagged_fraction!r}")
-        if not (isinstance(self.horizon_packets, int) and self.horizon_packets >= 0):
+        if not (_is_count(self.horizon_packets) and self.horizon_packets >= 0):
             raise DomainError(f"horizon must be a packet count, got {self.horizon_packets!r}")
         if self.horizon_packets == 0:
             raise EmptyRunError("horizon of zero packets: nothing to simulate")
@@ -206,12 +211,29 @@ class RunSummary:
 
 
 #: Buffer size from which the finite-buffer queue uses block-of-K acceptance
-#: instead of the sequential ring loop (see ``fcfs_departures``).
+#: instead of the lanes and the ring loop (see ``fcfs_departures``).
 _BLOCK_MIN_BUFFER = 96
 
 #: Packets per ``tolist()`` conversion in the ring loop; bounds its Python
 #: objects to a fixed size whatever the run length.
 _RING_CHUNK = 32_768
+
+#: Lanes of the small-buffer path (see ``_fcfs_lanes``): packets per lane,
+#: packets each lane runs before its own to warm up, and lanes advanced
+#: together by one numpy step. The first group is smaller: a numpy step
+#: costs 4-7 us however few lanes it has, so a stream on which lanes do not
+#: pay is found out for about 7 ms, some 5% of a 1M-packet ring loop.
+_LANE_PACKETS = 1024
+_LANE_WARMUP = 128
+_LANE_GROUP = 1024
+_LANE_PROBE = 32
+
+#: Steps per chunk of the side-by-side run; bounds its working memory.
+_LANE_CHUNK = 64
+
+#: Share of a group's packets that the ring loop had to rerun above which
+#: the rest of the stream goes to the ring loop alone (see ``_fcfs_lanes``).
+_LANE_FALLBACK = 0.5
 
 
 def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = None):
@@ -223,36 +245,54 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     exactly at an arrival instant frees its buffer slot first.
 
     The unbounded buffer uses the closed-form Lindley recursion. A finite
-    buffer of K packets takes one of two paths, chosen from K alone:
+    buffer of K packets takes one of three paths:
 
-    - ``K < 96``: a sequential loop over a ring of the last K accepted
-      departures, bit-identical to the per-packet recursion
+    - ``K < 96``, at least two lanes (2,048 packets): lanes of 1,024
+      packets run side by side in numpy, then are checked and repaired
+      (``_fcfs_lanes``). Bit-identical to the per-packet recursion
       ``d = max(a, d_prev) + s`` with tail drop.
+    - ``K < 96``, shorter inputs, and the rest of a stream on which lanes do
+      not pay: a sequential loop over a ring of the last K accepted
+      departures (``_fcfs_ring``), bit-identical to the same recursion.
     - ``K >= 96``: K acceptances at a time (one ``searchsorted`` plus a
       block Lindley pass), so dropped packets cost nothing. The sums are
       taken in another order, so departures may differ from the recursion's
       in the last digits (the tests hold them to 1e-12 relative); they are
       bit-identical whenever the sums are exact, as with integer times.
 
-    On both paths packet i is dropped exactly when the accepted packet K
+    The lanes rest on one fact: a tail-drop queue that is idle at an
+    arrival (its last departure at or before it) holds nothing that can
+    still delay or drop a later packet. So two runs that are both idle at
+    the same arrival give the same output from there on, whatever their
+    earlier state. Each lane starts empty 128 packets before its first one;
+    it is exact when it and the lane before it are both idle at one of
+    those 128 arrivals and the lane before it is itself exact from some
+    packet on. Any other lane is rerun by the ring loop from the true state
+    until an arrival at which both runs are idle. When the queue seldom goes idle (long overload at
+    moderate K) nearly every lane needs that rerun; once a group's rerun
+    share passes one half, the rest of the stream goes to the ring loop
+    (past about 0.65 the lanes cost more than the ring loop alone).
+
+    On every path packet i is dropped exactly when the accepted packet K
     places before it has not departed by ``a_i``, so the drop set is the
-    recursion's. The one exception would be an arrival falling between the
-    two paths' roundings of that departure instant.
+    recursion's. On the block path the one exception would be an arrival
+    falling between the two paths' roundings of that departure instant.
 
-    The crossover comes from CPU ms per call at 1M packets with exponential
-    interarrivals and services (ring / block; 2-vCPU Xeon at 2.1 GHz,
-    CPython 3.11, numpy 2.4, best of 7):
+    CPU ms per call at 1M packets with exponential interarrivals and
+    services (ring / lanes / block; 2-vCPU Xeon at 2.1 GHz, CPython 3.11,
+    numpy 2.4, median of 7 interleaved runs; K = 96 takes the block
+    path, its lanes column is for comparison):
 
-    ====  ===========  ===========  ===========
-    K     rho 0.5      rho 1.0      rho 2.5
-    ====  ===========  ===========  ===========
-    16    211 / 528    154 / 505    133 / 209
-    32    218 / 419    202 / 407    179 / 184
-    64    225 / 264    205 / 254    187 / 111
-    96    225 / 197    198 / 199    183 / 83
-    128   211 / 173    214 / 167    176 / 75
-    256   209 / 118    207 / 108    133 / 40
-    ====  ===========  ===========  ===========
+    ====  ============  ============  ============  ============  ============
+    K     rho 0.5       rho 0.9       rho 1.0       rho 1.4       rho 2.5
+    ====  ============  ============  ============  ============  ============
+    10    216/37/1208   207/44/1097   224/46/1058   235/134/899   215/224/514
+    16    255/39/814    244/43/783    230/54/712    222/229/555   200/211/314
+    20    249/39/639    243/45/635    235/67/601    226/229/458   209/217/261
+    32    243/40/430    240/51/433    231/110/409   221/230/306   208/213/179
+    64    243/45/251    239/59/253    233/201/251   213/224/177   151/169/86
+    96    184/38/149    194/50/138    183/154/135   157/146/95    137/143/58
+    ====  ============  ============  ============  ============  ============
     """
     arr = np.ascontiguousarray(arrival_times, dtype=float)
     srv = np.ascontiguousarray(service_times, dtype=float)
@@ -275,33 +315,42 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
         departures = arr + waits + srv
         return departures, np.zeros(n, dtype=bool)
 
-    if not (isinstance(buffer_capacity, (int, np.integer)) and buffer_capacity >= 1):
+    if not (_is_count(buffer_capacity) and buffer_capacity >= 1):
         raise DomainError(f"buffer capacity must be an integer >= 1, got {buffer_capacity!r}")
-    if buffer_capacity < _BLOCK_MIN_BUFFER:
-        departures = _fcfs_ring(arr, srv, buffer_capacity)
-    else:
+    if buffer_capacity >= _BLOCK_MIN_BUFFER:
         departures = _fcfs_blocks(arr, srv, buffer_capacity)
+    elif n >= 2 * _LANE_PACKETS:
+        departures = _fcfs_lanes(arr, srv, buffer_capacity)
+    else:
+        departures = _fcfs_ring(arr, srv, buffer_capacity)
     return departures, np.isnan(departures)
 
 
 def _fcfs_ring(arr, srv, buffer_capacity):
-    """Sequential tail-drop FCFS; NaN marks a dropped packet.
+    """Sequential tail-drop FCFS; NaN marks a dropped packet."""
+    departures = np.empty(arr.size)
+    _ring_run(arr, srv, 0, arr.size, departures,
+              ([-math.inf] * buffer_capacity, 0, -math.inf))
+    return departures
 
-    ``ring[pos]`` holds the departure of the accepted packet K places back
-    (-inf until K have been accepted): an arrival is admitted exactly when
-    that packet has left, i.e. fewer than K accepted packets remain.
+
+def _ring_run(arr, srv, lo, hi, departures, state):
+    """Run the ring loop over packets ``lo:hi`` from ``state`` and return
+    the state after them; departures go to ``departures[lo:hi]``.
+
+    A state is ``(ring, pos, last)``: ``ring[pos]`` holds the departure of
+    the accepted packet K places back (-inf until K have been accepted), so
+    an arrival is admitted exactly when that packet has left, i.e. fewer
+    than K accepted packets remain; ``last`` is the last departure.
     """
-    n = arr.size
-    departures = np.empty(n)
-    ring = [-math.inf] * buffer_capacity
-    pos = 0
-    last = -math.inf
+    ring, pos, last = state
+    buffer_capacity = len(ring)
     nan = math.nan
-    for lo in range(0, n, _RING_CHUNK):
-        hi = min(lo + _RING_CHUNK, n)
+    for c0 in range(lo, hi, _RING_CHUNK):
+        c1 = min(c0 + _RING_CHUNK, hi)
         out = []
         append = out.append
-        for t, s in zip(arr[lo:hi].tolist(), srv[lo:hi].tolist()):
+        for t, s in zip(arr[c0:c1].tolist(), srv[c0:c1].tolist()):
             if t < ring[pos]:
                 append(nan)
                 continue
@@ -311,8 +360,171 @@ def _fcfs_ring(arr, srv, buffer_capacity):
             if pos == buffer_capacity:
                 pos = 0
             append(last)
-        departures[lo:hi] = out
+        departures[c0:c1] = out
+    return ring, pos, last
+
+
+def _fcfs_lanes(arr, srv, buffer_capacity):
+    """Tail-drop FCFS in lanes checked at shared idle instants; NaN marks a
+    dropped packet. Bit-identical to ``_fcfs_ring``.
+
+    The stream is cut into lanes of L packets; the packets after the last
+    whole lane go to the ring loop. Lane j covers packets ``jL:(j+1)L`` and
+    starts empty W packets earlier. Groups of lanes run side by side
+    (``_speculate``), then lane by lane:
+
+    - Check: a lane is exact over its whole range when, at one of its first
+      W arrivals, both it and the lane before it were idle, and that lane
+      is exact from some packet on. The two then agree from that arrival,
+      and the lane before agrees with the true queue from its own meeting
+      point; both points come before the lane's first packet.
+    - Repair: any other lane is rerun by the ring loop from the true end
+      state of the lane before it, until an arrival at which the rerun and
+      the lane are both idle; from there the lane's output stands. A lane
+      never idle together with its rerun leaves the next one to a rerun.
+
+    A group whose repairs reran more than ``_LANE_FALLBACK`` of its packets
+    hands the rest of the stream to the ring loop.
+    """
+    n = arr.size
+    lane, warm = _LANE_PACKETS, _LANE_WARMUP
+    departures = np.empty(n)
+    n_lanes = n // lane
+    # The lane before the next one: its idle flags over the next lane's
+    # warm-up, whether its output is exact from some packet on, and its true
+    # end state (None: its speculative end state, the same when exact).
+    prev_idle = np.ones(warm, dtype=bool)
+    exact = True
+    state = ([-math.inf] * buffer_capacity, 0, -math.inf)
+    j0 = 0
+    while j0 < n_lanes:
+        m = min(_LANE_GROUP if j0 else _LANE_PROBE, n_lanes - j0)
+        lo, hi = j0 * lane, (j0 + m) * lane
+        idle, rings, lasts = _speculate(arr, srv, lo, m, buffer_capacity, departures)
+        shared = idle[:warm].copy()
+        shared[:, 0] &= prev_idle
+        shared[:, 1:] &= idle[lane:, :-1]
+        has_shared = shared.any(axis=0)
+        unshared = np.flatnonzero(~has_shared)
+        rerun = 0
+        l = 0
+        while l < m:
+            if exact and has_shared[l]:
+                # This lane and every one up to the next without a shared
+                # idle arrival are exact.
+                i = np.searchsorted(unshared, l)
+                l = int(unshared[i]) if i < unshared.size else m
+                state = None
+                continue
+            if state is None:
+                state = rings[l - 1].tolist(), 0, float(lasts[l - 1])
+            # Rerun from the true state, checking for a shared idle arrival
+            # at the lane's own idle arrivals at least 16 packets apart (a
+            # ring call costs about as much as 16 packets of it); past one
+            # skipped, both runs agree, so the next check finds them idle.
+            first = lo + l * lane
+            done = first
+            exact = False
+            for q in (first + np.flatnonzero(idle[warm:, l])).tolist():
+                if q > done:
+                    if q - done < 16:
+                        continue
+                    state = _ring_run(arr, srv, done, q, departures, state)
+                    done = q
+                if state[2] <= arr[q]:
+                    exact, state = True, None
+                    break
+            else:
+                state = _ring_run(arr, srv, done, first + lane, departures, state)
+                done = first + lane
+            rerun += done - first
+            l += 1
+        if state is None:
+            state = rings[m - 1].tolist(), 0, float(lasts[m - 1])
+        prev_idle = idle[lane:, m - 1].copy()
+        j0 += m
+        if rerun > _LANE_FALLBACK * (hi - lo):
+            break
+    _ring_run(arr, srv, j0 * lane, n, departures, state)
     return departures
+
+
+def _speculate(arr, srv, lo, m, buffer_capacity, departures):
+    """Run the m lanes from packet ``lo`` side by side, each from empty.
+
+    Writes each lane's own L departures (NaN for a drop) to ``departures``.
+    Returns the idle flags, ``idle[s, l]`` when lane l's last departure
+    before its step s is at or before that arrival, and each lane's end
+    state: its last k accepted departures (oldest first, -inf before k
+    acceptances) and its last departure.
+
+    Lane l's step s is packet ``lo - W + l*L + s``; lane 0 of the stream is
+    given W stand-in packets, arriving with packet 0 and bringing no work,
+    which leave it idle and so change nothing. A step does the ring loop's
+    float operations for every lane at once: the admission threshold is
+    gathered from each lane's row of accepted departures, ``max`` + add
+    gives the departure. The steps run in chunks of ``_LANE_CHUNK``, so the
+    working memory is a few (chunk x m) arrays plus the idle flags.
+    """
+    lane, warm, chunk = _LANE_PACKETS, _LANE_WARMUP, _LANE_CHUNK
+    k = buffer_capacity
+    steps = warm + lane
+    hi = lo + m * lane
+    if lo:
+        t_all, s_all = arr[lo - warm:hi], srv[lo - warm:hi]
+    else:
+        t_all = np.concatenate((np.full(warm, arr[0]), arr[:hi]))
+        s_all = np.concatenate((np.zeros(warm), srv[:hi]))
+    t_lanes = np.lib.stride_tricks.sliding_window_view(t_all, steps)[::lane]
+    s_lanes = np.lib.stride_tricks.sliding_window_view(s_all, steps)[::lane]
+    out = departures[lo:hi].reshape(m, lane)
+
+    idle = np.empty((steps, m), dtype=bool)
+    times = np.empty((chunk, m))
+    works = np.empty((chunk, m))
+    last = np.empty((chunk + 1, m))     # last[s + 1]: after step s of the chunk
+    last[0] = -math.inf
+    dropped = np.empty((chunk, m), dtype=bool)
+    # Row l of ``rows`` holds lane l's last k accepted departures, then the
+    # ones accepted in this chunk. Before step s the threshold is at
+    # ``accepted[s + pos]``: ``pos`` starts at the row and falls by one per
+    # drop. The ``chunk`` slots in front keep every such index positive.
+    width = k + chunk
+    accepted = np.empty(chunk + m * width)
+    rows = accepted[chunk:].reshape(m, width)
+    rows[:, :k] = -math.inf
+    row_starts = np.arange(chunk, chunk + m * width, width)
+    for c0 in range(0, steps, chunk):
+        c = min(chunk, steps - c0)
+        _transpose_into(times[:c], t_lanes[:, c0:c0 + c])
+        _transpose_into(works[:c], s_lanes[:, c0:c0 + c])
+        pos = row_starts.copy()
+        for s, (t, w, before, after, drop) in enumerate(
+                zip(times[:c], works[:c], last[:c], last[1:c + 1], dropped[:c])):
+            np.less(t, accepted[s:][pos], out=drop)
+            np.maximum(before, t, out=after)
+            after += w
+            np.copyto(after, before, where=drop)
+            # A dropped lane writes the slot of its next acceptance, unread.
+            accepted[s + k:][pos] = after
+            pos -= drop.view(np.int8)
+        np.less_equal(last[:c], times[:c], out=idle[c0:c0 + c])
+        rows[:, :k] = accepted[(c + pos)[:, None] + np.arange(k)]
+        last[0] = last[c]
+        s0 = max(warm - c0, 0)          # the chunk's first step past the warm-up
+        if s0 < c:
+            own = last[s0 + 1:c + 1]
+            np.copyto(own, math.nan, where=dropped[s0:c])
+            _transpose_into(out[:, c0 + s0 - warm:c0 + c - warm], own)
+    return idle, rows[:, :k], last[0]
+
+
+def _transpose_into(dst, src):
+    """``dst[...] = src.T`` in blocks of 64 columns, which keeps both sides'
+    reads and writes close together (about 2.5x faster than one strided
+    copy)."""
+    for j in range(0, dst.shape[1], 64):
+        dst[:, j:j + 64] = src[j:j + 64].T
 
 
 def _fcfs_blocks(arr, srv, buffer_capacity):

@@ -135,7 +135,14 @@ def _parse_float(text: str, what: str) -> float:
 
 def parse_log(data: bytes | str) -> list[QosLogRow]:
     """Parse and validate a canonical log. Rejections name the 1-based line."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(data.count(b"\n", 0, exc.start) + 1,
+                                  "not UTF-8 text") from None
+    else:
+        text = data
     lines = text.splitlines()
     if not lines:
         raise TraceParseError(1, "empty file, expected the canonical header")
@@ -299,6 +306,8 @@ class MobilityScenario:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not (isinstance(self.duration_s, int) and self.duration_s >= 0):
             raise DomainError(f"duration must be a non-negative integer, got {self.duration_s!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (0 < self.track_min_m < self.track_max_m):
             raise DomainError(
                 f"track bounds must satisfy 0 < min < max, got ({self.track_min_m!r}, {self.track_max_m!r})"
@@ -569,5 +578,11 @@ def parse_scenario(text: str) -> MobilityScenario:
 
 
 def load_scenario(path) -> MobilityScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise DomainError(f"scenario line {line_no}: not UTF-8 text") from None
+    return parse_scenario(text)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qoskit.cli import main
 from qoskit.sim import SimConfig, child_seed, simulate_run
@@ -142,6 +143,27 @@ class TestSimulateCommand:
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"bare {name}"))
         assert payload["empirical_jitter_J_s"] is None
         assert payload["n_jitter_samples"] == 0
+
+    @pytest.mark.parametrize(
+        "argv, undefined",
+        [
+            (["--rho", "0.5", "--packets", "20", "--tagged-fraction", "0.05"],
+             ["empirical_jitter_J_s"]),
+            (["--rho", "100", "--buffer", "1", "--packets", "10", "--warmup", "0.45",
+              "--seed", "3"], ["mean_sojourn_s", "empirical_jitter_J_s"]),
+        ],
+        ids=["no-tagged-pair", "nothing-delivered"],
+    )
+    def test_text_writes_undefined_estimates_as_null(self, capsys, argv, undefined):
+        """The text form maps undefined estimates the way --json does."""
+        code, out, _ = run_cli(capsys, "simulate", "--capacity", "1000", *argv)
+        assert code == 0
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        assert [key for key, value in fields.items() if value == "null"] == undefined
+        assert "nan" not in out
+        _, out_json, _ = run_cli(capsys, "simulate", "--capacity", "1000", *argv, "--json")
+        payload = json.loads(out_json)
+        assert [key for key, value in payload.items() if value is None] == undefined
 
     def test_unstable_config_rejected(self, capsys):
         code, _, err = run_cli(
@@ -374,6 +396,48 @@ class TestAnalyzeCommand:
         assert "line 2" in err
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "command, where",
+        [("simulate", "a directory"), ("simulate", "under a missing directory"),
+         ("synth", "a directory"), ("synth", "under a missing directory"),
+         ("validate", "a file"), ("analyze", "a file")],
+    )
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, command, where):
+        """Output files are written as given and output directories are
+        created; a path that allows neither is an error, not a traceback."""
+        (tmp_path / "file").write_text("x")
+        path = {"a directory": tmp_path, "a file": tmp_path / "file",
+                "under a missing directory": tmp_path / "missing" / "out"}[where]
+        scn = _write_scenario(tmp_path, "kind = static\nduration_s = 3\nseed = 1\n")
+        log = tmp_path / "log.csv"
+        assert run_cli(capsys, "synth", "--scenario", scn, "--output", str(log))[0] == 0
+        argv = {
+            "simulate": ["simulate", "--capacity", "1000", "--rho", "0.5", "--packets", "50",
+                         "--trace-out", str(path)],
+            "synth": ["synth", "--scenario", scn, "--output", str(path)],
+            "validate": ["validate", "--capacity", "1000", "--rho-grid", "0.5",
+                         "--packets", "500", "--seeds", "1", "--out", str(path)],
+            "analyze": ["analyze", "--log", str(log), "--out", str(path)],
+        }[command]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: cannot write")
+
+    @pytest.mark.parametrize("width", ["nan", "inf", "1e-300"])
+    def test_speed_bin_width_must_be_usable(self, capsys, tmp_path, width):
+        """A NaN or infinite width used to give garbage bins silently, and a
+        tiny one more bins than an int64 holds."""
+        scn = _write_scenario(tmp_path, "kind = constant_speed\nduration_s = 3\n"
+                                        "speed_kmh = 50\nseed = 1\n")
+        log = tmp_path / "log.csv"
+        assert run_cli(capsys, "synth", "--scenario", scn, "--output", str(log))[0] == 0
+        code, _, err = run_cli(capsys, "analyze", "--log", str(log), "--by-speed",
+                               "--speed-bin-width", width)
+        assert code == 1
+        assert "speed bin width" in err
+
+
 class TestUsageContract:
     def test_import_leaves_scipy_unloaded(self):
         """Only correlations need scipy; every other command skips its
@@ -392,3 +456,102 @@ class TestUsageContract:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "model", "--rho", "0.5")
         assert code == 1
+
+
+# Flag values a user may type by mistake: non-finite, negative, zero, empty,
+# not a number, and extremes, next to a few sensible ones.
+_ODD = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1e-300", "1e300"]
+_RATE = _ODD + ["1000", "600", "0.5", "0.9", "2"]
+_PACKETS = ["nan", "-1", "0", "", "abc", "1", "2", "50", "2000"]  # at most 2,000
+_COUNT = ["nan", "-1", "0", "", "abc", "1", "2"]
+_SEED = ["-1", "0", "", "abc", "7", "99999999999999999999"]
+_GRID = ["0.5", "0.3,0.6", "0.2:0.8:0.3", "nan", "inf", "", ",", "abc", "0:1:0",
+         "1.5", "-1", "0.5:0.1:0.1", "0.9999999"]
+_VARIANT = ["nonneg-v1", "printed-literal", "bogus", ""]
+_SWITCH = None  # a flag without a value
+
+
+def _fuzz_flags(work: Path) -> dict:
+    scenarios = [str(work / "tiny.scn"), str(work / "missing.scn"), str(work),
+                 str(work / "garbage.txt"), ""]
+    logs = [str(work / "tiny.csv"), str(work / "missing.csv"), str(work),
+            str(work / "garbage.txt"), str(work / "tiny.scn")]
+    outputs = [str(work / "out.csv"), str(work), str(work / "missing" / "out.csv")]
+    dirs = [str(work / "reports"), str(work / "garbage.txt"), str(work / "missing" / "dir")]
+    link = {"--capacity": _RATE, "--lambda": _RATE, "--rho": _RATE}
+    return {
+        "model": {**link, "--variant": _VARIANT, "--json": _SWITCH},
+        "invert": {"--capacity": _RATE, "--lambda": _RATE, "--budget": _RATE,
+                   "--variant": _VARIANT, "--json": _SWITCH},
+        "simulate": {**link, "--packets": _PACKETS, "--tagged-fraction": _RATE,
+                     "--buffer": _COUNT + ["3", "200"], "--warmup": _RATE,
+                     "--service": ["exponential", "deterministic", "uniform"],
+                     "--seed": _SEED, "--trace-out": outputs, "--json": _SWITCH},
+        "validate": {"--capacity": _RATE, "--rho-grid": _GRID, "--packets": _PACKETS,
+                     "--seeds": _COUNT, "--threshold": _RATE, "--variant": _VARIANT,
+                     "--tagged-fraction": _RATE, "--seed": _SEED, "--out": dirs},
+        "synth": {"--scenario": scenarios, "--output": outputs, "--seed": _SEED},
+        "analyze": {"--log": logs, "--by-speed": _SWITCH, "--speed-bin-width": _RATE,
+                    "--json": _SWITCH, "--out": dirs},
+    }
+
+
+def _valid_argv(work: Path) -> dict:
+    return {
+        "model": {"--capacity": "1000", "--rho": "0.5"},
+        "invert": {"--capacity": "1000", "--budget": "0.001"},
+        "simulate": {"--capacity": "1000", "--rho": "0.5", "--packets": "200"},
+        "validate": {"--capacity": "1000", "--rho-grid": "0.5", "--packets": "500",
+                     "--seeds": "1", "--out": str(work / "reports")},
+        "synth": {"--scenario": str(work / "tiny.scn"), "--output": str(work / "out.csv")},
+        "analyze": {"--log": str(work / "tiny.csv")},
+    }
+
+
+@st.composite
+def _argv(draw, work: Path):
+    """Either any subset of a command's flags, or a working command line
+    with one to three flags set to drawn values."""
+    flags = _fuzz_flags(work)
+    command = draw(st.sampled_from(sorted(flags)))
+    names = st.sampled_from(sorted(flags[command]))
+    if draw(st.booleans()):
+        chosen = {name: None for name in draw(st.lists(names, unique=True))}
+    else:
+        chosen = dict(_valid_argv(work)[command])
+        chosen.update({name: None for name in draw(st.lists(names, min_size=1, max_size=3,
+                                                            unique=True))})
+    argv = [command]
+    for name, value in chosen.items():
+        argv.append(name)
+        if flags[command][name] is not None:
+            argv.append(value if value is not None
+                        else draw(st.sampled_from(flags[command][name])))
+    return argv
+
+
+class TestCliFuzz:
+    """Whatever the command line, the CLI ends with exit code 0, 1 or 2 and
+    no traceback. ``--packets`` stays at or below 2,000: a horizon too
+    large for memory is a separate, known defect."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "tiny.scn").write_text("kind = static\nduration_s = 3\n"
+                                       "static_dist_m = 500\nseed = 5\n")
+        (work / "garbage.txt").write_bytes(b"\x00\xffnot,a,log\n")
+        assert main(["synth", "--scenario", str(work / "tiny.scn"),
+                     "--output", str(work / "tiny.csv")]) == 0
+        return work
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_argv_exits_0_1_or_2_without_traceback(self, capsys, monkeypatch, work, data):
+        monkeypatch.chdir(work)     # default output paths land here too
+        argv = data.draw(_argv(work), label="argv")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv

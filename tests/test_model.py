@@ -83,6 +83,27 @@ class TestAnalyticalJitter:
         assert math.isfinite(pred.jitter_seconds)
         assert pred.jitter_seconds > 0
 
+    @pytest.mark.parametrize("rho", [0.99, 0.999, 0.9999, 0.99999, 0.999999])
+    def test_accurate_near_saturation(self, rho):
+        """Against a 200-bit evaluation of the same inputs: near rho -> 1
+        the bracket's terms cancel, and 1 - rho would round rho first."""
+        mpmath = pytest.importorskip("mpmath")
+        params = LinkParams.from_rho(1000.0, rho)
+        with mpmath.workprec(200):
+            c = mpmath.mpf(params.capacity_C)
+            lam = mpmath.mpf(params.arrival_rate_lambda)
+            x = (c - lam) / lam
+            exact = (1 - x * mpmath.exp(-x) - mpmath.exp(-2 * x)) / (c - lam)
+            error = abs((analytical_jitter(params).jitter_seconds - exact) / exact)
+        assert error <= 1e-15
+
+    def test_vanishing_load_reaches_the_low_load_limit(self):
+        """lambda / C underflows to 0 here and (C - lambda) / lambda to inf;
+        the bracket is then 1, so J = 1/C rather than NaN."""
+        params = LinkParams(1e300, 1e-300)
+        assert analytical_jitter(params).jitter_seconds == 1.0 / 1e300
+        assert analytical_jitter(params, "printed-literal").jitter_seconds == 0.0
+
     @pytest.mark.parametrize("rho", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
     def test_positive_on_stable_range(self, rho):
         pred = analytical_jitter(LinkParams.from_rho(1000.0, rho))

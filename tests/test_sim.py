@@ -56,7 +56,7 @@ class TestEngine:
         assert dropped.tolist() == [False, False]
         assert dep.tolist() == [1.0, 2.0]
 
-    @pytest.mark.parametrize("buffer_capacity", [0, -3, 2.5])
+    @pytest.mark.parametrize("buffer_capacity", [0, -3, 2.5, True])
     def test_bad_buffer_rejected(self, buffer_capacity):
         with pytest.raises(DomainError, match="buffer capacity"):
             fcfs_departures([0.0, 1.0], [1.0, 1.0], buffer_capacity)
@@ -143,7 +143,7 @@ class TestFiniteBufferOracle:
         assert np.array_equal(dropped, ref_dropped)
         assert np.array_equal(dep, ref_dep, equal_nan=True)
 
-    @pytest.mark.parametrize("path", [sim._fcfs_ring, sim._fcfs_blocks])
+    @pytest.mark.parametrize("path", [sim._fcfs_ring, sim._fcfs_lanes, sim._fcfs_blocks])
     @settings(deadline=None)
     @given(times=_integer_times(), buffer_capacity=st.integers(1, 12) | _BUFFERS)
     def test_each_path_exact_at_any_buffer(self, path, times, buffer_capacity):
@@ -173,6 +173,133 @@ class TestFiniteBufferOracle:
             assert np.array_equal(dep, ref_dep, equal_nan=True)
 
 
+_LANE_CONSTANTS = ("_LANE_PACKETS", "_LANE_WARMUP", "_LANE_GROUP", "_LANE_PROBE",
+                   "_LANE_CHUNK")
+
+
+@st.composite
+def _lane_shapes(draw):
+    """Small lanes, so that short inputs span many lanes and groups: L
+    packets per lane, W warm-up packets (1 to L), groups of 1 to 7 lanes
+    after a first group of 1 to 3, and chunks of 1 to L + W steps."""
+    lane = draw(st.integers(4, 64))
+    warm = draw(st.integers(1, lane))
+    return (lane, warm, draw(st.integers(1, 7)), draw(st.integers(1, 3)),
+            draw(st.integers(1, lane + warm)))
+
+
+@st.composite
+def _continuous_times(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3000))
+    return np.cumsum(rng.exponential(1.0, size=n)), rng.exponential(draw(st.floats(0.3, 4.0)),
+                                                                    size=n)
+
+
+def _run_lanes(shape, arrivals, services, buffer_capacity):
+    """``_fcfs_lanes`` at the given lane shape; also returns the (lo, hi)
+    packet ranges it handed to the ring loop."""
+    calls = []
+    ring_run = sim._ring_run
+
+    def spy(arr, srv, lo, hi, departures, state):
+        calls.append((lo, hi))
+        return ring_run(arr, srv, lo, hi, departures, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in zip(_LANE_CONSTANTS, shape):
+            mp.setattr(sim, name, value)
+        mp.setattr(sim, "_ring_run", spy)
+        departures = sim._fcfs_lanes(np.asarray(arrivals, dtype=float),
+                                     np.asarray(services, dtype=float), buffer_capacity)
+    return departures, calls
+
+
+class TestLanes:
+    """The lanes path against the per-packet oracle, bit for bit, at lane
+    shapes small enough to reach every branch: several groups, lanes that
+    couple in their overlap, lanes repaired up to a shared idle arrival,
+    chains of lanes that never couple (overload), the packets after the
+    last whole lane, and the hand-over to the ring loop."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(shape=_lane_shapes(), times=_integer_times() | _continuous_times(),
+           buffer_capacity=st.integers(1, 12) | st.sampled_from([_CROSSOVER - 1]))
+    def test_bit_identical_at_any_lane_shape(self, shape, times, buffer_capacity):
+        arrivals, services = times
+        departures, _ = _run_lanes(shape, arrivals, services, buffer_capacity)
+        ref_dep, _ = _reference_fcfs(arrivals, services, buffer_capacity)
+        assert np.array_equal(departures, ref_dep, equal_nan=True)
+
+    @pytest.mark.parametrize("buffer_capacity", [1, 3])
+    def test_departure_at_an_arrival_counts_as_idle(self, buffer_capacity):
+        """Each packet leaves exactly when the next arrives: the queue is
+        idle (not strictly) at every arrival, so every lane couples in its
+        overlap and the ring loop only sees the packets after the last lane."""
+        shape = (8, 2, 3, 1, 5)
+        n = 20 * 8 + 3
+        arrivals = 2.0 * np.arange(n)
+        services = np.full(n, 2.0)
+        departures, calls = _run_lanes(shape, arrivals, services, buffer_capacity)
+        assert np.array_equal(departures, arrivals + 2.0)
+        assert calls == [(n - 3, n)]
+
+    def test_rerun_stops_where_a_departure_meets_an_arrival(self):
+        """A long service leaves lane 1 busy through its overlap, so the
+        ring loop reruns it; the queue is next idle exactly when a
+        departure meets an arrival, and there the rerun hands back."""
+        n = 5 * 8 + 3
+        arrivals = 2.0 * np.arange(n)
+        services = np.full(n, 2.0)
+        services[5] = 8.0
+        departures, calls = _run_lanes((8, 2, 3, 1, 5), arrivals, services, 1)
+        ref_dep, _ = _reference_fcfs(arrivals, services, 1)
+        assert np.array_equal(departures, ref_dep, equal_nan=True)
+        assert calls == [(8, 16), (n - 3, n)]
+
+    @pytest.mark.parametrize(
+        "load, buffer_capacity, branches",
+        [
+            # Mostly idle: every lane couples in its overlap, over many groups.
+            (0.3, 3, {"several groups", "last packets"}),
+            # Near saturation: some lanes need a rerun up to a shared idle arrival.
+            (1.0, 4, {"several groups", "rerun until coupled", "last packets"}),
+            # Overload: lanes never couple, so reruns chain and the ring takes over.
+            (3.0, 6, {"never coupled", "ring takes over"}),
+        ],
+        ids=["idle", "saturated", "overload"],
+    )
+    def test_reaches_every_branch(self, load, buffer_capacity, branches):
+        shape = (64, 8, 4, 2, 16)
+        lane, _, _, probe, _ = shape
+        rng = np.random.default_rng(2024)
+        n = 40 * lane + 5
+        arrivals = np.cumsum(rng.integers(0, 3, size=n, endpoint=True)).astype(float)
+        services = rng.integers(0, round(2 * load), size=n, endpoint=True).astype(float)
+        departures, calls = _run_lanes(shape, arrivals, services, buffer_capacity)
+        ref_dep, _ = _reference_fcfs(arrivals, services, buffer_capacity)
+        assert np.array_equal(departures, ref_dep, equal_nan=True)
+        # The true queue is idle at an arrival when every earlier departure is
+        # at or before it; a lane without such an arrival cannot couple.
+        before = np.concatenate(([-np.inf], np.fmax.accumulate(ref_dep)[:-1]))
+        idle = np.nan_to_num(before, nan=-np.inf) <= arrivals
+        whole = n // lane * lane
+        seen = set()
+        if (whole, n) in calls:
+            seen.add("last packets")
+            if whole > probe * lane:
+                seen.add("several groups")
+        if any(hi == n and lo < whole for lo, hi in calls):
+            seen.add("ring takes over")
+        for first in range(0, whole, lane):
+            ends = [hi for lo, hi in calls if first <= lo < first + lane and hi <= whole]
+            if ends and max(ends) < first + lane:
+                seen.add("rerun until coupled")
+            elif ends and not idle[first:first + lane].any():
+                seen.add("never coupled")
+        assert branches <= seen
+
+
 class TestSimConfig:
     def test_unstable_unbounded_rejected(self):
         with pytest.raises(InstabilityError):
@@ -200,6 +327,13 @@ class TestSimConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(DomainError):
             SimConfig(1000.0, 500.0, horizon_packets=10, **kwargs)
+
+    @pytest.mark.parametrize("field", ["buffer_capacity", "horizon_packets"])
+    def test_bool_is_not_a_count(self, field):
+        """``True`` is an int to Python; as a count it would silently be 1."""
+        counts = {"buffer_capacity": 10, "horizon_packets": 10, field: True}
+        with pytest.raises(DomainError, match="count"):
+            SimConfig(1000.0, 500.0, **counts)
 
 
 class TestSimulateRun:

@@ -12,6 +12,7 @@ from qoskit.traces import (
     RateDistanceMap,
     default_rate_map,
     default_speed_profile,
+    load_scenario,
     parse_log,
     parse_scenario,
     rate_at_distance,
@@ -87,6 +88,11 @@ class TestLogRoundTrip:
     def test_wrong_header_rejected(self):
         with pytest.raises(TraceParseError, match="line 1"):
             parse_log(b"nope\n")
+
+    def test_non_utf8_bytes_name_their_line(self):
+        data = (LOG_HEADER + "\n100,0,0,1,1000,50,230000,4.5,1,10\n").encode() + b"\xff\n"
+        with pytest.raises(TraceParseError, match="line 3: not UTF-8 text"):
+            parse_log(data)
 
     @given(
         st.lists(
@@ -230,6 +236,17 @@ class TestScenario:
     def test_parse_requires_kind_and_duration(self):
         with pytest.raises(DomainError):
             parse_scenario("kind = static\n")
+
+    def test_negative_seed_rejected(self):
+        """numpy seeds are non-negative; -1 used to escape as a ValueError."""
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            parse_scenario("kind = static\nduration_s = 5\nseed = -1\n")
+
+    def test_non_utf8_scenario_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"kind = static\nduration_s = 5 \xe9\n")
+        with pytest.raises(DomainError, match="scenario line 2: not UTF-8 text"):
+            load_scenario(path)
 
 
 class TestSynthesis:

@@ -11,6 +11,7 @@ constant, never the clock, so any invocation can be replayed exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -81,6 +82,17 @@ def _threshold(text: str) -> float:
 
 def _unreadable(what: str, path: str, exc: OSError) -> QoskitError:
     return QoskitError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failure to write ``path`` (or a file under it) as an error
+    naming the file, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise QoskitError(
+            f"cannot write {exc.filename or path!r}: {exc.strerror or exc}") from None
 
 
 def _link_params(args) -> LinkParams:
@@ -211,7 +223,8 @@ def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     log, summary = simulate_run(config)
     if args.trace_out:
-        write_packet_trace(log, args.trace_out)
+        with _writing(args.trace_out):
+            write_packet_trace(log, args.trace_out)
     payload = {
         "mean_sojourn_s": summary.mean_sojourn,
         "empirical_jitter_J_s": summary.empirical_jitter_J,
@@ -242,19 +255,20 @@ def _cmd_validate(args) -> int:
         variant=args.variant,
         tagged_fraction=args.tagged_fraction,
     )
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "validation.csv")
-    write_validation_report(report, report_path)
-    write_xy(
-        os.path.join(args.out, "validation_model.dat"),
-        [r.load_rho for r in report.rows],
-        [r.jitter_model for r in report.rows],
-    )
-    write_xy(
-        os.path.join(args.out, "validation_sim.dat"),
-        [r.load_rho for r in report.rows],
-        [r.jitter_sim_mean for r in report.rows],
-    )
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        write_validation_report(report, report_path)
+        write_xy(
+            os.path.join(args.out, "validation_model.dat"),
+            [r.load_rho for r in report.rows],
+            [r.jitter_model for r in report.rows],
+        )
+        write_xy(
+            os.path.join(args.out, "validation_sim.dat"),
+            [r.load_rho for r in report.rows],
+            [r.jitter_sim_mean for r in report.rows],
+        )
     print(f"# wrote {report_path}")
     print("rho    J_model_s      J_sim_mean_s   rel_err   verdict")
     for r in report.rows:
@@ -282,7 +296,7 @@ def _cmd_synth(args) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     rows = synth_mobility_trace(scenario)
     data = write_log(rows)
-    with open(args.output, "wb") as fh:
+    with _writing(args.output), open(args.output, "wb") as fh:
         fh.write(data)
     print(f"# wrote {args.output}: {len(rows)} rows "
           f"({scenario.kind}, {scenario.duration_s} s, seed {scenario.seed})")
@@ -300,14 +314,15 @@ def _cmd_analyze(args) -> int:
         rows, by_speed=args.by_speed, speed_bin_width_kmh=args.speed_bin_width
     )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         times = [r.t_unix_s - rows[0].t_unix_s for r in rows]
-        write_xy(os.path.join(args.out, "throughput_vs_time.dat"),
-                 times, [r.tput_Bps for r in rows])
-        write_xy(os.path.join(args.out, "jitter_vs_time.dat"),
-                 times, [r.jitter_ms for r in rows])
-        write_xy(os.path.join(args.out, "speed_vs_time.dat"),
-                 times, [r.speed_kmh for r in rows])
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
+            write_xy(os.path.join(args.out, "throughput_vs_time.dat"),
+                     times, [r.tput_Bps for r in rows])
+            write_xy(os.path.join(args.out, "jitter_vs_time.dat"),
+                     times, [r.jitter_ms for r in rows])
+            write_xy(os.path.join(args.out, "speed_vs_time.dat"),
+                     times, [r.speed_kmh for r in rows])
 
     if args.json:
         payload = {
@@ -445,14 +460,18 @@ def main(argv=None) -> int:
     except QoskitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
-        # An output path that is a directory, a file, or under a missing one.
-        sys.stderr.write(f"error: cannot write {exc.filename!r}: {exc.strerror or exc}\n")
-        return 1
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout left early (``| head``): stop without a
+        # traceback, and keep the exit-time flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

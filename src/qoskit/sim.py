@@ -219,14 +219,25 @@ _BLOCK_MIN_BUFFER = 96
 _RING_CHUNK = 32_768
 
 #: Lanes of the small-buffer path (see ``_fcfs_lanes``): packets per lane,
-#: packets each lane runs before its own to warm up, and lanes advanced
-#: together by one numpy step. The first group is smaller: a numpy step
-#: costs 4-7 us however few lanes it has, so a stream on which lanes do not
-#: pay is found out for about 7 ms, some 5% of a 1M-packet ring loop.
+#: packets each lane runs before its own to warm up, and the most lanes
+#: advanced together by one numpy step. The first group is smaller: a numpy
+#: step costs 5-8 us however few lanes it has, so a stream on which lanes do
+#: not pay is found out for about 9 ms, some 4% of a 1M-packet ring loop.
 _LANE_PACKETS = 1024
 _LANE_WARMUP = 128
 _LANE_GROUP = 1024
 _LANE_PROBE = 32
+
+#: The side-by-side run costs about 9 ms per group however few lanes it has,
+#: so the lanes only pay on long inputs (``fcfs_departures`` gives the
+#: measured break-even).
+_LANE_MIN_PACKETS = 200_000
+
+#: Lanes of W packets in the test for a queue that is seldom idle (see
+#: ``_seldom_idle``), and the share of them without a shared idle arrival
+#: above which the ring loop runs the whole stream.
+_LANE_TEST = 64
+_LANE_BUSY = 0.9
 
 #: Steps per chunk of the side-by-side run; bounds its working memory.
 _LANE_CHUNK = 64
@@ -247,12 +258,12 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     The unbounded buffer uses the closed-form Lindley recursion. A finite
     buffer of K packets takes one of three paths:
 
-    - ``K < 96``, at least two lanes (2,048 packets): lanes of 1,024
-      packets run side by side in numpy, then are checked and repaired
-      (``_fcfs_lanes``). Bit-identical to the per-packet recursion
-      ``d = max(a, d_prev) + s`` with tail drop.
-    - ``K < 96``, shorter inputs, and the rest of a stream on which lanes do
-      not pay: a sequential loop over a ring of the last K accepted
+    - ``K < 96``, at least 200,000 packets, unless the queue is seldom idle:
+      lanes of 1,024 packets run side by side in numpy, then are checked
+      and repaired (``_fcfs_lanes``). Bit-identical to the per-packet
+      recursion ``d = max(a, d_prev) + s`` with tail drop.
+    - ``K < 96`` otherwise, and the rest of a stream on which lanes stop
+      paying: a sequential loop over a ring of the last K accepted
       departures (``_fcfs_ring``), bit-identical to the same recursion.
     - ``K >= 96``: K acceptances at a time (one ``searchsorted`` plus a
       block Lindley pass), so dropped packets cost nothing. The sums are
@@ -268,10 +279,26 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     it is exact when it and the lane before it are both idle at one of
     those 128 arrivals and the lane before it is itself exact from some
     packet on. Any other lane is rerun by the ring loop from the true state
-    until an arrival at which both runs are idle. When the queue seldom goes idle (long overload at
-    moderate K) nearly every lane needs that rerun; once a group's rerun
-    share passes one half, the rest of the stream goes to the ring loop
-    (past about 0.65 the lanes cost more than the ring loop alone).
+    until an arrival at which both runs are idle.
+
+    When the queue seldom goes idle (long overload at moderate K) nearly
+    every lane needs that rerun, and the lanes cost more than the ring loop
+    alone once reruns pass about 0.65 of the packets. Two observed shares,
+    never K or the load, hand such a stream to the ring loop:
+
+    - Before any lane runs, 64 lanes of 128 packets run side by side (about
+      2 ms); if more than 0.9 of them share no idle arrival with the lane
+      before, the ring loop runs the whole stream (``_seldom_idle``).
+    - Otherwise the first group has 32 lanes, and once a group's reruns
+      pass one half of its packets, the rest goes to the ring loop.
+
+    Each group costs about 9 ms however few lanes it has, so short inputs
+    stay on the ring loop. Lanes/ring CPU time at K = 10 and 20 by input
+    size (same host as the table below, median of 7): at low load (rho 0.5,
+    0.9) 2.8-3.0x at 16k packets, 1.2-1.3x at 64k, 0.84-0.94x at 96k,
+    0.67-0.72x at 128k, 0.50-0.55x at 192k; near the break-even of the
+    lanes themselves (K = 10, rho 1.4) 1.11x at 128k, 0.97x at 192k,
+    0.89x at 256k. Hence lanes from 200,000 packets on.
 
     On every path packet i is dropped exactly when the accepted packet K
     places before it has not departed by ``a_i``, so the drop set is the
@@ -319,7 +346,7 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
         raise DomainError(f"buffer capacity must be an integer >= 1, got {buffer_capacity!r}")
     if buffer_capacity >= _BLOCK_MIN_BUFFER:
         departures = _fcfs_blocks(arr, srv, buffer_capacity)
-    elif n >= 2 * _LANE_PACKETS:
+    elif n >= _LANE_MIN_PACKETS and not _seldom_idle(arr, srv, buffer_capacity):
         departures = _fcfs_lanes(arr, srv, buffer_capacity)
     else:
         departures = _fcfs_ring(arr, srv, buffer_capacity)
@@ -371,7 +398,8 @@ def _fcfs_lanes(arr, srv, buffer_capacity):
     The stream is cut into lanes of L packets; the packets after the last
     whole lane go to the ring loop. Lane j covers packets ``jL:(j+1)L`` and
     starts empty W packets earlier. Groups of lanes run side by side
-    (``_speculate``), then lane by lane:
+    (``_speculate``), first ``_LANE_PROBE`` lanes, then the rest in equal
+    groups of at most ``_LANE_GROUP``; then lane by lane:
 
     - Check: a lane is exact over its whole range when, at one of its first
       W arrivals, both it and the lane before it were idle, and that lane
@@ -398,9 +426,14 @@ def _fcfs_lanes(arr, srv, buffer_capacity):
     state = ([-math.inf] * buffer_capacity, 0, -math.inf)
     j0 = 0
     while j0 < n_lanes:
-        m = min(_LANE_GROUP if j0 else _LANE_PROBE, n_lanes - j0)
+        if j0:
+            rest = n_lanes - j0
+            m = math.ceil(rest / math.ceil(rest / _LANE_GROUP))
+        else:
+            m = min(_LANE_PROBE, n_lanes)
         lo, hi = j0 * lane, (j0 + m) * lane
-        idle, rings, lasts = _speculate(arr, srv, lo, m, buffer_capacity, departures)
+        idle, rings, lasts = _speculate(arr, srv, lo, m, lane, buffer_capacity,
+                                        departures)
         shared = idle[:warm].copy()
         shared[:, 0] &= prev_idle
         shared[:, 1:] &= idle[lane:, :-1]
@@ -449,8 +482,25 @@ def _fcfs_lanes(arr, srv, buffer_capacity):
     return departures
 
 
-def _speculate(arr, srv, lo, m, buffer_capacity, departures):
-    """Run the m lanes from packet ``lo`` side by side, each from empty.
+def _seldom_idle(arr, srv, buffer_capacity):
+    """Whether the queue is idle so seldom that lanes would almost all need
+    a rerun (needs ``W * (_LANE_TEST + 1)`` packets).
+
+    Runs ``_LANE_TEST`` lanes of just W packets side by side from packet W,
+    which costs about 2 ms, and counts the lanes after the first without
+    an idle arrival shared with the lane before in their W-packet overlap.
+    The first lane starts empty at packet 0, as the true queue does.
+    """
+    warm, m = _LANE_WARMUP, _LANE_TEST
+    idle, _, _ = _speculate(arr, srv, warm, m, warm, buffer_capacity,
+                            np.empty(warm * (m + 1)))
+    shared = (idle[:warm, 1:] & idle[warm:, :-1]).any(axis=0)
+    return np.count_nonzero(~shared) > _LANE_BUSY * (m - 1)
+
+
+def _speculate(arr, srv, lo, m, lane, buffer_capacity, departures):
+    """Run the m lanes of ``lane`` (L) packets from packet ``lo`` side by
+    side, each from empty.
 
     Writes each lane's own L departures (NaN for a drop) to ``departures``.
     Returns the idle flags, ``idle[s, l]`` when lane l's last departure
@@ -466,7 +516,7 @@ def _speculate(arr, srv, lo, m, buffer_capacity, departures):
     gives the departure. The steps run in chunks of ``_LANE_CHUNK``, so the
     working memory is a few (chunk x m) arrays plus the idle flags.
     """
-    lane, warm, chunk = _LANE_PACKETS, _LANE_WARMUP, _LANE_CHUNK
+    warm, chunk = _LANE_WARMUP, _LANE_CHUNK
     k = buffer_capacity
     steps = warm + lane
     hi = lo + m * lane

@@ -449,6 +449,23 @@ class TestUsageContract:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
 
+    def test_closed_stdout_exits_1_without_traceback(self):
+        """A reader that leaves before the output is written, as ``| head``
+        does, ends the command with exit 1 and nothing on stderr."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "qoskit.cli", "model", "--capacity", "1000",
+                 "--rho", "0.5"], env=env, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == b""
+
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -143,7 +143,13 @@ class TestFiniteBufferOracle:
         assert np.array_equal(dropped, ref_dropped)
         assert np.array_equal(dep, ref_dep, equal_nan=True)
 
-    @pytest.mark.parametrize("path", [sim._fcfs_ring, sim._fcfs_lanes, sim._fcfs_blocks])
+    @pytest.mark.parametrize("path", [
+        sim._fcfs_ring,
+        # Lanes of 8 packets: the real ones are longer than these inputs.
+        pytest.param(lambda a, s, k: _run_lanes((8, 4, 3, 2, 5), a, s, k)[0],
+                     id="_fcfs_lanes"),
+        sim._fcfs_blocks,
+    ])
     @settings(deadline=None)
     @given(times=_integer_times(), buffer_capacity=st.integers(1, 12) | _BUFFERS)
     def test_each_path_exact_at_any_buffer(self, path, times, buffer_capacity):
@@ -298,6 +304,60 @@ class TestLanes:
             elif ends and not idle[first:first + lane].any():
                 seen.add("never coupled")
         assert branches <= seen
+
+
+class TestLanesAtTheRealShape:
+    """The lanes at their real constants, which the small shapes above stand
+    in for."""
+
+    def test_bit_identical_with_couplings_and_reruns(self):
+        """A 32-lane first group, then one group of the rest, at a load
+        where half the lanes couple in their overlap, most others are rerun
+        up to a shared idle arrival, and some to their end."""
+        lane = sim._LANE_PACKETS
+        rng = np.random.default_rng(1729)
+        n = 40 * lane + 77
+        arrivals = np.cumsum(rng.exponential(1.0, size=n))
+        services = rng.exponential(1.3, size=n)
+        shape = tuple(getattr(sim, name) for name in _LANE_CONSTANTS)
+        departures, calls = _run_lanes(shape, arrivals, services, 10)
+        ref_dep, _ = _reference_fcfs(arrivals, services, 10)
+        assert np.array_equal(departures, ref_dep, equal_nan=True)
+        whole = n // lane * lane
+        rerun = {lo // lane: [] for lo, hi in calls if hi <= whole}
+        for lo, hi in calls:
+            if hi <= whole:
+                rerun[lo // lane].append(hi)
+        assert calls[-1] == (whole, n)
+        assert 0 < len(rerun) < n // lane
+        coupled = [max(ends) < (j + 1) * lane for j, ends in rerun.items()]
+        assert any(coupled) and not all(coupled)
+        assert any(j >= sim._LANE_PROBE for j in rerun)
+
+    @pytest.mark.parametrize(
+        "n, load, lanes",
+        [(sim._LANE_MIN_PACKETS - 1, 0.5, False), (sim._LANE_MIN_PACKETS, 0.5, True),
+         (sim._LANE_MIN_PACKETS, 2.5, False)],
+        ids=["short", "long", "long overload"],
+    )
+    def test_lanes_only_where_they_pay(self, n, load, lanes):
+        """Short inputs and queues that are seldom idle go to the ring loop."""
+        rng = np.random.default_rng(7)
+        arrivals = np.cumsum(rng.exponential(1.0, size=n))
+        services = rng.exponential(load, size=n)
+        taken = []
+        fcfs_lanes = sim._fcfs_lanes
+
+        def spy(*args):
+            taken.append(args)
+            return fcfs_lanes(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_fcfs_lanes", spy)
+            departures, _ = fcfs_departures(arrivals, services, 10)
+        assert bool(taken) == lanes
+        assert np.array_equal(departures, sim._fcfs_ring(arrivals, services, 10),
+                              equal_nan=True)
 
 
 class TestSimConfig:

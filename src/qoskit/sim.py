@@ -307,18 +307,23 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
 
     CPU ms per call at 1M packets with exponential interarrivals and
     services (ring / lanes / block; 2-vCPU Xeon at 2.1 GHz, CPython 3.11,
-    numpy 2.4, median of 7 interleaved runs; K = 96 takes the block
-    path, its lanes column is for comparison):
+    numpy 2.4, median of 9 runs, the three in turn; the lanes column is
+    this function's choice for K < 96, so the ring loop plus the 2 ms test
+    where the queue is seldom idle; K = 96 takes the block path, its lanes
+    column is for comparison). The ring's own times move by up to a
+    quarter between cells on this shared host; in the cells where the lanes
+    hand over at once, 15 runs of each in alternating order read
+    0.98-1.03x the ring loop:
 
     ====  ============  ============  ============  ============  ============
     K     rho 0.5       rho 0.9       rho 1.0       rho 1.4       rho 2.5
     ====  ============  ============  ============  ============  ============
-    10    216/37/1208   207/44/1097   224/46/1058   235/134/899   215/224/514
-    16    255/39/814    244/43/783    230/54/712    222/229/555   200/211/314
-    20    249/39/639    243/45/635    235/67/601    226/229/458   209/217/261
-    32    243/40/430    240/51/433    231/110/409   221/230/306   208/213/179
-    64    243/45/251    239/59/253    233/201/251   213/224/177   151/169/86
-    96    184/38/149    194/50/138    183/154/135   157/146/95    137/143/58
+    10    236/43/1279   211/43/1085   194/39/1043   200/131/912   146/134/335
+    16    159/29/593    153/33/476    149/38/508    151/163/436   133/136/196
+    20    236/42/682    186/42/519    172/70/524    148/161/338   153/149/253
+    32    168/32/300    153/36/329    148/80/300    165/160/233   164/157/170
+    64    186/39/209    180/51/224    218/206/285   155/152/138   142/144/84
+    96    180/38/154    171/51/153    179/224/193   211/214/160   190/193/89
     ====  ============  ============  ============  ============  ============
     """
     arr = np.ascontiguousarray(arrival_times, dtype=float)

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import QoskitError
+from .errors import QoskitError, _real
 from .model import (
     DEFAULT_VARIANT,
     VARIANTS,
@@ -70,16 +70,6 @@ def _add_link_args(p, with_rho=True):
         group.add_argument("--rho", type=float, help="load factor; lambda = rho * C")
 
 
-def _threshold(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
-    return value
-
-
 def _unreadable(what: str, path: str, exc: OSError) -> QoskitError:
     return QoskitError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
 
@@ -110,8 +100,9 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = (float(v) for v in text.split(":"))
         except ValueError:
             raise QoskitError(f"cannot parse grid {text!r}; expected start:stop:step") from None
-        if step <= 0 or stop < start:
-            raise QoskitError(f"bad grid range {text!r}")
+        _real(start, "grid start")
+        _real(step, "grid step", gt=0)
+        _real(stop, "grid stop", ge=start)
         n = int(round((stop - start) / step)) + 1
         return [round(start + k * step, 12) for k in range(n) if start + k * step <= stop + step / 2]
     try:
@@ -243,12 +234,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    grid = _parse_grid(args.rho_grid)
-    if not grid:
-        raise QoskitError("the validation grid must not be empty")
+    _real(args.threshold, "--threshold", ge=0)
     report = run_validation(
         args.capacity,
-        grid,
+        _parse_grid(args.rho_grid),
         args.packets,
         args.seeds,
         base_seed=args.seed,
@@ -303,6 +292,21 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _correlations_json(correlations) -> dict:
+    return {key: None if s is None else
+            {"pearson_r": s.pearson_r, "spearman_rho": s.spearman_rho, "n": s.n}
+            for key, s in correlations}
+
+
+def _print_correlations(correlations, indent: str) -> None:
+    """One line per pair; the warnings printed with them say why a pair is
+    undefined."""
+    for key, s in correlations:
+        value = ("undefined" if s is None else
+                 f"{s.pearson_r:+.3f} / {s.spearman_rho:+.3f}  (n={s.n})")
+        print(f"{indent}{key}: {value}")
+
+
 def _cmd_analyze(args) -> int:
     try:
         with open(args.log, "rb") as fh:
@@ -334,11 +338,7 @@ def _cmd_analyze(args) -> int:
             },
             "correlation_columns": list(ANALYSIS_COLUMNS),
             "pearson_matrix": correlation_matrix(report),
-            "correlations": {
-                key: (None if s is None else
-                      {"pearson_r": s.pearson_r, "spearman_rho": s.spearman_rho, "n": s.n})
-                for key, s in report.correlations
-            },
+            "correlations": _correlations_json(report.correlations),
             "warnings": list(report.warnings),
         }
         if report.speed_bins is not None:
@@ -348,11 +348,7 @@ def _cmd_analyze(args) -> int:
                     "hi_kmh": b.hi_kmh,
                     "n": b.n,
                     "means": dict(b.means),
-                    "correlations": {
-                        key: (None if s is None else
-                              {"pearson_r": s.pearson_r, "spearman_rho": s.spearman_rho, "n": s.n})
-                        for key, s in b.correlations
-                    },
+                    "correlations": _correlations_json(b.correlations),
                 }
                 for b in report.speed_bins
             ]
@@ -363,11 +359,7 @@ def _cmd_analyze(args) -> int:
     for name, s in report.summaries:
         print(f"{name:>13}: mean {s.mean:.6g}   min {s.minimum:.6g}   max {s.maximum:.6g}")
     print("correlations (pearson / spearman):")
-    for key, s in report.correlations:
-        if s is None:
-            print(f"  {key}: undefined (constant series)")
-        else:
-            print(f"  {key}: {s.pearson_r:+.3f} / {s.spearman_rho:+.3f}  (n={s.n})")
+    _print_correlations(report.correlations, "  ")
     for warning in report.warnings:
         print(f"warning: {warning}")
     if report.speed_bins is not None:
@@ -376,11 +368,7 @@ def _cmd_analyze(args) -> int:
             print(f"  [{b.lo_kmh:g}, {b.hi_kmh:g}) km/h  n={b.n}")
             for name, mean in b.means:
                 print(f"      mean {name}: {mean:.6g}")
-            for key, s in b.correlations:
-                if s is None:
-                    print(f"      {key}: undefined")
-                else:
-                    print(f"      {key}: {s.pearson_r:+.3f} / {s.spearman_rho:+.3f}")
+            _print_correlations(b.correlations, "      ")
     return 0
 
 
@@ -425,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list or start:stop:step range of loads")
     p.add_argument("--packets", type=int, default=1_000_000)
     p.add_argument("--seeds", type=int, default=5, help="independent runs per grid point")
-    p.add_argument("--threshold", type=_threshold, default=DEFAULT_VALIDATION_THRESHOLD,
+    p.add_argument("--threshold", type=float, default=DEFAULT_VALIDATION_THRESHOLD,
                    help="max tolerated relative error (exit 2 beyond it)")
     p.add_argument("--variant", choices=VARIANTS, default=DEFAULT_VARIANT)
     p.add_argument("--tagged-fraction", type=float, default=0.1)
@@ -459,6 +447,9 @@ def main(argv=None) -> int:
         return 1
     except QoskitError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
 
 

@@ -2,7 +2,15 @@
 
 Everything derives from QoskitError so callers (and the CLI) can catch
 toolkit failures in one place while still distinguishing the common cases.
+
+The same module holds the one definition of a valid argument, used by every
+public constructor and function: a number is an ``int``, a ``float`` or a
+numpy integer or floating scalar, never a ``bool``, and it is finite and in
+range. A value that is not raises DomainError, worded
+``"{what} must be ..., got {value!r}"``.
 """
+
+import numpy as np
 
 
 class QoskitError(Exception):
@@ -65,3 +73,44 @@ class TraceParseError(QoskitError, ValueError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
+
+
+_REALS = (int, float, np.integer, np.floating)
+_INTEGERS = (int, np.integer)
+_INF = float("inf")
+
+
+def _real(value, what: str, *, gt=-_INF, ge=-_INF, lt=_INF, le=_INF) -> None:
+    """Raise DomainError unless ``value`` is a finite number with
+    ``gt < value < lt`` and ``ge <= value <= le``.
+
+    The infinite defaults make the strict pair the finiteness test, which a
+    NaN fails too.
+    """
+    if ((type(value) is float or isinstance(value, _REALS) and not isinstance(value, bool))
+            and gt < value < lt and ge <= value <= le):
+        return
+    bounds = [f"{op} {bound}" for op, bound in ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+              if bound not in (_INF, -_INF)]
+    raise DomainError(f"{what} must be a finite number {' and '.join(bounds)}".rstrip()
+                      + f", got {value!r}")
+
+
+def _count(value, what: str, minimum=None) -> None:
+    """Raise DomainError unless ``value`` is an integer, at least ``minimum``
+    when one is given."""
+    if ((type(value) is int or isinstance(value, _INTEGERS) and not isinstance(value, bool))
+            and (minimum is None or value >= minimum)):
+        return
+    kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}.get(
+        minimum, f"an integer >= {minimum}")
+    raise DomainError(f"{what} must be {kind}, got {value!r}")
+
+
+def _parse(text: str, what: str, kind=float):
+    """``kind(text)``, raising DomainError that names ``what`` when the
+    text is not a number of that kind."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"{what}: cannot parse {text!r} as {kind.__name__}") from None

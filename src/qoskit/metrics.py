@@ -18,6 +18,8 @@ from .errors import (
     ConstantSeriesError,
     DomainError,
     InsufficientDataError,
+    _count,
+    _real,
 )
 
 #: Resamples used for the bootstrap confidence interval.
@@ -69,6 +71,12 @@ def ipdv_series(delays) -> np.ndarray:
     return np.diff(_as_delay_array(delays))
 
 
+def _abs_differences(values) -> np.ndarray:
+    """|values[j+1] - values[j]|: the samples of every mean absolute delay
+    variation the toolkit reports (simulated runs, field logs, delay series)."""
+    return np.abs(np.diff(values))
+
+
 def mean_abs_jitter(
     delays,
     *,
@@ -81,10 +89,12 @@ def mean_abs_jitter(
     Adding a constant latency to every delay leaves the estimate unchanged and
     scaling all delays scales it linearly; it measures variation, not latency.
     """
-    samples = np.abs(ipdv_series(delays))
+    samples = _abs_differences(_as_delay_array(delays))
     mean = float(samples.mean())
     halfwidth = None
     if ci:
+        _count(n_boot, "n_boot", 1)
+        _count(seed, "seed", 0)
         rng = np.random.default_rng(seed)
         n = samples.size
         means = np.empty(n_boot)
@@ -110,8 +120,10 @@ def windowed_throughput(
     rate 0. ``t_end`` extends (or clips) the covered span; by default windows
     run through the last delivery.
     """
-    if not (window_seconds > 0 and math.isfinite(window_seconds)):
-        raise DomainError(f"window must be positive, got {window_seconds!r}")
+    _real(window_seconds, "window", gt=0)
+    _real(t_start, "t_start")
+    if t_end is not None:
+        _real(t_end, "t_end")
     pairs = list(deliveries)
     times = np.asarray([p[0] for p in pairs], dtype=float)
     amounts = np.asarray([p[1] for p in pairs], dtype=float)
@@ -139,10 +151,8 @@ def windowed_throughput(
 
 def loss_rate(offered: int, delivered: int) -> float:
     """Fraction lost, (offered - delivered) / offered, from raw counters."""
-    if offered <= 0:
-        raise DomainError(f"offered count must be positive, got {offered!r}")
-    if delivered < 0:
-        raise DomainError(f"delivered count must be non-negative, got {delivered!r}")
+    _count(offered, "offered count", 1)
+    _count(delivered, "delivered count", 0)
     if delivered > offered:
         raise AccountingError(
             f"delivered count {delivered} exceeds offered count {offered}"

@@ -40,6 +40,7 @@ from .errors import (
     InfeasibleBudgetError,
     InstabilityError,
     UndefinedJitterError,
+    _real,
 )
 
 #: Default algebraic reading of the jitter formula.
@@ -73,16 +74,14 @@ class LinkParams:
     def __post_init__(self):
         c = self.capacity_C
         lam = self.arrival_rate_lambda
-        if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-            raise DomainError(f"capacity must be a positive finite rate, got {c!r}")
-        if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-            raise DomainError(f"arrival rate must be finite, got {lam!r}")
+        # The arrival rate first: a zero rate leaves jitter undefined at any
+        # capacity, and the capacity inversion relies on that error.
+        _real(lam, "arrival rate", ge=0)
         if lam == 0:
             raise UndefinedJitterError(
                 "arrival rate is zero: no consecutive packets exist, jitter undefined"
             )
-        if lam < 0:
-            raise DomainError(f"arrival rate must be non-negative, got {lam!r}")
+        _real(c, "capacity", gt=0)
         if lam >= c:
             raise InstabilityError(
                 f"load {lam / c:.6g} >= 1: the queue is unstable, jitter diverges"
@@ -92,10 +91,10 @@ class LinkParams:
     @classmethod
     def from_rho(cls, capacity_C: float, load_rho: float) -> "LinkParams":
         """Build params from a load factor instead of an arrival rate."""
-        if not (isinstance(load_rho, (int, float)) and math.isfinite(load_rho)):
-            raise DomainError(f"load must be finite, got {load_rho!r}")
-        if not (isinstance(capacity_C, (int, float)) and capacity_C > 0):
-            raise DomainError(f"capacity must be positive, got {capacity_C!r}")
+        # Both factors are checked before they are multiplied; the product
+        # is then checked as the arrival rate.
+        _real(load_rho, "load")
+        _real(capacity_C, "capacity", gt=0)
         return cls(capacity_C, load_rho * capacity_C)
 
 
@@ -148,10 +147,8 @@ class InversionResult:
 
 def offered_load(capacity_C: float, arrival_rate_lambda: float) -> float:
     """Load factor rho = lambda / C. Allows rho >= 1 (a plain ratio)."""
-    if not (capacity_C > 0 and math.isfinite(capacity_C)):
-        raise DomainError(f"capacity must be a positive finite rate, got {capacity_C!r}")
-    if not (arrival_rate_lambda >= 0 and math.isfinite(arrival_rate_lambda)):
-        raise DomainError(f"arrival rate must be non-negative, got {arrival_rate_lambda!r}")
+    _real(capacity_C, "capacity", gt=0)
+    _real(arrival_rate_lambda, "arrival rate", ge=0)
     return arrival_rate_lambda / capacity_C
 
 
@@ -161,10 +158,8 @@ def capacity_from_bandwidth(bandwidth_bps: float, mean_packet_bits: float) -> fl
     The model works in packets/second with unit-mean packet sizes; this is
     the front end for callers who think in bits.
     """
-    if not (bandwidth_bps > 0 and math.isfinite(bandwidth_bps)):
-        raise DomainError(f"bandwidth must be positive, got {bandwidth_bps!r}")
-    if not (mean_packet_bits > 0 and math.isfinite(mean_packet_bits)):
-        raise DomainError(f"mean packet size must be positive, got {mean_packet_bits!r}")
+    _real(bandwidth_bps, "bandwidth", gt=0)
+    _real(mean_packet_bits, "mean packet size", gt=0)
     return bandwidth_bps / mean_packet_bits
 
 
@@ -200,10 +195,8 @@ def analytical_jitter(params: LinkParams, variant: str = DEFAULT_VARIANT) -> Jit
 
 def loss_from_throughput(arrival_rate_lambda: float, throughput_X: float) -> float:
     """Loss probability B = (lambda - X) / lambda."""
-    if not (arrival_rate_lambda > 0 and math.isfinite(arrival_rate_lambda)):
-        raise DomainError(f"arrival rate must be positive, got {arrival_rate_lambda!r}")
-    if not (throughput_X >= 0 and math.isfinite(throughput_X)):
-        raise DomainError(f"throughput must be non-negative, got {throughput_X!r}")
+    _real(arrival_rate_lambda, "arrival rate", gt=0)
+    _real(throughput_X, "throughput", ge=0)
     if throughput_X > arrival_rate_lambda:
         raise AccountingError(
             f"throughput {throughput_X!r} exceeds the arrival rate {arrival_rate_lambda!r}"
@@ -213,10 +206,8 @@ def loss_from_throughput(arrival_rate_lambda: float, throughput_X: float) -> flo
 
 def throughput_from_loss(arrival_rate_lambda: float, loss_B: float) -> float:
     """Throughput X = lambda * (1 - B); exact inverse of loss_from_throughput."""
-    if not (arrival_rate_lambda > 0 and math.isfinite(arrival_rate_lambda)):
-        raise DomainError(f"arrival rate must be positive, got {arrival_rate_lambda!r}")
-    if not (0.0 <= loss_B <= 1.0):
-        raise DomainError(f"loss probability must lie in [0, 1], got {loss_B!r}")
+    _real(arrival_rate_lambda, "arrival rate", gt=0)
+    _real(loss_B, "loss probability", ge=0, le=1)
     return arrival_rate_lambda * (1.0 - loss_B)
 
 
@@ -233,12 +224,10 @@ def model_sweep(
     capacity_C: float, rho_grid, variant: str = DEFAULT_VARIANT
 ) -> list[ModelSweepRow]:
     """Evaluate the jitter curve over a load grid, one row per grid entry."""
-    if not (capacity_C > 0 and math.isfinite(capacity_C)):
-        raise DomainError(f"capacity must be positive, got {capacity_C!r}")
+    _real(capacity_C, "capacity", gt=0)
     rows = []
     for k, rho in enumerate(rho_grid):
-        if not (0.0 < rho < 1.0):
-            raise DomainError(f"rho_grid[{k}] = {rho!r} is outside (0, 1)")
+        _real(rho, f"rho_grid[{k}]", gt=0, lt=1)
         params = LinkParams.from_rho(capacity_C, rho)
         pred = analytical_jitter(params, variant)
         rows.append(ModelSweepRow(rho, params.arrival_rate_lambda, pred.jitter_seconds))
@@ -260,10 +249,8 @@ def invert_load_for_jitter(
     met at the bracket ceiling the result carries constrained=False; when even
     the grid minimum exceeds the budget the inversion is infeasible.
     """
-    if not (capacity_C > 0 and math.isfinite(capacity_C)):
-        raise DomainError(f"capacity must be positive, got {capacity_C!r}")
-    if not (jitter_budget_seconds > 0 and math.isfinite(jitter_budget_seconds)):
-        raise DomainError(f"jitter budget must be positive, got {jitter_budget_seconds!r}")
+    _real(capacity_C, "capacity", gt=0)
+    _real(jitter_budget_seconds, "jitter budget", gt=0)
 
     lo = _LOAD_EPS * capacity_C
     hi = (1.0 - _LOAD_EPS) * capacity_C
@@ -303,16 +290,11 @@ def invert_capacity_for_jitter(
 
     At fixed arrival rate the prediction decreases in capacity (the 1/(C -
     lambda) prefactor dominates the mild shape variation), so a plain
-    bisection over C in ((1 + eps) * lambda, 1e6 * lambda] converges.
+    bisection over C in ((1 + eps) * lambda, 1e6 * lambda] converges. A zero
+    arrival rate raises UndefinedJitterError from the first evaluation.
     """
-    if arrival_rate_lambda == 0:
-        raise UndefinedJitterError(
-            "arrival rate is zero: no consecutive packets exist, jitter undefined"
-        )
-    if not (arrival_rate_lambda > 0 and math.isfinite(arrival_rate_lambda)):
-        raise DomainError(f"arrival rate must be positive, got {arrival_rate_lambda!r}")
-    if not (jitter_budget_seconds > 0 and math.isfinite(jitter_budget_seconds)):
-        raise DomainError(f"jitter budget must be positive, got {jitter_budget_seconds!r}")
+    _real(arrival_rate_lambda, "arrival rate", ge=0)
+    _real(jitter_budget_seconds, "jitter budget", gt=0)
 
     lo = (1.0 + _CAPACITY_EPS) * arrival_rate_lambda
     hi = _CAPACITY_CEILING * arrival_rate_lambda

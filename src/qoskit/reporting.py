@@ -9,13 +9,12 @@ curve, so any plotting tool can consume it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .errors import ConstantSeriesError, DomainError, InsufficientDataError
+from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _real
 from .metrics import SeriesStats, correlate
 from .model import DEFAULT_VARIANT, LinkParams, analytical_jitter
 from .sim import SimConfig, merge_summaries, simulate_sweep
@@ -254,9 +253,7 @@ def analyze_rows(
 
     speed_bins = None
     if by_speed:
-        if not (speed_bin_width_kmh > 0 and math.isfinite(speed_bin_width_kmh)):
-            raise DomainError(f"speed bin width must be positive and finite, "
-                              f"got {speed_bin_width_kmh!r}")
+        _real(speed_bin_width_kmh, "speed bin width", gt=0)
         speeds = np.array([r.speed_kmh for r in rows])
         bins = np.floor(speeds / speed_bin_width_kmh)
         if not np.all(np.abs(bins) < 2**53):

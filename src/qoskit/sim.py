@@ -34,7 +34,10 @@ from .errors import (
     EmptyRunError,
     InconsistentGroupError,
     InstabilityError,
+    _count,
+    _real,
 )
+from .metrics import _abs_differences
 
 SERVICE_EXPONENTIAL = "exponential"
 SERVICE_DETERMINISTIC = "deterministic"
@@ -70,11 +73,6 @@ def child_seed(base_seed: int, *indices: int) -> int:
     return s
 
 
-def _is_count(value) -> bool:
-    """An integer that is not a bool: ``True`` would silently mean 1."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run depends on, including the seed."""
@@ -89,35 +87,23 @@ class SimConfig:
     service_distribution: str = SERVICE_EXPONENTIAL
 
     def __post_init__(self):
-        if not (isinstance(self.capacity_C, (int, float)) and self.capacity_C > 0
-                and math.isfinite(self.capacity_C)):
-            raise DomainError(f"capacity must be a positive finite rate, got {self.capacity_C!r}")
-        if not (isinstance(self.arrival_rate_lambda, (int, float))
-                and self.arrival_rate_lambda > 0 and math.isfinite(self.arrival_rate_lambda)):
-            raise DomainError(
-                f"arrival rate must be a positive finite rate, got {self.arrival_rate_lambda!r}"
-            )
+        _real(self.capacity_C, "capacity", gt=0)
+        _real(self.arrival_rate_lambda, "arrival rate", gt=0)
         if self.buffer_capacity is None:
             if self.arrival_rate_lambda >= self.capacity_C:
                 raise InstabilityError(
                     f"unbounded buffer requires lambda < C; got load {self.rho:.6g}"
                 )
         else:
-            if not (_is_count(self.buffer_capacity) and self.buffer_capacity >= 1):
-                raise DomainError(
-                    f"buffer capacity must be a positive packet count or None, "
-                    f"got {self.buffer_capacity!r}"
-                )
-        if not (0.0 < self.tagged_fraction <= 1.0):
-            raise DomainError(f"tagged fraction must lie in (0, 1], got {self.tagged_fraction!r}")
-        if not (_is_count(self.horizon_packets) and self.horizon_packets >= 0):
-            raise DomainError(f"horizon must be a packet count, got {self.horizon_packets!r}")
+            _count(self.buffer_capacity, "buffer capacity (a packet count)", 1)
+        _real(self.tagged_fraction, "tagged fraction", gt=0, le=1)
+        _count(self.horizon_packets, "horizon (a packet count)", 0)
         if self.horizon_packets == 0:
             raise EmptyRunError("horizon of zero packets: nothing to simulate")
-        if not (0.0 <= self.warmup_fraction < 0.5):
-            raise DomainError(f"warmup fraction must lie in [0, 0.5), got {self.warmup_fraction!r}")
-        if not isinstance(self.seed, int):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        _real(self.warmup_fraction, "warmup fraction", ge=0, lt=0.5)
+        _count(self.seed, "seed")
+        # numpy integers cannot take the 64-bit seed mask
+        object.__setattr__(self, "seed", int(self.seed))
         if self.service_distribution not in _SERVICE_KINDS:
             raise DomainError(
                 f"service distribution must be one of {_SERVICE_KINDS}, "
@@ -229,8 +215,8 @@ _LANE_GROUP = 1024
 _LANE_PROBE = 32
 
 #: The side-by-side run costs about 9 ms per group however few lanes it has,
-#: so the lanes only pay on long inputs (``fcfs_departures`` gives the
-#: measured break-even).
+#: so the lanes only pay on long inputs (the README gives the measured
+#: break-even).
 _LANE_MIN_PACKETS = 200_000
 
 #: Lanes of W packets in the test for a queue that is seldom idle (see
@@ -292,39 +278,13 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     - Otherwise the first group has 32 lanes, and once a group's reruns
       pass one half of its packets, the rest goes to the ring loop.
 
-    Each group costs about 9 ms however few lanes it has, so short inputs
-    stay on the ring loop. Lanes/ring CPU time at K = 10 and 20 by input
-    size (same host as the table below, median of 7): at low load (rho 0.5,
-    0.9) 2.8-3.0x at 16k packets, 1.2-1.3x at 64k, 0.84-0.94x at 96k,
-    0.67-0.72x at 128k, 0.50-0.55x at 192k; near the break-even of the
-    lanes themselves (K = 10, rho 1.4) 1.11x at 128k, 0.97x at 192k,
-    0.89x at 256k. Hence lanes from 200,000 packets on.
-
     On every path packet i is dropped exactly when the accepted packet K
     places before it has not departed by ``a_i``, so the drop set is the
     recursion's. On the block path the one exception would be an arrival
     falling between the two paths' roundings of that departure instant.
 
-    CPU ms per call at 1M packets with exponential interarrivals and
-    services (ring / lanes / block; 2-vCPU Xeon at 2.1 GHz, CPython 3.11,
-    numpy 2.4, median of 9 runs, the three in turn; the lanes column is
-    this function's choice for K < 96, so the ring loop plus the 2 ms test
-    where the queue is seldom idle; K = 96 takes the block path, its lanes
-    column is for comparison). The ring's own times move by up to a
-    quarter between cells on this shared host; in the cells where the lanes
-    hand over at once, 15 runs of each in alternating order read
-    0.98-1.03x the ring loop:
-
-    ====  ============  ============  ============  ============  ============
-    K     rho 0.5       rho 0.9       rho 1.0       rho 1.4       rho 2.5
-    ====  ============  ============  ============  ============  ============
-    10    236/43/1279   211/43/1085   194/39/1043   200/131/912   146/134/335
-    16    159/29/593    153/33/476    149/38/508    151/163/436   133/136/196
-    20    236/42/682    186/42/519    172/70/524    148/161/338   153/149/253
-    32    168/32/300    153/36/329    148/80/300    165/160/233   164/157/170
-    64    186/39/209    180/51/224    218/206/285   155/152/138   142/144/84
-    96    180/38/154    171/51/153    179/224/193   211/214/160   190/193/89
-    ====  ============  ============  ============  ============  ============
+    The README gives the measurements behind the 200,000-packet cutoff
+    and each path's cost by K and load.
     """
     arr = np.ascontiguousarray(arrival_times, dtype=float)
     srv = np.ascontiguousarray(service_times, dtype=float)
@@ -347,8 +307,7 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
         departures = arr + waits + srv
         return departures, np.zeros(n, dtype=bool)
 
-    if not (_is_count(buffer_capacity) and buffer_capacity >= 1):
-        raise DomainError(f"buffer capacity must be an integer >= 1, got {buffer_capacity!r}")
+    _count(buffer_capacity, "buffer capacity", 1)
     if buffer_capacity >= _BLOCK_MIN_BUFFER:
         departures = _fcfs_blocks(arr, srv, buffer_capacity)
     elif n >= _LANE_MIN_PACKETS and not _seldom_idle(arr, srv, buffer_capacity):
@@ -628,12 +587,8 @@ def _fcfs_blocks(arr, srv, buffer_capacity):
 
 def _jitter_pair_samples(sojourn, tagged_idx, dropped):
     """|sojourn difference| over adjacent tagged pairs with both ends delivered."""
-    if tagged_idx.size < 2:
-        return np.empty(0)
-    u = tagged_idx[:-1]
-    v = tagged_idx[1:]
-    ok = ~dropped[u] & ~dropped[v]
-    return np.abs(sojourn[v[ok]] - sojourn[u[ok]])
+    ok = ~dropped[tagged_idx[:-1]] & ~dropped[tagged_idx[1:]]
+    return _abs_differences(sojourn[tagged_idx])[ok]
 
 
 def simulate_run(config: SimConfig) -> tuple[PacketLog, RunSummary]:
@@ -697,12 +652,10 @@ def simulate_sweep(
     """
     if vary not in ("arrival", "capacity"):
         raise DomainError(f"vary must be 'arrival' or 'capacity', got {vary!r}")
-    if not (isinstance(seeds_per_point, int) and seeds_per_point >= 1):
-        raise DomainError(f"seeds_per_point must be >= 1, got {seeds_per_point!r}")
+    _count(seeds_per_point, "seeds_per_point", 1)
     summaries = []
     for i, rho in enumerate(rho_grid):
-        if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0):
-            raise DomainError(f"rho_grid[{i}] = {rho!r} is not a positive load")
+        _real(rho, f"rho_grid[{i}]", gt=0)
         for j in range(seeds_per_point):
             seed = child_seed(base_config.seed, i, j)
             try:

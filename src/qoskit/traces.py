@@ -32,7 +32,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, EmptyTraceError, TraceParseError
+from .errors import DomainError, EmptyTraceError, TraceParseError, _count, _parse, _real
+from .metrics import _abs_differences
 from .sim import DEFAULT_SEED, fcfs_departures
 
 LOG_HEADER = "t_unix_s,lat_deg,lon_deg,integrity,dist_m,speed_kmh,tput_Bps,jitter_ms,lost_pkts,total_pkts"
@@ -61,25 +62,16 @@ class QosLogRow:
     total_pkts: int
 
     def __post_init__(self):
-        if not isinstance(self.t_unix_s, int):
-            raise DomainError(f"timestamp must be an integer second, got {self.t_unix_s!r}")
-        if not (isinstance(self.integrity, int) and self.integrity >= 0):
-            raise DomainError(f"integrity level must be a small non-negative int, got {self.integrity!r}")
-        for name in ("lat_deg", "lon_deg", "dist_m", "speed_kmh", "tput_Bps", "jitter_ms"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-        for name in ("dist_m", "speed_kmh", "tput_Bps", "jitter_ms"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if not (isinstance(self.lost_pkts, int) and isinstance(self.total_pkts, int)):
-            raise DomainError("packet counters must be integers")
-        if self.lost_pkts < 0 or self.total_pkts < 0:
-            raise DomainError("packet counters must be non-negative")
-        if self.lost_pkts > self.total_pkts:
-            raise DomainError(
-                f"lost_pkts {self.lost_pkts} exceeds total_pkts {self.total_pkts}"
-            )
+        _count(self.t_unix_s, "t_unix_s")
+        _count(self.integrity, "integrity", 0)
+        _real(self.lat_deg, "lat_deg")
+        _real(self.lon_deg, "lon_deg")
+        _real(self.dist_m, "dist_m", ge=0)
+        _real(self.speed_kmh, "speed_kmh", ge=0)
+        _real(self.tput_Bps, "tput_Bps", ge=0)
+        _real(self.jitter_ms, "jitter_ms", ge=0)
+        _count(self.lost_pkts, "lost_pkts", 0)
+        _count(self.total_pkts, "total_pkts", self.lost_pkts)
 
 
 def _fmt9(value: float) -> str:
@@ -119,20 +111,6 @@ def write_log(rows: Iterable[QosLogRow]) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} is not an integer: {text!r}") from None
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{what} is not a number: {text!r}") from None
-
-
 def parse_log(data: bytes | str) -> list[QosLogRow]:
     """Parse and validate a canonical log. Rejections name the 1-based line."""
     if isinstance(data, bytes):
@@ -158,18 +136,18 @@ def parse_log(data: bytes | str) -> list[QosLogRow]:
             raise TraceParseError(line_no, f"expected 10 fields, got {len(parts)}")
         try:
             row = QosLogRow(
-                t_unix_s=_parse_int(parts[0], "t_unix_s"),
-                lat_deg=_parse_float(parts[1], "lat_deg"),
-                lon_deg=_parse_float(parts[2], "lon_deg"),
-                integrity=_parse_int(parts[3], "integrity"),
-                dist_m=_parse_float(parts[4], "dist_m"),
-                speed_kmh=_parse_float(parts[5], "speed_kmh"),
-                tput_Bps=_parse_float(parts[6], "tput_Bps"),
-                jitter_ms=_parse_float(parts[7], "jitter_ms"),
-                lost_pkts=_parse_int(parts[8], "lost_pkts"),
-                total_pkts=_parse_int(parts[9], "total_pkts"),
+                t_unix_s=_parse(parts[0], "t_unix_s", int),
+                lat_deg=_parse(parts[1], "lat_deg"),
+                lon_deg=_parse(parts[2], "lon_deg"),
+                integrity=_parse(parts[3], "integrity", int),
+                dist_m=_parse(parts[4], "dist_m"),
+                speed_kmh=_parse(parts[5], "speed_kmh"),
+                tput_Bps=_parse(parts[6], "tput_Bps"),
+                jitter_ms=_parse(parts[7], "jitter_ms"),
+                lost_pkts=_parse(parts[8], "lost_pkts", int),
+                total_pkts=_parse(parts[9], "total_pkts", int),
             )
-        except (DomainError, ValueError) as exc:
+        except DomainError as exc:
             raise TraceParseError(line_no, str(exc)) from None
         if prev_t is not None and row.t_unix_s <= prev_t:
             raise TraceParseError(
@@ -198,19 +176,15 @@ class RateDistanceMap:
             raise DomainError("a rate map needs at least one anchor")
         prev_d = -math.inf
         prev_r = math.inf
-        for d, r in self.anchors:
-            if d <= prev_d:
-                raise DomainError("anchor distances must be strictly increasing")
-            if r < 0:
-                raise DomainError(f"anchor rates must be non-negative, got {r!r}")
-            if r > prev_r:
-                raise DomainError("anchor rates must be non-increasing with distance")
+        for k, (d, r) in enumerate(self.anchors):
+            _real(d, f"anchors[{k}] distance", gt=prev_d)
+            _real(r, f"anchors[{k}] rate", ge=0, le=prev_r)
             prev_d, prev_r = d, r
         if self.interpolation not in ("step", "linear"):
             raise DomainError(f"interpolation must be 'step' or 'linear', got {self.interpolation!r}")
-        for lo, hi in self.mask_zones:
-            if not (0 <= lo < hi):
-                raise DomainError(f"mask zone ({lo!r}, {hi!r}) is not a valid interval")
+        for k, (lo, hi) in enumerate(self.mask_zones):
+            _real(lo, f"mask_zones[{k}] start", ge=0)
+            _real(hi, f"mask_zones[{k}] end", gt=lo)
 
 
 def default_rate_map() -> RateDistanceMap:
@@ -231,8 +205,7 @@ def default_rate_map() -> RateDistanceMap:
 def rate_at_distance(rate_map: RateDistanceMap, dist_m: float) -> float:
     """Deliverable rate at a distance: 0 in mask zones and beyond the last
     anchor, clamped to the first anchor up close, interpolated between."""
-    if not (dist_m >= 0 and math.isfinite(dist_m)):
-        raise DomainError(f"distance must be non-negative, got {dist_m!r}")
+    _real(dist_m, "distance", ge=0)
     for lo, hi in rate_map.mask_zones:
         if lo <= dist_m <= hi:
             return 0.0
@@ -258,8 +231,7 @@ def speed_at(profile, t_s: float) -> float:
     starts = [s[0] for s in steps]
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise DomainError("speed profile steps must be strictly time-ordered")
-    if t_s < starts[0]:
-        raise DomainError(f"t={t_s!r} is before the first profile step at {starts[0]!r}")
+    _real(t_s, "t", ge=starts[0])
     return steps[bisect_right(starts, t_s) - 1][1]
 
 
@@ -304,36 +276,29 @@ class MobilityScenario:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.duration_s, int) and self.duration_s >= 0):
-            raise DomainError(f"duration must be a non-negative integer, got {self.duration_s!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (0 < self.track_min_m < self.track_max_m):
-            raise DomainError(
-                f"track bounds must satisfy 0 < min < max, got ({self.track_min_m!r}, {self.track_max_m!r})"
-            )
-        if self.static_dist_m < 0:
-            raise DomainError(f"static distance must be non-negative, got {self.static_dist_m!r}")
-        if self.speed_kmh < 0:
-            raise DomainError(f"speed must be non-negative, got {self.speed_kmh!r}")
-        if not (self.offered_Bps > 0 and math.isfinite(self.offered_Bps)):
-            raise DomainError(f"offered rate must be positive, got {self.offered_Bps!r}")
-        if not (isinstance(self.packet_size_B, int) and self.packet_size_B >= 1):
-            raise DomainError(f"packet size must be a positive byte count, got {self.packet_size_B!r}")
-        if not (isinstance(self.buffer_pkts, int) and self.buffer_pkts >= 1):
-            raise DomainError(f"buffer must be a positive packet count, got {self.buffer_pkts!r}")
+        _count(self.duration_s, "duration_s", 0)
+        _count(self.seed, "seed", 0)
+        _real(self.static_dist_m, "static_dist_m", ge=0)
+        _real(self.speed_kmh, "speed_kmh", ge=0)
+        _real(self.track_min_m, "track_min_m", gt=0)
+        _real(self.track_max_m, "track_max_m", gt=self.track_min_m)
         if self.start_dist_m is None:
             object.__setattr__(self, "start_dist_m", self.track_min_m)
-        if not (self.track_min_m <= self.start_dist_m <= self.track_max_m):
-            raise DomainError(
-                f"start distance {self.start_dist_m!r} is outside the track bounds"
-            )
+        _real(self.start_dist_m, "start_dist_m", ge=self.track_min_m, le=self.track_max_m)
+        _real(self.offered_Bps, "offered_Bps", gt=0)
+        _count(self.packet_size_B, "packet_size_B", 1)
+        _count(self.buffer_pkts, "buffer_pkts", 1)
+        _count(self.t0_unix_s, "t0_unix_s")
+        _real(self.base_lat_deg, "base_lat_deg", ge=-90, le=90)
+        _real(self.base_lon_deg, "base_lon_deg")
+        _real(self.track_bearing_deg, "track_bearing_deg")
         if self.kind == KIND_VARIABLE_SPEED and self.speed_profile is None:
             object.__setattr__(self, "speed_profile", default_speed_profile(self.duration_s))
-        if self.speed_profile is not None:
-            for _, v in self.speed_profile:
-                if v < 0:
-                    raise DomainError(f"profile speeds must be non-negative, got {v!r}")
+        prev_t = -math.inf
+        for k, (t, v) in enumerate(self.speed_profile or ()):
+            _real(t, f"speed_profile[{k}] start", gt=prev_t)
+            _real(v, f"speed_profile[{k}] speed", ge=0)
+            prev_t = t
 
     @classmethod
     def static(cls, dist_m: float, duration_s: int, **kwargs) -> "MobilityScenario":
@@ -443,7 +408,7 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     for k in range(d):
         chunk = sojourns[bounds[k]:bounds[k + 1]]
         if chunk.size >= 2:
-            jitter_ms = float(np.abs(np.diff(chunk)).mean()) * 1000.0
+            jitter_ms = float(_abs_differences(chunk).mean()) * 1000.0
         else:
             jitter_ms = 0.0
         dist = float(positions[k])
@@ -550,11 +515,7 @@ def parse_scenario(text: str) -> MobilityScenario:
     for key, (value, line_no) in raw.items():
         try:
             if key in converters:
-                try:
-                    kwargs[key] = converters[key](value)
-                except ValueError:
-                    raise DomainError(f"key {key!r}: cannot parse {value!r} "
-                                      f"as {converters[key].__name__}") from None
+                kwargs[key] = _parse(value, f"key {key!r}", converters[key])
             elif key == "speed_profile":
                 kwargs["speed_profile"] = _parse_pairs(value, "speed_profile")
             elif key == "rate_anchors":

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qoskit import traces
 from qoskit.cli import main
 from qoskit.sim import SimConfig, child_seed, simulate_run
 from qoskit.traces import LOG_HEADER, QosLogRow, parse_log, write_log
@@ -329,6 +330,45 @@ class TestSynthCommand:
         run_cli(capsys, "synth", "--scenario", scn, "--output", str(p2), "--seed", "9")
         assert p1.read_bytes() != p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "kind, line, field",
+        [
+            ("constant_speed", "track_bearing_deg = inf", "track_bearing_deg"),
+            ("constant_speed", "base_lat_deg = inf", "base_lat_deg"),
+            ("constant_speed", "rate_anchors = nan:1000", "anchors[0] distance"),
+            ("constant_speed", "rate_anchors = 500:nan", "anchors[0] rate"),
+            ("constant_speed", "rate_anchors = 500:inf", "anchors[0] rate"),
+            ("constant_speed", "speed_kmh = inf", "speed_kmh"),
+            ("constant_speed", "track_max_m = inf", "track_max_m"),
+            ("static", "static_dist_m = nan", "static_dist_m"),
+            ("variable_speed", "speed_profile = 0:inf", "speed_profile[0] speed"),
+        ],
+    )
+    def test_bad_value_names_its_field(self, capsys, tmp_path, kind, line, field):
+        """Each of these used to end in a traceback, or in a message about
+        something else (a distance, or the queue's times)."""
+        scn = _write_scenario(tmp_path, f"kind = {kind}\nduration_s = 4\n{line}\n")
+        code, _, err = run_cli(
+            capsys, "synth", "--scenario", scn, "--output", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {field} must be a finite number")
+
+    def test_out_of_memory_exits_1(self, capsys, tmp_path, monkeypatch):
+        """An allocation the machine cannot make (offered_Bps = 1e15 asks
+        for about 7 TiB of arrival times) ends with exit 1 and a message.
+        A stand-in generator raises, so no test allocates that much."""
+        def unable(rng, rate, horizon):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(traces, "_poisson_arrivals", unable)
+        scn = _write_scenario(tmp_path, "kind = static\nduration_s = 1\noffered_Bps = 1e15\n")
+        code, _, err = run_cli(
+            capsys, "synth", "--scenario", scn, "--output", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+
 
 class TestAnalyzeCommand:
     def _synthesize(self, capsys, tmp_path, text):
@@ -547,6 +587,24 @@ def _argv(draw, work: Path):
     return argv
 
 
+# Scenario values that a file may hold by mistake. ``offered_Bps`` never
+# draws 1e308: that rate asks for more arrival times than memory holds, a
+# different defect. Every drawn ``packet_size_B`` and ``duration_s`` is
+# rejected or at most 5, so each accepted scenario stays small.
+_SCENARIO_ODD = ["nan", "inf", "-inf", "0", "-1", "1e308", "1.5", "abc"]
+_SCENARIO_VALUES = {
+    **{key: _SCENARIO_ODD for key in (
+        "seed", "static_dist_m", "speed_kmh", "track_min_m", "track_max_m", "start_dist_m",
+        "packet_size_B", "buffer_pkts", "t0_unix_s", "base_lat_deg", "base_lon_deg",
+        "track_bearing_deg")},
+    "duration_s": _SCENARIO_ODD + ["1", "5"],
+    "offered_Bps": [v for v in _SCENARIO_ODD if v != "1e308"],
+    "speed_profile": [f"0:{v}" for v in _SCENARIO_ODD] + [f"{v}:10" for v in _SCENARIO_ODD],
+    "rate_anchors": [f"{v}:1000" for v in _SCENARIO_ODD] + [f"500:{v}" for v in _SCENARIO_ODD],
+    "mask_zones": [f"{v}-800" for v in _SCENARIO_ODD] + [f"700-{v}" for v in _SCENARIO_ODD],
+}
+
+
 class TestCliFuzz:
     """Whatever the command line, the CLI ends with exit code 0, 1 or 2 and
     no traceback. ``--packets`` stays at or below 2,000: a horizon too
@@ -572,3 +630,21 @@ class TestCliFuzz:
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_scenario_exits_0_or_1_without_traceback(self, capsys, work, data):
+        kind = data.draw(st.sampled_from(["static", "constant_speed", "variable_speed"]))
+        keys = data.draw(st.lists(st.sampled_from(sorted(_SCENARIO_VALUES)), min_size=1,
+                                  max_size=4, unique=True), label="keys")
+        values = {"duration_s": "3"}
+        values.update({key: data.draw(st.sampled_from(_SCENARIO_VALUES[key]), label=key)
+                       for key in keys})
+        text = f"kind = {kind}\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        (work / "fuzz.scn").write_text(text)
+        code = main(["synth", "--scenario", str(work / "fuzz.scn"),
+                     "--output", str(work / "fuzz.csv")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), text
+        assert "Traceback" not in err, text

@@ -91,9 +91,14 @@ def _link_params(args) -> LinkParams:
     return LinkParams(args.capacity, args.lam)
 
 
+#: Most points a start:stop:step grid may have; its size is checked
+#: before any point is built.
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text: str) -> list[float]:
     """Comma list ('0.2,0.3') or start:stop:step range ('0.2:0.8:0.1'),
-    stop inclusive up to a half-step."""
+    stop inclusive up to a half-step, of at most ``_MAX_GRID_POINTS``."""
     text = text.strip()
     if ":" in text:
         try:
@@ -103,6 +108,7 @@ def _parse_grid(text: str) -> list[float]:
         _real(start, "grid start")
         _real(step, "grid step", gt=0)
         _real(stop, "grid stop", ge=start)
+        _real((stop - start) / step + 1, "number of grid points", le=_MAX_GRID_POINTS)
         n = int(round((stop - start) / step)) + 1
         return [round(start + k * step, 12) for k in range(n) if start + k * step <= stop + step / 2]
     try:
@@ -410,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="compare the model against simulation over a load grid")
     p.add_argument("--capacity", type=float, required=True)
     p.add_argument("--rho-grid", default="0.2:0.8:0.1",
-                   help="comma list or start:stop:step range of loads")
+                   help="comma list or start:stop:step range of loads "
+                        f"(a range has at most {_MAX_GRID_POINTS:,} points)")
     p.add_argument("--packets", type=int, default=1_000_000)
     p.add_argument("--seeds", type=int, default=5, help="independent runs per grid point")
     p.add_argument("--threshold", type=float, default=DEFAULT_VALIDATION_THRESHOLD,

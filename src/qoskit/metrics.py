@@ -28,6 +28,10 @@ BOOTSTRAP_RESAMPLES = 1000
 #: Fixed fallback seed for the bootstrap. Never wall-clock.
 DEFAULT_BOOTSTRAP_SEED = 0
 
+#: Most windows ``windowed_throughput`` returns (a list of pairs, about a
+#: gigabyte at this size); the count is checked before anything is built.
+_MAX_WINDOWS = 10_000_000
+
 
 @dataclass(frozen=True)
 class JitterEstimate:
@@ -74,7 +78,8 @@ def ipdv_series(delays) -> np.ndarray:
 def _abs_differences(values) -> np.ndarray:
     """|values[j+1] - values[j]|: the samples of every mean absolute delay
     variation the toolkit reports (simulated runs, field logs, delay series)."""
-    return np.abs(np.diff(values))
+    differences = np.diff(values)
+    return np.abs(differences, out=differences)
 
 
 def mean_abs_jitter(
@@ -133,9 +138,11 @@ def windowed_throughput(
         if not times.size:
             return []
         # cover exactly through the window holding the last delivery
-        n_windows = int((float(times[-1]) - t_start) // window_seconds) + 1
+        count = (float(times[-1]) - t_start) // window_seconds + 1
     else:
-        n_windows = int(math.ceil((t_end - t_start) / window_seconds))
+        count = (t_end - t_start) / window_seconds
+    _real(count, "number of windows", le=_MAX_WINDOWS)
+    n_windows = math.ceil(count)
     if n_windows <= 0:
         return []
     totals = np.zeros(n_windows)

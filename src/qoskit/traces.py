@@ -337,13 +337,22 @@ def _per_second_kinematics(scenario: MobilityScenario):
     return speeds, positions
 
 
+#: Most arrivals a trace may expect: 8 PB of arrival times, past any
+#: machine's memory, yet far below the counts numpy cannot describe.
+_MAX_ARRIVALS = 10**15
+
+
 def _poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
     """Arrival instants of a Poisson process on [0, horizon).
 
     Draws interarrival blocks until the horizon is covered (deterministic for
-    a given generator state), then truncates.
+    a given generator state), then truncates. An expected count above
+    ``_MAX_ARRIVALS``, or one that overflows, raises DomainError.
     """
-    block = int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 16.0)
+    expected = rate * horizon
+    _real(expected, f"expected packet count at {rate!r} packets/s over {horizon!r} s",
+          le=_MAX_ARRIVALS)
+    block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
     times = np.cumsum(rng.exponential(1.0 / rate, size=block))
     while times.size == 0 or times[-1] < horizon:
         more = np.cumsum(rng.exponential(1.0 / rate, size=block)) + (

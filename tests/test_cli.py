@@ -254,6 +254,18 @@ class TestValidateCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("grid, count", [
+        ("0:1e300:1e-300", "inf"),             # the count overflows
+        ("0:1e12:1", "1000000000001.0"),       # a list too long to build
+    ])
+    def test_grid_size_checked_before_any_point(self, capsys, tmp_path, grid, count):
+        code, _, err = run_cli(
+            capsys, "validate", "--capacity", "1000", "--rho-grid", grid,
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert err == f"error: number of grid points must be a finite number <= 100000, got {count}\n"
+
     def test_grid_range_syntax(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "validate", "--capacity", "1000", "--rho-grid", "0.2:0.4:0.1",
@@ -353,6 +365,18 @@ class TestSynthCommand:
         )
         assert code == 1
         assert err.startswith(f"error: {field} must be a finite number")
+
+    def test_overflowing_packet_count_names_rate_and_duration(self, capsys, tmp_path):
+        """1e308 B/s of 1-byte packets for 2 s expects an infinite count;
+        it used to end in an OverflowError traceback."""
+        scn = _write_scenario(tmp_path, "kind = static\nduration_s = 2\n"
+                                        "offered_Bps = 1e308\npacket_size_B = 1\n")
+        code, _, err = run_cli(
+            capsys, "synth", "--scenario", scn, "--output", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert err == ("error: expected packet count at 1e+308 packets/s over 2.0 s "
+                       "must be a finite number <= 1000000000000000, got inf\n")
 
     def test_out_of_memory_exits_1(self, capsys, tmp_path, monkeypatch):
         """An allocation the machine cannot make (offered_Bps = 1e15 asks
@@ -587,10 +611,10 @@ def _argv(draw, work: Path):
     return argv
 
 
-# Scenario values that a file may hold by mistake. ``offered_Bps`` never
-# draws 1e308: that rate asks for more arrival times than memory holds, a
-# different defect. Every drawn ``packet_size_B`` and ``duration_s`` is
-# rejected or at most 5, so each accepted scenario stays small.
+# Scenario values that a file may hold by mistake. Every drawn
+# ``packet_size_B`` and ``duration_s`` is rejected or at most 5, and an
+# ``offered_Bps`` of 1e308 expects more packets than a trace may hold, so
+# each accepted scenario stays small.
 _SCENARIO_ODD = ["nan", "inf", "-inf", "0", "-1", "1e308", "1.5", "abc"]
 _SCENARIO_VALUES = {
     **{key: _SCENARIO_ODD for key in (
@@ -598,7 +622,7 @@ _SCENARIO_VALUES = {
         "packet_size_B", "buffer_pkts", "t0_unix_s", "base_lat_deg", "base_lon_deg",
         "track_bearing_deg")},
     "duration_s": _SCENARIO_ODD + ["1", "5"],
-    "offered_Bps": [v for v in _SCENARIO_ODD if v != "1e308"],
+    "offered_Bps": _SCENARIO_ODD,
     "speed_profile": [f"0:{v}" for v in _SCENARIO_ODD] + [f"{v}:10" for v in _SCENARIO_ODD],
     "rate_anchors": [f"{v}:1000" for v in _SCENARIO_ODD] + [f"500:{v}" for v in _SCENARIO_ODD],
     "mask_zones": [f"{v}-800" for v in _SCENARIO_ODD] + [f"700-{v}" for v in _SCENARIO_ODD],

@@ -26,6 +26,12 @@ _BAD_CALLS = {
     "t_end nan": lambda: windowed_throughput([(0, 1)], 1.0, t_end=math.nan),
     "t_end inf": lambda: windowed_throughput([(0, 1)], 1.0, t_end=math.inf),
     "t_start nan": lambda: windowed_throughput([(0, 1)], 1.0, t_start=math.nan),
+    "window count 1e300": lambda: windowed_throughput([(0, 1)], 1.0, t_end=1e300),
+    "window count overflows": lambda: windowed_throughput([], 1.0, t_start=-1e308,
+                                                          t_end=1e308),
+    "window count over the cap": lambda: windowed_throughput([(0, 1)], 1.0,
+                                                             t_end=10_000_001.0),
+    "window count to a late delivery": lambda: windowed_throughput([(1e300, 1)], 1.0),
     "capacity a bool": lambda: SimConfig(True, 0.5),
     "arrival rate a bool": lambda: LinkParams(2.0, True),
     "seeds_per_point a bool": lambda: simulate_sweep(_BASE, [0.5], seeds_per_point=True),

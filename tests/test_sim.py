@@ -1,6 +1,8 @@
 """Queue simulator: hand traces, classical queueing oracles, determinism."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qoskit.errors import (
 from qoskit.sim import (
     PACKET_TRACE_HEADER,
     PacketLog,
+    RunSummary,
     SimConfig,
     child_seed,
     fcfs_departures,
@@ -484,6 +487,195 @@ class TestSimulateRun:
         kept = [r for r in log if not r.dropped]
         for r in kept[:20]:
             assert r.departure_time >= r.arrival_time + r.service_time
+
+
+def _reference_unbounded_fcfs(arrival_times, service_times):
+    """The whole-array unbounded pass that ``fcfs_departures`` ran before
+    the chunked one, checks included, kept verbatim as its oracle."""
+    arr = np.ascontiguousarray(arrival_times, dtype=float)
+    srv = np.ascontiguousarray(service_times, dtype=float)
+    if np.any(np.diff(arr) < 0):
+        raise DomainError("arrival times must be non-decreasing")
+    if np.any(srv < 0) or not np.all(np.isfinite(srv)) or not np.all(np.isfinite(arr)):
+        raise DomainError("times must be finite and service times non-negative")
+    increments = srv[:-1] - np.diff(arr)
+    prefix = np.concatenate(([0.0], np.cumsum(increments)))
+    waits = prefix - np.minimum.accumulate(prefix)
+    return arr + waits + srv
+
+
+def _reference_simulate_run(config):
+    """The whole-array ``simulate_run`` of an unbounded run before the
+    chunked pass, kept verbatim as its oracle: it always takes the tagging
+    draw and builds the drop masks."""
+    n = config.horizon_packets
+    rng = np.random.default_rng(config.seed & ((1 << 64) - 1))
+    interarrivals = rng.exponential(1.0 / config.arrival_rate_lambda, size=n)
+    arrivals = np.cumsum(interarrivals)
+    if config.service_distribution == "exponential":
+        services = rng.exponential(1.0 / config.capacity_C, size=n)
+    else:
+        services = np.full(n, 1.0 / config.capacity_C)
+    tagged = rng.random(size=n) < config.tagged_fraction
+    departures = _reference_unbounded_fcfs(arrivals, services)
+    dropped = np.zeros(n, dtype=bool)
+    sojourn = departures - arrivals
+    log = PacketLog(arrivals, services, departures, sojourn, tagged, dropped)
+
+    first = int(n * config.warmup_fraction)
+    t_start = float(arrivals[first - 1]) if first > 0 else 0.0
+    window = float(arrivals[-1]) - t_start
+    offered = n - first
+    delivered = int(np.count_nonzero(~dropped[first:]))
+    delivered_sojourns = sojourn[first:][~dropped[first:]]
+    mean_sojourn = float(delivered_sojourns.mean()) if delivered_sojourns.size else math.nan
+    tagged_idx = np.flatnonzero(tagged[first:]) + first
+    ok = ~dropped[tagged_idx[:-1]] & ~dropped[tagged_idx[1:]]
+    samples = np.abs(np.diff(sojourn[tagged_idx]))[ok]
+    jitter = float(samples.mean()) if samples.size else math.nan
+    return log, RunSummary(
+        mean_sojourn=mean_sojourn,
+        empirical_jitter_J=jitter,
+        throughput_X=delivered / window,
+        offered_lambda=offered / window,
+        loss_B=(offered - delivered) / offered,
+        n_jitter_samples=int(samples.size),
+        seed=config.seed,
+        offered_count=offered,
+        delivered_count=delivered,
+        config=config,
+    )
+
+
+#: Unbounded runs the chunked pass must reproduce bit for bit: horizons that
+#: no chunk size divides, one and two packets, no warm-up, a sparse and a
+#: full tagged flow, deterministic service.
+_UNBOUNDED_RUNS = {
+    "sparse tags": dict(arrival_rate_lambda=500.0, tagged_fraction=0.05,
+                        horizon_packets=2_503, seed=3),
+    "all tagged, no warm-up": dict(arrival_rate_lambda=950.0, tagged_fraction=1.0,
+                                   warmup_fraction=0.0, horizon_packets=2_503, seed=4),
+    "deterministic service": dict(arrival_rate_lambda=800.0, horizon_packets=1_001,
+                                  service_distribution="deterministic", seed=5),
+    "one packet": dict(arrival_rate_lambda=500.0, horizon_packets=1, warmup_fraction=0.0,
+                       seed=6),
+    "two packets, all tagged": dict(arrival_rate_lambda=500.0, horizon_packets=2,
+                                    tagged_fraction=1.0, warmup_fraction=0.0, seed=6),
+}
+
+_CHUNKS = [1, 2, 7, 1000, sim._UNBOUNDED_CHUNK]
+
+
+@st.composite
+def _unbounded_times(draw):
+    """Non-decreasing arrivals and non-negative services as a caller may
+    build them: repeated instants, signed zeros, subnormals, negative times."""
+    n = draw(st.integers(1, 60))
+    edge = st.sampled_from([0.0, -0.0, 5e-324, 1.0])
+    arrivals = sorted(draw(st.lists(edge | st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    services = draw(st.lists(edge | st.floats(0.0, 1e3), min_size=n, max_size=n))
+    return np.array(arrivals), np.array(services)
+
+
+class TestUnboundedChunks:
+    """The chunked unbounded pass against the whole-array pass it replaced."""
+
+    @pytest.mark.parametrize("chunk", _CHUNKS)
+    @pytest.mark.parametrize("run", list(_UNBOUNDED_RUNS.values()), ids=list(_UNBOUNDED_RUNS))
+    def test_simulate_run_matches_whole_array_pass(self, monkeypatch, chunk, run):
+        config = SimConfig(1000.0, **run)
+        monkeypatch.setattr(sim, "_UNBOUNDED_CHUNK", chunk)
+        log, summary = simulate_run(config)
+        want_log, want = _reference_simulate_run(config)
+        _assert_same_log(log, want_log)
+        assert summary == want
+        assert repr(summary) == repr(want)
+
+    @pytest.mark.parametrize("tagged_fraction", [0.05, 1.0])
+    def test_ragged_last_chunk_at_the_default_size(self, tagged_fraction):
+        config = SimConfig(1000.0, 900.0, tagged_fraction=tagged_fraction,
+                           horizon_packets=2 * sim._UNBOUNDED_CHUNK + 4_001, seed=17)
+        log, summary = simulate_run(config)
+        want_log, want = _reference_simulate_run(config)
+        _assert_same_log(log, want_log)
+        assert summary == want
+
+    def test_all_tagged_shortcut_equals_the_drawn_form(self):
+        """At a tagged fraction of 1 the tagging uniforms, all below 1, are
+        the last draw, so leaving it out changes no bit; the pairs are then
+        every adjacent pair after the warm-up."""
+        config = SimConfig(1000.0, 700.0, tagged_fraction=1.0, horizon_packets=5_000, seed=9)
+        log, summary = simulate_run(config)
+        want_log, want = _reference_simulate_run(config)
+        assert want_log.tagged.all()
+        _assert_same_log(log, want_log)
+        assert summary == want
+        assert summary.n_jitter_samples == 5_000 - 500 - 1
+
+    @settings(deadline=None)
+    @given(times=_unbounded_times(), chunk=st.sampled_from(_CHUNKS[:4]))
+    def test_fcfs_departures_matches_whole_array_pass(self, times, chunk):
+        arrivals, services = times
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_UNBOUNDED_CHUNK", chunk)
+            departures, dropped = fcfs_departures(arrivals, services)
+        assert departures.tobytes() == _reference_unbounded_fcfs(arrivals, services).tobytes()
+        assert not dropped.any()
+
+    @pytest.mark.parametrize("arrivals, services", [
+        ([0.0, math.inf], [1.0, 1.0]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, 1.0], [1.0, -1.0]),
+        ([1.0, 0.5], [1.0, math.inf]),
+    ])
+    def test_fcfs_departures_checks_as_before(self, arrivals, services):
+        with pytest.raises(DomainError) as want:
+            _reference_unbounded_fcfs(arrivals, services)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            fcfs_departures(arrivals, services)
+
+    @pytest.mark.parametrize("chunk", [1, 2, sim._UNBOUNDED_CHUNK])
+    @pytest.mark.parametrize("run", [
+        # 1/C and 1/lambda are infinite
+        dict(capacity_C=1e-310, arrival_rate_lambda=5e-311, horizon_packets=50,
+             service_distribution="deterministic"),
+        # only the service draw overflows past 1.8e308
+        dict(capacity_C=2e-308, arrival_rate_lambda=1.99e-308, horizon_packets=1, seed=55),
+        # only the arrivals overflow, after about 180 packets
+        dict(capacity_C=1e-300, arrival_rate_lambda=1e-306, horizon_packets=1_000),
+    ], ids=["both infinite", "service overflows", "arrivals overflow"])
+    def test_non_finite_draws_rejected_as_before(self, monkeypatch, chunk, run):
+        config = SimConfig(**run)
+        monkeypatch.setattr(sim, "_UNBOUNDED_CHUNK", chunk)
+        with pytest.raises(DomainError) as want, np.errstate(all="ignore"):
+            _reference_simulate_run(config)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"), \
+                np.errstate(all="ignore"):
+            simulate_run(config)
+
+
+#: SHA-256 of ``departure_times.tobytes()`` and ``sojourn_times.tobytes()``
+#: for three 50k-packet unbounded runs, recorded from the whole-array pass:
+#: a flipped bit anywhere in the unbounded core changes them.
+_UNBOUNDED_FINGERPRINTS = [
+    (dict(arrival_rate_lambda=500.0, seed=1),
+     "d6513934b04911a7afafdb002648a7c307e25103e3da713fe62dbed1cc8e4d3b",
+     "84da6bab7c6f41dcbf835057f1b0ded61b68deda73b4962984af6b6212c06cf9"),
+    (dict(arrival_rate_lambda=950.0, tagged_fraction=1.0, warmup_fraction=0.0, seed=7),
+     "8964278a0acb200361e0c5b6514592703da404a3bf0e3f11a9773611105f2e45",
+     "462baa3e3de7676cba3133380375676cf07fcf09b06e44af7a8f8887bae8042e"),
+    (dict(arrival_rate_lambda=800.0, service_distribution="deterministic", seed=1729),
+     "762cc719fb57eecdf65c447f2c61bb2748d8f96f3b3c025e469eac92cf51823f",
+     "e31f3746fbc1a88efd1f87f15c0a611358eb0a0f0c797248bd2c0c36375d34a7"),
+]
+
+
+@pytest.mark.parametrize("run, departures_sha256, sojourns_sha256", _UNBOUNDED_FINGERPRINTS,
+                         ids=["rho 0.5", "rho 0.95 all tagged", "rho 0.8 deterministic"])
+def test_unbounded_fingerprint(run, departures_sha256, sojourns_sha256):
+    log, _ = simulate_run(SimConfig(1000.0, horizon_packets=50_000, **run))
+    assert hashlib.sha256(log.departure_times.tobytes()).hexdigest() == departures_sha256
+    assert hashlib.sha256(log.sojourn_times.tobytes()).hexdigest() == sojourns_sha256
 
 
 class TestSeeds:

@@ -62,12 +62,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_link_args(p, with_rho=True):
+def _add_link_args(p):
     p.add_argument("--capacity", type=float, required=True, help="link capacity C, packets/s")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", type=float, help="total arrival rate, packets/s")
-    if with_rho:
-        group.add_argument("--rho", type=float, help="load factor; lambda = rho * C")
+    group.add_argument("--rho", type=float, help="load factor; lambda = rho * C")
 
 
 def _unreadable(what: str, path: str, exc: OSError) -> QoskitError:

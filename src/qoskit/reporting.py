@@ -78,9 +78,10 @@ def run_validation(
     grid = [float(r) for r in rho_grid]
     if not grid:
         raise DomainError("the validation grid must not be empty")
+    # The sweep sets lambda = rho * C at each point and names a bad point.
     base = SimConfig(
         capacity_C=capacity_C,
-        arrival_rate_lambda=grid[0] * capacity_C,
+        arrival_rate_lambda=capacity_C / 2,
         tagged_fraction=tagged_fraction,
         buffer_capacity=None,
         horizon_packets=packets,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -296,7 +297,7 @@ class MobilityScenario:
             object.__setattr__(self, "speed_profile", default_speed_profile(self.duration_s))
         prev_t = -math.inf
         for k, (t, v) in enumerate(self.speed_profile or ()):
-            _real(t, f"speed_profile[{k}] start", gt=prev_t)
+            _real(t, f"speed_profile[{k}] start", gt=prev_t, le=math.inf if k else 0.0)
             _real(v, f"speed_profile[{k}] speed", ge=0)
             prev_t = t
 
@@ -322,13 +323,16 @@ def _per_second_kinematics(scenario: MobilityScenario):
     d = scenario.duration_s
     if scenario.kind == KIND_STATIC:
         speeds = np.zeros(d)
-        positions = np.full(d, scenario.static_dist_m)
+        positions = np.full(d, scenario.static_dist_m, dtype=float)
         return speeds, positions
     if scenario.kind == KIND_CONSTANT_SPEED:
         profile = ((0.0, scenario.speed_kmh),)
     else:
         profile = scenario.speed_profile
-    speeds = np.array([speed_at(profile, float(k)) for k in range(d)])
+    # The scenario checked the profile: time-ordered, first step at t <= 0.
+    starts, values = zip(*profile)
+    step = np.searchsorted(starts, np.arange(d), side="right") - 1
+    speeds = np.array(values, dtype=float)[step]
     increments = speeds / 3.6  # km/h -> m per one-second step
     path = np.concatenate(([0.0], np.cumsum(increments)))[:d]
     span = scenario.track_max_m - scenario.track_min_m
@@ -407,35 +411,25 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     total_per_sec = np.bincount(sec, minlength=d)
     lost_outage = np.bincount(sec[outage], minlength=d)
     lost_queue = np.bincount(a_sec[dropped_q], minlength=d)
-    lost_per_sec = lost_outage + lost_queue
     delivered_per_sec = np.bincount(dep_sec, minlength=d)
 
-    bounds = np.searchsorted(dep_sec, np.arange(d + 1))
-    rows = []
+    # Each second's jitter is the mean |dT| over its consecutive pairs; a pair
+    # whose packets depart in different seconds belongs to neither, so a
+    # second with fewer than two deliveries sums to 0.0.
+    gaps = _abs_differences(sojourns)
+    gaps[dep_sec[1:] != dep_sec[:-1]] = 0.0
+    gap_sums = np.bincount(dep_sec[1:], weights=gaps, minlength=d)
+    jitter_ms = gap_sums / np.maximum(delivered_per_sec - 1, 1) * 1000.0
+
     theta = math.radians(scenario.track_bearing_deg)
     coslat = math.cos(math.radians(scenario.base_lat_deg))
-    for k in range(d):
-        chunk = sojourns[bounds[k]:bounds[k + 1]]
-        if chunk.size >= 2:
-            jitter_ms = float(_abs_differences(chunk).mean()) * 1000.0
-        else:
-            jitter_ms = 0.0
-        dist = float(positions[k])
-        rows.append(
-            QosLogRow(
-                t_unix_s=scenario.t0_unix_s + k,
-                lat_deg=scenario.base_lat_deg + dist * math.cos(theta) / _METERS_PER_DEGREE,
-                lon_deg=scenario.base_lon_deg + dist * math.sin(theta) / (_METERS_PER_DEGREE * coslat),
-                integrity=1,
-                dist_m=dist,
-                speed_kmh=float(speeds[k]),
-                tput_Bps=float(delivered_per_sec[k] * scenario.packet_size_B),
-                jitter_ms=jitter_ms,
-                lost_pkts=int(lost_per_sec[k]),
-                total_pkts=int(total_per_sec[k]),
-            )
-        )
-    return rows
+    lat = scenario.base_lat_deg + positions * math.cos(theta) / _METERS_PER_DEGREE
+    lon = scenario.base_lon_deg + positions * math.sin(theta) / (_METERS_PER_DEGREE * coslat)
+    return list(map(QosLogRow, range(scenario.t0_unix_s, scenario.t0_unix_s + d),
+                    lat.tolist(), lon.tolist(), repeat(1), positions.tolist(), speeds.tolist(),
+                    (delivered_per_sec * scenario.packet_size_B).astype(float).tolist(),
+                    jitter_ms.tolist(), (lost_outage + lost_queue).tolist(),
+                    total_per_sec.tolist()))
 
 
 # --- scenario files -------------------------------------------------------

@@ -235,6 +235,23 @@ class TestValidateCommand:
         assert "nan" not in out
         assert not (tmp_path / "validation.csv").exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        ("-0.1:0.5:0.1", "rho_grid[0] must be a finite number > 0, got -0.1"),
+        ("nan,0.5", "rho_grid[0] must be a finite number > 0, got nan"),
+        ("1.2,0.5", "rho=1.2 (grid index 0, seed index 0): "
+                    "unbounded buffer requires lambda < C; got load 1.2"),
+    ])
+    def test_bad_first_grid_point_named_like_later_ones(self, capsys, tmp_path, grid, message):
+        """The first point used to fail in the base config, naming no point
+        (``arrival rate must be ... got -100.0``)."""
+        code, _, err = run_cli(
+            capsys, "validate", "--capacity", "1000", f"--rho-grid={grid}",
+            "--packets", "5000", "--seeds", "1", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "validation.csv").exists()
+
     def test_plot_data_files_two_columns(self, capsys, tmp_path):
         run_cli(
             capsys, "validate", "--capacity", "1000", "--rho-grid", "0.4,0.5",
@@ -354,6 +371,7 @@ class TestSynthCommand:
             ("constant_speed", "track_max_m = inf", "track_max_m"),
             ("static", "static_dist_m = nan", "static_dist_m"),
             ("variable_speed", "speed_profile = 0:inf", "speed_profile[0] speed"),
+            ("variable_speed", "speed_profile = 10:50, 20:30", "speed_profile[0] start"),
         ],
     )
     def test_bad_value_names_its_field(self, capsys, tmp_path, kind, line, field):

@@ -1,10 +1,14 @@
 """Log schema round-trips, the rate map, kinematics, and trace synthesis."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qoskit.errors import DomainError, EmptyTraceError, TraceParseError
+from qoskit.sim import fcfs_departures
 from qoskit.traces import (
     LOG_HEADER,
     MobilityScenario,
@@ -19,6 +23,8 @@ from qoskit.traces import (
     speed_at,
     synth_mobility_trace,
     write_log,
+    _per_second_kinematics,
+    _poisson_arrivals,
 )
 
 
@@ -225,6 +231,13 @@ class TestScenario:
         assert scenario.rate_map.interpolation == "step"
         assert scenario.rate_map.mask_zones == ((700.0, 800.0),)
 
+    def test_speed_profile_starting_after_zero_rejected(self):
+        """The first step must cover t = 0; one at 10 s used to stop the
+        synthesis partway with an error about t."""
+        with pytest.raises(DomainError, match=r"speed_profile\[0\] start must be a finite "
+                                              r"number <= 0.0, got 10.0"):
+            MobilityScenario.variable_speed(30, speed_profile=((10.0, 50.0), (20.0, 30.0)))
+
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(DomainError, match="unknown scenario key"):
             parse_scenario("kind = static\nduration_s = 5\nbogus = 1\n")
@@ -330,3 +343,164 @@ class TestSynthesis:
 
         for seed in range(10):
             assert mean_tput(far, seed) <= mean_tput(near, seed)
+
+
+def _reference_trace(scenario):
+    """The per-second loop the columnar synthesis replaced: speeds from one
+    ``speed_at`` call per second and one row built per second. The oracle
+    for ``synth_mobility_trace``."""
+    d = scenario.duration_s
+    if scenario.kind == "static":
+        speeds = np.zeros(d)
+        positions = np.full(d, float(scenario.static_dist_m))
+    else:
+        if scenario.kind == "constant_speed":
+            profile = ((0.0, scenario.speed_kmh),)
+        else:
+            profile = scenario.speed_profile
+        speeds = np.array([speed_at(profile, float(k)) for k in range(d)])
+        path = np.concatenate(([0.0], np.cumsum(speeds / 3.6)))[:d]
+        span = scenario.track_max_m - scenario.track_min_m
+        phase = (scenario.start_dist_m - scenario.track_min_m + path) % (2.0 * span)
+        positions = scenario.track_min_m + span - np.abs(span - phase)
+    rates_pkts = np.array([rate_at_distance(scenario.rate_map, p) for p in positions]
+                          ) / scenario.packet_size_B
+
+    rng = np.random.default_rng(scenario.seed)
+    arrivals = _poisson_arrivals(rng, scenario.offered_Bps / scenario.packet_size_B, float(d))
+    work = rng.exponential(1.0, size=arrivals.size)
+    sec = np.floor(arrivals).astype(np.int64)
+    outage = rates_pkts[sec] == 0.0
+    breaks = np.concatenate(([0.0], np.cumsum(rates_pkts)))
+    a_t = arrivals[~outage]
+    a_sec = sec[~outage]
+    a_w = breaks[a_sec] + rates_pkts[a_sec] * (a_t - a_sec)
+    dep_w, dropped_q = fcfs_departures(a_w, work[~outage], scenario.buffer_pkts)
+    dep_w_del = dep_w[~dropped_q]
+    in_horizon = dep_w_del <= breaks[-1]
+    dep_w_del = dep_w_del[in_horizon]
+    seg = np.searchsorted(breaks, dep_w_del, side="left") - 1
+    dep_t = seg + (dep_w_del - breaks[seg]) / rates_pkts[seg]
+    sojourns = dep_t - a_t[~dropped_q][in_horizon]
+    dep_sec = np.minimum(np.floor(dep_t).astype(np.int64), d - 1)
+
+    total_per_sec = np.bincount(sec, minlength=d)
+    lost_per_sec = (np.bincount(sec[outage], minlength=d)
+                    + np.bincount(a_sec[dropped_q], minlength=d))
+    delivered_per_sec = np.bincount(dep_sec, minlength=d)
+    bounds = np.searchsorted(dep_sec, np.arange(d + 1))
+    theta = math.radians(scenario.track_bearing_deg)
+    coslat = math.cos(math.radians(scenario.base_lat_deg))
+    rows = []
+    for k in range(d):
+        chunk = sojourns[bounds[k]:bounds[k + 1]]
+        jitter_ms = float(np.abs(np.diff(chunk)).mean()) * 1000.0 if chunk.size >= 2 else 0.0
+        dist = float(positions[k])
+        rows.append(QosLogRow(
+            t_unix_s=scenario.t0_unix_s + k,
+            lat_deg=scenario.base_lat_deg + dist * math.cos(theta) / 111_320.0,
+            lon_deg=scenario.base_lon_deg + dist * math.sin(theta) / (111_320.0 * coslat),
+            integrity=1,
+            dist_m=dist,
+            speed_kmh=float(speeds[k]),
+            tput_Bps=float(delivered_per_sec[k] * scenario.packet_size_B),
+            jitter_ms=jitter_ms,
+            lost_pkts=int(lost_per_sec[k]),
+            total_pkts=int(total_per_sec[k]),
+        ))
+    return rows
+
+
+@st.composite
+def _speed_profiles(draw):
+    """Time-ordered steps, the first at or before t = 0, at fractional
+    starts as well as whole seconds."""
+    start = draw(st.floats(-10.0, 0.0))
+    steps = [(start, draw(st.floats(0.0, 150.0)))]
+    for _ in range(draw(st.integers(0, 8))):
+        start += draw(st.sampled_from([0.25, 1.0, 2.5, 7.0, 30.0]))
+        steps.append((start, draw(st.floats(0.0, 150.0))))
+    return tuple(steps)
+
+
+@st.composite
+def _rate_maps(draw):
+    """Non-increasing anchors out to 2-2.5 km, now and then a zero-rate
+    anchor, and up to two mask zones."""
+    n = draw(st.integers(1, 4))
+    distances = sorted(draw(st.lists(st.floats(0.0, 1999.0), min_size=n - 1,
+                                     max_size=n - 1, unique=True)))
+    distances.append(draw(st.floats(2000.0, 2500.0)))
+    rates = [draw(st.floats(1e4, 2e6))]
+    for _ in range(n - 1):
+        rates.append(rates[-1] * draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])))
+    zones = tuple((lo, lo + width) for lo, width in draw(st.lists(
+        st.tuples(st.floats(0.0, 2000.0), st.floats(1.0, 300.0)), max_size=2)))
+    return RateDistanceMap(
+        anchors=tuple(zip(distances, rates)),
+        interpolation=draw(st.sampled_from(["step", "linear"])),
+        mask_zones=zones,
+    )
+
+
+@st.composite
+def _scenarios(draw):
+    track_min = draw(st.floats(1.0, 1500.0))
+    track_max = track_min + draw(st.floats(1.0, 800.0))
+    return MobilityScenario(
+        kind=draw(st.sampled_from(["static", "constant_speed", "variable_speed"])),
+        duration_s=draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 2**32)),
+        static_dist_m=draw(st.floats(0.0, 2200.0)),
+        speed_kmh=draw(st.floats(0.0, 300.0)),
+        speed_profile=draw(_speed_profiles()),
+        track_min_m=track_min,
+        track_max_m=track_max,
+        start_dist_m=draw(st.floats(track_min, track_max)),
+        rate_map=draw(_rate_maps()),
+        # sparse seconds with 0 or 1 delivery, or a load that can overrun
+        # the link and leave packets queued at the horizon
+        offered_Bps=draw(st.one_of(st.floats(100.0, 3000.0), st.floats(2e5, 1.5e6))),
+        packet_size_B=draw(st.integers(200, 2000)),
+        buffer_pkts=draw(st.integers(1, 200)),
+        base_lat_deg=draw(st.floats(-60.0, 60.0)),
+        track_bearing_deg=draw(st.floats(0.0, 360.0)),
+    )
+
+
+def _assert_matches_reference(scenario):
+    """Every field but jitter is exact; the per-second |dT| sums are taken
+    in another order, so jitter agrees to rounding."""
+    rows = synth_mobility_trace(scenario)
+    expected = _reference_trace(scenario)
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert row == replace(ref, jitter_ms=row.jitter_ms)
+        assert row.jitter_ms == pytest.approx(ref.jitter_ms, rel=1e-12, abs=0.0)
+    return rows
+
+
+class TestColumnarSynthesis:
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=_scenarios())
+    def test_columns_match_the_per_second_loop(self, scenario):
+        _assert_matches_reference(scenario)
+
+    def test_seconds_with_zero_or_one_delivery(self):
+        scenario = MobilityScenario.static(1570.0, 30, seed=3, offered_Bps=1000.0)
+        rows = _assert_matches_reference(scenario)
+        assert {0.0, 1000.0} <= {r.tput_Bps for r in rows}
+        assert all(r.jitter_ms == 0.0 for r in rows if r.tput_Bps <= 1000.0)
+
+    def test_departures_clipped_at_the_horizon(self):
+        scenario = MobilityScenario.static(1570.0, 30, seed=3, offered_Bps=1_500_000.0)
+        rows = _assert_matches_reference(scenario)
+        delivered = sum(r.tput_Bps for r in rows) / scenario.packet_size_B
+        assert delivered < sum(r.total_pkts - r.lost_pkts for r in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=_speed_profiles(), duration_s=st.integers(1, 120))
+    def test_speed_lookup_matches_speed_at(self, profile, duration_s):
+        speeds, _ = _per_second_kinematics(
+            MobilityScenario.variable_speed(duration_s, speed_profile=profile))
+        assert speeds.tolist() == [speed_at(profile, k) for k in range(duration_s)]

@@ -9,7 +9,7 @@ curve, so any plotting tool can consume it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -65,8 +65,6 @@ def run_validation(
     base_seed: int,
     variant: str = DEFAULT_VARIANT,
     tagged_fraction: float = 0.1,
-    warmup_fraction: float = 0.1,
-    service_distribution: str = "exponential",
 ) -> ValidationReport:
     """Rerun the model-versus-simulation comparison over a load grid.
 
@@ -85,9 +83,7 @@ def run_validation(
         tagged_fraction=tagged_fraction,
         buffer_capacity=None,
         horizon_packets=packets,
-        warmup_fraction=warmup_fraction,
         seed=base_seed,
-        service_distribution=service_distribution,
     )
     summaries = simulate_sweep(base, grid, seeds_per_point, vary="arrival")
     rows = []
@@ -124,13 +120,14 @@ def run_validation(
         ("seed_derivation", "child_seed(base_seed, rho_index, seed_index) [splitmix64]"),
         ("formula_variant", variant),
         ("tagged_fraction", _fmt(tagged_fraction)),
-        ("warmup_fraction", _fmt(warmup_fraction)),
-        ("service_distribution", service_distribution),
+        ("warmup_fraction", _fmt(base.warmup_fraction)),
+        ("service_distribution", base.service_distribution),
         ("buffer", "unbounded"),
     )
     return ValidationReport(rows=tuple(rows), metadata=metadata)
 
 
+#: Header of the validation CSV: one name per ValidationRow field, in order.
 VALIDATION_COLUMNS = "rho,lambda,J_model_s,J_sim_mean_s,J_sim_stderr_s,relative_error"
 
 
@@ -138,19 +135,7 @@ def format_validation_csv(report: ValidationReport) -> str:
     lines = [f"# {key}={value}" for key, value in report.metadata]
     lines.append(VALIDATION_COLUMNS)
     for r in report.rows:
-        stderr = _fmt(r.jitter_sim_stderr) if r.jitter_sim_stderr is not None else ""
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.load_rho),
-                    _fmt(r.arrival_rate_lambda),
-                    _fmt(r.jitter_model),
-                    _fmt(r.jitter_sim_mean),
-                    stderr,
-                    _fmt(r.relative_error),
-                )
-            )
-        )
+        lines.append(",".join("" if v is None else _fmt(v) for v in astuple(r)))
     return "\n".join(lines) + "\n"
 
 

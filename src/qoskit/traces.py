@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -36,8 +37,6 @@ import numpy as np
 from .errors import DomainError, EmptyTraceError, TraceParseError, _count, _parse, _real
 from .metrics import _abs_differences
 from .sim import DEFAULT_SEED, fcfs_departures
-
-LOG_HEADER = "t_unix_s,lat_deg,lon_deg,integrity,dist_m,speed_kmh,tput_Bps,jitter_ms,lost_pkts,total_pkts"
 
 KIND_STATIC = "static"
 KIND_CONSTANT_SPEED = "constant_speed"
@@ -75,14 +74,27 @@ class QosLogRow:
         _count(self.total_pkts, "total_pkts", self.lost_pkts)
 
 
-def _fmt9(value: float) -> str:
-    return f"{value:.9g}"
+def _number_fields(cls) -> tuple[tuple[str, type], ...]:
+    """(name, int or float) for each field of ``cls`` declared ``int`` or
+    ``float`` (``float | None`` counts as float), in declaration order. The
+    annotations are strings here, as this module postpones their evaluation."""
+    kinds = {"int": int, "float": float}
+    return tuple((f.name, kinds[kind]) for f in fields(cls)
+                 if (kind := f.type.split(" | ")[0]) in kinds)
+
+
+#: The log's columns: every QosLogRow field, in declaration order.
+_LOG_COLUMNS = _number_fields(QosLogRow)
+LOG_HEADER = ",".join(name for name, _ in _LOG_COLUMNS)
 
 
 def write_log(rows: Iterable[QosLogRow]) -> bytes:
-    """Serialize rows to the canonical CSV: fixed column order, floats with up
-    to 9 significant digits, Unix newlines. Inverse of parse_log."""
+    """Serialize rows to the canonical CSV: fixed column order, ints in
+    decimal, floats with up to 9 significant digits, Unix newlines. Inverse
+    of parse_log."""
     rows = list(rows)
+    line = ",".join("{}" if kind is int else "{:.9g}" for _, kind in _LOG_COLUMNS)
+    values = attrgetter(*(name for name, _ in _LOG_COLUMNS))
     out = [LOG_HEADER]
     prev_t = None
     for i, row in enumerate(rows):
@@ -93,22 +105,7 @@ def write_log(rows: Iterable[QosLogRow]) -> bytes:
                 f"rows[{i}]: timestamp {row.t_unix_s} does not increase over {prev_t}"
             )
         prev_t = row.t_unix_s
-        out.append(
-            ",".join(
-                (
-                    str(row.t_unix_s),
-                    _fmt9(row.lat_deg),
-                    _fmt9(row.lon_deg),
-                    str(row.integrity),
-                    _fmt9(row.dist_m),
-                    _fmt9(row.speed_kmh),
-                    _fmt9(row.tput_Bps),
-                    _fmt9(row.jitter_ms),
-                    str(row.lost_pkts),
-                    str(row.total_pkts),
-                )
-            )
-        )
+        out.append(line.format(*values(row)))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
@@ -127,27 +124,17 @@ def parse_log(data: bytes | str) -> list[QosLogRow]:
         raise TraceParseError(1, "empty file, expected the canonical header")
     if lines[0] != LOG_HEADER:
         raise TraceParseError(1, f"unexpected header {lines[0]!r}")
+    names, kinds = zip(*_LOG_COLUMNS)
     rows: list[QosLogRow] = []
     prev_t = None
     for line_no, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
         parts = line.split(",")
-        if len(parts) != 10:
-            raise TraceParseError(line_no, f"expected 10 fields, got {len(parts)}")
+        if len(parts) != len(names):
+            raise TraceParseError(line_no, f"expected {len(names)} fields, got {len(parts)}")
         try:
-            row = QosLogRow(
-                t_unix_s=_parse(parts[0], "t_unix_s", int),
-                lat_deg=_parse(parts[1], "lat_deg"),
-                lon_deg=_parse(parts[2], "lon_deg"),
-                integrity=_parse(parts[3], "integrity", int),
-                dist_m=_parse(parts[4], "dist_m"),
-                speed_kmh=_parse(parts[5], "speed_kmh"),
-                tput_Bps=_parse(parts[6], "tput_Bps"),
-                jitter_ms=_parse(parts[7], "jitter_ms"),
-                lost_pkts=_parse(parts[8], "lost_pkts", int),
-                total_pkts=_parse(parts[9], "total_pkts", int),
-            )
+            row = QosLogRow(*map(_parse, parts, names, kinds))
         except DomainError as exc:
             raise TraceParseError(line_no, str(exc)) from None
         if prev_t is not None and row.t_unix_s <= prev_t:
@@ -363,7 +350,7 @@ def _poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> 
             times[-1] if times.size else 0.0
         )
         times = np.concatenate((times, more))
-    return times[times < horizon]
+    return times[:np.searchsorted(times, horizon)]
 
 
 def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
@@ -498,27 +485,12 @@ def parse_scenario(text: str) -> MobilityScenario:
         raise DomainError("a scenario needs at least 'kind' and 'duration_s'")
 
     kwargs: dict = {"kind": raw.pop("kind")[0]}
-    converters = {
-        "duration_s": int,
-        "seed": int,
-        "static_dist_m": float,
-        "speed_kmh": float,
-        "track_min_m": float,
-        "track_max_m": float,
-        "start_dist_m": float,
-        "offered_Bps": float,
-        "packet_size_B": int,
-        "buffer_pkts": int,
-        "t0_unix_s": int,
-        "base_lat_deg": float,
-        "base_lon_deg": float,
-        "track_bearing_deg": float,
-    }
+    numbers = dict(_number_fields(MobilityScenario))
     map_kwargs: dict = {}
     for key, (value, line_no) in raw.items():
         try:
-            if key in converters:
-                kwargs[key] = _parse(value, f"key {key!r}", converters[key])
+            if key in numbers:
+                kwargs[key] = _parse(value, f"key {key!r}", numbers[key])
             elif key == "speed_profile":
                 kwargs["speed_profile"] = _parse_pairs(value, "speed_profile")
             elif key == "rate_anchors":

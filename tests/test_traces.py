@@ -1,7 +1,9 @@
 """Log schema round-trips, the rate map, kinematics, and trace synthesis."""
 
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +233,45 @@ class TestScenario:
         assert scenario.rate_map.interpolation == "step"
         assert scenario.rate_map.mask_zones == ((700.0, 800.0),)
 
+    # Numeric scenario keys and their types, with a value of that type that
+    # the scenario accepts.
+    NUMERIC_KEYS = {
+        "duration_s": (int, "7"),
+        "seed": (int, "9"),
+        "static_dist_m": (float, "1234.5"),
+        "speed_kmh": (float, "42.5"),
+        "track_min_m": (float, "600.5"),
+        "track_max_m": (float, "1600.5"),
+        "start_dist_m": (float, "700.25"),
+        "offered_Bps": (float, "900000.5"),
+        "packet_size_B": (int, "500"),
+        "buffer_pkts": (int, "64"),
+        "t0_unix_s": (int, "1600000000"),
+        "base_lat_deg": (float, "43.625"),
+        "base_lon_deg": (float, "1.375"),
+        "track_bearing_deg": (float, "45.5"),
+    }
+
+    @staticmethod
+    def _with_key(key, value):
+        """A scenario text that sets ``key`` on line 3."""
+        second = "duration_s = 5" if key != "duration_s" else "# duration on line 3"
+        return f"kind = constant_speed\n{second}\n{key} = {value}\n"
+
+    @pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+    def test_numeric_key_parses_to_its_field_and_type(self, key):
+        kind, text = self.NUMERIC_KEYS[key]
+        value = getattr(parse_scenario(self._with_key(key, text)), key)
+        assert type(value) is kind
+        assert value == kind(text)
+
+    @pytest.mark.parametrize("key", sorted(k for k, (kind, _) in NUMERIC_KEYS.items()
+                                           if kind is int))
+    def test_int_key_rejects_a_fraction(self, key):
+        with pytest.raises(DomainError) as info:
+            parse_scenario(self._with_key(key, "1.5"))
+        assert str(info.value) == f"scenario line 3: key {key!r}: cannot parse '1.5' as int"
+
     def test_speed_profile_starting_after_zero_rejected(self):
         """The first step must cover t = 0; one at 10 s used to stop the
         synthesis partway with an error about t."""
@@ -268,6 +309,19 @@ class TestSynthesis:
         a = write_log(synth_mobility_trace(scenario))
         b = write_log(synth_mobility_trace(scenario))
         assert a == b
+
+    @pytest.mark.parametrize("name, digest", [
+        ("static_far", "7ebe4ad36427bc6b8ae56707309ca58ebfcad6505f6c42693f72239f9977dfca"),
+        ("constant_50kmh", "1d331540c9bb5354296d5dfe3006eb2733e0fc588209ad7fcd2c0febacd91699"),
+        ("variable_speed", "96fd8c99a9e4c863d7640a8a460da40517594e9fcc7597eba08f540c3d4040f4"),
+    ])
+    def test_committed_scenarios_log_bytes_are_pinned(self, name, digest):
+        """The committed scenarios' logs keep their exact bytes, which are a
+        fixed point of parse then write."""
+        path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.scn"
+        data = write_log(synth_mobility_trace(load_scenario(path)))
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert write_log(parse_log(data)) == data
 
     def test_seed_changes_trace(self):
         rows_a = synth_mobility_trace(MobilityScenario.static(1000.0, 30, seed=1))

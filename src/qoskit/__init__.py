@@ -17,6 +17,8 @@ The ``qoskit`` command line ties them together; see ``qoskit --help``.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AccountingError,
     ConstantSeriesError,
@@ -36,7 +38,6 @@ from .model import (
     InversionResult,
     JitterPrediction,
     LinkParams,
-    LossThroughputRecord,
     ModelSweepRow,
     analytical_jitter,
     capacity_from_bandwidth,
@@ -50,7 +51,6 @@ from .model import (
 from .sim import (
     DEFAULT_SEED,
     PacketLog,
-    PacketRecord,
     RunSummary,
     SimConfig,
     SweepAggregate,
@@ -86,4 +86,5 @@ from .traces import (
     write_log,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

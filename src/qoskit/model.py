@@ -108,31 +108,6 @@ class JitterPrediction:
 
 
 @dataclass(frozen=True)
-class LossThroughputRecord:
-    """One (arrival rate, throughput, loss) triple tied by B = (lambda - X) / lambda."""
-
-    arrival_rate_lambda: float
-    throughput_X: float
-    loss_B: float
-
-    @classmethod
-    def from_throughput(cls, arrival_rate_lambda: float, throughput_X: float):
-        return cls(
-            arrival_rate_lambda,
-            throughput_X,
-            loss_from_throughput(arrival_rate_lambda, throughput_X),
-        )
-
-    @classmethod
-    def from_loss(cls, arrival_rate_lambda: float, loss_B: float):
-        return cls(
-            arrival_rate_lambda,
-            throughput_from_loss(arrival_rate_lambda, loss_B),
-            loss_B,
-        )
-
-
-@dataclass(frozen=True)
 class InversionResult:
     """Outcome of a planning inversion.
 

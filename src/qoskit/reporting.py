@@ -148,7 +148,7 @@ def write_xy(path, xs, ys) -> None:
     """Two-column whitespace-separated plot data, one point per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for x, y in zip(xs, ys):
-            fh.write(f"{x:.12g} {y:.12g}\n")
+            fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
 # --- trace analysis --------------------------------------------------------

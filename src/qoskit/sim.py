@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Iterator
 
 import numpy as np
 
@@ -115,64 +114,22 @@ class SimConfig:
     def rho(self) -> float:
         return self.arrival_rate_lambda / self.capacity_C
 
-    @classmethod
-    def from_rho(cls, capacity_C: float, rho: float, **kwargs) -> "SimConfig":
-        return cls(capacity_C, rho * capacity_C, **kwargs)
 
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One simulated packet. Dropped packets have no departure or sojourn."""
-
-    index: int
-    flow: str                       # "tagged" | "background"
-    arrival_time: float
-    service_time: float
-    departure_time: float | None
-    sojourn_T: float | None
-    dropped: bool
-
-
+@dataclass(frozen=True, eq=False)
 class PacketLog:
-    """Column-oriented store of one run's packets.
+    """One run's packets as six numpy columns in arrival order; departure and
+    sojourn are NaN for a dropped packet. Compared and hashed by identity,
+    as a field-wise ``==`` over arrays would raise."""
 
-    Behaves as a sequence of PacketRecord while keeping the underlying numpy
-    arrays available for fast analysis (departure and sojourn hold NaN for
-    dropped packets).
-    """
-
-    def __init__(self, arrival_times, service_times, departure_times, sojourn_times,
-                 tagged, dropped):
-        self.arrival_times = arrival_times
-        self.service_times = service_times
-        self.departure_times = departure_times
-        self.sojourn_times = sojourn_times
-        self.tagged = tagged
-        self.dropped = dropped
+    arrival_times: np.ndarray
+    service_times: np.ndarray
+    departure_times: np.ndarray
+    sojourn_times: np.ndarray
+    tagged: np.ndarray
+    dropped: np.ndarray
 
     def __len__(self) -> int:
         return len(self.arrival_times)
-
-    def __getitem__(self, index: int) -> PacketRecord:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        dropped = bool(self.dropped[index])
-        return PacketRecord(
-            index=index,
-            flow="tagged" if self.tagged[index] else "background",
-            arrival_time=float(self.arrival_times[index]),
-            service_time=float(self.service_times[index]),
-            departure_time=None if dropped else float(self.departure_times[index]),
-            sojourn_T=None if dropped else float(self.sojourn_times[index]),
-            dropped=dropped,
-        )
-
-    def __iter__(self) -> Iterator[PacketRecord]:
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -797,7 +754,11 @@ def merge_summaries(summaries) -> SweepAggregate:
             )
     group.sort(key=lambda s: s.seed)
     jitters = np.array([s.empirical_jitter_J for s in group])
-    stderr = float(jitters.std(ddof=1) / math.sqrt(len(group))) if len(group) >= 2 else None
+    # std squares the jitters, which leaves the double range at extreme
+    # capacities; scaling by a power of two first is exact.
+    scale = 2.0 ** math.frexp(float(np.abs(jitters).max()))[1]
+    stderr = (float((jitters / scale).std(ddof=1) * scale / math.sqrt(len(group)))
+              if len(group) >= 2 else None)
     return SweepAggregate(
         capacity_C=key[0],
         arrival_rate_lambda=key[1],

@@ -181,14 +181,6 @@ class TestLossThroughputIdentity:
         loss = loss_from_throughput(lam, x)
         assert throughput_from_loss(lam, loss) == pytest.approx(x, rel=1e-12, abs=1e-12 * lam)
 
-    def test_record_constructors_agree(self):
-        from qoskit.model import LossThroughputRecord
-
-        a = LossThroughputRecord.from_throughput(100.0, 90.0)
-        b = LossThroughputRecord.from_loss(100.0, a.loss_B)
-        assert a.loss_B == pytest.approx(0.1, rel=1e-15)
-        assert b.throughput_X == pytest.approx(90.0, rel=1e-12)
-
 
 class TestModelSweep:
     def test_single_point_matches_forward_evaluation(self):

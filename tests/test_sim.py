@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -475,18 +476,29 @@ class TestSimulateRun:
         ).mean()
         assert summary.empirical_jitter_J == expected
 
-    def test_packet_records_materialize(self):
+    def test_packet_columns_mark_drops(self):
+        """Departure and sojourn are NaN exactly on the dropped packets, and
+        every delivered packet departs no sooner than arrival + service."""
         cfg = SimConfig(1000.0, 800.0, buffer_capacity=3, horizon_packets=200, seed=8)
         log, _ = simulate_run(cfg)
-        rec = log[0]
-        assert rec.index == 0
-        assert rec.flow in ("tagged", "background")
-        dropped = [r for r in log if r.dropped]
-        for r in dropped:
-            assert r.departure_time is None and r.sojourn_T is None
-        kept = [r for r in log if not r.dropped]
-        for r in kept[:20]:
-            assert r.departure_time >= r.arrival_time + r.service_time
+        assert len(log) == 200
+        assert log.dropped.any() and not log.dropped.all()
+        assert np.array_equal(np.isnan(log.departure_times), log.dropped)
+        assert np.array_equal(np.isnan(log.sojourn_times), log.dropped)
+        kept = ~log.dropped
+        assert np.all(log.departure_times[kept]
+                      >= log.arrival_times[kept] + log.service_times[kept])
+
+    def test_packet_log_compares_by_identity(self):
+        """Two runs of one config give equal columns but distinct logs; a
+        field-wise == over the arrays would raise instead."""
+        cfg = SimConfig(1000.0, 500.0, horizon_packets=100, seed=8)
+        log, _ = simulate_run(cfg)
+        twin, _ = simulate_run(cfg)
+        assert np.array_equal(log.sojourn_times, twin.sojourn_times)
+        assert log == log and log != twin
+        assert hash(log) == object.__hash__(log)
+        assert len({log, twin, log}) == 2
 
 
 def _reference_unbounded_fcfs(arrival_times, service_times):
@@ -759,6 +771,20 @@ class TestMerge:
     def test_empty_group_rejected(self):
         with pytest.raises(DomainError):
             merge_summaries([])
+
+    def test_stderr_scales_as_one_over_capacity(self):
+        """The across-seed stderr stays in the double range at extreme
+        capacities: stderr * C is the same at C = 1e-300, 1 and 1e300."""
+        scaled = []
+        for capacity in (1e-300, 1.0, 1e300):
+            base = SimConfig(capacity, capacity / 2, horizon_packets=2000, seed=13)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                agg = merge_summaries(simulate_sweep(base, [0.5], seeds_per_point=3))
+            scaled.append(agg.jitter_stderr * capacity)
+        assert scaled[0] > 0
+        assert scaled[0] == pytest.approx(scaled[1], rel=1e-12)
+        assert scaled[2] == pytest.approx(scaled[1], rel=1e-12)
 
 
 def _reference_write_packet_trace(log, path):

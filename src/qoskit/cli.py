@@ -42,6 +42,7 @@ from .sim import (
     SERVICE_DETERMINISTIC,
     SERVICE_EXPONENTIAL,
     SimConfig,
+    _summarize_run,
     simulate_run,
     write_packet_trace,
 )
@@ -217,10 +218,12 @@ def _config_from_args(args) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    log, summary = simulate_run(config)
     if args.trace_out:
+        log, summary = simulate_run(config)
         with _writing(args.trace_out):
             write_packet_trace(log, args.trace_out)
+    else:
+        summary = _summarize_run(config)
     payload = {
         "mean_sojourn_s": summary.mean_sojourn,
         "empirical_jitter_J_s": summary.empirical_jitter_J,

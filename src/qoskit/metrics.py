@@ -75,10 +75,12 @@ def ipdv_series(delays) -> np.ndarray:
     return np.diff(_as_delay_array(delays))
 
 
-def _abs_differences(values) -> np.ndarray:
+def _abs_differences(values, out=None) -> np.ndarray:
     """|values[j+1] - values[j]|: the samples of every mean absolute delay
-    variation the toolkit reports (simulated runs, field logs, delay series)."""
-    differences = np.diff(values)
+    variation the toolkit reports (simulated runs, field logs, delay series).
+    ``out`` may be ``values[:-1]``: each difference is written after both of
+    its operands are read."""
+    differences = np.subtract(values[1:], values[:-1], out=out)
     return np.abs(differences, out=differences)
 
 

@@ -276,7 +276,7 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     return departures, np.isnan(departures)
 
 
-def _fcfs_unbounded(arr, srv, departures, sojourn=None, draws=False):
+def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None):
     """Unbounded FCFS in chunks of ``_UNBOUNDED_CHUNK`` packets; departures
     go to ``departures`` and, when given, ``departure - arrival`` to
     ``sojourn``.
@@ -291,31 +291,48 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draws=False):
     packet 0 (adding -0.0 changes no bits), then gives packet 0 the +0.0
     sum of the whole-array form; the minimum starts at +inf.
 
-    With ``draws``, ``arr`` holds interarrival draws and becomes the
-    arrivals in place, chunk by chunk, ahead of the pass. Draws are never
-    negative, so the arrivals never decrease and a NaN or an infinity stays
-    to the end of its chunk: a chunk's last arrival and largest service
-    time carry the checks that ``fcfs_departures`` makes on whole arrays.
+    With ``draw``, the pass also makes the run: ``arr`` holds interarrival
+    draws and becomes the arrivals in place, and ``draw(out)`` writes each
+    chunk's service times, in packet order, ahead of the chunk's pass.
+    Draws are never negative, so the arrivals never decrease and a NaN or
+    an infinity stays to the end of its chunk: a chunk's last arrival and
+    largest service time carry the checks that ``fcfs_departures`` makes on
+    whole arrays.
+
+    ``srv`` and ``departures`` are whole columns, or, for a run that keeps
+    neither, chunk buffers: ``departures`` a chunk long, ``srv`` one slot
+    longer, its slot 0 carrying the service time of the packet before the
+    chunk, which the chunk's first increment needs. A run of one chunk
+    uses its buffers as columns.
     """
     n = arr.size
     size = min(_UNBOUNDED_CHUNK, n) + 1
+    whole = departures.size == n
     prefix_buf, low_buf = np.empty(size), np.empty(size)
     last_prefix, last_low = -0.0, math.inf
     for lo in range(0, n, _UNBOUNDED_CHUNK):
         hi = min(lo + _UNBOUNDED_CHUNK, n)
-        a, s = arr[lo:hi], srv[lo:hi]
-        if draws:
+        k = max(lo, 1)
+        a = arr[lo:hi]
+        if whole:
+            s, s_before, dep = srv[lo:hi], srv[k - 1:hi - 1], departures[lo:hi]
+        else:
+            # every chunk but the last is whole, so the last slot holds the
+            # service time of the packet before this chunk
+            srv[0] = srv[-1]
+            s, s_before, dep = srv[1:hi - lo + 1], srv[k - lo:hi - lo], departures[:hi - lo]
+        if draw is not None:
             if lo:
                 a[0] += arr[lo - 1]
             np.cumsum(a, out=a)
+            draw(s)
             if not (a[-1] < math.inf and s.max() < math.inf):
                 raise DomainError("times must be finite and service times non-negative")
         prefix, low = prefix_buf[:hi - lo + 1], low_buf[:hi - lo + 1]
         prefix[0] = last_prefix
-        k = max(lo, 1)
         inc = prefix[1 + k - lo:]
         np.subtract(arr[k:hi], arr[k - 1:hi - 1], out=inc)
-        np.subtract(srv[k - 1:hi - 1], inc, out=inc)
+        np.subtract(s_before, inc, out=inc)
         if not lo:
             prefix[1] = -0.0
         np.cumsum(prefix, out=prefix)
@@ -325,7 +342,7 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draws=False):
         np.minimum.accumulate(prefix, out=low)
         last_prefix, last_low = prefix[-1], low[-1]
         waits = np.subtract(prefix[1:], low[1:], out=low[1:])
-        dep = np.add(a, waits, out=departures[lo:hi])
+        np.add(a, waits, out=dep)
         dep += s
         if sojourn is not None:
             np.subtract(dep, a, out=sojourn[lo:hi])
@@ -605,58 +622,119 @@ def _jitter_pair_samples(sojourn, tagged_idx, dropped):
     return _abs_differences(sojourn[tagged_idx])[ok]
 
 
-def simulate_run(config: SimConfig) -> tuple[PacketLog, RunSummary]:
-    """Generate, queue, and summarize one packet stream.
+def _mean(values) -> float:
+    """``values.mean()``, NaN when empty. Where the plain sum leaves the
+    double range (tiny capacities near saturation), the mean is taken over
+    the values scaled by a power of two near their largest and scaled back;
+    every finite plain mean keeps its bits."""
+    if not values.size:
+        return math.nan
+    with np.errstate(over="ignore"):
+        mean = float(values.mean())
+    if mean == math.inf:
+        exponent = math.frexp(float(values.max()))[1]
+        mean = math.ldexp(float(np.ldexp(values, -exponent).mean()), exponent)
+    return mean
 
-    The unbounded queue runs in one chunked pass that also forms the
-    arrivals and sojourns (``_fcfs_unbounded``); it drops nothing, so its
-    summary needs no drop masks. All tagged (a fraction of 1) takes no
-    tagging draw: uniforms below 1 are all below it, and it is the last draw.
+
+def _exponential_into(rng, scale: float, out) -> None:
+    """``rng.exponential(scale, out.size)`` drawn into ``out``: the same
+    bits, as numpy forms it as ``scale`` times a standard draw; like it, an
+    overflowing product is infinite without a warning."""
+    rng.standard_exponential(out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(out, scale, out=out)
+
+
+class _Workspace:
+    """The arrays one run is drawn, queued and summarised in, for a horizon
+    of n packets.
+
+    A logged run (``simulate_run``) gets a whole service column, and its
+    departures a whole array, as its ``PacketLog`` keeps them. A
+    summary-only run keeps the arrivals, the
+    sojourns and the tagged flags (17 bytes a packet) and draws the services
+    and the tagging uniforms into chunk buffers; a sweep reuses one such
+    workspace for all its runs. A finite buffer needs whole service times:
+    a summary-only run draws them into the sojourn column, which the
+    sojourns overwrite once the queue has run.
+    """
+
+    def __init__(self, n: int, logged: bool):
+        chunk = min(_UNBOUNDED_CHUNK, n)
+        self.logged = logged
+        self.arrivals = np.empty(n)
+        self.sojourn = np.empty(n)
+        self.tagged = np.empty(n, dtype=bool)
+        self.services = np.empty(n if logged else chunk + 1)
+        self.departures = np.empty(chunk)
+        self.uniforms = np.empty(chunk)
+
+
+def _simulate(config: SimConfig, ws: _Workspace):
+    """Draw, queue and summarise one run in ``ws``; returns the summary,
+    the departures and the drop flags (None when unbounded).
+
+    Draw order: all interarrivals, then the service times (chunk by chunk
+    inside the unbounded pass), then the tagging uniforms (chunk by chunk
+    after it). Each stream is consumed in order, so the bits are those of
+    one whole-array draw per stream. The unbounded queue drops nothing, so
+    its summary needs no drop masks. All tagged (a fraction of 1) takes no
+    tagging draw: uniforms below 1 are all below it, and it is the last
+    draw. A summary-only all-tagged run forms its |dT| samples in the
+    sojourn column once the mean sojourn is taken.
     """
     n = config.horizon_packets
     rng = np.random.default_rng(config.seed & _MASK64)
-    arrivals = rng.exponential(1.0 / config.arrival_rate_lambda, size=n)
+    arrivals, sojourn, tagged = ws.arrivals, ws.sojourn, ws.tagged
+    _exponential_into(rng, 1.0 / config.arrival_rate_lambda, arrivals)
+    service = 1.0 / config.capacity_C
     if config.service_distribution == SERVICE_EXPONENTIAL:
-        services = rng.exponential(1.0 / config.capacity_C, size=n)
+        def draw(out):
+            _exponential_into(rng, service, out)
     else:
-        services = np.full(n, 1.0 / config.capacity_C)
-    all_tagged = config.tagged_fraction == 1
-    if all_tagged:
-        tagged = np.ones(n, dtype=bool)
-    else:
-        tagged = rng.random(size=n) < config.tagged_fraction
+        def draw(out):
+            out.fill(service)
 
     first = int(n * config.warmup_fraction)
     if config.buffer_capacity is None:
-        departures, sojourn = np.empty(n), np.empty(n)
-        _fcfs_unbounded(arrivals, services, departures, sojourn, draws=True)
-        dropped = np.zeros(n, dtype=bool)
+        departures = np.empty(n) if ws.logged else ws.departures
+        _fcfs_unbounded(arrivals, ws.services, departures, sojourn, draw)
+        dropped = None
         delivered = n - first
-        mean_sojourn = float(sojourn[first:].mean())
-        if all_tagged:
-            samples = _abs_differences(sojourn[first:])
-        else:
-            samples = _abs_differences(sojourn[np.flatnonzero(tagged[first:]) + first])
     else:
+        services = ws.services if ws.logged else sojourn
+        draw(services)
         np.cumsum(arrivals, out=arrivals)
         departures, dropped = fcfs_departures(arrivals, services, config.buffer_capacity)
-        sojourn = departures - arrivals
+        np.subtract(departures, arrivals, out=sojourn)
         delivered = int(np.count_nonzero(~dropped[first:]))
-        delivered_sojourns = sojourn[first:][~dropped[first:]]
-        mean_sojourn = float(delivered_sojourns.mean()) if delivered_sojourns.size else math.nan
+    all_tagged = config.tagged_fraction == 1
+    if all_tagged:
+        tagged.fill(True)
+    else:
+        for lo in range(0, n, ws.uniforms.size):
+            u = ws.uniforms[:n - lo]
+            rng.random(out=u)
+            np.less(u, config.tagged_fraction, out=tagged[lo:lo + u.size])
+
+    if dropped is None:
+        mean_sojourn = _mean(sojourn[first:])
+        pairs = sojourn[first:] if all_tagged else sojourn[first:][tagged[first:]]
+        in_place = not (all_tagged and ws.logged)
+        samples = _abs_differences(pairs, out=pairs[:-1] if in_place else None)
+    else:
+        mean_sojourn = _mean(sojourn[first:][~dropped[first:]])
         tagged_idx = np.flatnonzero(tagged[first:]) + first
         samples = _jitter_pair_samples(sojourn, tagged_idx, dropped)
-    jitter = float(samples.mean()) if samples.size else math.nan
 
-    log = PacketLog(arrivals, services, departures, sojourn, tagged, dropped)
     t_start = float(arrivals[first - 1]) if first > 0 else 0.0
     t_end = float(arrivals[-1])
     window = t_end - t_start
     offered = n - first
-
     summary = RunSummary(
         mean_sojourn=mean_sojourn,
-        empirical_jitter_J=jitter,
+        empirical_jitter_J=_mean(samples),
         throughput_X=delivered / window,
         offered_lambda=offered / window,
         loss_B=(offered - delivered) / offered,
@@ -666,7 +744,26 @@ def simulate_run(config: SimConfig) -> tuple[PacketLog, RunSummary]:
         delivered_count=delivered,
         config=config,
     )
-    return log, summary
+    return summary, departures, dropped
+
+
+def simulate_run(config: SimConfig) -> tuple[PacketLog, RunSummary]:
+    """Generate, queue, and summarize one packet stream.
+
+    The unbounded queue runs in one chunked pass that also forms the
+    arrivals and sojourns (``_fcfs_unbounded``). ``simulate_sweep`` makes
+    the same runs without their logs.
+    """
+    ws = _Workspace(config.horizon_packets, logged=True)
+    summary, departures, dropped = _simulate(config, ws)
+    if dropped is None:
+        dropped = np.zeros(config.horizon_packets, dtype=bool)
+    return PacketLog(ws.arrivals, ws.services, departures, ws.sojourn, ws.tagged, dropped), summary
+
+
+def _summarize_run(config: SimConfig) -> RunSummary:
+    """``simulate_run(config)[1]`` without building the packet log."""
+    return _simulate(config, _Workspace(config.horizon_packets, logged=False))[0]
 
 
 def simulate_sweep(
@@ -681,11 +778,16 @@ def simulate_sweep(
     model-validation sweep). ``vary="capacity"`` substitutes C = lambda / rho
     at fixed arrival rate, reproducing a link whose capacity degrades under a
     constant offered rate. Child seeds come from ``child_seed(base, i, j)``.
+
+    Each summary equals ``simulate_run``'s for the same config, but no
+    packet log is built: every run is drawn, queued and summarised in one
+    reused workspace sized to the horizon.
     """
     if vary not in ("arrival", "capacity"):
         raise DomainError(f"vary must be 'arrival' or 'capacity', got {vary!r}")
     _count(seeds_per_point, "seeds_per_point", 1)
     summaries = []
+    ws = None       # every run has the base config's horizon
     for i, rho in enumerate(rho_grid):
         _real(rho, f"rho_grid[{i}]", gt=0)
         for j in range(seeds_per_point):
@@ -703,7 +805,9 @@ def simulate_sweep(
                         capacity_C=base_config.arrival_rate_lambda / rho,
                         seed=seed,
                     )
-                _, summary = simulate_run(cfg)
+                if ws is None:
+                    ws = _Workspace(cfg.horizon_packets, logged=False)
+                summary = _simulate(cfg, ws)[0]
             except (DomainError, InstabilityError) as exc:
                 raise type(exc)(
                     f"rho={rho!r} (grid index {i}, seed index {j}): {exc}"

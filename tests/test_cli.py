@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,39 @@ class TestSimulateCommand:
         _, out_json, _ = run_cli(capsys, "simulate", "--capacity", "1000", *argv, "--json")
         payload = json.loads(out_json)
         assert [key for key, value in payload.items() if value is None] == undefined
+
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "0.8"],
+        ["--rho", "0.8", "--tagged-fraction", "1"],
+        ["--buffer", "3", "--rho", "1.2"],
+        ["--buffer", "3", "--rho", "1.2", "--tagged-fraction", "1"],
+        ["--buffer", "100", "--rho", "0.9"],
+        ["--buffer", "100", "--rho", "0.9", "--tagged-fraction", "1"],
+        ["--rho", "0.8", "--service", "deterministic", "--warmup", "0"],
+    ])
+    def test_trace_out_changes_no_output(self, capsys, tmp_path, argv):
+        """Without --trace-out no packet log is built; the printed
+        summary is byte for byte the one of the logged run."""
+        args = ["simulate", "--capacity", "1000", "--packets", "40000", "--seed", "8", *argv]
+        for json_flag in ([], ["--json"]):
+            code, out, _ = run_cli(capsys, *args, *json_flag)
+            code_logged, out_logged, _ = run_cli(
+                capsys, *args, *json_flag, "--trace-out", str(tmp_path / "packets.csv"))
+            assert code == code_logged == 0
+            assert out == out_logged
+
+    def test_tiny_capacity_near_saturation_has_finite_means(self, capsys):
+        """About 9e5 sojourns near 1e302 sum past the double range; the
+        mean is finite, and no overflow warning is printed."""
+        args = ["simulate", "--capacity", "1e-300", "--rho", "0.9999999",
+                "--packets", "1000000", "--json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert 1e301 < payload["mean_sojourn_s"] < math.inf
+        assert 0 < payload["empirical_jitter_J_s"] < math.inf
 
     def test_unstable_config_rejected(self, capsys):
         code, _, err = run_cli(

@@ -1,8 +1,10 @@
 """Queue simulator: hand traces, classical queueing oracles, determinism."""
 
+import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -602,6 +604,7 @@ class TestUnboundedChunks:
         _assert_same_log(log, want_log)
         assert summary == want
         assert repr(summary) == repr(want)
+        _assert_same_summary(sim._summarize_run(config), want)
 
     @pytest.mark.parametrize("tagged_fraction", [0.05, 1.0])
     def test_ragged_last_chunk_at_the_default_size(self, tagged_fraction):
@@ -727,6 +730,114 @@ class TestSweep:
         summaries = simulate_sweep(base, [0.5, 1.0, 1.6], seeds_per_point=1, vary="capacity")
         assert [s.config.arrival_rate_lambda for s in summaries] == [800.0] * 3
         assert [s.config.capacity_C for s in summaries] == [1600.0, 800.0, 500.0]
+
+
+def _assert_same_summary(got, want):
+    """Field by field and bit for bit (``repr`` round-trips a float); NaN
+    equals NaN."""
+    for field in dataclasses.fields(RunSummary):
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+def _sweep_against_runs(base, grid, **kwargs):
+    """``simulate_sweep`` next to ``simulate_run`` of each point's config."""
+    swept = simulate_sweep(base, grid, **kwargs)
+    assert len(swept) == len(grid) * kwargs.get("seeds_per_point", 1)
+    for summary in swept:
+        _, want = simulate_run(summary.config)
+        _assert_same_summary(summary, want)
+    return swept
+
+
+#: Horizons around the unbounded pass's chunk of 32,768 packets.
+_SUMMARY_HORIZONS = [1, 2, 32_767, 32_768, 32_769, 65_537, 300_001]
+
+
+class TestSummaryOnly:
+    """Sweeps run summary-only in one reused workspace; every summary must
+    be the one ``simulate_run`` gives for the same config."""
+
+    @pytest.mark.parametrize("horizon", _SUMMARY_HORIZONS)
+    @pytest.mark.parametrize("tagged_fraction", [1.0, 0.1, 0.001])
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.49])
+    def test_unbounded_sweep_equals_logged_runs(self, horizon, tagged_fraction,
+                                                warmup_fraction):
+        base = SimConfig(1000.0, 500.0, tagged_fraction=tagged_fraction,
+                         horizon_packets=horizon, warmup_fraction=warmup_fraction,
+                         seed=horizon)
+        _sweep_against_runs(base, [0.3, 0.9])
+
+    @pytest.mark.parametrize("horizon", [2, 32_769, 65_537])
+    @pytest.mark.parametrize("tagged_fraction", [1.0, 0.1])
+    def test_deterministic_service(self, horizon, tagged_fraction):
+        base = SimConfig(1000.0, 500.0, tagged_fraction=tagged_fraction,
+                         horizon_packets=horizon, seed=3,
+                         service_distribution="deterministic")
+        _sweep_against_runs(base, [0.5, 0.95])
+
+    @pytest.mark.parametrize("buffer_capacity", [3, 10, 100])
+    @pytest.mark.parametrize("tagged_fraction", [1.0, 0.1, 0.001])
+    @pytest.mark.parametrize("horizon", [2, 32_769, 300_001])
+    def test_finite_buffer_sweep_equals_logged_runs(self, buffer_capacity, tagged_fraction,
+                                                    horizon):
+        base = SimConfig(1000.0, 800.0, tagged_fraction=tagged_fraction,
+                         buffer_capacity=buffer_capacity, horizon_packets=horizon, seed=9)
+        _sweep_against_runs(base, [0.6, 1.4], vary="capacity")
+
+    @pytest.mark.parametrize("buffer_capacity", [None, 10])
+    @pytest.mark.parametrize("tagged_fraction", [1.0, 0.1])
+    def test_reversed_grid_gives_the_same_points(self, buffer_capacity, tagged_fraction):
+        """Whatever run used the workspace before, each point is its own
+        logged run: nothing leaks from one run to the next."""
+        grid = [0.2, 0.95, 0.5] if buffer_capacity is None else [0.5, 2.5, 1.0]
+        base = SimConfig(1000.0, 500.0, tagged_fraction=tagged_fraction,
+                         buffer_capacity=buffer_capacity, horizon_packets=70_001, seed=21)
+        forward = _sweep_against_runs(base, grid, seeds_per_point=2)
+        backward = _sweep_against_runs(base, grid[::-1], seeds_per_point=2)
+        assert [s.config.rho for s in forward[::2]] == [s.config.rho for s in backward[::-2]]
+
+    @pytest.mark.parametrize("tagged_fraction", [0.1, 1.0])
+    def test_sweep_memory_per_packet(self, tagged_fraction):
+        """The sweep keeps arrivals, sojourns and tagged flags (17 bytes a
+        packet) and fixed chunk buffers; building each run's packet log
+        peaked at 71-75 bytes a packet."""
+        n = 500_000
+        base = SimConfig(1000.0, 500.0, tagged_fraction=tagged_fraction,
+                         horizon_packets=n, seed=11)
+        tracemalloc.start()
+        try:
+            simulate_sweep(base, [0.3, 0.6, 0.9])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n
+
+    def test_tiny_capacity_near_saturation_has_finite_means(self):
+        """Near saturation at C = 1e-300 the sojourns near 1e302 sum past
+        the double range; the means are taken over scaled values instead,
+        and the sweep and the logged run agree."""
+        base = SimConfig(1e-300, 0.5e-300, horizon_packets=1_000_000, seed=1729)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            [summary] = _sweep_against_runs(base, [0.9999999])
+        assert 1e301 < summary.mean_sojourn < math.inf
+        assert 0 < summary.empirical_jitter_J < math.inf
+
+    @pytest.mark.parametrize("values", [
+        [1e308, 1e308, 1e308],
+        [1.5e308, 1.5e308, 5e-324, 0.0],
+    ])
+    def test_mean_of_values_whose_sum_overflows(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mean = sim._mean(np.array(values))
+        assert mean == pytest.approx(math.fsum(v / 4 for v in values) / len(values) * 4,
+                                     rel=1e-15)
+
+    def test_mean_keeps_the_plain_bits_when_finite(self):
+        values = np.random.default_rng(5).exponential(1e300, size=10_001)
+        assert sim._mean(values) == float(values.mean())
+        assert math.isnan(sim._mean(np.empty(0)))
 
 
 class TestMerge:

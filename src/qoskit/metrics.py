@@ -172,7 +172,8 @@ def loss_rate(offered: int, delivered: int) -> float:
 def correlate(series_a, series_b) -> SeriesStats:
     """Pearson and Spearman coefficients over two paired series.
 
-    Spearman uses average ranks for ties. Constant series are rejected: the
+    Spearman is the Pearson coefficient of the average ranks (ties share
+    the mean of the ranks they span). Constant series are rejected: the
     coefficients are undefined there.
     """
     a = np.asarray(series_a, dtype=float)
@@ -189,10 +190,46 @@ def correlate(series_a, series_b) -> SeriesStats:
         raise ConstantSeriesError("first series is constant; correlation undefined")
     if np.all(b == b[0]):
         raise ConstantSeriesError("second series is constant; correlation undefined")
-    # Imported here: scipy.stats takes most of a second to import, and only
-    # correlations need it.
-    from scipy import stats
+    return SeriesStats(pearson_r=_pearson(a, b), n=int(a.size),
+                       spearman_rho=_pearson(_average_ranks(a), _average_ranks(b)))
 
-    pearson = stats.pearsonr(a, b).statistic
-    spearman = stats.spearmanr(a, b).statistic
-    return SeriesStats(pearson_r=float(pearson), spearman_rho=float(spearman), n=int(a.size))
+
+def _unit_scaled(values) -> tuple[np.ndarray, int]:
+    """``values`` times 2^-e, the power of two that brings their largest
+    magnitude into [0.5, 1), and e; exact short of the subnormal range."""
+    exponent = math.frexp(float(np.abs(values).max()))[1]
+    return np.ldexp(values, -exponent), exponent
+
+
+def _mean(values) -> float:
+    """``values.mean()``, NaN when empty. Where the plain sum leaves the
+    double range, the mean is taken over unit-scaled values and scaled back;
+    every finite plain mean keeps its bits."""
+    if not values.size:
+        return math.nan
+    with np.errstate(over="ignore"):
+        mean = float(values.mean())
+    if math.isinf(mean):
+        scaled, exponent = _unit_scaled(values)
+        mean = math.ldexp(float(scaled.mean()), exponent)
+    return mean
+
+
+def _pearson(x, y) -> float:
+    """Pearson r of two finite, non-constant series of equal length.
+
+    Each series is unit-scaled before it is centred and again before the dot
+    products, so nothing leaves the double range at any finite magnitude.
+    ``sqrt(sxx * syy)`` is exactly ``sxx`` when the centred series are equal,
+    so r is exactly +-1 for series equal up to sign and a power-of-two scale,
+    and negating one series negates r exactly."""
+    dx, dy = (_unit_scaled(v - v.mean())[0]
+              for v in (_unit_scaled(x)[0], _unit_scaled(y)[0]))
+    r = np.dot(dx, dy) / math.sqrt(np.dot(dx, dx) * np.dot(dy, dy))
+    return min(max(float(r), -1.0), 1.0)
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, ties sharing the average of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]

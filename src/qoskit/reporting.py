@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _real
-from .metrics import SeriesStats, correlate
+from .metrics import SeriesStats, _mean, correlate
 from .model import DEFAULT_VARIANT, LinkParams, analytical_jitter
 from .sim import SimConfig, merge_summaries, simulate_sweep
 from .traces import QosLogRow
@@ -232,7 +232,7 @@ def analyze_rows(
     columns = _column_arrays(rows)
     warnings: list[str] = []
     summaries = tuple(
-        (name, ColumnSummary(float(vals.mean()), float(vals.min()), float(vals.max())))
+        (name, ColumnSummary(_mean(vals), float(vals.min()), float(vals.max())))
         for name, vals in columns.items()
     )
     correlations = _pairwise(columns, warnings)
@@ -250,7 +250,7 @@ def analyze_rows(
         for b in sorted(set(bins.tolist())):
             mask = bins == b
             sub = {name: vals[mask] for name, vals in columns.items()}
-            means = tuple((name, float(vals.mean())) for name, vals in sub.items())
+            means = tuple((name, _mean(vals)) for name, vals in sub.items())
             corr = _pairwise(
                 sub, warnings, context=f"speed bin [{b * speed_bin_width_kmh:g}, "
                 f"{(b + 1) * speed_bin_width_kmh:g}) km/h: "

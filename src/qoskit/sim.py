@@ -37,7 +37,7 @@ from .errors import (
     _count,
     _real,
 )
-from .metrics import _abs_differences
+from .metrics import _abs_differences, _mean, _unit_scaled
 
 SERVICE_EXPONENTIAL = "exponential"
 SERVICE_DETERMINISTIC = "deterministic"
@@ -616,27 +616,6 @@ def _fcfs_blocks(arr, srv, buffer_capacity):
     return departures
 
 
-def _jitter_pair_samples(sojourn, tagged_idx, dropped):
-    """|sojourn difference| over adjacent tagged pairs with both ends delivered."""
-    ok = ~dropped[tagged_idx[:-1]] & ~dropped[tagged_idx[1:]]
-    return _abs_differences(sojourn[tagged_idx])[ok]
-
-
-def _mean(values) -> float:
-    """``values.mean()``, NaN when empty. Where the plain sum leaves the
-    double range (tiny capacities near saturation), the mean is taken over
-    the values scaled by a power of two near their largest and scaled back;
-    every finite plain mean keeps its bits."""
-    if not values.size:
-        return math.nan
-    with np.errstate(over="ignore"):
-        mean = float(values.mean())
-    if mean == math.inf:
-        exponent = math.frexp(float(values.max()))[1]
-        mean = math.ldexp(float(np.ldexp(values, -exponent).mean()), exponent)
-    return mean
-
-
 def _exponential_into(rng, scale: float, out) -> None:
     """``rng.exponential(scale, out.size)`` drawn into ``out``: the same
     bits, as numpy forms it as ``scale`` times a standard draw; like it, an
@@ -678,8 +657,7 @@ def _simulate(config: SimConfig, ws: _Workspace):
     Draw order: all interarrivals, then the service times (chunk by chunk
     inside the unbounded pass), then the tagging uniforms (chunk by chunk
     after it). Each stream is consumed in order, so the bits are those of
-    one whole-array draw per stream. The unbounded queue drops nothing, so
-    its summary needs no drop masks. All tagged (a fraction of 1) takes no
+    one whole-array draw per stream. All tagged (a fraction of 1) takes no
     tagging draw: uniforms below 1 are all below it, and it is the last
     draw. A summary-only all-tagged run forms its |dT| samples in the
     sojourn column once the mean sojourn is taken.
@@ -718,15 +696,15 @@ def _simulate(config: SimConfig, ws: _Workspace):
             rng.random(out=u)
             np.less(u, config.tagged_fraction, out=tagged[lo:lo + u.size])
 
-    if dropped is None:
-        mean_sojourn = _mean(sojourn[first:])
-        pairs = sojourn[first:] if all_tagged else sojourn[first:][tagged[first:]]
-        in_place = not (all_tagged and ws.logged)
-        samples = _abs_differences(pairs, out=pairs[:-1] if in_place else None)
-    else:
-        mean_sojourn = _mean(sojourn[first:][~dropped[first:]])
-        tagged_idx = np.flatnonzero(tagged[first:]) + first
-        samples = _jitter_pair_samples(sojourn, tagged_idx, dropped)
+    window = sojourn[first:]
+    mean_sojourn = _mean(window if dropped is None else window[~dropped[first:]])
+    pairs = window if all_tagged else window[tagged[first:]]
+    in_place = not (all_tagged and ws.logged)
+    samples = _abs_differences(pairs, out=pairs[:-1] if in_place else None)
+    if dropped is not None:
+        # a dropped packet's sojourn is NaN, so the NaN differences are
+        # exactly the pairs that a drop breaks
+        samples = samples[~np.isnan(samples)]
 
     t_start = float(arrivals[first - 1]) if first > 0 else 0.0
     t_end = float(arrivals[-1])
@@ -860,8 +838,8 @@ def merge_summaries(summaries) -> SweepAggregate:
     jitters = np.array([s.empirical_jitter_J for s in group])
     # std squares the jitters, which leaves the double range at extreme
     # capacities; scaling by a power of two first is exact.
-    scale = 2.0 ** math.frexp(float(np.abs(jitters).max()))[1]
-    stderr = (float((jitters / scale).std(ddof=1) * scale / math.sqrt(len(group)))
+    scaled, exponent = _unit_scaled(jitters)
+    stderr = (math.ldexp(float(scaled.std(ddof=1)), exponent) / math.sqrt(len(group))
               if len(group) >= 2 else None)
     return SweepAggregate(
         capacity_C=key[0],
@@ -870,11 +848,11 @@ def merge_summaries(summaries) -> SweepAggregate:
         buffer_capacity=key[2],
         service_distribution=key[3],
         n_runs=len(group),
-        jitter_mean=float(jitters.mean()),
+        jitter_mean=_mean(jitters),
         jitter_stderr=stderr,
-        throughput_mean=float(np.mean([s.throughput_X for s in group])),
+        throughput_mean=_mean(np.array([s.throughput_X for s in group])),
         loss_mean=float(np.mean([s.loss_B for s in group])),
-        mean_sojourn_mean=float(np.mean([s.mean_sojourn for s in group])),
+        mean_sojourn_mean=_mean(np.array([s.mean_sojourn for s in group])),
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: values, exit codes, reproducibility, file formats."""
 
+import dataclasses
 import json
 import math
 import os
@@ -497,6 +498,28 @@ class TestAnalyzeCommand:
         assert len(bins) >= 3
         assert all(b["n"] >= 1 for b in bins)
 
+    def test_throughput_whose_sum_overflows(self, capsys, tmp_path):
+        """Five rows of the committed static scenario with a throughput from
+        1e308 to 1.7e308: its sum leaves the double range, yet the mean and
+        the correlations are finite and nothing warns."""
+        scn = Path(__file__).resolve().parents[1] / "scenarios" / "static_far.scn"
+        log = tmp_path / "log.csv"
+        assert run_cli(capsys, "synth", "--scenario", str(scn), "--output", str(log))[0] == 0
+        rows = [dataclasses.replace(row, tput_Bps=1e308 + k * 0.175e308)
+                for k, row in enumerate(parse_log(log.read_bytes())[:5])]
+        log.write_bytes(write_log(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "analyze", "--log", str(log), "--by-speed",
+                                     "--json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["columns"]["tput_Bps"]["mean"] == pytest.approx(1.35e308, rel=1e-15)
+        assert payload["speed_bins"][0]["means"]["tput_Bps"] == payload["columns"]["tput_Bps"]["mean"]
+        for key, stats in payload["correlations"].items():
+            assert math.isfinite(stats["pearson_r"]) and math.isfinite(stats["spearman_rho"]), key
+        assert payload["warnings"] == []
+
     @pytest.mark.parametrize("name", ["missing.csv", "."])
     def test_unreadable_log_errors(self, capsys, tmp_path, name):
         path = str(tmp_path / name)
@@ -556,14 +579,39 @@ class TestOutputPaths:
 
 class TestUsageContract:
     def test_import_leaves_scipy_unloaded(self):
-        """Only correlations need scipy; every other command skips its
-        import cost."""
+        """Importing the command line loads no scipy."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = "import sys, qoskit.cli; sys.exit('scipy' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        """numpy is the only runtime dependency: with scipy unimportable,
+        each of the six subcommands exits 0."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        scn = _write_scenario(tmp_path, "kind = variable_speed\nduration_s = 60\nseed = 6\n")
+        log = str(tmp_path / "log.csv")
+        argvs = [
+            ["model", "--capacity", "1000", "--rho", "0.5"],
+            ["invert", "--capacity", "1000", "--budget", "0.001"],
+            ["simulate", "--capacity", "1000", "--rho", "0.5", "--packets", "1000"],
+            ["validate", "--capacity", "1000", "--rho-grid", "0.5", "--packets", "2000",
+             "--seeds", "2", "--threshold", "1", "--out", str(tmp_path / "report")],
+            ["synth", "--scenario", scn, "--output", log],
+            ["analyze", "--log", log, "--by-speed", "--json"],
+        ]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from qoskit.cli import main\n"
+                f"codes = [main(argv) for argv in {argvs!r}]\n"
+                "sys.stderr.write(repr(codes))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stderr.decode().endswith(repr([0] * len(argvs)))
 
     def test_closed_stdout_exits_1_without_traceback(self):
         """A reader that leaves before the output is written, as ``| head``

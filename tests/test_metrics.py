@@ -1,8 +1,11 @@
 """Estimator unit truths and invariance properties."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qoskit.errors import (
     AccountingError,
@@ -193,3 +196,48 @@ class TestCorrelate:
             correlate([1, 1, 1], [1, 2, 3])
         with pytest.raises(ConstantSeriesError):
             correlate([1, 2, 3], [7, 7, 7])
+
+
+@st.composite
+def _paired_series(draw):
+    """Two integer-valued series of 3 to 300 pairs times a magnitude from
+    1e-300 to 1e300 each: a narrow integer range gives many ties, and the
+    second series may follow the first."""
+    n = draw(st.integers(3, 300))
+    span = draw(st.integers(1, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(-span, span, size=n, endpoint=True).astype(float)
+    b = rng.integers(-span, span, size=n, endpoint=True) + draw(st.floats(-1, 1)) * a
+    magnitude = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1, 9.99), st.integers(-300, 300))
+    return a * draw(magnitude), b * draw(magnitude)
+
+
+class TestCorrelateAgainstScipy:
+    """Both coefficients are computed in numpy; scipy is the oracle."""
+
+    @settings(deadline=None)
+    @given(series=_paired_series())
+    def test_matches_scipy_at_any_magnitude(self, series):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = series
+        if np.all(a == a[0]) or np.all(b == b[0]):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = correlate(a, b)
+        assert math.isfinite(got.pearson_r) and math.isfinite(got.spearman_rho)
+        assert got.pearson_r == pytest.approx(stats.pearsonr(a, b).statistic, abs=1e-15)
+        assert got.spearman_rho == pytest.approx(stats.spearmanr(a, b).statistic, abs=1e-15)
+
+    @pytest.mark.parametrize("magnitude", [5e-324, 1e-310, 1e-200, 1e200, 3e307])
+    def test_extreme_magnitudes_give_the_unit_scale_values(self, magnitude):
+        """The plain sums and squares overflow at 1e200 and leave nothing to
+        divide by at 1e-200 and below; scaling by powers of two first does
+        neither."""
+        a, b = np.array([1.0, 2.0, 3.0, 5.0]), np.array([2.0, 1.0, 4.0, 4.0])
+        want = correlate(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = correlate(a * magnitude, b * magnitude)
+        assert got.pearson_r == pytest.approx(want.pearson_r, abs=1e-15)
+        assert got.spearman_rho == want.spearman_rho

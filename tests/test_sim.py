@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from qoskit import sim
 from qoskit.errors import (
@@ -445,6 +445,24 @@ class TestSimulateRun:
         _, summary = simulate_run(cfg)
         oracle = (1 - rho) * rho**cap / (1 - rho ** (cap + 1))
         assert summary.loss_B == pytest.approx(oracle, rel=0.05)
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8, 0.95])
+    def test_all_tagged_jitter_is_one_over_capacity(self, rho):
+        """Stationary M/M/1: the next sojourn is max(T - A, 0) + S, so the
+        step is S - min(T, A). T ~ Exp(C - lambda) and A ~ Exp(lambda) are
+        independent, so min(T, A) ~ Exp(C), the step is Laplace with scale
+        1/C, and E|dT| = 1/C exactly at every load. The samples are serially
+        dependent, so the yardstick is a 50-batch batch-means standard
+        error."""
+        capacity = 1000.0
+        cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
+                        horizon_packets=1_000_000, seed=1729)
+        log, summary = simulate_run(cfg)
+        samples = np.abs(np.diff(log.sojourn_times[int(1_000_000 * cfg.warmup_fraction):]))
+        assert summary.n_jitter_samples == samples.size
+        batches = samples[:samples.size // 50 * 50].reshape(50, -1).mean(axis=1)
+        stderr = batches.std(ddof=1) / math.sqrt(50)
+        assert abs(summary.empirical_jitter_J - 1.0 / capacity) <= 4 * stderr
 
     def test_counter_identity_is_exact(self):
         """Loss from counters equals (lambda - X)/lambda computed from the
@@ -883,6 +901,15 @@ class TestMerge:
         with pytest.raises(DomainError):
             merge_summaries([])
 
+    def test_means_whose_sum_overflows(self):
+        """At C = 1e308 and load 0.9 three throughputs near 9e307 sum past
+        the double range; their mean is still finite and nothing warns."""
+        base = SimConfig(1e308, 0.5e308, horizon_packets=2000, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            agg = merge_summaries(simulate_sweep(base, [0.9], seeds_per_point=3))
+        assert 8e307 < agg.throughput_mean < 1e308
+
     def test_stderr_scales_as_one_over_capacity(self):
         """The across-seed stderr stays in the double range at extreme
         capacities: stderr * C is the same at C = 1e-300, 1 and 1e300."""
@@ -896,6 +923,118 @@ class TestMerge:
         assert scaled[0] > 0
         assert scaled[0] == pytest.approx(scaled[1], rel=1e-12)
         assert scaled[2] == pytest.approx(scaled[1], rel=1e-12)
+
+
+def _below_normal_at(k, rho, n, *seeds):
+    """Whether a run at C = 2^k and load rho with these seeds may draw a
+    time below the normal range, where scaling by 2^-k loses bits: its
+    smallest interarrival or standard service draw, scaled, is within a
+    factor 2 of it."""
+    smallest = math.inf
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        smallest = min(smallest, rng.exponential(1 / rho, n).min(),
+                       rng.standard_exponential(n).min())
+    return math.ldexp(smallest, -k) < 2 * np.finfo(float).tiny
+
+
+def _scaled_summary(summary, k):
+    """The fields of a run summary at C = 1 as they must read at C = 2^k."""
+    return {"mean_sojourn": math.ldexp(summary.mean_sojourn, -k),
+            "empirical_jitter_J": math.ldexp(summary.empirical_jitter_J, -k),
+            "throughput_X": math.ldexp(summary.throughput_X, k),
+            "offered_lambda": math.ldexp(summary.offered_lambda, k),
+            **{name: getattr(summary, name) for name in (
+                "loss_B", "n_jitter_samples", "seed", "offered_count", "delivered_count")}}
+
+
+class TestScaleInvariance:
+    """A run at C = 2^k is the C = 1 run scaled by 2^-k, bit for bit: every
+    draw is its scale times a standard draw, and every later step is a sum, a
+    difference, a max or a comparison, which a power-of-two scale leaves
+    exact. That fails only where a scaled value falls below the normal range
+    (2^-1022) and loses bits; hypothesis labels those cases. A queue path
+    given such rounded inputs is compared, again bit for bit, with its run on
+    the rounded inputs scaled back up; a run whose draws fall there is held
+    to 1e-9 relative."""
+
+    @pytest.mark.parametrize("path", [
+        sim._fcfs_ring,
+        pytest.param(lambda a, s, k: _run_lanes((8, 4, 3, 2, 5), a, s, k)[0],
+                     id="_fcfs_lanes"),
+        sim._fcfs_blocks,
+        pytest.param(lambda a, s, k: fcfs_departures(a, s)[0], id="_fcfs_unbounded"),
+    ])
+    @settings(deadline=None)
+    @given(times=_continuous_times(), k=st.integers(-1000, 1000),
+           buffer_capacity=st.integers(1, 12) | _BUFFERS, tiny_services=st.booleans())
+    def test_fcfs_paths(self, path, times, k, buffer_capacity, tiny_services):
+        arrivals, services = times
+        if tiny_services:
+            services[::7] *= 2.0**-1000
+        arr, srv = np.ldexp(arrivals, -k), np.ldexp(services, -k)
+        rounded = np.ldexp(arr, k), np.ldexp(srv, k)
+        if not (np.array_equal(rounded[0], arrivals) and np.array_equal(rounded[1], services)):
+            event("inputs below the normal range: compared on their rounded values")
+        want = np.ldexp(path(*rounded, buffer_capacity), -k)
+        assert np.array_equal(path(arr, srv, buffer_capacity), want, equal_nan=True)
+
+    @settings(deadline=None)
+    @given(k=st.integers(-1000, 1000), rho=st.floats(0.1, 3.0),
+           buffer_capacity=st.none() | st.integers(1, 12) | _BUFFERS,
+           n=st.integers(2, 3000), tagged_fraction=st.sampled_from([0.1, 0.5, 1.0]),
+           service=st.sampled_from(sim._SERVICE_KINDS), seed=st.integers(0, 2**64 - 1))
+    # seed 1717 draws a service time of 7.4e-8, below the normal range at k = 1000
+    @example(k=1000, rho=0.5, buffer_capacity=None, n=3000, tagged_fraction=1.0,
+             service="exponential", seed=1717)
+    @example(k=1000, rho=2.0, buffer_capacity=5, n=3000, tagged_fraction=0.1,
+             service="exponential", seed=1717)
+    def test_simulate_run(self, k, rho, buffer_capacity, n, tagged_fraction, service, seed):
+        if buffer_capacity is None:
+            rho = min(rho, 0.95)
+        configs = [SimConfig(c, rho * c, tagged_fraction, buffer_capacity, n, seed=seed,
+                             service_distribution=service)
+                   for c in (1.0, math.ldexp(1.0, k))]
+        (log, summary), (log_k, summary_k) = map(simulate_run, configs)
+        want = _scaled_summary(summary, k)
+        got = {name: getattr(summary_k, name) for name in want}
+        if _below_normal_at(k, rho, n, seed):
+            event("draws below the normal range: held to 1e-9 relative")
+            assert got == pytest.approx(want, rel=1e-9, nan_ok=True)
+            return
+        assert repr(got) == repr(want)
+        for name in ("arrival_times", "service_times", "departure_times", "sojourn_times"):
+            assert np.array_equal(getattr(log_k, name), np.ldexp(getattr(log, name), -k),
+                                  equal_nan=True), name
+        assert np.array_equal(log_k.tagged, log.tagged)
+        assert np.array_equal(log_k.dropped, log.dropped)
+
+    @settings(deadline=None)
+    @given(k=st.integers(-1000, 1000), rho=st.floats(0.1, 3.0),
+           buffer_capacity=st.none() | st.integers(1, 12) | _BUFFERS,
+           seeds=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
+    # seed 18693's first run draws a time of 9.4e-8, below the normal range at k = 1000
+    @example(k=1000, rho=0.5, buffer_capacity=None, seeds=2, seed=18693)
+    def test_merge_summaries(self, k, rho, buffer_capacity, seeds, seed):
+        if buffer_capacity is None:
+            rho = min(rho, 0.95)
+        one, scaled = [merge_summaries(simulate_sweep(
+                           SimConfig(c, c / 2, buffer_capacity=buffer_capacity,
+                                     horizon_packets=500, seed=seed), [rho], seeds))
+                       for c in (1.0, math.ldexp(1.0, k))]
+        stderr = None if one.jitter_stderr is None else math.ldexp(one.jitter_stderr, -k)
+        want = dataclasses.replace(
+            one, capacity_C=math.ldexp(1.0, k),
+            arrival_rate_lambda=math.ldexp(one.arrival_rate_lambda, k),
+            jitter_mean=math.ldexp(one.jitter_mean, -k), jitter_stderr=stderr,
+            throughput_mean=math.ldexp(one.throughput_mean, k),
+            mean_sojourn_mean=math.ldexp(one.mean_sojourn_mean, -k))
+        if _below_normal_at(k, rho, 500, *(child_seed(seed, 0, j) for j in range(seeds))):
+            event("draws below the normal range: held to 1e-9 relative")
+            assert dataclasses.astuple(scaled) == pytest.approx(
+                dataclasses.astuple(want), rel=1e-9)
+            return
+        assert repr(scaled) == repr(want)
 
 
 def _reference_write_packet_trace(log, path):

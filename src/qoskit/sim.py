@@ -24,6 +24,8 @@ excluded from all summary statistics to remove the empty-queue start-up bias.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from itertools import compress
 
@@ -169,24 +171,23 @@ _RING_CHUNK = 32_768
 
 #: Lanes of the small-buffer path (see ``_fcfs_lanes``): packets per lane,
 #: packets each lane runs before its own to warm up, and the most lanes
-#: advanced together by one numpy step. The first group is smaller: a numpy
-#: step costs 5-8 us however few lanes it has, so a stream on which lanes do
-#: not pay is found out for about 9 ms, some 4% of a 1M-packet ring loop.
+#: advanced together by one numpy step.
 _LANE_PACKETS = 1024
 _LANE_WARMUP = 128
 _LANE_GROUP = 1024
-_LANE_PROBE = 32
+
+#: The first group of lanes: how many, each of just W packets, and the share
+#: of its packets the ring loop had to rerun above which the ring loop runs
+#: the rest of the stream. A numpy step costs 5-8 us however few lanes it
+#: has, so the first group's 2W steps (about 2 ms) find out a queue that is
+#: seldom idle, where a group of whole lanes would take 9 ms.
+_LANE_PROBE = 64
+_LANE_BUSY = 0.9
 
 #: The side-by-side run costs about 9 ms per group however few lanes it has,
 #: so the lanes only pay on long inputs (the README gives the measured
 #: break-even).
 _LANE_MIN_PACKETS = 200_000
-
-#: Lanes of W packets in the test for a queue that is seldom idle (see
-#: ``_seldom_idle``), and the share of them without a shared idle arrival
-#: above which the ring loop runs the whole stream.
-_LANE_TEST = 64
-_LANE_BUSY = 0.9
 
 #: Steps per chunk of the side-by-side run; bounds its working memory.
 _LANE_CHUNK = 64
@@ -207,10 +208,10 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     The unbounded buffer uses the closed-form Lindley recursion. A finite
     buffer of K packets takes one of three paths:
 
-    - ``K < 96``, at least 200,000 packets, unless the queue is seldom idle:
-      lanes of 1,024 packets run side by side in numpy, then are checked
-      and repaired (``_fcfs_lanes``). Bit-identical to the per-packet
-      recursion ``d = max(a, d_prev) + s`` with tail drop.
+    - ``K < 96``, at least 200,000 packets: lanes of 1,024 packets run side
+      by side in numpy, then are checked and repaired (``_fcfs_lanes``).
+      Bit-identical to the per-packet recursion ``d = max(a, d_prev) + s``
+      with tail drop.
     - ``K < 96`` otherwise, and the rest of a stream on which lanes stop
       paying: a sequential loop over a ring of the last K accepted
       departures (``_fcfs_ring``), bit-identical to the same recursion.
@@ -235,11 +236,15 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     alone once reruns pass about 0.65 of the packets. Two observed shares,
     never K or the load, hand such a stream to the ring loop:
 
-    - Before any lane runs, 64 lanes of 128 packets run side by side (about
-      2 ms); if more than 0.9 of them share no idle arrival with the lane
-      before, the ring loop runs the whole stream (``_seldom_idle``).
-    - Otherwise the first group has 32 lanes, and once a group's reruns
-      pass one half of its packets, the rest goes to the ring loop.
+    - The first group is 64 lanes of just 128 packets from the start of the
+      stream (about 2 ms side by side). If more than 0.9 of them share no
+      idle arrival with the lane before, the ring loop runs the whole
+      stream; if their repairs reran more than 0.9 of their packets, it
+      runs the rest.
+    - Otherwise the rest is cut into lanes of 1,024 packets, in equal groups
+      of at most 1,024 lanes sized to the input (up to about 1M packets,
+      one group); once a group's reruns pass one half of its packets, the
+      rest goes to the ring loop.
 
     On every path packet i is dropped exactly when the accepted packet K
     places before it has not departed by ``a_i``, so the drop set is the
@@ -267,19 +272,27 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
         return departures, np.zeros(n, dtype=bool)
 
     _count(buffer_capacity, "buffer capacity", 1)
-    if buffer_capacity >= _BLOCK_MIN_BUFFER:
-        departures = _fcfs_blocks(arr, srv, buffer_capacity)
-    elif n >= _LANE_MIN_PACKETS and not _seldom_idle(arr, srv, buffer_capacity):
-        departures = _fcfs_lanes(arr, srv, buffer_capacity)
-    else:
-        departures = _fcfs_ring(arr, srv, buffer_capacity)
+    departures = np.empty(n)
+    _fcfs_finite(arr, srv, buffer_capacity, departures)
     return departures, np.isnan(departures)
 
 
-def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None):
+def _fcfs_finite(arr, srv, buffer_capacity, departures):
+    """The finite-buffer queue of ``fcfs_departures`` on checked arrays,
+    into ``departures``; NaN marks a dropped packet."""
+    if buffer_capacity >= _BLOCK_MIN_BUFFER:
+        _fcfs_blocks(arr, srv, buffer_capacity, departures)
+    elif arr.size >= _LANE_MIN_PACKETS:
+        _fcfs_lanes(arr, srv, buffer_capacity, departures)
+    else:
+        _fcfs_ring(arr, srv, buffer_capacity, departures)
+
+
+def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
     """Unbounded FCFS in chunks of ``_UNBOUNDED_CHUNK`` packets; departures
     go to ``departures`` and, when given, ``departure - arrival`` to
-    ``sojourn``.
+    ``sojourn``. Returns the arrival of packet ``first - 1`` (0.0 when
+    ``first`` is 0) and the last arrival.
 
     The wait is the running sum of ``s[k] - (a[k+1] - a[k])`` minus its
     running minimum (the Lindley recursion in closed form). Slot 0 of the
@@ -289,7 +302,9 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None):
     as in one pass over the whole arrays, and the bits are the same. The
     first chunk starts from a sum of -0.0 and an increment of -0.0 for
     packet 0 (adding -0.0 changes no bits), then gives packet 0 the +0.0
-    sum of the whole-array form; the minimum starts at +inf.
+    sum of the whole-array form; the minimum starts at +inf. The chunk
+    before's last arrival is carried as a number, so ``sojourn`` may be
+    ``arr`` itself: each chunk's sojourns then overwrite its arrivals.
 
     With ``draw``, the pass also makes the run: ``arr`` holds interarrival
     draws and becomes the arrivals in place, and ``draw(out)`` writes each
@@ -310,6 +325,7 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None):
     whole = departures.size == n
     prefix_buf, low_buf = np.empty(size), np.empty(size)
     last_prefix, last_low = -0.0, math.inf
+    t_start = last_arrival = 0.0
     for lo in range(0, n, _UNBOUNDED_CHUNK):
         hi = min(lo + _UNBOUNDED_CHUNK, n)
         k = max(lo, 1)
@@ -323,15 +339,17 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None):
             s, s_before, dep = srv[1:hi - lo + 1], srv[k - lo:hi - lo], departures[:hi - lo]
         if draw is not None:
             if lo:
-                a[0] += arr[lo - 1]
+                a[0] += last_arrival
             np.cumsum(a, out=a)
             draw(s)
             if not (a[-1] < math.inf and s.max() < math.inf):
                 raise DomainError("times must be finite and service times non-negative")
         prefix, low = prefix_buf[:hi - lo + 1], low_buf[:hi - lo + 1]
         prefix[0] = last_prefix
+        if lo:
+            prefix[1] = a[0] - last_arrival
         inc = prefix[1 + k - lo:]
-        np.subtract(arr[k:hi], arr[k - 1:hi - 1], out=inc)
+        np.subtract(a[1:], a[:-1], out=prefix[2:])
         np.subtract(s_before, inc, out=inc)
         if not lo:
             prefix[1] = -0.0
@@ -341,16 +359,21 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None):
         prefix[0] = last_low
         np.minimum.accumulate(prefix, out=low)
         last_prefix, last_low = prefix[-1], low[-1]
+        if lo < first <= hi:
+            t_start = float(a[first - 1 - lo])
+        last_arrival = a[-1]
         waits = np.subtract(prefix[1:], low[1:], out=low[1:])
         np.add(a, waits, out=dep)
         dep += s
         if sojourn is not None:
             np.subtract(dep, a, out=sojourn[lo:hi])
+    return t_start, float(last_arrival)
 
 
-def _fcfs_ring(arr, srv, buffer_capacity):
-    """Sequential tail-drop FCFS; NaN marks a dropped packet."""
-    departures = np.empty(arr.size)
+def _fcfs_ring(arr, srv, buffer_capacity, departures=None):
+    """Sequential tail-drop FCFS into ``departures`` (a new array when
+    None), which it returns; NaN marks a dropped packet."""
+    departures = np.empty(arr.size) if departures is None else departures
     _ring_run(arr, srv, 0, arr.size, departures,
               ([-math.inf] * buffer_capacity, 0, -math.inf))
     return departures
@@ -386,15 +409,17 @@ def _ring_run(arr, srv, lo, hi, departures, state):
     return ring, pos, last
 
 
-def _fcfs_lanes(arr, srv, buffer_capacity):
-    """Tail-drop FCFS in lanes checked at shared idle instants; NaN marks a
+def _fcfs_lanes(arr, srv, buffer_capacity, departures=None):
+    """Tail-drop FCFS in lanes checked at shared idle instants, into
+    ``departures`` (a new array when None), which it returns; NaN marks a
     dropped packet. Bit-identical to ``_fcfs_ring``.
 
-    The stream is cut into lanes of L packets; the packets after the last
-    whole lane go to the ring loop. Lane j covers packets ``jL:(j+1)L`` and
-    starts empty W packets earlier. Groups of lanes run side by side
-    (``_speculate``), first ``_LANE_PROBE`` lanes, then the rest in equal
-    groups of at most ``_LANE_GROUP``; then lane by lane:
+    The stream is cut into lanes; each starts empty W packets before its
+    first packet. The first group is ``_LANE_PROBE`` lanes of W packets,
+    the rest are lanes of L packets in equal groups of at most
+    ``_LANE_GROUP``, and the packets after the last whole lane go to the
+    ring loop. Each group runs side by side (``_speculate``), then lane by
+    lane:
 
     - Check: a lane is exact over its whole range when, at one of its first
       W arrivals, both it and the lane before it were idle, and that lane
@@ -406,27 +431,25 @@ def _fcfs_lanes(arr, srv, buffer_capacity):
       the lane are both idle; from there the lane's output stands. A lane
       never idle together with its rerun leaves the next one to a rerun.
 
-    A group whose repairs reran more than ``_LANE_FALLBACK`` of its packets
-    hands the rest of the stream to the ring loop.
+    A group whose repairs reran more than ``_LANE_BUSY`` (the first) or
+    ``_LANE_FALLBACK`` (any other) of its packets hands the rest of the
+    stream to the ring loop. When more than ``_LANE_BUSY`` of the first
+    group's lanes have no shared idle arrival, the ring loop runs the whole
+    stream without repairing them.
     """
     n = arr.size
-    lane, warm = _LANE_PACKETS, _LANE_WARMUP
-    departures = np.empty(n)
-    n_lanes = n // lane
+    warm = _LANE_WARMUP
+    departures = np.empty(n) if departures is None else departures
     # The lane before the next one: its idle flags over the next lane's
     # warm-up, whether its output is exact from some packet on, and its true
     # end state (None: its speculative end state, the same when exact).
     prev_idle = np.ones(warm, dtype=bool)
     exact = True
     state = ([-math.inf] * buffer_capacity, 0, -math.inf)
-    j0 = 0
-    while j0 < n_lanes:
-        if j0:
-            rest = n_lanes - j0
-            m = math.ceil(rest / math.ceil(rest / _LANE_GROUP))
-        else:
-            m = min(_LANE_PROBE, n_lanes)
-        lo, hi = j0 * lane, (j0 + m) * lane
+    lo = 0
+    lane, m, limit = warm, min(_LANE_PROBE, n // warm), _LANE_BUSY
+    while m:
+        hi = lo + m * lane
         idle, rings, lasts = _speculate(arr, srv, lo, m, lane, buffer_capacity,
                                         departures)
         shared = idle[:warm].copy()
@@ -434,6 +457,8 @@ def _fcfs_lanes(arr, srv, buffer_capacity):
         shared[:, 1:] &= idle[lane:, :-1]
         has_shared = shared.any(axis=0)
         unshared = np.flatnonzero(~has_shared)
+        if not lo and unshared.size > _LANE_BUSY * m:
+            break       # lanes without a shared idle arrival need a rerun
         rerun = 0
         l = 0
         while l < m:
@@ -470,27 +495,15 @@ def _fcfs_lanes(arr, srv, buffer_capacity):
         if state is None:
             state = rings[m - 1].tolist(), 0, float(lasts[m - 1])
         prev_idle = idle[lane:, m - 1].copy()
-        j0 += m
-        if rerun > _LANE_FALLBACK * (hi - lo):
+        fall_back = rerun > limit * (hi - lo)
+        lo = hi
+        if fall_back:
             break
-    _ring_run(arr, srv, j0 * lane, n, departures, state)
+        lane, limit = _LANE_PACKETS, _LANE_FALLBACK
+        rest = (n - lo) // lane
+        m = math.ceil(rest / math.ceil(rest / _LANE_GROUP)) if rest else 0
+    _ring_run(arr, srv, lo, n, departures, state)
     return departures
-
-
-def _seldom_idle(arr, srv, buffer_capacity):
-    """Whether the queue is idle so seldom that lanes would almost all need
-    a rerun (needs ``W * (_LANE_TEST + 1)`` packets).
-
-    Runs ``_LANE_TEST`` lanes of just W packets side by side from packet W,
-    which costs about 2 ms, and counts the lanes after the first without
-    an idle arrival shared with the lane before in their W-packet overlap.
-    The first lane starts empty at packet 0, as the true queue does.
-    """
-    warm, m = _LANE_WARMUP, _LANE_TEST
-    idle, _, _ = _speculate(arr, srv, warm, m, warm, buffer_capacity,
-                            np.empty(warm * (m + 1)))
-    shared = (idle[:warm, 1:] & idle[warm:, :-1]).any(axis=0)
-    return np.count_nonzero(~shared) > _LANE_BUSY * (m - 1)
 
 
 def _speculate(arr, srv, lo, m, lane, buffer_capacity, departures):
@@ -572,8 +585,9 @@ def _transpose_into(dst, src):
         dst[:, j:j + 64] = src[j:j + 64].T
 
 
-def _fcfs_blocks(arr, srv, buffer_capacity):
-    """Tail-drop FCFS, K acceptances per step; NaN marks a dropped packet.
+def _fcfs_blocks(arr, srv, buffer_capacity, departures=None):
+    """Tail-drop FCFS, K acceptances per step, into ``departures`` (a new
+    array when None), which it returns; NaN marks a dropped packet.
 
     Accepted packet m needs ``a >= D[m-K]`` (D: departures of accepted
     packets, non-decreasing), so once K departures are known the next K
@@ -585,7 +599,8 @@ def _fcfs_blocks(arr, srv, buffer_capacity):
     K packets have been accepted every arrival is admitted.
     """
     n = arr.size
-    departures = np.full(n, math.nan)
+    departures = np.empty(n) if departures is None else departures
+    departures.fill(math.nan)
     k = min(buffer_capacity, n)
     steps = np.arange(k)
     thresholds = np.full(k, -math.inf)
@@ -626,45 +641,59 @@ def _exponential_into(rng, scale: float, out) -> None:
 
 
 class _Workspace:
-    """The arrays one run is drawn, queued and summarised in, for a horizon
-    of n packets.
+    """The arrays one run of ``config``'s horizon and buffer is drawn,
+    queued and summarised in.
 
-    A logged run (``simulate_run``) gets a whole service column, and its
-    departures a whole array, as its ``PacketLog`` keeps them. A
-    summary-only run keeps the arrivals, the
-    sojourns and the tagged flags (17 bytes a packet) and draws the services
-    and the tagging uniforms into chunk buffers; a sweep reuses one such
-    workspace for all its runs. A finite buffer needs whole service times:
-    a summary-only run draws them into the sojourn column, which the
-    sojourns overwrite once the queue has run.
+    A logged run (``simulate_run``) gets the six whole columns its
+    ``PacketLog`` keeps. A summary-only run keeps less, and a sweep reuses
+    one such workspace per worker for all its runs:
+
+    - unbounded: one column, 8 bytes a packet. It takes the interarrival
+      draws, becomes the arrivals, and then, chunk by chunk, the sojourns
+      (``_fcfs_unbounded``). Once the mean sojourn is taken, the window's
+      tagged sojourns are compacted to its front and differenced there.
+      The services, departures, tagging uniforms and tagged flags go to
+      chunk buffers.
+    - finite buffer: the arrivals, a column that takes the services and
+      then the sojourns, and the departures, 24 bytes a packet. Once the
+      sojourns are formed, the departures are spent; the summary selects
+      the delivered sojourns and the unbroken |dT| pairs into them
+      (``_delivered``).
     """
 
-    def __init__(self, n: int, logged: bool):
+    def __init__(self, config: SimConfig, logged: bool):
+        n = config.horizon_packets
         chunk = min(_UNBOUNDED_CHUNK, n)
+        finite = config.buffer_capacity is not None
+        whole = logged or finite
         self.logged = logged
         self.arrivals = np.empty(n)
-        self.sojourn = np.empty(n)
-        self.tagged = np.empty(n, dtype=bool)
-        self.services = np.empty(n if logged else chunk + 1)
-        self.departures = np.empty(chunk)
+        self.sojourn = np.empty(n) if whole else self.arrivals
+        if logged or not finite:
+            self.services = np.empty(n if logged else chunk + 1)
+        else:
+            self.services = self.sojourn
+        self.departures = np.empty(n if whole else chunk)
+        self.tagged = np.empty(n if logged else chunk, dtype=bool)
         self.uniforms = np.empty(chunk)
 
 
-def _simulate(config: SimConfig, ws: _Workspace):
-    """Draw, queue and summarise one run in ``ws``; returns the summary,
-    the departures and the drop flags (None when unbounded).
+def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
+    """Draw, queue and summarise one run in ``ws``.
 
     Draw order: all interarrivals, then the service times (chunk by chunk
     inside the unbounded pass), then the tagging uniforms (chunk by chunk
-    after it). Each stream is consumed in order, so the bits are those of
-    one whole-array draw per stream. All tagged (a fraction of 1) takes no
-    tagging draw: uniforms below 1 are all below it, and it is the last
-    draw. A summary-only all-tagged run forms its |dT| samples in the
-    sojourn column once the mean sojourn is taken.
+    after the mean sojourn is taken). Each stream is consumed in order, so
+    the bits are those of one whole-array draw per stream. All tagged (a
+    fraction of 1) takes no tagging draw: uniforms below 1 are all below
+    it, and it is the last draw. Every mean is taken over the same values,
+    contiguous and in the same order, in both forms of a run, so its bits
+    are the same.
     """
     n = config.horizon_packets
+    first = int(n * config.warmup_fraction)
     rng = np.random.default_rng(config.seed & _MASK64)
-    arrivals, sojourn, tagged = ws.arrivals, ws.sojourn, ws.tagged
+    arrivals, sojourn, services = ws.arrivals, ws.sojourn, ws.services
     _exponential_into(rng, 1.0 / config.arrival_rate_lambda, arrivals)
     service = 1.0 / config.capacity_C
     if config.service_distribution == SERVICE_EXPONENTIAL:
@@ -674,43 +703,41 @@ def _simulate(config: SimConfig, ws: _Workspace):
         def draw(out):
             out.fill(service)
 
-    first = int(n * config.warmup_fraction)
-    if config.buffer_capacity is None:
-        departures = np.empty(n) if ws.logged else ws.departures
-        _fcfs_unbounded(arrivals, ws.services, departures, sojourn, draw)
-        dropped = None
-        delivered = n - first
-    else:
-        services = ws.services if ws.logged else sojourn
+    finite = config.buffer_capacity is not None
+    if finite:
         draw(services)
         np.cumsum(arrivals, out=arrivals)
-        departures, dropped = fcfs_departures(arrivals, services, config.buffer_capacity)
-        np.subtract(departures, arrivals, out=sojourn)
-        delivered = int(np.count_nonzero(~dropped[first:]))
+        # draws are never negative: see _fcfs_unbounded
+        if not (arrivals[-1] < math.inf and services.max() < math.inf):
+            raise DomainError("times must be finite and service times non-negative")
+        t_start = float(arrivals[first - 1]) if first > 0 else 0.0
+        t_end = float(arrivals[-1])
+        _fcfs_finite(arrivals, services, config.buffer_capacity, ws.departures)
+        np.subtract(ws.departures, arrivals, out=sojourn)
+        # a dropped packet's sojourn is NaN, and only a dropped one's
+        delivered_sojourns = _delivered(sojourn[first:], ws)
+        delivered = delivered_sojourns.size
+        mean_sojourn = _mean(delivered_sojourns)
+    else:
+        t_start, t_end = _fcfs_unbounded(arrivals, services, ws.departures, sojourn, draw,
+                                         first)
+        delivered = n - first
+        mean_sojourn = _mean(sojourn[first:])
+
     all_tagged = config.tagged_fraction == 1
     if all_tagged:
-        tagged.fill(True)
+        ws.tagged.fill(True)
+        pairs = sojourn[first:]
     else:
-        for lo in range(0, n, ws.uniforms.size):
-            u = ws.uniforms[:n - lo]
-            rng.random(out=u)
-            np.less(u, config.tagged_fraction, out=tagged[lo:lo + u.size])
+        pairs = _tagged_pairs(rng, config.tagged_fraction, ws, first)
+    samples = _abs_differences(pairs, out=None if all_tagged and ws.logged else pairs[:-1])
+    if finite:
+        # the NaN differences are exactly the pairs that a drop breaks
+        samples = _delivered(samples, ws)
 
-    window = sojourn[first:]
-    mean_sojourn = _mean(window if dropped is None else window[~dropped[first:]])
-    pairs = window if all_tagged else window[tagged[first:]]
-    in_place = not (all_tagged and ws.logged)
-    samples = _abs_differences(pairs, out=pairs[:-1] if in_place else None)
-    if dropped is not None:
-        # a dropped packet's sojourn is NaN, so the NaN differences are
-        # exactly the pairs that a drop breaks
-        samples = samples[~np.isnan(samples)]
-
-    t_start = float(arrivals[first - 1]) if first > 0 else 0.0
-    t_end = float(arrivals[-1])
     window = t_end - t_start
     offered = n - first
-    summary = RunSummary(
+    return RunSummary(
         mean_sojourn=mean_sojourn,
         empirical_jitter_J=_mean(samples),
         throughput_X=delivered / window,
@@ -722,7 +749,46 @@ def _simulate(config: SimConfig, ws: _Workspace):
         delivered_count=delivered,
         config=config,
     )
-    return summary, departures, dropped
+
+
+def _delivered(values, ws: _Workspace):
+    """``values`` without their NaNs, selected chunk by chunk, so that no
+    mask or index array of the whole run is made; a summary-only run
+    selects into its spent departure column."""
+    out = np.empty(values.size) if ws.logged else ws.departures
+    count = 0
+    for lo in range(0, values.size, _UNBOUNDED_CHUNK):
+        part = values[lo:lo + _UNBOUNDED_CHUNK]
+        part = part[~np.isnan(part)]
+        out[count:count + part.size] = part
+        count += part.size
+    return out[:count]
+
+
+def _tagged_pairs(rng, fraction: float, ws: _Workspace, first: int):
+    """Draw the tagging uniforms chunk by chunk and return the sojourns of
+    the tagged packets from ``first`` on, in order.
+
+    A logged run fills its tagged column and gathers a copy. A summary-only
+    run compacts each chunk's tagged sojourns to the front of its sojourn
+    column: the write never passes the chunk being read, and the sojourns
+    it overwrites are read already.
+    """
+    sojourn, tagged = ws.sojourn, ws.tagged
+    n = sojourn.size
+    count = 0
+    for lo in range(0, n, ws.uniforms.size):
+        u = ws.uniforms[:n - lo]
+        hi = lo + u.size
+        rng.random(out=u)
+        flags = tagged[lo:hi] if ws.logged else tagged[:u.size]
+        np.less(u, fraction, out=flags)
+        if not ws.logged and hi > first:
+            start = max(first - lo, 0)
+            m = np.count_nonzero(flags[start:])
+            np.compress(flags[start:], sojourn[lo + start:hi], out=sojourn[count:count + m])
+            count += m
+    return sojourn[first:][tagged[first:]] if ws.logged else sojourn[:count]
 
 
 def simulate_run(config: SimConfig) -> tuple[PacketLog, RunSummary]:
@@ -732,16 +798,23 @@ def simulate_run(config: SimConfig) -> tuple[PacketLog, RunSummary]:
     arrivals and sojourns (``_fcfs_unbounded``). ``simulate_sweep`` makes
     the same runs without their logs.
     """
-    ws = _Workspace(config.horizon_packets, logged=True)
-    summary, departures, dropped = _simulate(config, ws)
-    if dropped is None:
-        dropped = np.zeros(config.horizon_packets, dtype=bool)
-    return PacketLog(ws.arrivals, ws.services, departures, ws.sojourn, ws.tagged, dropped), summary
+    ws = _Workspace(config, logged=True)
+    summary = _simulate(config, ws)
+    return PacketLog(ws.arrivals, ws.services, ws.departures, ws.sojourn, ws.tagged,
+                     np.isnan(ws.departures)), summary
 
 
 def _summarize_run(config: SimConfig) -> RunSummary:
     """``simulate_run(config)[1]`` without building the packet log."""
-    return _simulate(config, _Workspace(config.horizon_packets, logged=False))[0]
+    return _simulate(config, _Workspace(config, logged=False))
+
+
+def _at_point(rho, i: int, j: int, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its domain errors naming the sweep point."""
+    try:
+        return fn(*args, **kwargs)
+    except (DomainError, InstabilityError) as exc:
+        raise type(exc)(f"rho={rho!r} (grid index {i}, seed index {j}): {exc}") from exc
 
 
 def simulate_sweep(
@@ -757,41 +830,59 @@ def simulate_sweep(
     at fixed arrival rate, reproducing a link whose capacity degrades under a
     constant offered rate. Child seeds come from ``child_seed(base, i, j)``.
 
-    Each summary equals ``simulate_run``'s for the same config, but no
-    packet log is built: every run is drawn, queued and summarised in one
-    reused workspace sized to the horizon.
+    Every load is checked and every run's config built before any run
+    starts, so a bad load is reported before any run is made. An error
+    names its grid point; of the runs that fail, the first in grid order is
+    reported, and the runs not yet started are cancelled. Each summary
+    equals ``simulate_run``'s for the same config, but no packet log is
+    built: each worker draws, queues and summarises its runs in one reused
+    workspace sized to the horizon. The summaries come back in grid order,
+    and their bits do not depend on the number of workers.
+
+    The runs share nothing, and numpy releases the GIL in the draws and
+    array passes that take almost all of an unbounded run's time, so an
+    unbounded sweep runs on one worker thread per available core (at most
+    one per run), each in a workspace of 8 bytes a packet. A finite buffer
+    runs on one worker: its ring loop holds the GIL, and its workspace
+    takes 24 bytes a packet. The workers run under the caller's numpy error
+    handling (``np.errstate``).
     """
     if vary not in ("arrival", "capacity"):
         raise DomainError(f"vary must be 'arrival' or 'capacity', got {vary!r}")
     _count(seeds_per_point, "seeds_per_point", 1)
-    summaries = []
-    ws = None       # every run has the base config's horizon
+    jobs = []
     for i, rho in enumerate(rho_grid):
         _real(rho, f"rho_grid[{i}]", gt=0)
+        if vary == "arrival":
+            load = {"arrival_rate_lambda": rho * base_config.capacity_C}
+        else:
+            load = {"capacity_C": base_config.arrival_rate_lambda / rho}
         for j in range(seeds_per_point):
             seed = child_seed(base_config.seed, i, j)
-            try:
-                if vary == "arrival":
-                    cfg = replace(
-                        base_config,
-                        arrival_rate_lambda=rho * base_config.capacity_C,
-                        seed=seed,
-                    )
-                else:
-                    cfg = replace(
-                        base_config,
-                        capacity_C=base_config.arrival_rate_lambda / rho,
-                        seed=seed,
-                    )
-                if ws is None:
-                    ws = _Workspace(cfg.horizon_packets, logged=False)
-                summary = _simulate(cfg, ws)[0]
-            except (DomainError, InstabilityError) as exc:
-                raise type(exc)(
-                    f"rho={rho!r} (grid index {i}, seed index {j}): {exc}"
-                ) from exc
-            summaries.append(summary)
-    return summaries
+            jobs.append((rho, i, j, _at_point(rho, i, j, replace, base_config, **load,
+                                              seed=seed)))
+    if not jobs:
+        return []
+    # imported here: it brings in logging, about 1 MiB and 7 ms that every
+    # other command would pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    local = threading.local()
+    errors = np.geterr()        # numpy's error handling is per thread
+
+    def run(job):
+        rho, i, j, config = job
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace(base_config, logged=False)
+        with np.errstate(**errors):
+            return _at_point(rho, i, j, _simulate, config, local.ws)
+
+    if base_config.buffer_capacity is None:
+        workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    else:
+        workers = 1
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, jobs))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line contract: values, exit codes, reproducibility, file formats."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -229,6 +230,27 @@ class TestValidateCommand:
         _, summary = simulate_run(cfg)
         assert float(row[3]) == pytest.approx(summary.empirical_jitter_J, rel=1e-11)
         assert row[4] == ""  # single seed: stderr undefined
+
+    def test_same_files_on_one_and_two_workers(self, capsys, tmp_path, monkeypatch):
+        """The sweep's worker count changes none of the three files."""
+        sizes = []
+        executor = concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda workers: sizes.append(workers) or executor(workers))
+        written = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            out = tmp_path / f"cores{cores}"
+            code, _, _ = run_cli(
+                capsys, "validate", "--capacity", "1000", "--rho-grid", "0.2:0.8:0.3",
+                "--packets", "40000", "--seeds", "3", "--tagged-fraction", "0.5",
+                "--out", str(out),
+            )
+            assert code in (0, 2)
+            written.append({name: (out / name).read_bytes() for name in
+                            ("validation.csv", "validation_model.dat", "validation_sim.dat")})
+        assert sizes == [1, 2]
+        assert written[0] == written[1]
 
     def test_report_written_even_when_failing(self, capsys, tmp_path):
         code, out, _ = run_cli(

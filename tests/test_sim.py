@@ -1,9 +1,13 @@
 """Queue simulator: hand traces, classical queueing oracles, determinism."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -193,7 +197,8 @@ _LANE_CONSTANTS = ("_LANE_PACKETS", "_LANE_WARMUP", "_LANE_GROUP", "_LANE_PROBE"
 def _lane_shapes(draw):
     """Small lanes, so that short inputs span many lanes and groups: L
     packets per lane, W warm-up packets (1 to L), groups of 1 to 7 lanes
-    after a first group of 1 to 3, and chunks of 1 to L + W steps."""
+    after a first group of 1 to 3 lanes of W packets, and chunks of 1 to
+    L + W steps."""
     lane = draw(st.integers(4, 64))
     warm = draw(st.integers(1, lane))
     return (lane, warm, draw(st.integers(1, 7)), draw(st.integers(1, 3)),
@@ -206,6 +211,16 @@ def _continuous_times(draw):
     n = draw(st.integers(1, 3000))
     return np.cumsum(rng.exponential(1.0, size=n)), rng.exponential(draw(st.floats(0.3, 4.0)),
                                                                     size=n)
+
+
+def _lane_starts(shape, n):
+    """The first packet of every lane ``_fcfs_lanes`` cuts n packets into
+    at the given lane shape, and the end of the last whole lane: the first
+    group's lanes of W packets, then lanes of L."""
+    lane, warm, _, probe, _ = shape
+    first = min(probe, n // warm) * warm
+    whole = first + (n - first) // lane * lane
+    return list(range(0, first, warm)) + list(range(first, whole, lane)), whole
 
 
 def _run_lanes(shape, arrivals, services, buffer_capacity):
@@ -254,20 +269,23 @@ class TestLanes:
         services = np.full(n, 2.0)
         departures, calls = _run_lanes(shape, arrivals, services, buffer_capacity)
         assert np.array_equal(departures, arrivals + 2.0)
-        assert calls == [(n - 3, n)]
+        assert calls == [(_lane_starts(shape, n)[1], n)] == [(n - 1, n)]
 
     def test_rerun_stops_where_a_departure_meets_an_arrival(self):
-        """A long service leaves lane 1 busy through its overlap, so the
-        ring loop reruns it; the queue is next idle exactly when a
-        departure meets an arrival, and there the rerun hands back."""
+        """A long service leaves the lane of packets 10-17 busy through its
+        overlap (packets 8 and 9), so the ring loop reruns it; the queue is
+        next idle exactly when a departure meets an arrival, and there the
+        rerun hands back."""
         n = 5 * 8 + 3
         arrivals = 2.0 * np.arange(n)
         services = np.full(n, 2.0)
-        services[5] = 8.0
-        departures, calls = _run_lanes((8, 2, 3, 1, 5), arrivals, services, 1)
+        services[7] = 8.0
+        shape = (8, 2, 3, 1, 5)
+        departures, calls = _run_lanes(shape, arrivals, services, 1)
         ref_dep, _ = _reference_fcfs(arrivals, services, 1)
         assert np.array_equal(departures, ref_dep, equal_nan=True)
-        assert calls == [(8, 16), (n - 3, n)]
+        assert _lane_starts(shape, n) == ([0, 2, 10, 18, 26, 34], 42)
+        assert calls == [(10, 18), (n - 1, n)]
 
     @pytest.mark.parametrize(
         "load, buffer_capacity, branches",
@@ -283,7 +301,7 @@ class TestLanes:
     )
     def test_reaches_every_branch(self, load, buffer_capacity, branches):
         shape = (64, 8, 4, 2, 16)
-        lane, _, _, probe, _ = shape
+        lane, _, group, _, _ = shape
         rng = np.random.default_rng(2024)
         n = 40 * lane + 5
         arrivals = np.cumsum(rng.integers(0, 3, size=n, endpoint=True)).astype(float)
@@ -295,19 +313,19 @@ class TestLanes:
         # at or before it; a lane without such an arrival cannot couple.
         before = np.concatenate(([-np.inf], np.fmax.accumulate(ref_dep)[:-1]))
         idle = np.nan_to_num(before, nan=-np.inf) <= arrivals
-        whole = n // lane * lane
+        starts, whole = _lane_starts(shape, n)
         seen = set()
         if (whole, n) in calls:
             seen.add("last packets")
-            if whole > probe * lane:
+            if len(starts) - shape[3] > group:
                 seen.add("several groups")
         if any(hi == n and lo < whole for lo, hi in calls):
             seen.add("ring takes over")
-        for first in range(0, whole, lane):
-            ends = [hi for lo, hi in calls if first <= lo < first + lane and hi <= whole]
-            if ends and max(ends) < first + lane:
+        for first, end in zip(starts, starts[1:] + [whole]):
+            ends = [hi for lo, hi in calls if first <= lo < end and hi <= whole]
+            if ends and max(ends) < end:
                 seen.add("rerun until coupled")
-            elif ends and not idle[first:first + lane].any():
+            elif ends and not idle[first:end].any():
                 seen.add("never coupled")
         assert branches <= seen
 
@@ -317,26 +335,27 @@ class TestLanesAtTheRealShape:
     in for."""
 
     def test_bit_identical_with_couplings_and_reruns(self):
-        """A 32-lane first group, then one group of the rest, at a load
-        where half the lanes couple in their overlap, most others are rerun
-        up to a shared idle arrival, and some to their end."""
-        lane = sim._LANE_PACKETS
+        """A first group of 64 lanes of 128 packets, then one group of the
+        rest, at a load where half the lanes couple in their overlap, most
+        others are rerun up to a shared idle arrival, and some to their
+        end."""
         rng = np.random.default_rng(1729)
-        n = 40 * lane + 77
+        n = 40 * sim._LANE_PACKETS + 77
         arrivals = np.cumsum(rng.exponential(1.0, size=n))
         services = rng.exponential(1.3, size=n)
         shape = tuple(getattr(sim, name) for name in _LANE_CONSTANTS)
         departures, calls = _run_lanes(shape, arrivals, services, 10)
         ref_dep, _ = _reference_fcfs(arrivals, services, 10)
         assert np.array_equal(departures, ref_dep, equal_nan=True)
-        whole = n // lane * lane
-        rerun = {lo // lane: [] for lo, hi in calls if hi <= whole}
+        starts, whole = _lane_starts(shape, n)
+        ends = starts[1:] + [whole]
+        rerun = {}
         for lo, hi in calls:
             if hi <= whole:
-                rerun[lo // lane].append(hi)
+                rerun.setdefault(np.searchsorted(starts, lo, side="right") - 1, []).append(hi)
         assert calls[-1] == (whole, n)
-        assert 0 < len(rerun) < n // lane
-        coupled = [max(ends) < (j + 1) * lane for j, ends in rerun.items()]
+        assert 0 < len(rerun) < len(starts)
+        coupled = [max(his) < ends[j] for j, his in rerun.items()]
         assert any(coupled) and not all(coupled)
         assert any(j >= sim._LANE_PROBE for j in rerun)
 
@@ -347,21 +366,29 @@ class TestLanesAtTheRealShape:
         ids=["short", "long", "long overload"],
     )
     def test_lanes_only_where_they_pay(self, n, load, lanes):
-        """Short inputs and queues that are seldom idle go to the ring loop."""
+        """Short inputs go to the ring loop, and so does the rest of a queue
+        that is seldom idle once the first group has found that out."""
         rng = np.random.default_rng(7)
         arrivals = np.cumsum(rng.exponential(1.0, size=n))
         services = rng.exponential(load, size=n)
-        taken = []
-        fcfs_lanes = sim._fcfs_lanes
+        calls = []
+        ring_run = sim._ring_run
 
-        def spy(*args):
-            taken.append(args)
-            return fcfs_lanes(*args)
+        def spy(arr, srv, lo, hi, departures, state):
+            calls.append((lo, hi))
+            return ring_run(arr, srv, lo, hi, departures, state)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_fcfs_lanes", spy)
+            mp.setattr(sim, "_ring_run", spy)
             departures, _ = fcfs_departures(arrivals, services, 10)
-        assert bool(taken) == lanes
+        ring = sum(hi - lo for lo, hi in calls)
+        first = sim._LANE_PROBE * sim._LANE_WARMUP
+        if not lanes:
+            # never more than the first group's packets off the ring loop
+            assert ring >= n - first
+            assert calls[-1][1] == n and calls[-1][0] <= first
+        else:
+            assert ring < n // 10
         assert np.array_equal(departures, sim._fcfs_ring(arrivals, services, 10),
                               equal_nan=True)
 
@@ -771,6 +798,34 @@ def _sweep_against_runs(base, grid, **kwargs):
 _SUMMARY_HORIZONS = [1, 2, 32_767, 32_768, 32_769, 65_537, 300_001]
 
 
+def _use_cores(monkeypatch, cores):
+    """Make ``simulate_sweep`` see ``cores`` available cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def _sweep_peak(base, grid, **kwargs):
+    """Peak traced bytes of ``simulate_sweep``."""
+    tracemalloc.start()
+    try:
+        simulate_sweep(base, grid, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _pool_sizes(monkeypatch):
+    """Record the worker count of every pool ``simulate_sweep`` makes."""
+    sizes = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def spy(workers):
+        sizes.append(workers)
+        return executor(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    return sizes
+
+
 class TestSummaryOnly:
     """Sweeps run summary-only in one reused workspace; every summary must
     be the one ``simulate_run`` gives for the same config."""
@@ -815,29 +870,40 @@ class TestSummaryOnly:
         assert [s.config.rho for s in forward[::2]] == [s.config.rho for s in backward[::-2]]
 
     @pytest.mark.parametrize("tagged_fraction", [0.1, 1.0])
-    def test_sweep_memory_per_packet(self, tagged_fraction):
-        """The sweep keeps arrivals, sojourns and tagged flags (17 bytes a
-        packet) and fixed chunk buffers; building each run's packet log
-        peaked at 71-75 bytes a packet."""
+    def test_sweep_memory_per_packet(self, monkeypatch, tagged_fraction):
+        """Each worker of an unbounded sweep keeps one column (8 bytes a
+        packet) and fixed chunk buffers of about 1.6 MiB; one workspace of
+        arrivals, sojourns and tagged flags peaked at 19.6-21.2 bytes a
+        packet, and building each run's packet log at 71-75."""
         n = 500_000
         base = SimConfig(1000.0, 500.0, tagged_fraction=tagged_fraction,
                          horizon_packets=n, seed=11)
-        tracemalloc.start()
-        try:
-            simulate_sweep(base, [0.3, 0.6, 0.9])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * n
+        for workers in (1, 2):
+            _use_cores(monkeypatch, workers)
+            assert _sweep_peak(base, [0.3, 0.6, 0.9]) <= workers * (8 * n + (2 << 20))
 
-    def test_tiny_capacity_near_saturation_has_finite_means(self):
+    @pytest.mark.parametrize("tagged_fraction", [0.1, 1.0])
+    def test_finite_sweep_memory_per_packet(self, tagged_fraction):
+        """A finite-buffer sweep runs on one worker, which keeps arrivals,
+        services then sojourns, and departures (24 bytes a packet) plus the
+        lanes' working memory (about 1.8 MiB here); with fresh departures
+        and drop flags per run and a delivered copy it peaked at 35.7."""
+        n = 500_000
+        base = SimConfig(1000.0, 800.0, tagged_fraction=tagged_fraction, buffer_capacity=10,
+                         horizon_packets=n, seed=11)
+        assert _sweep_peak(base, [0.6, 1.0, 1.4], vary="capacity") <= 24 * n + (3 << 20)
+
+    def test_tiny_capacity_near_saturation_has_finite_means(self, monkeypatch):
         """Near saturation at C = 1e-300 the sojourns near 1e302 sum past
         the double range; the means are taken over scaled values instead,
-        and the sweep and the logged run agree."""
+        and the sweep and the logged run agree. This holds on worker
+        threads too: a RuntimeWarning there, made an error, would reach the
+        caller."""
+        _use_cores(monkeypatch, 2)
         base = SimConfig(1e-300, 0.5e-300, horizon_packets=1_000_000, seed=1729)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            [summary] = _sweep_against_runs(base, [0.9999999])
+            summary, _ = _sweep_against_runs(base, [0.9999999, 0.5])
         assert 1e301 < summary.mean_sojourn < math.inf
         assert 0 < summary.empirical_jitter_J < math.inf
 
@@ -856,6 +922,109 @@ class TestSummaryOnly:
         values = np.random.default_rng(5).exponential(1e300, size=10_001)
         assert sim._mean(values) == float(values.mean())
         assert math.isnan(sim._mean(np.empty(0)))
+
+
+class TestParallelSweep:
+    """An unbounded sweep runs on one worker thread per available core, each
+    in its own workspace; nothing it returns may depend on that count."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 32_767, 32_768, 32_769, 100_001])
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.1, 0.49])
+    @pytest.mark.parametrize("tagged_fraction", [1.0, 0.1, 0.001])
+    def test_same_summaries_on_one_two_and_three_workers(self, monkeypatch, horizon,
+                                                        warmup_fraction, tagged_fraction):
+        sizes = _pool_sizes(monkeypatch)
+        for service, vary in [("exponential", "arrival"), ("deterministic", "arrival"),
+                              ("exponential", "capacity"), ("deterministic", "capacity")]:
+            base = SimConfig(1000.0, 500.0, tagged_fraction=tagged_fraction,
+                             horizon_packets=horizon, warmup_fraction=warmup_fraction,
+                             seed=horizon, service_distribution=service)
+            swept = []
+            for cores in (1, 2, 3):
+                _use_cores(monkeypatch, cores)
+                swept.append(simulate_sweep(base, [0.3, 0.9], seeds_per_point=2, vary=vary))
+            assert sizes[-3:] == [1, 2, 3]
+            for one, two, three in zip(*swept):
+                _assert_same_summary(two, one)
+                _assert_same_summary(three, one)
+                _assert_same_summary(one, simulate_run(one.config)[1])
+            assert [(s.config.rho, s.seed) for s in swept[0]] == [
+                (pytest.approx(rho), child_seed(horizon, i, j))
+                for i, rho in enumerate([0.3, 0.9]) for j in range(2)]
+
+    def test_worker_count(self, monkeypatch):
+        """One worker per available core, at most one per run; one worker
+        for a finite buffer, whose ring loop holds the GIL."""
+        sizes = _pool_sizes(monkeypatch)
+        base = SimConfig(1000.0, 500.0, horizon_packets=100, seed=1)
+        _use_cores(monkeypatch, 4)
+        simulate_sweep(base, [0.5, 0.6], seeds_per_point=3)
+        simulate_sweep(base, [0.5], seeds_per_point=2)
+        simulate_sweep(dataclasses.replace(base, buffer_capacity=5), [0.5, 0.6],
+                       seeds_per_point=3)
+        assert simulate_sweep(base, []) == []
+        assert sizes == [4, 2, 1]
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        """Eight workers on a short GIL switch interval give the summaries
+        of one; each run keeps to its own workspace."""
+        base = SimConfig(1000.0, 500.0, tagged_fraction=0.1, horizon_packets=40_001, seed=5)
+        grid = [0.2, 0.5, 0.8, 0.95]
+        _use_cores(monkeypatch, 1)
+        want = simulate_sweep(base, grid, seeds_per_point=3)
+        _use_cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_sweep(base, grid, seeds_per_point=3)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, want, strict=True):
+            _assert_same_summary(a, b)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_failed_run_names_its_point_and_cancels_the_rest(self, monkeypatch, cores):
+        """At rho 1e-6 the interarrival draws near 1e306 overflow within a
+        few hundred packets: the run fails inside ``_simulate``, with the
+        message the sequential loop gave, and the runs not yet started are
+        cancelled. The caller's ``np.errstate`` holds on the workers, so
+        the overflow is silent under the suite's RuntimeWarning filter."""
+        _use_cores(monkeypatch, cores)
+        calls = []
+        simulate = sim._simulate
+
+        def counted(config, ws):
+            calls.append(config.seed)
+            return simulate(config, ws)
+
+        monkeypatch.setattr(sim, "_simulate", counted)
+        base = SimConfig(1e-300, 0.5e-300, horizon_packets=200_000, seed=3)
+        grid = [0.5, 0.5, 1e-6] + [0.5] * 57
+        with pytest.raises(DomainError) as want, np.errstate(all="ignore"):
+            simulate_run(dataclasses.replace(base, arrival_rate_lambda=1e-6 * 1e-300,
+                                             seed=child_seed(3, 2, 0)))
+        before = threading.enumerate()
+        with pytest.raises(DomainError) as got, np.errstate(all="ignore"):
+            simulate_sweep(base, grid, vary="arrival")
+        assert str(got.value) == f"rho=1e-06 (grid index 2, seed index 0): {want.value}"
+        assert set(threading.enumerate()) <= set(before)
+        # runs 0-2, and those started before the caller saw the failure
+        assert 3 <= len(calls) < len(grid) // 2
+
+    def test_failed_finite_run_names_its_point(self):
+        """At C = lambda / rho = 1e-309 the service time 1/C overflows."""
+        base = SimConfig(1000.0, 1e-300, buffer_capacity=4, horizon_packets=1_000, seed=3)
+        with pytest.raises(DomainError) as got, np.errstate(all="ignore"):
+            simulate_sweep(base, [0.5, 1e9, 0.5], vary="capacity")
+        assert str(got.value) == ("rho=1000000000.0 (grid index 1, seed index 0): "
+                                  "times must be finite and service times non-negative")
+
+    def test_no_thread_outlives_a_sweep(self, monkeypatch):
+        _use_cores(monkeypatch, 3)
+        base = SimConfig(1000.0, 500.0, horizon_packets=5_000, seed=2)
+        before = set(threading.enumerate())
+        simulate_sweep(base, [0.2, 0.4, 0.6, 0.8], seeds_per_point=2)
+        assert set(threading.enumerate()) <= before
 
 
 class TestMerge:

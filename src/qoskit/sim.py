@@ -156,18 +156,16 @@ class RunSummary:
     config: SimConfig
 
 
-#: Packets per chunk of the unbounded pass (see ``_fcfs_unbounded``): the
-#: chunk's slices of its six arrays, about 1.5 MB, stay in a core's cache
-#: from one step of the pass to the next.
-_UNBOUNDED_CHUNK = 32_768
+#: Packets per chunk of the unbounded pass (see ``_fcfs_unbounded``), whose
+#: slices of its six arrays, about 1.5 MB, stay in a core's cache from one
+#: step of the pass to the next; also the packets per ``tolist()``
+#: conversion in the ring loop, which bounds its Python objects to a fixed
+#: size whatever the run length.
+_CHUNK = 32_768
 
 #: Buffer size from which the finite-buffer queue uses block-of-K acceptance
 #: instead of the lanes and the ring loop (see ``fcfs_departures``).
 _BLOCK_MIN_BUFFER = 96
-
-#: Packets per ``tolist()`` conversion in the ring loop; bounds its Python
-#: objects to a fixed size whatever the run length.
-_RING_CHUNK = 32_768
 
 #: Lanes of the small-buffer path (see ``_fcfs_lanes``): packets per lane,
 #: packets each lane runs before its own to warm up, and the most lanes
@@ -176,12 +174,16 @@ _LANE_PACKETS = 1024
 _LANE_WARMUP = 128
 _LANE_GROUP = 1024
 
-#: The first group of lanes: how many, each of just W packets, and the share
-#: of its packets the ring loop had to rerun above which the ring loop runs
-#: the rest of the stream. A numpy step costs 5-8 us however few lanes it
-#: has, so the first group's 2W steps (about 2 ms) find out a queue that is
-#: seldom idle, where a group of whole lanes would take 9 ms.
+#: The first group of lanes: how many, each of just W packets. A numpy step
+#: costs 5-8 us however few lanes it has, so the first group's 2W steps
+#: (about 2 ms) find out a queue that is seldom idle, where a group of whole
+#: lanes would take 9 ms.
 _LANE_PROBE = 64
+
+#: Share of a group's packets, the first group's or a later one's, that the
+#: ring loop had to rerun above which it runs the rest of the stream; also
+#: the share of the first group's lanes without a shared idle arrival above
+#: which it runs the whole stream.
 _LANE_BUSY = 0.9
 
 #: The side-by-side run costs about 9 ms per group however few lanes it has,
@@ -191,10 +193,6 @@ _LANE_MIN_PACKETS = 200_000
 
 #: Steps per chunk of the side-by-side run; bounds its working memory.
 _LANE_CHUNK = 64
-
-#: Share of a group's packets that the ring loop had to rerun above which
-#: the rest of the stream goes to the ring loop alone (see ``_fcfs_lanes``).
-_LANE_FALLBACK = 0.5
 
 
 def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = None):
@@ -214,7 +212,7 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
       with tail drop.
     - ``K < 96`` otherwise, and the rest of a stream on which lanes stop
       paying: a sequential loop over a ring of the last K accepted
-      departures (``_fcfs_ring``), bit-identical to the same recursion.
+      departures (``_ring_run``), bit-identical to the same recursion.
     - ``K >= 96``: K acceptances at a time (one ``searchsorted`` plus a
       block Lindley pass), so dropped packets cost nothing. The sums are
       taken in another order, so departures may differ from the recursion's
@@ -233,18 +231,18 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
 
     When the queue seldom goes idle (long overload at moderate K) nearly
     every lane needs that rerun, and the lanes cost more than the ring loop
-    alone once reruns pass about 0.65 of the packets. Two observed shares,
+    alone once reruns pass about 0.65 of the packets. Observed shares,
     never K or the load, hand such a stream to the ring loop:
 
     - The first group is 64 lanes of just 128 packets from the start of the
       stream (about 2 ms side by side). If more than 0.9 of them share no
       idle arrival with the lane before, the ring loop runs the whole
-      stream; if their repairs reran more than 0.9 of their packets, it
-      runs the rest.
-    - Otherwise the rest is cut into lanes of 1,024 packets, in equal groups
-      of at most 1,024 lanes sized to the input (up to about 1M packets,
-      one group); once a group's reruns pass one half of its packets, the
-      rest goes to the ring loop.
+      stream without repairing them.
+    - The rest is cut into lanes of 1,024 packets, in equal groups of at
+      most 1,024 lanes sized to the input (one group up to 1,057,791
+      packets).
+    - Once the repairs of any group, the first or a later one, have rerun
+      more than 0.9 of its packets, the ring loop runs the rest.
 
     On every path packet i is dropped exactly when the accepted packet K
     places before it has not departed by ``a_i``, so the drop set is the
@@ -282,14 +280,16 @@ def _fcfs_finite(arr, srv, buffer_capacity, departures):
     into ``departures``; NaN marks a dropped packet."""
     if buffer_capacity >= _BLOCK_MIN_BUFFER:
         _fcfs_blocks(arr, srv, buffer_capacity, departures)
-    elif arr.size >= _LANE_MIN_PACKETS:
-        _fcfs_lanes(arr, srv, buffer_capacity, departures)
+        return
+    empty = ([-math.inf] * buffer_capacity, 0, -math.inf)
+    if arr.size >= _LANE_MIN_PACKETS:
+        _fcfs_lanes(arr, srv, departures, empty)
     else:
-        _fcfs_ring(arr, srv, buffer_capacity, departures)
+        _ring_run(arr, srv, 0, arr.size, departures, empty)
 
 
 def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
-    """Unbounded FCFS in chunks of ``_UNBOUNDED_CHUNK`` packets; departures
+    """Unbounded FCFS in chunks of ``_CHUNK`` packets; departures
     go to ``departures`` and, when given, ``departure - arrival`` to
     ``sojourn``. Returns the arrival of packet ``first - 1`` (0.0 when
     ``first`` is 0) and the last arrival.
@@ -303,8 +303,9 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
     first chunk starts from a sum of -0.0 and an increment of -0.0 for
     packet 0 (adding -0.0 changes no bits), then gives packet 0 the +0.0
     sum of the whole-array form; the minimum starts at +inf. The chunk
-    before's last arrival is carried as a number, so ``sojourn`` may be
-    ``arr`` itself: each chunk's sojourns then overwrite its arrivals.
+    before's last arrival and last service time, which the chunk's first
+    increment needs, are carried as numbers, so ``sojourn`` may be ``arr``
+    itself: each chunk's sojourns then overwrite its arrivals.
 
     With ``draw``, the pass also makes the run: ``arr`` holds interarrival
     draws and becomes the arrivals in place, and ``draw(out)`` writes each
@@ -315,28 +316,19 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
     whole arrays.
 
     ``srv`` and ``departures`` are whole columns, or, for a run that keeps
-    neither, chunk buffers: ``departures`` a chunk long, ``srv`` one slot
-    longer, its slot 0 carrying the service time of the packet before the
-    chunk, which the chunk's first increment needs. A run of one chunk
-    uses its buffers as columns.
+    neither, buffers a chunk long that every chunk reuses. A run of one
+    chunk uses its buffers as columns.
     """
     n = arr.size
-    size = min(_UNBOUNDED_CHUNK, n) + 1
-    whole = departures.size == n
+    size = min(_CHUNK, n) + 1
     prefix_buf, low_buf = np.empty(size), np.empty(size)
     last_prefix, last_low = -0.0, math.inf
-    t_start = last_arrival = 0.0
-    for lo in range(0, n, _UNBOUNDED_CHUNK):
-        hi = min(lo + _UNBOUNDED_CHUNK, n)
-        k = max(lo, 1)
+    t_start = last_arrival = last_service = 0.0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         a = arr[lo:hi]
-        if whole:
-            s, s_before, dep = srv[lo:hi], srv[k - 1:hi - 1], departures[lo:hi]
-        else:
-            # every chunk but the last is whole, so the last slot holds the
-            # service time of the packet before this chunk
-            srv[0] = srv[-1]
-            s, s_before, dep = srv[1:hi - lo + 1], srv[k - lo:hi - lo], departures[:hi - lo]
+        at = lo % departures.size       # lo in a column, 0 in a chunk buffer
+        s, dep = srv[at:at + hi - lo], departures[at:at + hi - lo]
         if draw is not None:
             if lo:
                 a[0] += last_arrival
@@ -346,13 +338,10 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
                 raise DomainError("times must be finite and service times non-negative")
         prefix, low = prefix_buf[:hi - lo + 1], low_buf[:hi - lo + 1]
         prefix[0] = last_prefix
-        if lo:
-            prefix[1] = a[0] - last_arrival
-        inc = prefix[1 + k - lo:]
-        np.subtract(a[1:], a[:-1], out=prefix[2:])
-        np.subtract(s_before, inc, out=inc)
-        if not lo:
-            prefix[1] = -0.0
+        prefix[1] = last_service - (a[0] - last_arrival) if lo else -0.0
+        inc = prefix[2:]
+        np.subtract(a[1:], a[:-1], out=inc)
+        np.subtract(s[:-1], inc, out=inc)
         np.cumsum(prefix, out=prefix)
         if not lo:
             prefix[1] = 0.0
@@ -361,22 +350,13 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
         last_prefix, last_low = prefix[-1], low[-1]
         if lo < first <= hi:
             t_start = float(a[first - 1 - lo])
-        last_arrival = a[-1]
+        last_arrival, last_service = a[-1], s[-1]
         waits = np.subtract(prefix[1:], low[1:], out=low[1:])
         np.add(a, waits, out=dep)
         dep += s
         if sojourn is not None:
             np.subtract(dep, a, out=sojourn[lo:hi])
     return t_start, float(last_arrival)
-
-
-def _fcfs_ring(arr, srv, buffer_capacity, departures=None):
-    """Sequential tail-drop FCFS into ``departures`` (a new array when
-    None), which it returns; NaN marks a dropped packet."""
-    departures = np.empty(arr.size) if departures is None else departures
-    _ring_run(arr, srv, 0, arr.size, departures,
-              ([-math.inf] * buffer_capacity, 0, -math.inf))
-    return departures
 
 
 def _ring_run(arr, srv, lo, hi, departures, state):
@@ -391,8 +371,8 @@ def _ring_run(arr, srv, lo, hi, departures, state):
     ring, pos, last = state
     buffer_capacity = len(ring)
     nan = math.nan
-    for c0 in range(lo, hi, _RING_CHUNK):
-        c1 = min(c0 + _RING_CHUNK, hi)
+    for c0 in range(lo, hi, _CHUNK):
+        c1 = min(c0 + _CHUNK, hi)
         out = []
         append = out.append
         for t, s in zip(arr[c0:c1].tolist(), srv[c0:c1].tolist()):
@@ -409,10 +389,10 @@ def _ring_run(arr, srv, lo, hi, departures, state):
     return ring, pos, last
 
 
-def _fcfs_lanes(arr, srv, buffer_capacity, departures=None):
-    """Tail-drop FCFS in lanes checked at shared idle instants, into
-    ``departures`` (a new array when None), which it returns; NaN marks a
-    dropped packet. Bit-identical to ``_fcfs_ring``.
+def _fcfs_lanes(arr, srv, departures, state):
+    """Tail-drop FCFS from the empty ring ``state`` in lanes checked at
+    shared idle instants, into ``departures``; NaN marks a dropped packet.
+    Bit-identical to ``_ring_run`` over the whole stream from that state.
 
     The stream is cut into lanes; each starts empty W packets before its
     first packet. The first group is ``_LANE_PROBE`` lanes of W packets,
@@ -431,23 +411,22 @@ def _fcfs_lanes(arr, srv, buffer_capacity, departures=None):
       the lane are both idle; from there the lane's output stands. A lane
       never idle together with its rerun leaves the next one to a rerun.
 
-    A group whose repairs reran more than ``_LANE_BUSY`` (the first) or
-    ``_LANE_FALLBACK`` (any other) of its packets hands the rest of the
-    stream to the ring loop. When more than ``_LANE_BUSY`` of the first
-    group's lanes have no shared idle arrival, the ring loop runs the whole
-    stream without repairing them.
+    A group, the first or a later one, whose repairs reran more than
+    ``_LANE_BUSY`` of its packets hands the rest of the stream to the ring
+    loop. When more than ``_LANE_BUSY`` of the first group's lanes have no
+    shared idle arrival, the ring loop runs the whole stream without
+    repairing them.
     """
     n = arr.size
     warm = _LANE_WARMUP
-    departures = np.empty(n) if departures is None else departures
+    buffer_capacity = len(state[0])
     # The lane before the next one: its idle flags over the next lane's
     # warm-up, whether its output is exact from some packet on, and its true
     # end state (None: its speculative end state, the same when exact).
     prev_idle = np.ones(warm, dtype=bool)
     exact = True
-    state = ([-math.inf] * buffer_capacity, 0, -math.inf)
     lo = 0
-    lane, m, limit = warm, min(_LANE_PROBE, n // warm), _LANE_BUSY
+    lane, m = warm, min(_LANE_PROBE, n // warm)
     while m:
         hi = lo + m * lane
         idle, rings, lasts = _speculate(arr, srv, lo, m, lane, buffer_capacity,
@@ -495,15 +474,14 @@ def _fcfs_lanes(arr, srv, buffer_capacity, departures=None):
         if state is None:
             state = rings[m - 1].tolist(), 0, float(lasts[m - 1])
         prev_idle = idle[lane:, m - 1].copy()
-        fall_back = rerun > limit * (hi - lo)
+        fall_back = rerun > _LANE_BUSY * (hi - lo)
         lo = hi
         if fall_back:
             break
-        lane, limit = _LANE_PACKETS, _LANE_FALLBACK
+        lane = _LANE_PACKETS
         rest = (n - lo) // lane
         m = math.ceil(rest / math.ceil(rest / _LANE_GROUP)) if rest else 0
     _ring_run(arr, srv, lo, n, departures, state)
-    return departures
 
 
 def _speculate(arr, srv, lo, m, lane, buffer_capacity, departures):
@@ -585,9 +563,9 @@ def _transpose_into(dst, src):
         dst[:, j:j + 64] = src[j:j + 64].T
 
 
-def _fcfs_blocks(arr, srv, buffer_capacity, departures=None):
-    """Tail-drop FCFS, K acceptances per step, into ``departures`` (a new
-    array when None), which it returns; NaN marks a dropped packet.
+def _fcfs_blocks(arr, srv, buffer_capacity, departures):
+    """Tail-drop FCFS, K acceptances per step, into ``departures``; NaN
+    marks a dropped packet.
 
     Accepted packet m needs ``a >= D[m-K]`` (D: departures of accepted
     packets, non-decreasing), so once K departures are known the next K
@@ -599,7 +577,6 @@ def _fcfs_blocks(arr, srv, buffer_capacity, departures=None):
     K packets have been accepted every arrival is admitted.
     """
     n = arr.size
-    departures = np.empty(n) if departures is None else departures
     departures.fill(math.nan)
     k = min(buffer_capacity, n)
     steps = np.arange(k)
@@ -628,7 +605,6 @@ def _fcfs_blocks(arr, srv, buffer_capacity, departures=None):
         thresholds = dep
         next_free = int(idx[-1]) + 1
         d_prev = float(dep[-1])
-    return departures
 
 
 def _exponential_into(rng, scale: float, out) -> None:
@@ -653,7 +629,8 @@ class _Workspace:
       (``_fcfs_unbounded``). Once the mean sojourn is taken, the window's
       tagged sojourns are compacted to its front and differenced there.
       The services, departures, tagging uniforms and tagged flags go to
-      chunk buffers.
+      buffers of one chunk each; the pass carries the chunk before's last
+      service time as a number, as it does its last arrival.
     - finite buffer: the arrivals, a column that takes the services and
       then the sojourns, and the departures, 24 bytes a packet. Once the
       sojourns are formed, the departures are spent; the summary selects
@@ -663,14 +640,14 @@ class _Workspace:
 
     def __init__(self, config: SimConfig, logged: bool):
         n = config.horizon_packets
-        chunk = min(_UNBOUNDED_CHUNK, n)
+        chunk = min(_CHUNK, n)
         finite = config.buffer_capacity is not None
         whole = logged or finite
         self.logged = logged
         self.arrivals = np.empty(n)
         self.sojourn = np.empty(n) if whole else self.arrivals
         if logged or not finite:
-            self.services = np.empty(n if logged else chunk + 1)
+            self.services = np.empty(n if logged else chunk)
         else:
             self.services = self.sojourn
         self.departures = np.empty(n if whole else chunk)
@@ -757,8 +734,8 @@ def _delivered(values, ws: _Workspace):
     selects into its spent departure column."""
     out = np.empty(values.size) if ws.logged else ws.departures
     count = 0
-    for lo in range(0, values.size, _UNBOUNDED_CHUNK):
-        part = values[lo:lo + _UNBOUNDED_CHUNK]
+    for lo in range(0, values.size, _CHUNK):
+        part = values[lo:lo + _CHUNK]
         part = part[~np.isnan(part)]
         out[count:count + part.size] = part
         count += part.size

@@ -345,10 +345,8 @@ def _poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> 
           le=_MAX_ARRIVALS)
     block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
     times = np.cumsum(rng.exponential(1.0 / rate, size=block))
-    while times.size == 0 or times[-1] < horizon:
-        more = np.cumsum(rng.exponential(1.0 / rate, size=block)) + (
-            times[-1] if times.size else 0.0
-        )
+    while times[-1] < horizon:
+        more = np.cumsum(rng.exponential(1.0 / rate, size=block)) + times[-1]
         times = np.concatenate((times, more))
     return times[:np.searchsorted(times, horizon)]
 

@@ -1,6 +1,7 @@
 """Queue simulator: hand traces, classical queueing oracles, determinism."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -125,6 +126,21 @@ def _reference_fcfs(arrival_times, service_times, buffer_capacity):
     return np.asarray(departures), np.asarray(dropped)
 
 
+def _ring(arrivals, services, buffer_capacity):
+    """The ring loop over the whole stream from the empty state."""
+    departures = np.empty(len(arrivals))
+    sim._ring_run(arrivals, services, 0, len(arrivals), departures,
+                  ([-math.inf] * buffer_capacity, 0, -math.inf))
+    return departures
+
+
+def _blocks(arrivals, services, buffer_capacity):
+    """The block path into a new departures array."""
+    departures = np.empty(len(arrivals))
+    sim._fcfs_blocks(arrivals, services, buffer_capacity, departures)
+    return departures
+
+
 _CROSSOVER = sim._BLOCK_MIN_BUFFER
 _BUFFERS = st.sampled_from([1, 2, 3, 7, _CROSSOVER - 1, _CROSSOVER, _CROSSOVER + 1, 250])
 
@@ -143,6 +159,11 @@ def _integer_times(draw):
     return arrivals, services
 
 
+#: Ring-loop chunk sizes the oracle tests draw: chunk seams at every
+#: packet, at odd offsets, inside the longest inputs, and the real size.
+_RING_CHUNKS = st.sampled_from([1, 7, 1000, sim._CHUNK])
+
+
 class TestFiniteBufferOracle:
     @settings(deadline=None)
     @given(times=_integer_times(), buffer_capacity=_BUFFERS)
@@ -154,19 +175,22 @@ class TestFiniteBufferOracle:
         assert np.array_equal(dep, ref_dep, equal_nan=True)
 
     @pytest.mark.parametrize("path", [
-        sim._fcfs_ring,
+        pytest.param(_ring, id="_ring_run"),
         # Lanes of 8 packets: the real ones are longer than these inputs.
         pytest.param(lambda a, s, k: _run_lanes((8, 4, 3, 2, 5), a, s, k)[0],
                      id="_fcfs_lanes"),
-        sim._fcfs_blocks,
+        pytest.param(_blocks, id="_fcfs_blocks"),
     ])
     @settings(deadline=None)
-    @given(times=_integer_times(), buffer_capacity=st.integers(1, 12) | _BUFFERS)
-    def test_each_path_exact_at_any_buffer(self, path, times, buffer_capacity):
+    @given(times=_integer_times(), buffer_capacity=st.integers(1, 12) | _BUFFERS,
+           chunk=_RING_CHUNKS)
+    def test_each_path_exact_at_any_buffer(self, path, times, buffer_capacity, chunk):
         arrivals, services = times
         ref_dep, _ = _reference_fcfs(arrivals, services, buffer_capacity)
-        assert np.array_equal(path(arrivals, services, buffer_capacity), ref_dep,
-                              equal_nan=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CHUNK", chunk)
+            departures = path(arrivals, services, buffer_capacity)
+        assert np.array_equal(departures, ref_dep, equal_nan=True)
 
     @settings(deadline=None)
     @given(
@@ -174,12 +198,16 @@ class TestFiniteBufferOracle:
         rho=st.floats(0.3, 4.0),
         n=st.integers(1, 3000),
         buffer_capacity=_BUFFERS,
+        chunk=_RING_CHUNKS,
     )
-    def test_matches_reference_on_continuous_times(self, seed, rho, n, buffer_capacity):
+    def test_matches_reference_on_continuous_times(self, seed, rho, n, buffer_capacity,
+                                                   chunk):
         rng = np.random.default_rng(seed)
         arrivals = np.cumsum(rng.exponential(1.0, size=n))
         services = rng.exponential(rho, size=n)
-        dep, dropped = fcfs_departures(arrivals, services, buffer_capacity)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CHUNK", chunk)
+            dep, dropped = fcfs_departures(arrivals, services, buffer_capacity)
         ref_dep, ref_dropped = _reference_fcfs(arrivals, services, buffer_capacity)
         assert np.array_equal(dropped, ref_dropped)
         kept = ~ref_dropped
@@ -188,21 +216,37 @@ class TestFiniteBufferOracle:
         if buffer_capacity < _CROSSOVER:
             assert np.array_equal(dep, ref_dep, equal_nan=True)
 
+    @pytest.mark.parametrize("buffer_capacity", [1, 10, _CROSSOVER - 1])
+    def test_ring_chunk_seams_at_the_real_size(self, buffer_capacity):
+        """A stream across two seams of the ring loop's real chunk, near
+        saturation so that drops and waits straddle them."""
+        rng = np.random.default_rng(32_768)
+        n = 2 * sim._CHUNK + 1_001
+        arrivals = np.cumsum(rng.exponential(1.0, size=n))
+        services = rng.exponential(1.0, size=n)
+        dep, dropped = fcfs_departures(arrivals, services, buffer_capacity)
+        ref_dep, ref_dropped = _reference_fcfs(arrivals, services, buffer_capacity)
+        assert np.array_equal(dropped, ref_dropped)
+        assert np.array_equal(dep, ref_dep, equal_nan=True)
+
 
 _LANE_CONSTANTS = ("_LANE_PACKETS", "_LANE_WARMUP", "_LANE_GROUP", "_LANE_PROBE",
-                   "_LANE_CHUNK")
+                   "_LANE_CHUNK", "_LANE_BUSY")
 
 
 @st.composite
 def _lane_shapes(draw):
     """Small lanes, so that short inputs span many lanes and groups: L
     packets per lane, W warm-up packets (1 to L), groups of 1 to 7 lanes
-    after a first group of 1 to 3 lanes of W packets, and chunks of 1 to
-    L + W steps."""
+    after a first group of 1 to 8 lanes of W packets, chunks of 1 to L + W
+    steps, and a hand-over share that sends the rest of the stream to the
+    ring loop after the first group, after a later one, or never. (The
+    first group's first two lanes always couple at packet 0, so its reruns
+    pass one half of its packets only from 5 lanes on.)"""
     lane = draw(st.integers(4, 64))
     warm = draw(st.integers(1, lane))
-    return (lane, warm, draw(st.integers(1, 7)), draw(st.integers(1, 3)),
-            draw(st.integers(1, lane + warm)))
+    return (lane, warm, draw(st.integers(1, 7)), draw(st.integers(1, 8)),
+            draw(st.integers(1, lane + warm)), draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
 
 
 @st.composite
@@ -217,15 +261,35 @@ def _lane_starts(shape, n):
     """The first packet of every lane ``_fcfs_lanes`` cuts n packets into
     at the given lane shape, and the end of the last whole lane: the first
     group's lanes of W packets, then lanes of L."""
-    lane, warm, _, probe, _ = shape
+    lane, warm, _, probe = shape[:4]
     first = min(probe, n // warm) * warm
     whole = first + (n - first) // lane * lane
     return list(range(0, first, warm)) + list(range(first, whole, lane)), whole
 
 
-def _run_lanes(shape, arrivals, services, buffer_capacity):
-    """``_fcfs_lanes`` at the given lane shape; also returns the (lo, hi)
-    packet ranges it handed to the ring loop."""
+def _group_ends(shape, n):
+    """The end of every group of lanes ``_fcfs_lanes`` runs at the given
+    shape over n packets when none hands over: the first group's, then
+    those of the equal groups of at most G lanes of L packets. The last is
+    the end of the last whole lane."""
+    lane, warm, group, probe = shape[:4]
+    ends = [min(probe, n // warm) * warm]
+    while rest := (n - ends[-1]) // lane:
+        ends.append(ends[-1] + math.ceil(rest / math.ceil(rest / group)) * lane)
+    return ends
+
+
+def _rerun_shares(calls, ends):
+    """The share of each group's packets that the ring loop reran, from the
+    ring calls of one ``_fcfs_lanes`` run (the last runs the rest)."""
+    starts = [0] + ends[:-1]
+    return [sum(hi - lo for lo, hi in calls[:-1] if lo0 <= lo < hi0) / (hi0 - lo0)
+            for lo0, hi0 in zip(starts, ends)]
+
+
+@contextlib.contextmanager
+def _ring_calls():
+    """Record the (lo, hi) packet range of every ``sim._ring_run`` call."""
     calls = []
     ring_run = sim._ring_run
 
@@ -234,11 +298,21 @@ def _run_lanes(shape, arrivals, services, buffer_capacity):
         return ring_run(arr, srv, lo, hi, departures, state)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_ring_run", spy)
+        yield calls
+
+
+def _run_lanes(shape, arrivals, services, buffer_capacity):
+    """``_fcfs_lanes`` at the given lane shape; also returns the (lo, hi)
+    packet ranges it handed to the ring loop. A shape of five leaves
+    ``_LANE_BUSY`` at its real value."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    with pytest.MonkeyPatch.context() as mp, _ring_calls() as calls:
         for name, value in zip(_LANE_CONSTANTS, shape):
             mp.setattr(sim, name, value)
-        mp.setattr(sim, "_ring_run", spy)
-        departures = sim._fcfs_lanes(np.asarray(arrivals, dtype=float),
-                                     np.asarray(services, dtype=float), buffer_capacity)
+        departures = np.empty(arrivals.size)
+        sim._fcfs_lanes(arrivals, np.asarray(services, dtype=float), departures,
+                        ([-math.inf] * buffer_capacity, 0, -math.inf))
     return departures, calls
 
 
@@ -254,9 +328,15 @@ class TestLanes:
            buffer_capacity=st.integers(1, 12) | st.sampled_from([_CROSSOVER - 1]))
     def test_bit_identical_at_any_lane_shape(self, shape, times, buffer_capacity):
         arrivals, services = times
-        departures, _ = _run_lanes(shape, arrivals, services, buffer_capacity)
+        departures, calls = _run_lanes(shape, arrivals, services, buffer_capacity)
         ref_dep, _ = _reference_fcfs(arrivals, services, buffer_capacity)
         assert np.array_equal(departures, ref_dep, equal_nan=True)
+        ends = _group_ends(shape, len(arrivals))
+        rest = calls[-1][0]     # the ring loop always runs the rest
+        event("no hand-over" if rest == ends[-1] else
+              "hand-over before any repair" if rest == 0 else
+              "hand-over after the first group" if rest == ends[0] else
+              "hand-over after a later group")
 
     @pytest.mark.parametrize("buffer_capacity", [1, 3])
     def test_departure_at_an_arrival_counts_as_idle(self, buffer_capacity):
@@ -329,6 +409,29 @@ class TestLanes:
                 seen.add("never coupled")
         assert branches <= seen
 
+    @pytest.mark.parametrize("calm", [0, 100], ids=["first group", "later group"])
+    def test_hands_over_after_any_group(self, calm):
+        """Light load for ``calm`` packets, then overload: the ring loop runs
+        the rest of the stream from the end of the first group, the first or
+        a later one, whose repairs rerun more than ``_LANE_BUSY`` (here 0.5)
+        of its packets, with whole lanes still to run."""
+        shape = (8, 2, 3, 6, 5, 0.5)
+        n = 273
+        rng = np.random.default_rng(36)
+        arrivals = np.cumsum(rng.integers(0, 3, size=n, endpoint=True)).astype(float)
+        services = rng.integers(0, 4, size=n, endpoint=True).astype(float)
+        services[:calm] //= 4
+        departures, calls = _run_lanes(shape, arrivals, services, 3)
+        ref_dep, _ = _reference_fcfs(arrivals, services, 3)
+        assert np.array_equal(departures, ref_dep, equal_nan=True)
+        ends = _group_ends(shape, n)
+        rest = calls[-1][0]
+        assert rest < ends[-1]
+        handed = ends.index(rest)
+        assert (handed == 0) == (calm == 0)
+        shares = _rerun_shares(calls, ends[:handed + 1])
+        assert max(shares[:-1], default=0.0) <= 0.5 < shares[-1]
+
 
 class TestLanesAtTheRealShape:
     """The lanes at their real constants, which the small shapes above stand
@@ -371,15 +474,7 @@ class TestLanesAtTheRealShape:
         rng = np.random.default_rng(7)
         arrivals = np.cumsum(rng.exponential(1.0, size=n))
         services = rng.exponential(load, size=n)
-        calls = []
-        ring_run = sim._ring_run
-
-        def spy(arr, srv, lo, hi, departures, state):
-            calls.append((lo, hi))
-            return ring_run(arr, srv, lo, hi, departures, state)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_ring_run", spy)
+        with _ring_calls() as calls:
             departures, _ = fcfs_departures(arrivals, services, 10)
         ring = sum(hi - lo for lo, hi in calls)
         first = sim._LANE_PROBE * sim._LANE_WARMUP
@@ -389,8 +484,31 @@ class TestLanesAtTheRealShape:
             assert calls[-1][1] == n and calls[-1][0] <= first
         else:
             assert ring < n // 10
-        assert np.array_equal(departures, sim._fcfs_ring(arrivals, services, 10),
+        assert np.array_equal(departures, _ring(arrivals, services, 10),
                               equal_nan=True)
+
+    def test_hands_over_after_a_later_group(self):
+        """2.2M packets at K = 20, rho 0.5 for the first half and 2.5 for the
+        second: after the first group come three equal groups of 713-714
+        lanes. The one across the load step reruns about half its packets and
+        keeps its lanes; the next reruns all of its own, and the ring loop
+        runs the rest of the stream from its end."""
+        n = 2_200_000
+        rng = np.random.default_rng(7)
+        arrivals = np.cumsum(rng.exponential(1.0, size=n))
+        services = np.concatenate((rng.exponential(0.5, size=n // 2),
+                                   rng.exponential(2.5, size=n - n // 2)))
+        with _ring_calls() as calls:
+            departures, _ = fcfs_departures(arrivals, services, 20)
+        assert np.array_equal(departures, _ring(arrivals, services, 20), equal_nan=True)
+        ends = _group_ends(tuple(getattr(sim, name) for name in _LANE_CONSTANTS), n)
+        assert len(ends) == 4
+        to_end = [lo for lo, hi in calls if hi == n]
+        assert len(to_end) == 1 and to_end[0] in ends
+        shares = _rerun_shares(calls, ends[:ends.index(to_end[0]) + 1])
+        assert len(shares) == 4
+        assert max(shares[:2]) == 0.0
+        assert 0.5 < shares[2] <= sim._LANE_BUSY < shares[3]
 
 
 class TestSimConfig:
@@ -622,7 +740,7 @@ _UNBOUNDED_RUNS = {
                                     tagged_fraction=1.0, warmup_fraction=0.0, seed=6),
 }
 
-_CHUNKS = [1, 2, 7, 1000, sim._UNBOUNDED_CHUNK]
+_CHUNKS = [1, 2, 7, 1000, sim._CHUNK]
 
 
 @st.composite
@@ -643,7 +761,7 @@ class TestUnboundedChunks:
     @pytest.mark.parametrize("run", list(_UNBOUNDED_RUNS.values()), ids=list(_UNBOUNDED_RUNS))
     def test_simulate_run_matches_whole_array_pass(self, monkeypatch, chunk, run):
         config = SimConfig(1000.0, **run)
-        monkeypatch.setattr(sim, "_UNBOUNDED_CHUNK", chunk)
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
         log, summary = simulate_run(config)
         want_log, want = _reference_simulate_run(config)
         _assert_same_log(log, want_log)
@@ -654,7 +772,7 @@ class TestUnboundedChunks:
     @pytest.mark.parametrize("tagged_fraction", [0.05, 1.0])
     def test_ragged_last_chunk_at_the_default_size(self, tagged_fraction):
         config = SimConfig(1000.0, 900.0, tagged_fraction=tagged_fraction,
-                           horizon_packets=2 * sim._UNBOUNDED_CHUNK + 4_001, seed=17)
+                           horizon_packets=2 * sim._CHUNK + 4_001, seed=17)
         log, summary = simulate_run(config)
         want_log, want = _reference_simulate_run(config)
         _assert_same_log(log, want_log)
@@ -677,7 +795,7 @@ class TestUnboundedChunks:
     def test_fcfs_departures_matches_whole_array_pass(self, times, chunk):
         arrivals, services = times
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_UNBOUNDED_CHUNK", chunk)
+            mp.setattr(sim, "_CHUNK", chunk)
             departures, dropped = fcfs_departures(arrivals, services)
         assert departures.tobytes() == _reference_unbounded_fcfs(arrivals, services).tobytes()
         assert not dropped.any()
@@ -694,7 +812,7 @@ class TestUnboundedChunks:
         with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
             fcfs_departures(arrivals, services)
 
-    @pytest.mark.parametrize("chunk", [1, 2, sim._UNBOUNDED_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, sim._CHUNK])
     @pytest.mark.parametrize("run", [
         # 1/C and 1/lambda are infinite
         dict(capacity_C=1e-310, arrival_rate_lambda=5e-311, horizon_packets=50,
@@ -706,7 +824,7 @@ class TestUnboundedChunks:
     ], ids=["both infinite", "service overflows", "arrivals overflow"])
     def test_non_finite_draws_rejected_as_before(self, monkeypatch, chunk, run):
         config = SimConfig(**run)
-        monkeypatch.setattr(sim, "_UNBOUNDED_CHUNK", chunk)
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
         with pytest.raises(DomainError) as want, np.errstate(all="ignore"):
             _reference_simulate_run(config)
         with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"), \
@@ -1128,10 +1246,10 @@ class TestScaleInvariance:
     to 1e-9 relative."""
 
     @pytest.mark.parametrize("path", [
-        sim._fcfs_ring,
+        pytest.param(_ring, id="_ring_run"),
         pytest.param(lambda a, s, k: _run_lanes((8, 4, 3, 2, 5), a, s, k)[0],
                      id="_fcfs_lanes"),
-        sim._fcfs_blocks,
+        pytest.param(_blocks, id="_fcfs_blocks"),
         pytest.param(lambda a, s, k: fcfs_departures(a, s)[0], id="_fcfs_unbounded"),
     ])
     @settings(deadline=None)

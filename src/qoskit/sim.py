@@ -189,7 +189,7 @@ _LANE_BUSY = 0.9
 #: The side-by-side run costs about 9 ms per group however few lanes it has,
 #: so the lanes only pay on long inputs (the README gives the measured
 #: break-even).
-_LANE_MIN_PACKETS = 200_000
+_LANE_MIN_PACKETS = 131_072
 
 #: Steps per chunk of the side-by-side run; bounds its working memory.
 _LANE_CHUNK = 64
@@ -206,18 +206,19 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     The unbounded buffer uses the closed-form Lindley recursion. A finite
     buffer of K packets takes one of three paths:
 
-    - ``K < 96``, at least 200,000 packets: lanes of 1,024 packets run side
+    - ``K < 96``, at least 131,072 packets: lanes of 1,024 packets run side
       by side in numpy, then are checked and repaired (``_fcfs_lanes``).
       Bit-identical to the per-packet recursion ``d = max(a, d_prev) + s``
       with tail drop.
     - ``K < 96`` otherwise, and the rest of a stream on which lanes stop
       paying: a sequential loop over a ring of the last K accepted
       departures (``_ring_run``), bit-identical to the same recursion.
-    - ``K >= 96``: K acceptances at a time (one ``searchsorted`` plus a
-      block Lindley pass), so dropped packets cost nothing. The sums are
-      taken in another order, so departures may differ from the recursion's
-      in the last digits (the tests hold them to 1e-12 relative); they are
-      bit-identical whenever the sums are exact, as with integer times.
+    - ``K >= 96``: K acceptances at a time (one ``searchsorted`` in a
+      window of the arrivals plus a block Lindley pass), so dropped packets
+      cost nothing. The sums are taken in another order, so departures may
+      differ from the recursion's in the last digits (the tests hold them
+      to 1e-12 relative); they are bit-identical whenever the sums are
+      exact, as with integer times.
 
     The lanes rest on one fact: a tail-drop queue that is idle at an
     arrival (its last departure at or before it) holds nothing that can
@@ -249,7 +250,7 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     recursion's. On the block path the one exception would be an arrival
     falling between the two paths' roundings of that departure instant.
 
-    The README gives the measurements behind the 200,000-packet cutoff
+    The README gives the measurements behind the 131,072-packet cutoff
     and each path's cost by K and load.
     """
     arr = np.ascontiguousarray(arrival_times, dtype=float)
@@ -575,36 +576,50 @@ def _fcfs_blocks(arr, srv, buffer_capacity, departures):
     departures come from the Lindley recursion in closed form,
     ``D = cs + max.accumulate(max(a - cs_prev, D_prev))``. While fewer than
     K packets have been accepted every arrival is admitted.
+
+    The thresholds are searched for in a window of the arrivals from the
+    first one not yet considered, which takes the place of pushing the
+    indices past it (the running max makes the two the same). The window
+    starts at 4K arrivals and doubles whenever the last threshold lies past
+    its end, so every index is the whole array's.
     """
     n = arr.size
     departures.fill(math.nan)
     k = min(buffer_capacity, n)
     steps = np.arange(k)
     thresholds = np.full(k, -math.inf)
+    cs = np.zeros(k + 1)        # cs[0] stays 0
+    cs_prev, cs_next, dep = cs[:-1], cs[1:], np.empty(k)
+    span = 4 * k
     next_free = 0               # first arrival index not yet considered
     d_prev = -math.inf          # departure of the last accepted packet
     while True:
-        idx = arr.searchsorted(thresholds, side="left")
+        idx = arr[next_free:next_free + span].searchsorted(thresholds, side="left")
+        while idx[-1] == span and next_free + span < n:
+            span *= 2
+            idx = arr[next_free:next_free + span].searchsorted(thresholds, side="left")
         idx -= steps
         np.maximum.accumulate(idx, out=idx)
-        np.maximum(idx, next_free, out=idx)
         idx += steps
+        idx += next_free
         if idx[-1] >= n:
             idx = idx[: idx.searchsorted(n)]
-            if idx.size == 0:
+            m = idx.size
+            if m == 0:
                 break
-        cs = np.zeros(idx.size + 1)
-        np.add.accumulate(srv[idx], out=cs[1:])
-        dep = arr[idx] - cs[:-1]
-        dep[0] = max(dep[0], d_prev)
+            cs_prev, cs_next, dep = cs_prev[:m], cs_next[:m], dep[:m]
+        np.add.accumulate(srv[idx], out=cs_next)
+        np.subtract(arr[idx], cs_prev, out=dep)
+        if d_prev > dep[0]:
+            dep[0] = d_prev
         np.maximum.accumulate(dep, out=dep)
-        dep += cs[1:]
+        dep += cs_next
         departures[idx] = dep
         if dep.size < k:
             break
         thresholds = dep
         next_free = int(idx[-1]) + 1
-        d_prev = float(dep[-1])
+        d_prev = dep[-1]
 
 
 def _exponential_into(rng, scale: float, out) -> None:

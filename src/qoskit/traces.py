@@ -194,21 +194,30 @@ def rate_at_distance(rate_map: RateDistanceMap, dist_m: float) -> float:
     """Deliverable rate at a distance: 0 in mask zones and beyond the last
     anchor, clamped to the first anchor up close, interpolated between."""
     _real(dist_m, "distance", ge=0)
+    return float(_rates(rate_map, np.array([dist_m], dtype=float))[0])
+
+
+def _rates(rate_map: RateDistanceMap, dist: np.ndarray) -> np.ndarray:
+    """``rate_at_distance`` at every distance of ``dist`` (none negative).
+
+    The anchor at or before each distance is one ``searchsorted``; between
+    two anchors the linear rate is ``r0 + (r1 - r0) * (d - d0) / (d1 - d0)``,
+    evaluated in that order, which is exactly r0 at ``d == d0``.
+    """
+    anchor_d, anchor_r = np.array(rate_map.anchors, dtype=float).T
+    top = anchor_d.size - 1
+    i = np.searchsorted(anchor_d, dist, side="right") - 1
+    at = np.clip(i, 0, top)
+    rates = anchor_r[at]        # clamped up close, at an anchor, or a step
+    if rate_map.interpolation == "linear":
+        between = (i >= 0) & (i < top)
+        j = at[between]
+        d0, r0, d1, r1 = anchor_d[j], anchor_r[j], anchor_d[j + 1], anchor_r[j + 1]
+        rates[between] = r0 + (r1 - r0) * (dist[between] - d0) / (d1 - d0)
+    rates[dist > anchor_d[-1]] = 0.0
     for lo, hi in rate_map.mask_zones:
-        if lo <= dist_m <= hi:
-            return 0.0
-    anchors = rate_map.anchors
-    if dist_m > anchors[-1][0]:
-        return 0.0
-    if dist_m <= anchors[0][0]:
-        return anchors[0][1]
-    distances = [a[0] for a in anchors]
-    i = bisect_right(distances, dist_m) - 1
-    d0, r0 = anchors[i]
-    if rate_map.interpolation == "step" or dist_m == d0:
-        return r0
-    d1, r1 = anchors[i + 1]
-    return r0 + (r1 - r0) * (dist_m - d0) / (d1 - d0)
+        rates[(lo <= dist) & (dist <= hi)] = 0.0
+    return rates
 
 
 def speed_at(profile, t_s: float) -> float:
@@ -361,48 +370,70 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     if d == 0:
         raise EmptyTraceError("zero-duration scenario produces no rows")
     speeds, positions = _per_second_kinematics(scenario)
-    rates_Bps = np.array([rate_at_distance(scenario.rate_map, p) for p in positions])
-    rates_pkts = rates_Bps / scenario.packet_size_B
+    rates_pkts = _rates(scenario.rate_map, positions) / scenario.packet_size_B
 
     rng = np.random.default_rng(scenario.seed)
     lam = scenario.offered_Bps / scenario.packet_size_B
     arrivals = _poisson_arrivals(rng, lam, float(d))
     work = rng.exponential(1.0, size=arrivals.size)
 
-    sec = np.floor(arrivals).astype(np.int64)
-    outage = rates_pkts[sec] == 0.0
+    # The arrivals are sorted, so each second's arrivals are one range.
+    seconds = np.arange(d + 1, dtype=float)
+    bounds = arrivals.searchsorted(seconds)
+    total_per_sec = np.diff(bounds)
+    up = rates_pkts != 0.0
+    live_per_sec = total_per_sec
+    if not up.all():
+        # Packets arriving in an outage are lost; only the rest are queued.
+        live = np.repeat(up, total_per_sec)
+        arrivals, work = np.compress(live, arrivals), np.compress(live, work)
+        live_per_sec = np.where(up, total_per_sec, 0)
+        bounds = np.concatenate(([0], np.cumsum(live_per_sec)))
 
     # Work coordinate: breaks[k] is the work the link can have drained by the
     # start of second k; within a second the mapping is linear at that
     # second's rate. In this coordinate the varying-rate queue is the plain
     # unit-rate FCFS queue.
     breaks = np.concatenate(([0.0], np.cumsum(rates_pkts)))
-    live = ~outage
-    a_t = arrivals[live]
-    a_sec = sec[live]
-    a_w = breaks[a_sec] + rates_pkts[a_sec] * (a_t - a_sec)
-    dep_w, dropped_q = fcfs_departures(a_w, work[live], scenario.buffer_pkts)
+    a_w = arrivals - np.repeat(seconds[:-1], live_per_sec)
+    a_w *= np.repeat(rates_pkts, live_per_sec)
+    a_w += np.repeat(breaks[:-1], live_per_sec)
+    departures, dropped = fcfs_departures(a_w, work, scenario.buffer_pkts)
+    del a_w, work       # every full-length array dies once it is spent
 
-    delivered_mask = ~dropped_q
-    dep_w_del = dep_w[delivered_mask]
-    in_horizon = dep_w_del <= breaks[-1]
-    dep_w_del = dep_w_del[in_horizon]
-    seg = np.searchsorted(breaks, dep_w_del, side="left") - 1
-    dep_t = seg + (dep_w_del - breaks[seg]) / rates_pkts[seg]
-    sojourns = dep_t - a_t[delivered_mask][in_horizon]
-    dep_sec = np.floor(dep_t).astype(np.int64)
-    dep_sec = np.minimum(dep_sec, d - 1)  # departures at the exact horizon edge
+    # Lost in the queue, per second of arrival: the running drop count at
+    # the ends of the seconds' ranges.
+    drop_counts = np.flatnonzero(dropped).searchsorted(bounds)
+    lost_per_sec = total_per_sec - live_per_sec + np.diff(drop_counts)
 
-    total_per_sec = np.bincount(sec, minlength=d)
-    lost_outage = np.bincount(sec[outage], minlength=d)
-    lost_queue = np.bincount(a_sec[dropped_q], minlength=d)
-    delivered_per_sec = np.bincount(dep_sec, minlength=d)
+    # FCFS delivers in arrival order, so the delivered departures are
+    # sorted, and those by the horizon are a prefix. The ones in second s
+    # of the work coordinate, breaks[s] < x <= breaks[s + 1], are a range
+    # too (s = -1 only for a departure at work 0).
+    delivered = ~dropped
+    dep_t = np.compress(delivered, departures)
+    sojourns = np.compress(delivered, arrivals)
+    del arrivals, departures, dropped, delivered
+    h = dep_t.searchsorted(breaks[-1], side="right")
+    dep_t, sojourns = dep_t[:h], sojourns[:h]
+    segs = np.arange(-1, d)
+    per_seg = np.diff(dep_t.searchsorted(breaks, side="right"), prepend=0)
+    dep_t -= np.repeat(breaks[segs], per_seg)
+    dep_t /= np.repeat(rates_pkts[segs], per_seg)
+    dep_t += np.repeat(segs.astype(float), per_seg)
+    np.subtract(dep_t, sojourns, out=sojourns)
+    # Departure times sort by whole second, and the ones at the exact
+    # horizon edge count in the last second.
+    dep_bounds = np.append(dep_t.searchsorted(seconds[:-1]), h)
+    delivered_per_sec = np.diff(dep_bounds)
 
     # Each second's jitter is the mean |dT| over its consecutive pairs; a pair
     # whose packets depart in different seconds belongs to neither, so a
     # second with fewer than two deliveries sums to 0.0.
-    gaps = _abs_differences(sojourns)
-    gaps[dep_sec[1:] != dep_sec[:-1]] = 0.0
+    gaps = _abs_differences(sojourns, out=sojourns[:-1])
+    cuts = dep_bounds[1:-1]
+    gaps[cuts[(cuts > 0) & (cuts < h)] - 1] = 0.0
+    dep_sec = np.repeat(np.arange(d), delivered_per_sec)
     gap_sums = np.bincount(dep_sec[1:], weights=gaps, minlength=d)
     jitter_ms = gap_sums / np.maximum(delivered_per_sec - 1, 1) * 1000.0
 
@@ -413,8 +444,7 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     return list(map(QosLogRow, range(scenario.t0_unix_s, scenario.t0_unix_s + d),
                     lat.tolist(), lon.tolist(), repeat(1), positions.tolist(), speeds.tolist(),
                     (delivered_per_sec * scenario.packet_size_B).astype(float).tolist(),
-                    jitter_ms.tolist(), (lost_outage + lost_queue).tolist(),
-                    total_per_sec.tolist()))
+                    jitter_ms.tolist(), lost_per_sec.tolist(), total_per_sec.tolist()))
 
 
 # --- scenario files -------------------------------------------------------

@@ -230,6 +230,69 @@ class TestFiniteBufferOracle:
         assert np.array_equal(dep, ref_dep, equal_nan=True)
 
 
+def _assert_blocks_match_ring(arrivals, services, buffer_capacity, exact):
+    """The block path against the ring loop: the same drop set, and the
+    same departures, within 1e-12 relative or, when ``exact``, bit for bit."""
+    ring = _ring(arrivals, services, buffer_capacity)
+    blocks = _blocks(arrivals, services, buffer_capacity)
+    dropped = np.isnan(ring)
+    assert np.array_equal(np.isnan(blocks), dropped)
+    if exact:
+        assert np.array_equal(blocks, ring, equal_nan=True)
+    else:
+        assert np.allclose(blocks[~dropped], ring[~dropped], rtol=1e-12, atol=0.0)
+    return dropped
+
+
+class TestBlockWindow:
+    """The block path searches its thresholds in a window of 4K arrivals
+    that doubles when the last threshold lies past it."""
+
+    @pytest.mark.parametrize("buffer_capacity", [96, 100, 256])
+    @pytest.mark.parametrize("exact", [False, True], ids=["continuous", "integer"])
+    def test_burst_past_the_window(self, buffer_capacity, exact):
+        """12K arrivals inside the first packet's service time: the next
+        block's thresholds lie past a window of 4K and of 8K arrivals."""
+        k = buffer_capacity
+        rng = np.random.default_rng(k)
+        if exact:
+            burst = np.sort(rng.integers(0, 3, size=12 * k)).astype(float)
+            tail = 3.0 + np.cumsum(rng.integers(0, 3, size=4000)).astype(float)
+            services = rng.integers(0, 4, size=burst.size + tail.size).astype(float)
+        else:
+            burst = np.sort(rng.uniform(0.0, 1.0, size=12 * k))
+            tail = 1.0 + np.cumsum(rng.exponential(1.0, size=4000))
+            services = rng.exponential(0.9, size=burst.size + tail.size)
+        services[0] = 2.0 * k
+        arrivals = np.concatenate((burst, tail))
+        dropped = _assert_blocks_match_ring(arrivals, services, k, exact)
+        assert dropped[k:burst.size].all() and not dropped[burst.size:].all()
+
+    @pytest.mark.parametrize("buffer_capacity", [96, 100, 256])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("exact", [False, True], ids=["continuous", "integer"])
+    def test_inputs_about_one_buffer_long(self, buffer_capacity, extra, exact):
+        n = buffer_capacity + extra
+        rng = np.random.default_rng(n)
+        if exact:
+            arrivals = np.cumsum(rng.integers(0, 2, size=n)).astype(float)
+            services = rng.integers(0, 5, size=n).astype(float)
+        else:
+            arrivals = np.cumsum(rng.exponential(1.0, size=n))
+            services = rng.exponential(3.0, size=n)
+        _assert_blocks_match_ring(arrivals, services, buffer_capacity, exact)
+
+    @pytest.mark.parametrize("buffer_capacity", [96, 100, 256])
+    @pytest.mark.parametrize("exact", [False, True], ids=["continuous", "integer"])
+    def test_every_arrival_at_one_instant(self, buffer_capacity, exact):
+        n = 9 * buffer_capacity + 5
+        rng = np.random.default_rng(n)
+        services = (rng.integers(0, 5, size=n).astype(float) if exact
+                    else rng.exponential(1.0, size=n))
+        dropped = _assert_blocks_match_ring(np.full(n, 5.0), services, buffer_capacity, exact)
+        assert np.flatnonzero(~dropped).tolist() == list(range(buffer_capacity))
+
+
 _LANE_CONSTANTS = ("_LANE_PACKETS", "_LANE_WARMUP", "_LANE_GROUP", "_LANE_PROBE",
                    "_LANE_CHUNK", "_LANE_BUSY")
 
@@ -486,6 +549,20 @@ class TestLanesAtTheRealShape:
             assert ring < n // 10
         assert np.array_equal(departures, _ring(arrivals, services, 10),
                               equal_nan=True)
+
+    @pytest.mark.parametrize("n", [131_071, 131_072])
+    @pytest.mark.parametrize("load", [0.5, 1.4])
+    def test_bit_identical_at_the_cutoff(self, n, load):
+        """The lanes start at 131,072 packets, where at K = 10 they took
+        0.42x the ring loop's time at rho 0.5 and 0.95x at rho 1.4."""
+        assert sim._LANE_MIN_PACKETS == 131_072
+        rng = np.random.default_rng(n)
+        arrivals = np.cumsum(rng.exponential(1.0, size=n))
+        services = rng.exponential(load, size=n)
+        with _ring_calls() as calls:
+            departures, _ = fcfs_departures(arrivals, services, 10)
+        assert (calls[0] == (0, n)) == (n < sim._LANE_MIN_PACKETS)
+        assert np.array_equal(departures, _ring(arrivals, services, 10), equal_nan=True)
 
     def test_hands_over_after_a_later_group(self):
         """2.2M packets at K = 20, rho 0.5 for the first half and 2.5 for the

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +29,10 @@ from qoskit.traces import (
     write_log,
     _per_second_kinematics,
     _poisson_arrivals,
+    _rates,
 )
+
+_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _row(t=1_700_000_000, **overrides):
@@ -176,6 +181,30 @@ class TestRateMap:
         with pytest.raises(DomainError):
             rate_at_distance(default_rate_map(), -1.0)
 
+    @pytest.mark.parametrize("interpolation", ["linear", "step"])
+    def test_array_form_matches_the_scalar_lookup(self, interpolation):
+        """Exactly, at and next to the anchors and the mask-zone edges,
+        up close, past the last anchor, and on a fine grid between."""
+        m = RateDistanceMap(
+            anchors=((540.0, 1e6), (800.0, 820_000.0), (1200.0, 450_000.0),
+                     (1570.0, 230_000.0), (2000.0, 0.0)),
+            interpolation=interpolation,
+            mask_zones=((900.0, 950.0), (1570.0, 1600.0)),
+        )
+        edges = np.array([d for d, _ in m.anchors] + [x for zone in m.mask_zones for x in zone])
+        dist = np.concatenate((
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, 1.0, 2000.1, 1e9], np.linspace(0.0, 2200.0, 2201) + 0.37,
+        ))
+        want = [_reference_rate(m, x) for x in dist.tolist()]
+        assert _rates(m, dist).tolist() == want
+        assert [rate_at_distance(m, x) for x in dist.tolist()] == want
+
+    def test_array_form_with_one_anchor(self):
+        m = RateDistanceMap(anchors=((100.0, 5.0),))
+        dist = np.array([0.0, 100.0, np.nextafter(100.0, np.inf), 300.0])
+        assert _rates(m, dist).tolist() == [5.0, 5.0, 0.0, 0.0]
+
 
 class TestSpeedProfile:
     def test_single_step_covers_everything(self):
@@ -318,8 +347,7 @@ class TestSynthesis:
     def test_committed_scenarios_log_bytes_are_pinned(self, name, digest):
         """The committed scenarios' logs keep their exact bytes, which are a
         fixed point of parse then write."""
-        path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.scn"
-        data = write_log(synth_mobility_trace(load_scenario(path)))
+        data = write_log(synth_mobility_trace(load_scenario(_SCENARIOS / f"{name}.scn")))
         assert hashlib.sha256(data).hexdigest() == digest
         assert write_log(parse_log(data)) == data
 
@@ -399,6 +427,26 @@ class TestSynthesis:
             assert mean_tput(far, seed) <= mean_tput(near, seed)
 
 
+def _reference_rate(rate_map, dist_m):
+    """The scalar lookup that the array form ``_rates`` replaced, kept as
+    its oracle: mask zones, beyond the last anchor, clamped up close, then a
+    step or a linear lookup between the two anchors around the distance."""
+    for lo, hi in rate_map.mask_zones:
+        if lo <= dist_m <= hi:
+            return 0.0
+    anchors = rate_map.anchors
+    if dist_m > anchors[-1][0]:
+        return 0.0
+    if dist_m <= anchors[0][0]:
+        return anchors[0][1]
+    i = bisect_right([a[0] for a in anchors], dist_m) - 1
+    d0, r0 = anchors[i]
+    if rate_map.interpolation == "step" or dist_m == d0:
+        return r0
+    d1, r1 = anchors[i + 1]
+    return r0 + (r1 - r0) * (dist_m - d0) / (d1 - d0)
+
+
 def _reference_trace(scenario):
     """The per-second loop the columnar synthesis replaced: speeds from one
     ``speed_at`` call per second and one row built per second. The oracle
@@ -417,7 +465,7 @@ def _reference_trace(scenario):
         span = scenario.track_max_m - scenario.track_min_m
         phase = (scenario.start_dist_m - scenario.track_min_m + path) % (2.0 * span)
         positions = scenario.track_min_m + span - np.abs(span - phase)
-    rates_pkts = np.array([rate_at_distance(scenario.rate_map, p) for p in positions]
+    rates_pkts = np.array([_reference_rate(scenario.rate_map, p) for p in positions]
                           ) / scenario.packet_size_B
 
     rng = np.random.default_rng(scenario.seed)
@@ -551,6 +599,57 @@ class TestColumnarSynthesis:
         rows = _assert_matches_reference(scenario)
         delivered = sum(r.tput_Bps for r in rows) / scenario.packet_size_B
         assert delivered < sum(r.total_pkts - r.lost_pkts for r in rows)
+
+    # 100 m/s from 500 m: second k is at 500 + 100k m, so each zone below
+    # silences one or two seconds of the ten.
+    @pytest.mark.parametrize("zones", [
+        pytest.param(((500.0, 550.0),), id="at the start"),
+        pytest.param(((790.0, 810.0), (1000.0, 1100.0)), id="in the middle"),
+        pytest.param(((1390.0, 1450.0),), id="at the end"),
+        pytest.param(((500.0, 550.0), (790.0, 810.0), (1390.0, 1450.0)), id="all three"),
+        pytest.param(((0.0, 2000.0),), id="all outage"),
+    ])
+    @pytest.mark.parametrize("buffer_pkts", [1, 10, 100])
+    def test_outages(self, zones, buffer_pkts):
+        scenario = MobilityScenario.constant_speed(
+            360.0, 10, seed=11, track_min_m=500.0, track_max_m=1500.0,
+            rate_map=replace(default_rate_map(), mask_zones=zones), buffer_pkts=buffer_pkts)
+        rows = _assert_matches_reference(scenario)
+        dead = [r for r in rows if any(lo <= r.dist_m <= hi for lo, hi in zones)]
+        assert dead and all(r.lost_pkts == r.total_pkts > 0 for r in dead)
+
+    @pytest.mark.parametrize("buffer_pkts", [1, 10, 100])
+    def test_static_outage_beyond_coverage(self, buffer_pkts):
+        rows = _assert_matches_reference(
+            MobilityScenario.static(2100.0, 20, seed=4, buffer_pkts=buffer_pkts))
+        assert all(r.lost_pkts == r.total_pkts > 0 and r.tput_Bps == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("buffer_pkts", [1, 10, 100])
+    @pytest.mark.parametrize("zones", [(), ((700.0, 900.0),)])
+    def test_seconds_with_no_arrival(self, buffer_pkts, zones):
+        scenario = MobilityScenario.constant_speed(
+            50.0, 120, seed=8, offered_Bps=400.0, buffer_pkts=buffer_pkts,
+            rate_map=replace(default_rate_map(), mask_zones=zones))
+        rows = _assert_matches_reference(scenario)
+        assert any(r.total_pkts == 0 for r in rows)
+        assert any(r.total_pkts > 0 for r in rows)
+
+    def test_memory_per_arrival(self):
+        """Synthesis of variable_speed.scn peaks at 33.1 traced bytes an
+        arrival, about four full-length float columns at once (the arrival
+        and work columns, the work-coordinate arrivals and one more); with
+        per-packet seconds, gathers and selections it peaked at 86.1."""
+        scenario = load_scenario(_SCENARIOS / "variable_speed.scn")
+        n = _poisson_arrivals(np.random.default_rng(scenario.seed),
+                              scenario.offered_Bps / scenario.packet_size_B,
+                              float(scenario.duration_s)).size
+        tracemalloc.start()
+        try:
+            synth_mobility_trace(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36.4 * n
 
     @settings(max_examples=100, deadline=None)
     @given(profile=_speed_profiles(), duration_s=st.integers(1, 120))

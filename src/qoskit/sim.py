@@ -939,12 +939,14 @@ def merge_summaries(summaries) -> SweepAggregate:
     )
 
 
-#: Packets formatted per ``write`` call by ``write_packet_trace``.
-_DUMP_WRITE_PACKETS = 65_536
+#: Packets formatted per ``write`` call by ``write_packet_trace``. A chunk's
+#: Python floats, line strings and joined text take about 3 MiB.
+_DUMP_WRITE_PACKETS = 8_192
 
 #: Bytes read per block by ``read_packet_trace``; each block is cut back to
-#: whole lines, so this bounds the reader's working memory.
-_DUMP_READ_BYTES = 4 << 20
+#: whole lines. Split into ``bytes`` tokens a block takes about 8x its size,
+#: so the reader's working memory is about 4 MiB.
+_DUMP_READ_BYTES = 512 << 10
 
 _DELIVERED_LINE = "%d,%s,%.17g,%.17g,%.17g,%.17g,0\n"
 _DROPPED_LINE = "%d,%s,%.17g,%.17g,,,1\n"
@@ -957,11 +959,18 @@ def write_packet_trace(log: PacketLog, path) -> None:
     The log is written ``_DUMP_WRITE_PACKETS`` packets at a time: each
     chunk's columns become Python lists once, each line is one ``%``
     format, and each chunk is one write.
+
+    Raises DomainError, before the file is opened, unless the six columns
+    are 1-D arrays of one length.
     """
     columns = [np.asarray(c) for c in (log.tagged, log.dropped, log.arrival_times,
                                        log.service_times, log.departure_times,
                                        log.sojourn_times)]
-    n = len(log)
+    shape = columns[0].shape
+    if len(shape) != 1 or any(c.shape != shape for c in columns):
+        raise DomainError("packet log columns must be 1-D arrays of one length, got shapes "
+                          + ", ".join(str(c.shape) for c in columns))
+    n = shape[0]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(PACKET_TRACE_HEADER + "\n")
         for lo in range(0, n, _DUMP_WRITE_PACKETS):
@@ -979,9 +988,10 @@ def read_packet_trace(path) -> PacketLog:
     """Inverse of write_packet_trace.
 
     Two passes: the first counts lines so the six output arrays are
-    allocated once; the second parses blocks of whole lines of about
-    ``_DUMP_READ_BYTES``, so memory is the output arrays plus one block and
-    no per-packet Python object outlives its block.
+    allocated once (34 bytes a packet); the second parses blocks of whole
+    lines of about ``_DUMP_READ_BYTES``. So memory is the output arrays plus
+    one block's split tokens, about 8x the block's bytes, and no per-packet
+    Python object outlives its block.
 
     Raises DomainError, naming the 1-based line, on a wrong header, a line
     without exactly 7 fields or with a NUL byte, a flow other than

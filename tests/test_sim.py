@@ -1545,6 +1545,57 @@ class TestPacketTrace:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         _assert_same_log(read_packet_trace(tmp_path / "a.csv"), log)
 
+    def test_round_trip_across_default_blocks(self, tmp_path):
+        """At the default sizes a dump of 30k packets, some dropped, spans
+        several write chunks and read blocks."""
+        cfg = SimConfig(1000.0, 1100.0, buffer_capacity=20, tagged_fraction=0.1,
+                        horizon_packets=30_000, seed=5)
+        log, _ = simulate_run(cfg)
+        assert 0 < log.dropped.sum() < len(log)
+        write_packet_trace(log, tmp_path / "a.csv")
+        _reference_write_packet_trace(log, tmp_path / "b.csv")
+        data = (tmp_path / "a.csv").read_bytes()
+        assert len(log) > 3 * sim._DUMP_WRITE_PACKETS and len(data) > 3 * sim._DUMP_READ_BYTES
+        assert data == (tmp_path / "b.csv").read_bytes()
+        _assert_same_log(read_packet_trace(tmp_path / "a.csv"), log)
+
+    def test_working_set_is_a_few_blocks(self, tmp_path):
+        """The writer's traced peak, a chunk's Python floats, line strings
+        and joined text, measured 3.2 MiB at the default 8,192 lines; the
+        reader's, above its 34-byte-a-packet output arrays, one block's
+        split tokens and temporaries, measured 3.8 MiB at 512 KiB. The
+        dump of 200k packets is about 19 MiB, so neither bound holds for
+        a peak that grows with its length."""
+        n = 200_000
+        log, _ = simulate_run(SimConfig(1000.0, 500.0, tagged_fraction=0.1,
+                                        horizon_packets=n, seed=8))
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_packet_trace(log, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            read_packet_trace(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 16 << 20
+        assert write_peak <= 4 << 20
+        assert read_peak <= 34 * n + (5 << 20)
+
+    @pytest.mark.parametrize("column", _DUMP_ARRAYS)
+    def test_unequal_columns_rejected_before_the_file_is_made(self, tmp_path, column):
+        """``zip`` would stop at the shortest column and write a partial dump."""
+        log, _ = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=5, seed=4))
+        path = tmp_path / "trace.csv"
+        short = dataclasses.replace(log, **{column: getattr(log, column)[:3]})
+        with pytest.raises(DomainError, match="1-D arrays of one length"):
+            write_packet_trace(short, path)
+        tall = dataclasses.replace(log, **{column: getattr(log, column).reshape(5, 1)})
+        with pytest.raises(DomainError, match="1-D arrays of one length"):
+            write_packet_trace(tall, path)
+        assert not path.exists()
+
     def test_header_only_file_is_an_empty_log(self, tmp_path):
         path = tmp_path / "trace.csv"
         empty = PacketLog(np.empty(0), np.empty(0), np.empty(0), np.empty(0),

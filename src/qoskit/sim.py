@@ -31,6 +31,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import _dumptext
 from .errors import (
     DomainError,
     EmptyRunError,
@@ -939,26 +940,43 @@ def merge_summaries(summaries) -> SweepAggregate:
     )
 
 
-#: Packets formatted per ``write`` call by ``write_packet_trace``. A chunk's
-#: Python floats, line strings and joined text take about 3 MiB.
-_DUMP_WRITE_PACKETS = 8_192
+#: Packets rendered per ``write`` call by ``write_packet_trace``. A chunk's
+#: word matrix, its text and the renderer's temporaries peak at 2.3 MiB
+#: (4.6 MiB at 4,096 packets, at the same speed).
+_DUMP_WRITE_PACKETS = 2_048
 
 #: Bytes read per block by ``read_packet_trace``; each block is cut back to
 #: whole lines. Split into ``bytes`` tokens a block takes about 8x its size,
 #: so the reader's working memory is about 4 MiB.
 _DUMP_READ_BYTES = 512 << 10
 
-_DELIVERED_LINE = "%d,%s,%.17g,%.17g,%.17g,%.17g,0\n"
-_DROPPED_LINE = "%d,%s,%.17g,%.17g,,,1\n"
+#: A dump line as uint64 words (see ``_dumptext``): the index, "," and the
+#: flow, four 4-word float slots each led by ",", then "," and the flag.
+_LINE_WORDS = 21
+_FLOW_WORDS = _dumptext.le_words([np.frombuffer(b",background".ljust(16, b"\0"), np.uint8),
+                                  np.frombuffer(b",tagged".ljust(16, b"\0"), np.uint8)])
+_FLAG_WORDS = _dumptext.le_words([np.frombuffer(b",0\n".ljust(8, b"\0"), np.uint8),
+                                  np.frombuffer(b",1\n".ljust(8, b"\0"), np.uint8)]).ravel()
 
 
 def write_packet_trace(log: PacketLog, path) -> None:
     """Dump one packet per line; floats carry 17 significant digits so the
     file round-trips to the exact same doubles.
 
-    The log is written ``_DUMP_WRITE_PACKETS`` packets at a time: each
-    chunk's columns become Python lists once, each line is one ``%``
-    format, and each chunk is one write.
+    The bytes are those of ``"%d,%s,%.17g,%.17g,%.17g,%.17g,0"`` for a
+    delivered packet and ``"%d,%s,%.17g,%.17g,,,1"`` for a dropped one, but
+    numpy renders ``_DUMP_WRITE_PACKETS`` lines at a time with no Python
+    object per packet: each field goes into a fixed slot of a matrix of
+    uint64 words, with byte 0 where its text is shorter, and a chunk is one
+    ``write`` of the matrix's bytes without the 0 bytes. The digits of a
+    double x = m * 2**q are exact integer arithmetic (``_dumptext``): they
+    are round-half-even(m * 5**p * 2**(q + p)) with p = 16 - floor(log10 x),
+    the 53 x 64-bit product shifted right, wherever p is in [0, 27] and the
+    shift in [1, 63], which is about 1e-11 <= x < 2**51. Every other value
+    (0, -0, negatives, subnormals, infinities, NaN, values too large or too
+    small) goes through ``'%.17g' %`` into its own slot. Time columns of
+    another dtype are written as their float64 values and flags by truth,
+    as ``'%.17g'`` and ``if`` would.
 
     Raises DomainError, before the file is opened, unless the six columns
     are 1-D arrays of one length.
@@ -971,17 +989,27 @@ def write_packet_trace(log: PacketLog, path) -> None:
         raise DomainError("packet log columns must be 1-D arrays of one length, got shapes "
                           + ", ".join(str(c.shape) for c in columns))
     n = shape[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PACKET_TRACE_HEADER + "\n")
+    tagged, dropped, *times = columns
+    with open(path, "wb") as fh:
+        fh.write(PACKET_TRACE_HEADER.encode() + b"\n")
         for lo in range(0, n, _DUMP_WRITE_PACKETS):
             hi = min(lo + _DUMP_WRITE_PACKETS, n)
-            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in columns))
-            fh.write("".join([
-                _DROPPED_LINE % (i, "tagged" if tag else "background", arr, srv)
-                if drop else
-                _DELIVERED_LINE % (i, "tagged" if tag else "background", arr, srv, dep, soj)
-                for i, tag, drop, arr, srv, dep, soj in rows
-            ]))
+            drop = dropped[lo:hi].astype(bool)
+            values = np.empty((hi - lo, 4))
+            for j, column in enumerate(times):
+                values[:, j] = column[lo:hi]
+            values[drop, 2:] = 1.0          # not written; 1.0 keeps them off the % path
+            lines = np.empty((hi - lo, _LINE_WORDS), np.uint64)
+            lines[:, 0:2] = _dumptext.index_words(np.arange(lo, hi)).T
+            lines[:, 2:4] = _FLOW_WORDS[tagged[lo:hi].astype(bool).view(np.uint8)]
+            floats = lines[:, 4:20]
+            for j, word in enumerate(_dumptext.float_words(values.ravel())):
+                floats[:, j::4] = word.reshape(-1, 4)
+            floats[drop, 8:] = 0                # no departure or sojourn
+            floats[:, 0::4] |= np.uint64(ord(","))
+            lines[:, 20] = _FLAG_WORDS[drop.view(np.uint8)]
+            text = _dumptext.word_bytes(lines).ravel()
+            fh.write(text[text != 0])
 
 
 def read_packet_trace(path) -> PacketLog:
@@ -996,8 +1024,8 @@ def read_packet_trace(path) -> PacketLog:
     Raises DomainError, naming the 1-based line, on a wrong header, a line
     without exactly 7 fields or with a NUL byte, a flow other than
     tagged/background, a dropped flag other than 0/1, or a time that is not
-    a number (a delivered packet needs its departure and sojourn; a dropped
-    one's are ignored).
+    a finite number (a delivered packet needs its departure and sojourn; a
+    dropped one's are ignored).
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
@@ -1084,7 +1112,7 @@ def _check_tokens(known, tokens, line_nos, what: str) -> None:
 
 def _parse_floats(tokens: list, line_nos, column: str) -> np.ndarray:
     try:
-        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
     except ValueError:
         for token, line_no in zip(tokens, line_nos):
             try:
@@ -1095,3 +1123,9 @@ def _parse_floats(tokens: list, line_nos, column: str) -> np.ndarray:
                     f"{token.decode('utf-8', 'replace')!r} is not a number"
                 ) from None
         raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        j = int(bad[0])
+        raise DomainError(f"packet trace line {line_nos[j]}: {column} "
+                          f"{tokens[j].decode('utf-8', 'replace')!r} is not finite")
+    return values

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from qoskit import sim
+from qoskit import _dumptext, sim
 from qoskit.errors import (
     DomainError,
     EmptyRunError,
@@ -1482,6 +1482,69 @@ def _assert_same_log(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def _slot_texts(values):
+    """Each float slot of ``_dumptext.float_words`` without its pad bytes."""
+    words = _dumptext.float_words(np.asarray(values, dtype=np.float64))
+    slots = _dumptext.word_bytes(np.ascontiguousarray(words.T)).reshape(-1, 32)
+    return [bytes(slot[slot != 0]) for slot in slots]
+
+
+def _powers_of_ten_and_neighbours():
+    powers = 10.0 ** np.arange(-30, 18)
+    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+
+#: Doubles the renderer could get wrong: powers of ten and their neighbours
+#: (the log10 estimate of the exponent is off by one on some: 1e-07 is
+#: 9.9999999999999995e-08, and 1e-10, one digit, has no point);
+#: doubles whose 17-digit rounding carries to the next power of ten (none
+#: of them in the fast range, so they take the '%' slot); both
+#: sides of the %g switches at X = -5/-4 and 16/17; both ends of the fast
+#: range; short decimals with trailing zeros; and the values that always
+#: go through '%': subnormals, signed zeros, infinities, NaN, negatives.
+_RENDER_CASES = np.concatenate([
+    _powers_of_ten_and_neighbours(),
+    [1e-14, 1e-70, 1e-79, 1e98, 1e220],
+    [9.9999e-5, 9.99999999999999e-5, 1.00001e-4, 0.0001234, 9.999999999999999e16,
+     1.0000000000000002e16, 1e16, 1.2345e16, 1.2345e17],
+    np.nextafter([1e-11, 1e-11, 2.0 ** 51, 2.0 ** 51, 2.0 ** 52, 2.0 ** 52],
+                 [0, np.inf] * 3),
+    [1e-11, 2.0 ** 51, 2.0 ** 52, 0.5, 0.25, 1.5, 100.0, 120.0, 1234.5, 0.001, 0.1, 1 / 3],
+    [5e-324, 2.2250738585072009e-308, 0.0, -0.0, np.inf, -np.inf, np.nan, -1.5, -1e-7],
+])
+
+
+class TestDumpText:
+    def test_targeted_values_format_as_percent_g(self):
+        assert _slot_texts(_RENDER_CASES) == [b"%.17g" % x for x in _RENDER_CASES.tolist()]
+        fast = _dumptext.decimal17(_RENDER_CASES)[2]
+        assert fast.any() and not fast.all()
+
+    @settings(deadline=None)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
+           fast=st.lists(st.floats(2e-11, 2.0 ** 50), min_size=1, max_size=40),
+           slow=st.lists(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -1.0, 5e-324,
+                                          1e300]), min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_double_formats_as_percent_g(self, bits, fast, slow, seed):
+        """Arbitrary 64-bit patterns viewed as doubles, mixed with doubles of
+        the fast range and values that need '%'; both paths run every time."""
+        values = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), fast, slow])
+        np.random.default_rng(seed).shuffle(values)
+        assert _slot_texts(values) == [b"%.17g" % x for x in values.tolist()]
+        on_fast_path = _dumptext.decimal17(values)[2]
+        assert on_fast_path.any() and not on_fast_path.all()
+
+    def test_index_digits(self):
+        """The index renderer near 10**k for every k it covers and near 2**40,
+        without a dump that long."""
+        i = [0, 1, 2 ** 40 - 1, 2 ** 40, 2 ** 40 + 1]
+        i += [10 ** k + d for k in range(1, 16) for d in (-1, 0, 1)] + [10 ** 16 - 1]
+        words = _dumptext.index_words(np.array(i, dtype=np.uint64))
+        slots = _dumptext.word_bytes(np.ascontiguousarray(words.T)).reshape(-1, 16)
+        assert [bytes(slot[slot != 0]) for slot in slots] == [b"%d" % k for k in i]
+
+
 class TestPacketTrace:
     def test_round_trip_exact(self, tmp_path):
         cfg = SimConfig(1000.0, 900.0, buffer_capacity=5, horizon_packets=3000, seed=21)
@@ -1583,6 +1646,40 @@ class TestPacketTrace:
         assert write_peak <= 4 << 20
         assert read_peak <= 34 * n + (5 << 20)
 
+    def test_other_dtypes_write_as_the_reference(self, tmp_path):
+        """int64 and float32 times are written as their doubles, and 0/1/2
+        flags by truth, as the per-line writer's ``'%.17g'`` and ``if`` do;
+        5,000 packets span three chunks."""
+        n = 5_000
+        rng = np.random.default_rng(3)
+        flags = rng.integers(0, 3, size=(2, n))
+        ints = rng.integers(-(2 ** 62), 2 ** 62, size=n)
+        ints[:3] = [2 ** 53 + 1, -(2 ** 63), 2 ** 63 - 1]     # not exact as doubles
+        small = rng.integers(0, 10 ** 6, size=n)
+        singles = rng.exponential(1e-3, size=n).astype(np.float32)
+        log = PacketLog(ints, singles, small, singles * np.float32(3), flags[0], flags[1])
+        write_packet_trace(log, tmp_path / "a.csv")
+        _reference_write_packet_trace(log, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_index_digits_across_powers_of_ten(self, tmp_path):
+        """At the real chunk size the index gains a digit inside a chunk at
+        10, 100, ..., 100,000; the lines are the reference writer's."""
+        n = 100_050
+        t = np.arange(n) * 1e-3 + 0.5
+        log = PacketLog(t, np.full(n, 1e-3), t + 1e-3, np.full(n, 1e-3),
+                        np.arange(n) % 3 == 0, np.zeros(n, dtype=bool))
+        write_packet_trace(log, tmp_path / "a.csv")
+        lines = (tmp_path / "a.csv").read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == n + 2
+        for k in range(1, 6):
+            for i in (10 ** k - 1, 10 ** k):
+                assert lines[i + 1] == b"%d,%s,%.17g,0.001,%.17g,0.001,0" % (
+                    i, b"tagged" if i % 3 == 0 else b"background", t[i], t[i] + 1e-3)
+        head = PacketLog(*(getattr(log, name)[:12_000] for name in _DUMP_ARRAYS))
+        _reference_write_packet_trace(head, tmp_path / "b.csv")
+        assert b"\n".join(lines[:12_001]) + b"\n" == (tmp_path / "b.csv").read_bytes()
+
     @pytest.mark.parametrize("column", _DUMP_ARRAYS)
     def test_unequal_columns_rejected_before_the_file_is_made(self, tmp_path, column):
         """``zip`` would stop at the shortest column and write a partial dump."""
@@ -1633,9 +1730,14 @@ class TestPacketTrace:
             ("1,tagged\0,0.7,0.1,0.8,0.1,0", "NUL byte"),
             ("1,tagged,0.7,0.1,0.8,0.1,0,",
              "malformed packet trace line: '1,tagged,0.7,0.1,0.8,0.1,0,'"),
+            ("1,tagged,nan,0.1,0.8,0.1,0", "arrival_s 'nan' is not finite"),
+            ("1,background,0.7,inf,,,1", "service_s 'inf' is not finite"),
+            ("1,tagged,0.5,0.1,nan,inf,0", "departure_s 'nan' is not finite"),
+            ("1,tagged,0.7,0.1,0.8,-inf,0", "sojourn_s '-inf' is not finite"),
         ],
         ids=["non-numeric", "delivered-without-departure", "bad-sojourn", "unknown-flow",
-             "unknown-drop-flag", "nul-padded-flow", "eight-fields"],
+             "unknown-drop-flag", "nul-padded-flow", "eight-fields", "nan-arrival",
+             "infinite-service-of-dropped", "nan-departure", "infinite-sojourn"],
     )
     def test_bad_field_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "trace.csv"
@@ -1643,6 +1745,12 @@ class TestPacketTrace:
                         + line + "\n2,background,0.9,0.1,1.0,0.1,0\n")
         with pytest.raises(DomainError, match=f"line 3: {message}"):
             read_packet_trace(path)
+
+    def test_dropped_row_ignores_non_finite_departure(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(PACKET_TRACE_HEADER + "\n0,tagged,0.5,0.1,nan,inf,1\n")
+        back = read_packet_trace(path)
+        assert back.dropped.tolist() == [True] and np.isnan(back.departure_times).all()
 
     def test_dropped_row_ignores_departure_fields(self, tmp_path):
         path = tmp_path / "trace.csv"

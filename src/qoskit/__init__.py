@@ -7,8 +7,8 @@ Four layers, importable separately:
 - ``qoskit.sim``: a seeded discrete-event FCFS queue (unbounded or finite
   buffer) used both as the model's ground-truth oracle and as a controlled
   generator of QoS time series.
-- ``qoskit.metrics``: delay-variation, throughput, loss, and correlation
-  estimators shared by simulation output and field logs.
+- ``qoskit.metrics``: delay-variation and correlation estimators shared by
+  simulation output and field logs.
 - ``qoskit.traces``: the canonical per-second log format and a synthetic
   mobility-trace generator driving the queue through a distance-to-rate map.
 
@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     QoskitError,
     TraceParseError,
+    UndefinedJitterError,
 )
 from .model import (
     DEFAULT_VARIANT,
@@ -38,14 +39,10 @@ from .model import (
     InversionResult,
     JitterPrediction,
     LinkParams,
-    ModelSweepRow,
     analytical_jitter,
-    capacity_from_bandwidth,
     invert_capacity_for_jitter,
     invert_load_for_jitter,
     loss_from_throughput,
-    model_sweep,
-    offered_load,
     throughput_from_loss,
 )
 from .sim import (
@@ -67,9 +64,7 @@ from .metrics import (
     SeriesStats,
     correlate,
     ipdv_series,
-    loss_rate,
     mean_abs_jitter,
-    windowed_throughput,
 )
 from .traces import (
     MobilityScenario,
@@ -81,7 +76,6 @@ from .traces import (
     parse_log,
     parse_scenario,
     rate_at_distance,
-    speed_at,
     synth_mobility_trace,
     write_log,
 )

@@ -1,9 +1,8 @@
 """Estimators shared by simulation output and field-log analysis.
 
-Covers the per-packet delay-variation series and its mean-absolute summary,
-tumbling-window throughput, counter-based loss rate, and paired correlation
-statistics. All functions are pure; the bootstrap confidence interval takes
-an explicit seed so repeated calls reproduce.
+Covers the per-packet delay-variation series, its mean-absolute summary and
+paired correlation statistics. All functions are pure; the bootstrap
+confidence interval takes an explicit seed so repeated calls reproduce.
 """
 
 from __future__ import annotations
@@ -13,24 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AccountingError,
-    ConstantSeriesError,
-    DomainError,
-    InsufficientDataError,
-    _count,
-    _real,
-)
+from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _count
 
 #: Resamples used for the bootstrap confidence interval.
 BOOTSTRAP_RESAMPLES = 1000
 
 #: Fixed fallback seed for the bootstrap. Never wall-clock.
 DEFAULT_BOOTSTRAP_SEED = 0
-
-#: Most windows ``windowed_throughput`` returns (a list of pairs, about a
-#: gigabyte at this size); the count is checked before anything is built.
-_MAX_WINDOWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -110,63 +98,6 @@ def mean_abs_jitter(
         lo, hi = np.percentile(means, [2.5, 97.5])
         halfwidth = float((hi - lo) / 2.0)
     return JitterEstimate(mean_abs_ipdv=mean, n_samples=int(samples.size), ci95_halfwidth=halfwidth)
-
-
-def windowed_throughput(
-    deliveries,
-    window_seconds: float,
-    *,
-    t_start: float = 0.0,
-    t_end: float | None = None,
-) -> list[tuple[float, float]]:
-    """Tumbling-window delivery rate.
-
-    ``deliveries`` is an iterable of (time, amount) pairs with non-decreasing
-    times; amounts are whatever unit the caller counts in (packets, bytes,
-    bits). Windows are [t_start + k*w, t_start + (k+1)*w); empty windows yield
-    rate 0. ``t_end`` extends (or clips) the covered span; by default windows
-    run through the last delivery.
-    """
-    _real(window_seconds, "window", gt=0)
-    _real(t_start, "t_start")
-    if t_end is not None:
-        _real(t_end, "t_end")
-    pairs = list(deliveries)
-    times = np.asarray([p[0] for p in pairs], dtype=float)
-    amounts = np.asarray([p[1] for p in pairs], dtype=float)
-    if times.size and np.any(np.diff(times) < 0):
-        raise DomainError("delivery times must be non-decreasing")
-    if t_end is None:
-        if not times.size:
-            return []
-        # cover exactly through the window holding the last delivery
-        count = (float(times[-1]) - t_start) // window_seconds + 1
-    else:
-        count = (t_end - t_start) / window_seconds
-    _real(count, "number of windows", le=_MAX_WINDOWS)
-    n_windows = math.ceil(count)
-    if n_windows <= 0:
-        return []
-    totals = np.zeros(n_windows)
-    if times.size:
-        in_span = (times >= t_start) & (times < t_start + n_windows * window_seconds)
-        buckets = ((times[in_span] - t_start) // window_seconds).astype(int)
-        np.add.at(totals, buckets, amounts[in_span])
-    return [
-        (t_start + k * window_seconds, float(totals[k]) / window_seconds)
-        for k in range(n_windows)
-    ]
-
-
-def loss_rate(offered: int, delivered: int) -> float:
-    """Fraction lost, (offered - delivered) / offered, from raw counters."""
-    _count(offered, "offered count", 1)
-    _count(delivered, "delivered count", 0)
-    if delivered > offered:
-        raise AccountingError(
-            f"delivered count {delivered} exceeds offered count {offered}"
-        )
-    return (offered - delivered) / offered
 
 
 def correlate(series_a, series_b) -> SeriesStats:

@@ -26,6 +26,8 @@ Besides forward evaluation the module provides the loss/throughput identity
 B = (lambda - X) / lambda and numeric inversion of the jitter curve for
 planning: the largest sustainable load under a jitter budget at fixed
 capacity, and the smallest capacity under a budget at fixed arrival rate.
+Everything is in packets/s: a bit rate gives C as ``bandwidth / packet_bits``,
+and ``LinkParams(C, lambda).load_rho`` is the load.
 """
 
 from __future__ import annotations
@@ -120,24 +122,6 @@ class InversionResult:
     constrained: bool
 
 
-def offered_load(capacity_C: float, arrival_rate_lambda: float) -> float:
-    """Load factor rho = lambda / C. Allows rho >= 1 (a plain ratio)."""
-    _real(capacity_C, "capacity", gt=0)
-    _real(arrival_rate_lambda, "arrival rate", ge=0)
-    return arrival_rate_lambda / capacity_C
-
-
-def capacity_from_bandwidth(bandwidth_bps: float, mean_packet_bits: float) -> float:
-    """Convert a bit-rate bandwidth into a packet service rate C.
-
-    The model works in packets/second with unit-mean packet sizes; this is
-    the front end for callers who think in bits.
-    """
-    _real(bandwidth_bps, "bandwidth", gt=0)
-    _real(mean_packet_bits, "mean packet size", gt=0)
-    return bandwidth_bps / mean_packet_bits
-
-
 def _shape_factor(x: float, variant: str) -> float:
     """Dimensionless bracket of the jitter formula, as a function of x = (1-rho)/rho."""
     if variant == "nonneg-v1":
@@ -184,29 +168,6 @@ def throughput_from_loss(arrival_rate_lambda: float, loss_B: float) -> float:
     _real(arrival_rate_lambda, "arrival rate", gt=0)
     _real(loss_B, "loss probability", ge=0, le=1)
     return arrival_rate_lambda * (1.0 - loss_B)
-
-
-@dataclass(frozen=True)
-class ModelSweepRow:
-    """One (rho, lambda, J) row of a model sweep."""
-
-    load_rho: float
-    arrival_rate_lambda: float
-    jitter_seconds: float
-
-
-def model_sweep(
-    capacity_C: float, rho_grid, variant: str = DEFAULT_VARIANT
-) -> list[ModelSweepRow]:
-    """Evaluate the jitter curve over a load grid, one row per grid entry."""
-    _real(capacity_C, "capacity", gt=0)
-    rows = []
-    for k, rho in enumerate(rho_grid):
-        _real(rho, f"rho_grid[{k}]", gt=0, lt=1)
-        params = LinkParams.from_rho(capacity_C, rho)
-        pred = analytical_jitter(params, variant)
-        rows.append(ModelSweepRow(rho, params.arrival_rate_lambda, pred.jitter_seconds))
-    return rows
 
 
 def _jitter_at_load(capacity_C: float, lam: float, variant: str) -> float:

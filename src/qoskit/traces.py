@@ -26,7 +26,6 @@ suburban radio link; they are configurable through the scenario file.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from operator import attrgetter
@@ -220,30 +219,18 @@ def _rates(rate_map: RateDistanceMap, dist: np.ndarray) -> np.ndarray:
     return rates
 
 
-def speed_at(profile, t_s: float) -> float:
-    """Piecewise-constant speed lookup: the last step at or before t applies."""
-    steps = list(profile)
-    if not steps:
-        raise DomainError("speed profile must not be empty")
-    starts = [s[0] for s in steps]
-    if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise DomainError("speed profile steps must be strictly time-ordered")
-    _real(t_s, "t", ge=starts[0])
-    return steps[bisect_right(starts, t_s) - 1][1]
-
-
 #: Stepped speed schedule cycled by the default variable-speed scenario.
 DEFAULT_SPEED_CYCLE_KMH = (10.0, 20.0, 30.0, 40.0, 50.0, 40.0, 30.0, 20.0)
 
 
-def default_speed_profile(duration_s: int, step_s: float = 60.0) -> tuple[tuple[float, float], ...]:
+def default_speed_profile(duration_s: int) -> tuple[tuple[float, float], ...]:
     """60-second steps cycling 10 - 20 - 30 - 40 - 50 - 40 - ... km/h."""
     steps = []
     t = 0.0
     k = 0
     while t < duration_s:
         steps.append((t, DEFAULT_SPEED_CYCLE_KMH[k % len(DEFAULT_SPEED_CYCLE_KMH)]))
-        t += step_s
+        t += 60.0
         k += 1
     return tuple(steps) if steps else ((0.0, DEFAULT_SPEED_CYCLE_KMH[0]),)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qoskit.errors import DomainError
-from qoskit.metrics import loss_rate, mean_abs_jitter, windowed_throughput
-from qoskit.model import LinkParams, invert_load_for_jitter, offered_load
+from qoskit.metrics import mean_abs_jitter
+from qoskit.model import LinkParams, invert_load_for_jitter, loss_from_throughput
 from qoskit.sim import SimConfig, simulate_run, simulate_sweep
+from qoskit.traces import MobilityScenario
 
 _BASE = SimConfig(1000.0, 500.0, horizon_packets=10)
 
@@ -19,23 +20,26 @@ _BAD_CALLS = {
     "tagged fraction a string": lambda: SimConfig(1.0, 0.5, tagged_fraction="x"),
     "warmup fraction None": lambda: SimConfig(1.0, 0.5, warmup_fraction=None),
     "capacity a string": lambda: invert_load_for_jitter("a", 1.0),
-    "capacity None": lambda: offered_load(None, 1.0),
+    "capacity None": lambda: LinkParams.from_rho(None, 0.5),
     "n_boot 0": lambda: mean_abs_jitter([1, 2, 3], n_boot=0),
     "n_boot -1": lambda: mean_abs_jitter([1, 2, 3], n_boot=-1),
     "n_boot 1.5": lambda: mean_abs_jitter([1, 2, 3], n_boot=1.5),
-    "t_end nan": lambda: windowed_throughput([(0, 1)], 1.0, t_end=math.nan),
-    "t_end inf": lambda: windowed_throughput([(0, 1)], 1.0, t_end=math.inf),
-    "t_start nan": lambda: windowed_throughput([(0, 1)], 1.0, t_start=math.nan),
-    "window count 1e300": lambda: windowed_throughput([(0, 1)], 1.0, t_end=1e300),
-    "window count overflows": lambda: windowed_throughput([], 1.0, t_start=-1e308,
-                                                          t_end=1e308),
-    "window count over the cap": lambda: windowed_throughput([(0, 1)], 1.0,
-                                                             t_end=10_000_001.0),
-    "window count to a late delivery": lambda: windowed_throughput([(1e300, 1)], 1.0),
+    "arrival rate nan": lambda: SimConfig(1.0, math.nan),
+    "capacity inf": lambda: LinkParams.from_rho(math.inf, 0.5),
     "capacity a bool": lambda: SimConfig(True, 0.5),
     "arrival rate a bool": lambda: LinkParams(2.0, True),
     "seeds_per_point a bool": lambda: simulate_sweep(_BASE, [0.5], seeds_per_point=True),
-    "delivered count fractional": lambda: loss_rate(2, 1.5),
+    "horizon fractional": lambda: SimConfig(1.0, 0.5, horizon_packets=1.5),
+    "horizon nan": lambda: SimConfig(1.0, 0.5, horizon_packets=math.nan),
+    "buffer capacity fractional": lambda: SimConfig(1.0, 0.5, buffer_capacity=2.5),
+    "seed fractional": lambda: SimConfig(1.0, 0.5, seed=1.5),
+    "warmup fraction inf": lambda: SimConfig(1.0, 0.5, warmup_fraction=math.inf),
+    "load nan": lambda: LinkParams.from_rho(1.0, math.nan),
+    "arrival rate inf": lambda: LinkParams(1.0, math.inf),
+    "jitter budget nan": lambda: invert_load_for_jitter(1000.0, math.nan),
+    "throughput nan": lambda: loss_from_throughput(1.0, math.nan),
+    "speed profile speed nan": lambda: MobilityScenario.variable_speed(
+        10, speed_profile=((0.0, math.nan),)),
 }
 
 

@@ -1,25 +1,16 @@
 """Estimator unit truths and invariance properties."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qoskit.errors import (
-    AccountingError,
-    ConstantSeriesError,
-    DomainError,
-    InsufficientDataError,
-)
-from qoskit.metrics import (
-    correlate,
-    ipdv_series,
-    loss_rate,
-    mean_abs_jitter,
-    windowed_throughput,
-)
+from qoskit.errors import ConstantSeriesError, DomainError, InsufficientDataError
+from qoskit.metrics import correlate, ipdv_series, mean_abs_jitter
+from qoskit.model import loss_from_throughput
 from qoskit.sim import SimConfig, simulate_run
 
 # integer-valued floats keep double arithmetic exact, so identities that hold
@@ -90,9 +81,30 @@ class TestMeanAbsJitter:
         st.floats(min_value=1e-6, max_value=1e6),
     )
     def test_linear_scaling(self, delays, k):
+        """Rounding each ``d * k`` moves each difference by up to about
+        eps * k * max|d|, which cancellation can make large against a small
+        mean; the 1e-300 floor covers products in the subnormal range."""
         base = mean_abs_jitter(delays, ci=False).mean_abs_ipdv
         scaled = mean_abs_jitter([d * k for d in delays], ci=False).mean_abs_ipdv
-        assert scaled == pytest.approx(k * base, rel=1e-12, abs=1e-300)
+        cancellation = 2 * sys.float_info.epsilon * k * max(delays)
+        assert scaled == pytest.approx(k * base, rel=1e-12, abs=max(cancellation, 1e-300))
+
+    @given(
+        st.lists(st.floats(min_value=0, max_value=1e6), min_size=2, max_size=50),
+        st.integers(min_value=0, max_value=20),
+    )
+    @example([0.0, 5e-324, 1.5e-323], 1)  # mean 1.5 steps rounds to 2; doubled it is 3
+    def test_power_of_two_scaling_is_exact(self, delays, j):
+        """Scaling by 2**j scales every delay, difference and partial sum
+        exactly, so the mean scales bit for bit unless it is subnormal: there
+        the final division rounds to the subnormal grid, steps of 2**-1074."""
+        k = 2.0 ** j
+        base = mean_abs_jitter(delays, ci=False).mean_abs_ipdv
+        scaled = mean_abs_jitter([d * k for d in delays], ci=False).mean_abs_ipdv
+        if base == 0.0 or base >= sys.float_info.min:
+            assert scaled == k * base
+        else:
+            assert abs(scaled - k * base) <= k * 2.0 ** -1074
 
     def test_matches_run_summary_estimator_exactly(self):
         """On an unbounded run the tagged delay series is contiguous, so the
@@ -107,56 +119,43 @@ class TestMeanAbsJitter:
 
 
 class TestWindowedThroughput:
-    def test_ten_packets_in_one_window(self):
-        deliveries = [(0.1 * k, 1) for k in range(10)]
-        assert windowed_throughput(deliveries, 1.0) == [(0.0, 10.0)]
-
-    def test_empty_span_gives_zero_windows(self):
-        rates = windowed_throughput([], 1.0, t_end=3.0)
-        assert rates == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-
-    def test_gap_windows_are_zero(self):
-        deliveries = [(0.5, 2), (2.5, 4)]
-        rates = windowed_throughput(deliveries, 1.0)
-        assert rates == [(0.0, 2.0), (1.0, 0.0), (2.0, 4.0)]
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(DomainError):
-            windowed_throughput([(1.0, 1), (0.5, 1)], 1.0)
-
     def test_consistent_with_run_counter_within_one_percent(self):
-        """Mean of per-second windowed rates over the measurement span agrees
+        """Mean of per-second delivery counts over the measurement span agrees
         with the run's global delivered/duration counter."""
         cfg = SimConfig(1000.0, 500.0, horizon_packets=50_000, seed=9)
         log, summary = simulate_run(cfg)
         first = int(cfg.horizon_packets * cfg.warmup_fraction)
         t_start = log.arrival_times[first - 1]
         span = int(log.arrival_times[-1] - t_start)
-        deps = np.sort(log.departure_times[first:])
-        rates = windowed_throughput(
-            [(t, 1) for t in deps], 1.0, t_start=t_start, t_end=t_start + span
-        )
-        mean_rate = np.mean([r for _, r in rates])
+        seconds = (log.departure_times[first:] - t_start) // 1.0
+        per_second = np.bincount(seconds[seconds < span].astype(np.int64), minlength=span)
+        mean_rate = per_second.mean()
         assert mean_rate == pytest.approx(summary.throughput_X, rel=0.01)
 
 
 class TestLossRate:
-    def test_hand_cases(self):
-        assert loss_rate(1000, 900) == 0.1
-        assert loss_rate(1000, 1000) == 0.0
-
-    def test_errors(self):
-        with pytest.raises(AccountingError):
-            loss_rate(10, 11)
-        with pytest.raises(DomainError):
-            loss_rate(0, 0)
-        with pytest.raises(DomainError):
-            loss_rate(10, -1)
-
     def test_equals_run_summary_counters_exactly(self):
         cfg = SimConfig(1000.0, 800.0, buffer_capacity=10, horizon_packets=50_000, seed=6)
         _, summary = simulate_run(cfg)
-        assert loss_rate(summary.offered_count, summary.delivered_count) == summary.loss_B
+        offered, delivered = summary.offered_count, summary.delivered_count
+        assert (offered - delivered) / offered == summary.loss_B
+
+    def test_hand_cases(self):
+        """An unbounded buffer drops nothing; a one-packet buffer at load 0.8
+        drops a share of the arrivals."""
+        _, lossless = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=5_000, seed=6))
+        assert lossless.delivered_count == lossless.offered_count
+        assert lossless.loss_B == 0.0
+        _, lossy = simulate_run(SimConfig(1000.0, 800.0, buffer_capacity=1,
+                                          horizon_packets=5_000, seed=6))
+        assert 0.0 < lossy.loss_B < 1.0
+
+    def test_counter_form_of_the_model_identity(self):
+        """``loss_B`` is ``loss_from_throughput`` applied to the counters."""
+        cfg = SimConfig(1000.0, 1200.0, buffer_capacity=5, horizon_packets=20_000, seed=7)
+        _, summary = simulate_run(cfg)
+        assert summary.loss_B == loss_from_throughput(summary.offered_count,
+                                                      summary.delivered_count)
 
 
 class TestCorrelate:

@@ -15,37 +15,46 @@ from qoskit.errors import (
 from qoskit.model import (
     LinkParams,
     analytical_jitter,
-    capacity_from_bandwidth,
     invert_capacity_for_jitter,
     invert_load_for_jitter,
     loss_from_throughput,
-    model_sweep,
-    offered_load,
     throughput_from_loss,
 )
+from qoskit.sim import SimConfig
 
 
 class TestOfferedLoad:
+    """The simulator's offered load ``SimConfig.rho``, which unlike
+    ``LinkParams.load_rho`` may reach and pass 1 behind a finite buffer."""
+
     def test_direct_ratio(self):
-        assert offered_load(1000, 500) == 0.5
+        assert SimConfig(1000.0, 500.0).rho == 0.5
+        assert SimConfig(1000.0, 500.0).rho == LinkParams(1000.0, 500.0).load_rho
 
     def test_no_traffic(self):
-        assert offered_load(1000, 0) == 0.0
+        with pytest.raises(DomainError, match="arrival rate"):
+            SimConfig(1000.0, 0.0)
 
     def test_saturation_boundary(self):
-        assert offered_load(800, 800) == 1.0
+        assert SimConfig(800.0, 800.0, buffer_capacity=10).rho == 1.0
+        with pytest.raises(InstabilityError):
+            SimConfig(800.0, 800.0)
+
+    def test_overload_behind_a_finite_buffer(self):
+        assert SimConfig(800.0, 1600.0, buffer_capacity=10).rho == 2.0
 
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(DomainError):
-            offered_load(0, 10)
+            SimConfig(0.0, 10.0)
         with pytest.raises(DomainError):
-            offered_load(-5, 10)
+            SimConfig(-5.0, 10.0)
 
 
 class TestLinkParams:
     def test_rho_is_derived(self):
         p = LinkParams(1000.0, 250.0)
         assert p.load_rho == 0.25
+        assert LinkParams.from_rho(1000.0, 0.5).arrival_rate_lambda == 500.0
 
     def test_zero_arrivals_undefined_jitter(self):
         with pytest.raises(UndefinedJitterError):
@@ -133,18 +142,6 @@ class TestAnalyticalJitter:
         assert j2 * k == pytest.approx(j1, rel=1e-9)
 
 
-class TestCapacityFromBandwidth:
-    def test_bits_front_end(self):
-        # 8 Mbit/s of 8000-bit packets is 1000 packets/s
-        assert capacity_from_bandwidth(8_000_000, 8000) == 1000.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            capacity_from_bandwidth(0, 8000)
-        with pytest.raises(DomainError):
-            capacity_from_bandwidth(1e6, 0)
-
-
 class TestLossThroughputIdentity:
     def test_direct_substitution(self):
         assert loss_from_throughput(100, 90) == pytest.approx(0.10, abs=0)
@@ -182,26 +179,29 @@ class TestLossThroughputIdentity:
         assert throughput_from_loss(lam, loss) == pytest.approx(x, rel=1e-12, abs=1e-12 * lam)
 
 
-class TestModelSweep:
-    def test_single_point_matches_forward_evaluation(self):
-        rows = model_sweep(1000.0, [0.5])
-        assert len(rows) == 1
-        oracle = (1.0 - math.exp(-1.0) - math.exp(-2.0)) / 500.0
-        assert rows[0].jitter_seconds == pytest.approx(oracle, rel=1e-14)
-        assert rows[0].arrival_rate_lambda == 500.0
+class TestLoadGrid:
+    """A model curve over a load grid is one ``LinkParams.from_rho`` and one
+    ``analytical_jitter`` per point."""
 
-    def test_empty_grid(self):
-        assert model_sweep(1000.0, []) == []
+    def test_single_point_matches_forward_evaluation(self):
+        params = LinkParams.from_rho(1000.0, 0.5)
+        oracle = (1.0 - math.exp(-1.0) - math.exp(-2.0)) / 500.0
+        assert analytical_jitter(params).jitter_seconds == pytest.approx(oracle, rel=1e-14)
+        assert params.arrival_rate_lambda == 500.0
 
     def test_nine_point_grid_all_positive(self):
         grid = [round(0.1 * k, 1) for k in range(1, 10)]
-        rows = model_sweep(1000.0, grid)
-        assert [r.load_rho for r in rows] == grid
-        assert all(r.jitter_seconds > 0 for r in rows)
+        points = [LinkParams.from_rho(1000.0, rho) for rho in grid]
+        assert [p.load_rho for p in points] == grid
+        assert all(analytical_jitter(p).jitter_seconds > 0 for p in points)
 
-    def test_out_of_range_entry_named(self):
-        with pytest.raises(DomainError, match=r"rho_grid\[1\]"):
-            model_sweep(1000.0, [0.5, 1.0])
+    def test_out_of_range_load_rejected(self):
+        with pytest.raises(UndefinedJitterError):
+            LinkParams.from_rho(1000.0, 0.0)
+        with pytest.raises(InstabilityError):
+            LinkParams.from_rho(1000.0, 1.5)
+        with pytest.raises(DomainError, match="arrival rate"):
+            LinkParams.from_rho(1000.0, -0.1)
 
 
 class TestInvertLoad:

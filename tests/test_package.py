@@ -2,7 +2,43 @@
 
 from types import ModuleType
 
+import pytest
+
 import qoskit
+import qoskit.errors
+
+
+_PUBLIC_NAMES = (
+    "AccountingError", "ConstantSeriesError", "DEFAULT_SEED", "DEFAULT_VARIANT",
+    "DomainError", "EmptyRunError", "EmptyTraceError", "InconsistentGroupError",
+    "InfeasibleBudgetError", "InstabilityError", "InsufficientDataError",
+    "InversionResult", "JitterEstimate", "JitterPrediction", "LinkParams",
+    "MobilityScenario", "PacketLog", "QosLogRow", "QoskitError", "RateDistanceMap",
+    "RunSummary", "SeriesStats", "SimConfig", "SweepAggregate", "TraceParseError",
+    "UndefinedJitterError", "VARIANTS", "analytical_jitter", "child_seed",
+    "correlate", "default_rate_map", "default_speed_profile", "fcfs_departures",
+    "invert_capacity_for_jitter", "invert_load_for_jitter", "ipdv_series",
+    "load_scenario", "loss_from_throughput", "mean_abs_jitter", "merge_summaries",
+    "parse_log", "parse_scenario", "rate_at_distance", "read_packet_trace",
+    "simulate_run", "simulate_sweep", "synth_mobility_trace", "throughput_from_loss",
+    "write_log", "write_packet_trace",
+)
+
+
+def test_public_surface_is_pinned():
+    """A name added to or dropped from the namespace changes this list."""
+    assert tuple(qoskit.__all__) == _PUBLIC_NAMES
+
+
+def test_every_error_class_is_exported():
+    """``LinkParams(1.0, 0.0)`` raises ``UndefinedJitterError``; every
+    error the package raises is reachable from ``qoskit``."""
+    with pytest.raises(qoskit.UndefinedJitterError):
+        qoskit.LinkParams(1.0, 0.0)
+    exported = {getattr(qoskit, name) for name in qoskit.__all__}
+    errors = [value for value in vars(qoskit.errors).values()
+              if isinstance(value, type) and issubclass(value, qoskit.QoskitError)]
+    assert set(errors) <= exported
 
 
 def test_all_names_resolve_and_hold_no_module():

@@ -1623,12 +1623,12 @@ class TestPacketTrace:
         _assert_same_log(read_packet_trace(tmp_path / "a.csv"), log)
 
     def test_working_set_is_a_few_blocks(self, tmp_path):
-        """The writer's traced peak, a chunk's Python floats, line strings
-        and joined text, measured 3.2 MiB at the default 8,192 lines; the
-        reader's, above its 34-byte-a-packet output arrays, one block's
-        split tokens and temporaries, measured 3.8 MiB at 512 KiB. The
-        dump of 200k packets is about 19 MiB, so neither bound holds for
-        a peak that grows with its length."""
+        """The writer's traced peak, a chunk's uint64 word matrix, its text
+        and the renderer's temporaries, measured 2.3 MiB at the default
+        2,048 lines; the reader's, above its 34-byte-a-packet output arrays,
+        one block's split tokens and temporaries, measured 3.8 MiB at
+        512 KiB. The dump of 200k packets is about 19 MiB, so neither bound
+        holds for a peak that grows with its length."""
         n = 200_000
         log, _ = simulate_run(SimConfig(1000.0, 500.0, tagged_fraction=0.1,
                                         horizon_packets=n, seed=8))

@@ -24,7 +24,6 @@ from qoskit.traces import (
     parse_log,
     parse_scenario,
     rate_at_distance,
-    speed_at,
     synth_mobility_trace,
     write_log,
     _per_second_kinematics,
@@ -208,21 +207,27 @@ class TestRateMap:
 
 class TestSpeedProfile:
     def test_single_step_covers_everything(self):
-        assert speed_at([(0, 50)], 0) == 50
-        assert speed_at([(0, 50)], 1e6) == 50
+        speeds, _ = _per_second_kinematics(
+            MobilityScenario.variable_speed(1_000_001, speed_profile=((0.0, 50.0),)))
+        assert np.all(speeds == 50.0)
 
     def test_step_boundaries(self):
-        profile = [(0, 10), (100, 50)]
-        assert speed_at(profile, 99) == 10
-        assert speed_at(profile, 100) == 50
+        speeds, _ = _per_second_kinematics(MobilityScenario.variable_speed(
+            101, speed_profile=((0.0, 10.0), (100.0, 50.0))))
+        assert speeds[99] == 10.0
+        assert speeds[100] == 50.0
 
-    def test_before_first_step_rejected(self):
-        with pytest.raises(DomainError):
-            speed_at([(10, 50)], 5)
+    def test_fractional_step_start(self):
+        """A step starting between whole seconds takes effect at the first
+        second at or after its start."""
+        speeds, _ = _per_second_kinematics(MobilityScenario.variable_speed(
+            101, speed_profile=((0.0, 10.0), (99.5, 50.0))))
+        assert speeds[99] == 10.0
+        assert speeds[100] == 50.0
 
     def test_default_profile_cycles_within_bounds(self):
         profile = default_speed_profile(3600)
-        speeds = [speed_at(profile, t) for t in range(0, 3600, 30)]
+        speeds = [_reference_speed(profile, t) for t in range(0, 3600, 30)]
         assert min(speeds) == 10.0
         assert max(speeds) == 50.0
         assert {10.0, 20.0, 30.0, 40.0, 50.0} == set(speeds)
@@ -447,10 +452,17 @@ def _reference_rate(rate_map, dist_m):
     return r0 + (r1 - r0) * (dist_m - d0) / (d1 - d0)
 
 
+def _reference_speed(profile, t_s):
+    """The per-second lookup that ``_per_second_kinematics``' one
+    ``searchsorted`` replaced, kept as its oracle: the speed of the last step
+    starting at or before ``t_s``."""
+    return profile[bisect_right([step[0] for step in profile], t_s) - 1][1]
+
+
 def _reference_trace(scenario):
     """The per-second loop the columnar synthesis replaced: speeds from one
-    ``speed_at`` call per second and one row built per second. The oracle
-    for ``synth_mobility_trace``."""
+    ``_reference_speed`` call per second and one row built per second. The
+    oracle for ``synth_mobility_trace``."""
     d = scenario.duration_s
     if scenario.kind == "static":
         speeds = np.zeros(d)
@@ -460,7 +472,7 @@ def _reference_trace(scenario):
             profile = ((0.0, scenario.speed_kmh),)
         else:
             profile = scenario.speed_profile
-        speeds = np.array([speed_at(profile, float(k)) for k in range(d)])
+        speeds = np.array([_reference_speed(profile, float(k)) for k in range(d)])
         path = np.concatenate(([0.0], np.cumsum(speeds / 3.6)))[:d]
         span = scenario.track_max_m - scenario.track_min_m
         phase = (scenario.start_dist_m - scenario.track_min_m + path) % (2.0 * span)
@@ -656,4 +668,4 @@ class TestColumnarSynthesis:
     def test_speed_lookup_matches_speed_at(self, profile, duration_s):
         speeds, _ = _per_second_kinematics(
             MobilityScenario.variable_speed(duration_s, speed_profile=profile))
-        assert speeds.tolist() == [speed_at(profile, k) for k in range(duration_s)]
+        assert speeds.tolist() == [_reference_speed(profile, k) for k in range(duration_s)]

@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     EmptyRunError,
     EmptyTraceError,
-    InconsistentGroupError,
     InfeasibleBudgetError,
     InstabilityError,
     InsufficientDataError,
@@ -50,10 +49,8 @@ from .sim import (
     PacketLog,
     RunSummary,
     SimConfig,
-    SweepAggregate,
     child_seed,
     fcfs_departures,
-    merge_summaries,
     read_packet_trace,
     simulate_run,
     simulate_sweep,

@@ -54,10 +54,6 @@ class AccountingError(DomainError):
     """Counters are mutually inconsistent (e.g. delivered exceeds offered)."""
 
 
-class InconsistentGroupError(QoskitError, ValueError):
-    """Summaries with mismatched parameters were merged into one group."""
-
-
 class EmptyRunError(DomainError):
     """A simulation was requested with nothing to simulate."""
 

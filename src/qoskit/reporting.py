@@ -9,15 +9,16 @@ curve, so any plotting tool can consume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _real
-from .metrics import SeriesStats, _mean, correlate
+from .metrics import SeriesStats, _mean, _unit_scaled, correlate
 from .model import DEFAULT_VARIANT, LinkParams, analytical_jitter
-from .sim import SimConfig, merge_summaries, simulate_sweep
+from .sim import SimConfig, simulate_sweep
 from .traces import QosLogRow
 
 #: Relative disagreement between model and simulation tolerated by default.
@@ -70,8 +71,9 @@ def run_validation(
 
     Per grid point, ``seeds_per_point`` independent runs of ``packets``
     arrivals each are simulated at lambda = rho * C with an unbounded buffer,
-    their measured mean-absolute delay variation is averaged, and the closed
-    form is evaluated at the same (C, lambda).
+    their measured mean-absolute delay variation is averaged and given its
+    standard error across seeds (None for one seed), and the closed form is
+    evaluated at the same (C, lambda).
     """
     grid = [float(r) for r in rho_grid]
     if not grid:
@@ -88,7 +90,11 @@ def run_validation(
     summaries = simulate_sweep(base, grid, seeds_per_point, vary="arrival")
     rows = []
     for i, rho in enumerate(grid):
-        group = summaries[i * seeds_per_point:(i + 1) * seeds_per_point]
+        # Reduced in seed order, the order the committed reports were made
+        # in; the sweep's order moves the last bit (not the printed digits)
+        # of 4 of their 14 points.
+        group = sorted(summaries[i * seeds_per_point:(i + 1) * seeds_per_point],
+                       key=lambda s: s.seed)
         short = sum(1 for s in group if s.n_jitter_samples == 0)
         if short:
             raise InsufficientDataError(
@@ -96,17 +102,23 @@ def run_validation(
                 f"consecutive delivered tagged packets after warm-up; "
                 f"raise the packet count or the tagged fraction"
             )
-        agg = merge_summaries(group)
+        jitters = np.array([s.empirical_jitter_J for s in group])
+        mean = _mean(jitters)
+        stderr = None
+        if len(group) > 1:
+            # std squares the jitters, which leaves the double range at
+            # extreme capacities; scaling by a power of two first is exact.
+            scaled, exponent = _unit_scaled(jitters)
+            stderr = math.ldexp(float(scaled.std(ddof=1)), exponent) / math.sqrt(len(group))
         pred = analytical_jitter(LinkParams.from_rho(capacity_C, rho), variant)
-        rel = abs(pred.jitter_seconds - agg.jitter_mean) / agg.jitter_mean
         rows.append(
             ValidationRow(
                 load_rho=rho,
-                arrival_rate_lambda=agg.arrival_rate_lambda,
+                arrival_rate_lambda=group[0].config.arrival_rate_lambda,
                 jitter_model=pred.jitter_seconds,
-                jitter_sim_mean=agg.jitter_mean,
-                jitter_sim_stderr=agg.jitter_stderr,
-                relative_error=rel,
+                jitter_sim_mean=mean,
+                jitter_sim_stderr=stderr,
+                relative_error=abs(pred.jitter_seconds - mean) / mean,
             )
         )
     metadata = (

@@ -35,12 +35,11 @@ from . import _dumptext
 from .errors import (
     DomainError,
     EmptyRunError,
-    InconsistentGroupError,
     InstabilityError,
     _count,
     _real,
 )
-from .metrics import _abs_differences, _mean, _unit_scaled
+from .metrics import _abs_differences, _mean
 
 SERVICE_EXPONENTIAL = "exponential"
 SERVICE_DETERMINISTIC = "deterministic"
@@ -104,9 +103,11 @@ class SimConfig:
         if self.horizon_packets == 0:
             raise EmptyRunError("horizon of zero packets: nothing to simulate")
         _real(self.warmup_fraction, "warmup fraction", ge=0, lt=0.5)
-        _count(self.seed, "seed")
-        # numpy integers cannot take the 64-bit seed mask
+        _count(self.seed, "seed", 0)
+        # a numpy integer seed would overflow child_seed's 64-bit mask
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed > _MASK64:
+            raise DomainError(f"seed must be below 2**64, got {self.seed!r}")
         if self.service_distribution not in _SERVICE_KINDS:
             raise DomainError(
                 f"service distribution must be one of {_SERVICE_KINDS}, "
@@ -685,7 +686,7 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
     """
     n = config.horizon_packets
     first = int(n * config.warmup_fraction)
-    rng = np.random.default_rng(config.seed & _MASK64)
+    rng = np.random.default_rng(config.seed)
     arrivals, sojourn, services = ws.arrivals, ws.sojourn, ws.services
     _exponential_into(rng, 1.0 / config.arrival_rate_lambda, arrivals)
     service = 1.0 / config.capacity_C
@@ -876,68 +877,6 @@ def simulate_sweep(
         workers = 1
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(run, jobs))
-
-
-@dataclass(frozen=True)
-class SweepAggregate:
-    """Per-load aggregate over seeds. stderr is None for a single run."""
-
-    capacity_C: float
-    arrival_rate_lambda: float
-    load_rho: float
-    buffer_capacity: int | None
-    service_distribution: str
-    n_runs: int
-    jitter_mean: float
-    jitter_stderr: float | None
-    throughput_mean: float
-    loss_mean: float
-    mean_sojourn_mean: float
-
-
-def merge_summaries(summaries) -> SweepAggregate:
-    """Aggregate runs that share (C, lambda, buffer, service distribution).
-
-    Summaries are sorted by seed before reducing, so the result does not
-    depend on the order runs finished in.
-    """
-    group = list(summaries)
-    if not group:
-        raise DomainError("cannot merge an empty group of summaries")
-    key = None
-    for s in group:
-        k = (
-            s.config.capacity_C,
-            s.config.arrival_rate_lambda,
-            s.config.buffer_capacity,
-            s.config.service_distribution,
-        )
-        if key is None:
-            key = k
-        elif k != key:
-            raise InconsistentGroupError(
-                f"summaries mix parameters: {k} vs {key}; group them by load first"
-            )
-    group.sort(key=lambda s: s.seed)
-    jitters = np.array([s.empirical_jitter_J for s in group])
-    # std squares the jitters, which leaves the double range at extreme
-    # capacities; scaling by a power of two first is exact.
-    scaled, exponent = _unit_scaled(jitters)
-    stderr = (math.ldexp(float(scaled.std(ddof=1)), exponent) / math.sqrt(len(group))
-              if len(group) >= 2 else None)
-    return SweepAggregate(
-        capacity_C=key[0],
-        arrival_rate_lambda=key[1],
-        load_rho=key[1] / key[0],
-        buffer_capacity=key[2],
-        service_distribution=key[3],
-        n_runs=len(group),
-        jitter_mean=_mean(jitters),
-        jitter_stderr=stderr,
-        throughput_mean=_mean(np.array([s.throughput_X for s in group])),
-        loss_mean=float(np.mean([s.loss_B for s in group])),
-        mean_sojourn_mean=_mean(np.array([s.mean_sojourn for s in group])),
-    )
 
 
 #: Packets rendered per ``write`` call by ``write_packet_trace``. A chunk's

@@ -209,6 +209,15 @@ class TestSimulateCommand:
         assert code == 1
         assert "unbounded" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_rejected(self, capsys, seed):
+        """Both seeds used to run another seed's stream (2^64 - 1 and 0)
+        while printing their own."""
+        code, out, err = run_cli(capsys, "simulate", "--capacity", "1000", "--rho", "0.5",
+                                 "--packets", "10", "--seed", seed)
+        assert code == 1 and out == ""
+        assert "seed must be" in err
+
 
 class TestValidateCommand:
     def test_single_point_consistent_with_model_and_simulate(self, capsys, tmp_path):
@@ -600,10 +609,13 @@ class TestOutputPaths:
 
 
 class TestUsageContract:
-    def test_import_leaves_scipy_unloaded(self):
-        """Importing the command line loads no scipy."""
+    @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "logging"])
+    def test_import_leaves_module_unloaded(self, module):
+        """Importing the command line loads no scipy, and not the thread
+        pool that only ``simulate_sweep`` needs (about 1 MiB and 7 ms with
+        the logging it brings in)."""
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, qoskit.cli; sys.exit('scipy' in sys.modules)"
+        code = f"import sys, qoskit.cli; sys.exit({module!r} in sys.modules)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)

@@ -33,6 +33,8 @@ _BAD_CALLS = {
     "horizon nan": lambda: SimConfig(1.0, 0.5, horizon_packets=math.nan),
     "buffer capacity fractional": lambda: SimConfig(1.0, 0.5, buffer_capacity=2.5),
     "seed fractional": lambda: SimConfig(1.0, 0.5, seed=1.5),
+    "seed negative": lambda: SimConfig(1.0, 0.5, seed=-1),
+    "seed 2**64": lambda: SimConfig(1.0, 0.5, seed=2**64),
     "warmup fraction inf": lambda: SimConfig(1.0, 0.5, warmup_fraction=math.inf),
     "load nan": lambda: LinkParams.from_rho(1.0, math.nan),
     "arrival rate inf": lambda: LinkParams(1.0, math.inf),

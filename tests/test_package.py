@@ -10,15 +10,14 @@ import qoskit.errors
 
 _PUBLIC_NAMES = (
     "AccountingError", "ConstantSeriesError", "DEFAULT_SEED", "DEFAULT_VARIANT",
-    "DomainError", "EmptyRunError", "EmptyTraceError", "InconsistentGroupError",
-    "InfeasibleBudgetError", "InstabilityError", "InsufficientDataError",
-    "InversionResult", "JitterEstimate", "JitterPrediction", "LinkParams",
-    "MobilityScenario", "PacketLog", "QosLogRow", "QoskitError", "RateDistanceMap",
-    "RunSummary", "SeriesStats", "SimConfig", "SweepAggregate", "TraceParseError",
-    "UndefinedJitterError", "VARIANTS", "analytical_jitter", "child_seed",
-    "correlate", "default_rate_map", "default_speed_profile", "fcfs_departures",
-    "invert_capacity_for_jitter", "invert_load_for_jitter", "ipdv_series",
-    "load_scenario", "loss_from_throughput", "mean_abs_jitter", "merge_summaries",
+    "DomainError", "EmptyRunError", "EmptyTraceError", "InfeasibleBudgetError",
+    "InstabilityError", "InsufficientDataError", "InversionResult", "JitterEstimate",
+    "JitterPrediction", "LinkParams", "MobilityScenario", "PacketLog", "QosLogRow",
+    "QoskitError", "RateDistanceMap", "RunSummary", "SeriesStats", "SimConfig",
+    "TraceParseError", "UndefinedJitterError", "VARIANTS", "analytical_jitter",
+    "child_seed", "correlate", "default_rate_map", "default_speed_profile",
+    "fcfs_departures", "invert_capacity_for_jitter", "invert_load_for_jitter",
+    "ipdv_series", "load_scenario", "loss_from_throughput", "mean_abs_jitter",
     "parse_log", "parse_scenario", "rate_at_distance", "read_packet_trace",
     "simulate_run", "simulate_sweep", "synth_mobility_trace", "throughput_from_loss",
     "write_log", "write_packet_trace",

@@ -17,12 +17,8 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from qoskit import _dumptext, sim
-from qoskit.errors import (
-    DomainError,
-    EmptyRunError,
-    InconsistentGroupError,
-    InstabilityError,
-)
+from qoskit.errors import DomainError, EmptyRunError, InstabilityError
+from qoskit.reporting import run_validation
 from qoskit.sim import (
     PACKET_TRACE_HEADER,
     PacketLog,
@@ -30,7 +26,6 @@ from qoskit.sim import (
     SimConfig,
     child_seed,
     fcfs_departures,
-    merge_summaries,
     read_packet_trace,
     simulate_run,
     simulate_sweep,
@@ -624,6 +619,18 @@ class TestSimConfig:
             SimConfig(1000.0, 500.0, **counts)
 
 
+def _all_tagged_run(config):
+    """An all-tagged run's summary and the 50-batch batch-means standard
+    error of its |dT| samples, which are serially dependent."""
+    log, summary = simulate_run(config)
+    first = int(config.horizon_packets * config.warmup_fraction)
+    samples = np.abs(np.diff(log.sojourn_times[first:]))
+    samples = samples[~np.isnan(samples)]       # the pairs that a drop breaks
+    assert summary.n_jitter_samples == samples.size
+    batches = samples[:samples.size // 50 * 50].reshape(50, -1).mean(axis=1)
+    return summary, batches.std(ddof=1) / math.sqrt(50)
+
+
 class TestSimulateRun:
     def test_deterministic_bit_identical(self):
         cfg = SimConfig(1000.0, 500.0, horizon_packets=5000, seed=7)
@@ -679,12 +686,37 @@ class TestSimulateRun:
         capacity = 1000.0
         cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
                         horizon_packets=1_000_000, seed=1729)
-        log, summary = simulate_run(cfg)
-        samples = np.abs(np.diff(log.sojourn_times[int(1_000_000 * cfg.warmup_fraction):]))
-        assert summary.n_jitter_samples == samples.size
-        batches = samples[:samples.size // 50 * 50].reshape(50, -1).mean(axis=1)
-        stderr = batches.std(ddof=1) / math.sqrt(50)
+        summary, stderr = _all_tagged_run(cfg)
         assert abs(summary.empirical_jitter_J - 1.0 / capacity) <= 4 * stderr
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8, 0.95])
+    def test_all_tagged_deterministic_jitter_is_exact(self, rho):
+        """Stationary M/D/1 with service D = 1/C: the step is
+        D - min(T, A), and only E[exp(-lambda W)] = (1 - rho) e^rho of the
+        wait is needed, which gives E|dT| = 2(rho + expm1(-rho)) / (rho C)
+        (the README has the derivation)."""
+        capacity = 1000.0
+        cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
+                        horizon_packets=1_000_000, seed=1729,
+                        service_distribution="deterministic")
+        summary, stderr = _all_tagged_run(cfg)
+        exact = 2 * (rho + math.expm1(-rho)) / (rho * capacity)
+        assert abs(summary.empirical_jitter_J - exact) <= 4 * stderr
+
+    @pytest.mark.parametrize("packets", [100_000, 300_000], ids=["ring loop", "lanes"])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.5])
+    def test_one_packet_buffer_jitter_is_exact(self, rho, packets):
+        """All-tagged M/M/1/1: an admitted packet found the server empty, so
+        its sojourn is its own service. The next packet is admitted when it
+        arrives after that departure, so given a counted pair the first
+        sojourn is Exp(lambda + C), and E|dT| = (1/C)(1 + 1/(1 + rho) -
+        2/(2 + rho)) (the README has the derivation)."""
+        capacity = 1000.0
+        cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0, buffer_capacity=1,
+                        horizon_packets=packets, seed=1729)
+        summary, stderr = _all_tagged_run(cfg)
+        exact = (1 + 1 / (1 + rho) - 2 / (2 + rho)) / capacity
+        assert abs(summary.empirical_jitter_J - exact) <= 4 * stderr
 
     def test_counter_identity_is_exact(self):
         """Loss from counters equals (lambda - X)/lambda computed from the
@@ -1222,68 +1254,41 @@ class TestParallelSweep:
         assert set(threading.enumerate()) <= before
 
 
-class TestMerge:
-    def _summaries(self, n, rho=0.5, packets=5000):
-        base = SimConfig(1000.0, rho * 1000.0, horizon_packets=packets, seed=13)
-        return simulate_sweep(base, [rho], seeds_per_point=n)
+class TestValidationAggregate:
+    """``run_validation``'s mean and across-seed standard error per load."""
 
-    def test_single_summary_has_undefined_stderr(self):
-        [s] = self._summaries(1)
-        agg = merge_summaries([s])
-        assert agg.jitter_mean == s.empirical_jitter_J
-        assert agg.jitter_stderr is None
-        assert agg.n_runs == 1
+    def test_single_seed_has_undefined_stderr(self):
+        [s] = simulate_sweep(SimConfig(1000.0, 500.0, horizon_packets=5000, seed=13), [0.5])
+        [row] = run_validation(1000.0, [0.5], 5000, 1, base_seed=13).rows
+        assert row.jitter_sim_mean == s.empirical_jitter_J
+        assert row.jitter_sim_stderr is None
 
-    def test_duplicated_summaries_zero_stderr(self):
-        [s] = self._summaries(1)
-        agg = merge_summaries([s, s, s])
-        assert agg.jitter_stderr == 0.0
-        assert agg.jitter_mean == s.empirical_jitter_J
-
-    def test_order_independent(self):
-        summaries = self._summaries(5)
-        a = merge_summaries(summaries)
-        b = merge_summaries(list(reversed(summaries)))
-        assert a == b
-
-    def test_mixed_group_rejected(self):
-        base = SimConfig(1000.0, 500.0, horizon_packets=1000, seed=13)
-        summaries = simulate_sweep(base, [0.4, 0.5], seeds_per_point=1)
-        with pytest.raises(InconsistentGroupError):
-            merge_summaries(summaries)
-
-    def test_stderr_shrinks_with_seed_count(self):
-        """The across-seed standard error is the spread over sqrt(n)."""
-        summaries = self._summaries(10, packets=20_000)
-        agg = merge_summaries(summaries)
-        jitters = np.array([s.empirical_jitter_J for s in summaries])
+    def test_stderr_is_the_seed_ordered_spread_over_sqrt_n(self):
+        """Scaling the jitters by a power of two before ``std`` is exact, so
+        the mean and the stderr are the plain ones over the jitters in seed
+        order, bit for bit. At base seed 7 the sweep's own order gives other
+        last bits for both, so the order is pinned too."""
+        base = SimConfig(1000.0, 500.0, horizon_packets=20_000, seed=7)
+        summaries = simulate_sweep(base, [0.5], seeds_per_point=10)
+        swept = np.array([s.empirical_jitter_J for s in summaries])
+        jitters = np.array([s.empirical_jitter_J
+                            for s in sorted(summaries, key=lambda s: s.seed)])
+        [row] = run_validation(1000.0, [0.5], 20_000, 10, base_seed=7).rows
+        assert row.arrival_rate_lambda == 500.0
+        assert row.jitter_sim_mean == jitters.mean() != swept.mean()
         spread = jitters.std(ddof=1)
-        assert agg.jitter_stderr == pytest.approx(spread / math.sqrt(10), rel=1e-12)
-        assert agg.jitter_stderr < spread
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(DomainError):
-            merge_summaries([])
-
-    def test_means_whose_sum_overflows(self):
-        """At C = 1e308 and load 0.9 three throughputs near 9e307 sum past
-        the double range; their mean is still finite and nothing warns."""
-        base = SimConfig(1e308, 0.5e308, horizon_packets=2000, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            agg = merge_summaries(simulate_sweep(base, [0.9], seeds_per_point=3))
-        assert 8e307 < agg.throughput_mean < 1e308
+        assert row.jitter_sim_stderr == spread / math.sqrt(10)
+        assert spread != swept.std(ddof=1)
 
     def test_stderr_scales_as_one_over_capacity(self):
         """The across-seed stderr stays in the double range at extreme
         capacities: stderr * C is the same at C = 1e-300, 1 and 1e300."""
         scaled = []
         for capacity in (1e-300, 1.0, 1e300):
-            base = SimConfig(capacity, capacity / 2, horizon_packets=2000, seed=13)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                agg = merge_summaries(simulate_sweep(base, [0.5], seeds_per_point=3))
-            scaled.append(agg.jitter_stderr * capacity)
+                [row] = run_validation(capacity, [0.5], 2000, 3, base_seed=13).rows
+            scaled.append(row.jitter_sim_stderr * capacity)
         assert scaled[0] > 0
         assert scaled[0] == pytest.approx(scaled[1], rel=1e-12)
         assert scaled[2] == pytest.approx(scaled[1], rel=1e-12)
@@ -1374,31 +1379,21 @@ class TestScaleInvariance:
         assert np.array_equal(log_k.dropped, log.dropped)
 
     @settings(deadline=None)
-    @given(k=st.integers(-1000, 1000), rho=st.floats(0.1, 3.0),
-           buffer_capacity=st.none() | st.integers(1, 12) | _BUFFERS,
+    @given(k=st.integers(-1000, 1000), rho=st.floats(0.1, 0.95),
            seeds=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
     # seed 18693's first run draws a time of 9.4e-8, below the normal range at k = 1000
-    @example(k=1000, rho=0.5, buffer_capacity=None, seeds=2, seed=18693)
-    def test_merge_summaries(self, k, rho, buffer_capacity, seeds, seed):
-        if buffer_capacity is None:
-            rho = min(rho, 0.95)
-        one, scaled = [merge_summaries(simulate_sweep(
-                           SimConfig(c, c / 2, buffer_capacity=buffer_capacity,
-                                     horizon_packets=500, seed=seed), [rho], seeds))
+    @example(k=1000, rho=0.5, seeds=2, seed=18693)
+    def test_run_validation(self, k, rho, seeds, seed):
+        one, scaled = [run_validation(c, [rho], 500, seeds, base_seed=seed).rows[0]
                        for c in (1.0, math.ldexp(1.0, k))]
-        stderr = None if one.jitter_stderr is None else math.ldexp(one.jitter_stderr, -k)
-        want = dataclasses.replace(
-            one, capacity_C=math.ldexp(1.0, k),
-            arrival_rate_lambda=math.ldexp(one.arrival_rate_lambda, k),
-            jitter_mean=math.ldexp(one.jitter_mean, -k), jitter_stderr=stderr,
-            throughput_mean=math.ldexp(one.throughput_mean, k),
-            mean_sojourn_mean=math.ldexp(one.mean_sojourn_mean, -k))
+        got = scaled.jitter_sim_mean, scaled.jitter_sim_stderr
+        want = (math.ldexp(one.jitter_sim_mean, -k),
+                None if one.jitter_sim_stderr is None else math.ldexp(one.jitter_sim_stderr, -k))
         if _below_normal_at(k, rho, 500, *(child_seed(seed, 0, j) for j in range(seeds))):
             event("draws below the normal range: held to 1e-9 relative")
-            assert dataclasses.astuple(scaled) == pytest.approx(
-                dataclasses.astuple(want), rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9)
             return
-        assert repr(scaled) == repr(want)
+        assert repr(got) == repr(want)
 
 
 def _reference_write_packet_trace(log, path):

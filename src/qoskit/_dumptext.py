@@ -25,9 +25,20 @@ double just below a power of ten can, and none in the fast range does.
 Layout follows ``%g``: with X = e, -4 <= X < 17 prints in fixed notation
 and otherwise as d.ddd followed by e-XX; trailing zeros go, and so does a
 point with nothing after it. In the fast range X lies in [-11, 15].
+
+Reading back (``parse_decimals``), after Clinger, "How to read floating
+point numbers accurately" (PLDI 1990), and Lemire, "Number parsing at a
+gigabyte per second" (SPE 2021): a token's digits are an exact integer
+w < 10**19 and its point and exponent a power 10**q, |q| <= 27, both exact
+in x87 extended precision. One multiply or divide there and one rounding to
+a double are the correctly rounded value, unless the extended result is a
+midpoint of two doubles (low 11 bits 0x400): such a token, and any token
+outside the grammar, is left to ``float()``.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -56,11 +67,12 @@ _QUAD = np.zeros((10_000, 8), np.uint8)
 _QUAD[:, :4] = np.indices((10, 10, 10, 10)).reshape(4, -1).T + 48
 _QUAD = le_words(_QUAD).ravel()
 
-#: Over the 24 bytes of three words, for t in [0, 18]: [word, t] masks the
-#: bytes before t, the bytes after t, and puts "." at t (none at 0, 17, 18).
+#: Over the 24 bytes of three words: [word, t] masks the bytes before t, for
+#: t in [0, 24]; for t in [0, 18] it masks the bytes after t, and puts "."
+#: at t (none at 0, 17, 18).
 _BYTE = np.arange(24)
 _T = np.arange(19)[:, None]
-_BEFORE = le_words((_BYTE < _T) * 255).T
+_BEFORE = le_words((_BYTE < np.arange(25)[:, None]) * 255).T
 _AFTER = le_words((_BYTE > _T) * 255).T
 _POINT = le_words((_BYTE == _T) * ord(".")).T
 _POINT[:, [0, 17, 18]] = 0
@@ -178,3 +190,83 @@ def index_words(i) -> np.ndarray:
     blank = 15 - np.searchsorted(_POW10, i, side="right")     # leading bytes that stay 0
     return np.stack([_word8(top) & ~_BEFORE[0][blank],
                      _word8(i - top * 10 ** 8) & ~_BEFORE[1][blank]])
+
+
+#: The reader's fast path scales in x87 extended precision: a 64-bit
+#: significand, the low 8 bytes of a little-endian long double.
+EXACT_SCALING = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+_POW10_LD = np.ldexp(_POW5.astype(np.longdouble), np.arange(28))     # exact: 5**27 < 2**63
+_BYTES = {b: _U64(0x0101_0101_0101_0101 * b) for b in (0x06, 0x2E, 0x30, 0x33, 0x7F, 0xF0)}
+
+
+def unaligned_words(raw) -> np.ndarray:
+    """The little-endian uint64 word at each byte offset of the uint8 array
+    ``raw`` (a view; the last 7 offsets have none)."""
+    return np.ndarray((raw.size - 7,), "<u8", raw, strides=(1,))
+
+
+def parse_decimals(text, starts, stops):
+    """The double nearest each token ``text[starts[i]:stops[i]]`` of the uint8
+    array ``text`` (24 bytes before the first, 8 after the last), and
+    whether it is certified, else a placeholder: 1-19 digits and at most one
+    point in 24 bytes, then ``e[+-]dd``, ``e[+-]ddd`` or nothing, |q| <= 27,
+    and no midpoint."""
+    size = stops - starts
+    e4 = (text[stops - 4] == ord("e")) & (size > 4)
+    e5 = (text[stops - 5] == ord("e")) & (size > 5)
+    mend = stops - np.maximum(4 * e4, 5 * e5)    # where the digits end
+    good = np.ones(size.size, bool)
+    exp10 = np.zeros(size.size, np.int64)
+    at = np.flatnonzero(e4 | e5)
+    if at.size:
+        e, three = mend[at], e5[at] & ~e4[at]
+        sign = text[e + 1]
+        d = [(text[e + k] - np.uint8(48)).astype(np.int64) for k in (2, 3, 4)]  # > 9: no digit
+        good[at] = (((sign == ord("+")) | (sign == ord("-"))) & (d[0] < 10) & (d[1] < 10)
+                    & ((d[2] < 10) | ~three))
+        value = np.where(three, 100 * d[0] + 10 * d[1] + d[2], 10 * d[0] + d[1])
+        exp10[at] = np.where(sign == ord("-"), -value, value)
+    size = mend - starts
+    # The 24 bytes that end at the last digit as three words, the bytes
+    # before the token made "0", and where the first "." is (24: none).
+    words = unaligned_words(text)
+    w = np.empty((3, size.size), np.uint64)
+    lead = np.clip(24 - size, 0, 24).astype(np.uint8)
+    point = 0
+    for k in (2, 1, 0):
+        w[k] = words[mend - 8 * (3 - k)]
+        w[k] ^= (w[k] ^ _BYTES[0x30]) & _BEFORE[k][lead]
+        dot = w[k] ^ _BYTES[0x2E]
+        dot |= ((dot & _BYTES[0x7F]) + _BYTES[0x7F]) | _BYTES[0x7F]   # 0x7F at a ".", else 0xFF
+        dot = ~dot >> _U64(7)                     # 1 in each "." byte
+        dot *= _U64(0x0807_0605_0403_0201)        # top byte: 8 - the "." byte (0: none)
+        top = (dot >> _U64(56)).astype(np.int64)
+        point = 8 - top + (top == 0) * point
+    has_point = point < 24
+    exp10 -= (23 - point) * has_point             # digits after the point
+    good &= (size <= 24) & (size > has_point)
+    up = (point + 1) % 25
+    del mend, lead                                # the block's memory peaks below
+    for k in (2, 1, 0):                           # the bytes up to the point move up one
+        moved = (w[k] << _U64(8)) | (w[k - 1] >> _U64(56) if k else _BYTES[0x30])
+        w[k] ^= (w[k] ^ moved) & _BEFORE[k][up]
+        bad = (((w[k] + _BYTES[0x06]) & _BYTES[0xF0]) >> _U64(4)) | (w[k] & _BYTES[0xF0])
+        good &= bad == _BYTES[0x33]               # eight digits
+    for mask, mul, shift in ((0x0F0F_0F0F_0F0F_0F0F, 2561, 8),          # digits to pairs,
+                             (0x00FF_00FF_00FF_00FF, 6553601, 16),       # quads, then eights
+                             (0x0000_FFFF_0000_FFFF, 42949672960001, 32)):
+        w &= _U64(mask)
+        w *= _U64(mul)
+        w >>= _U64(shift)
+    good &= (w[0] < 1000) & (np.abs(exp10) <= 27)  # below 10**19; 10**27 is exact
+    w[0] *= _U64(10 ** 16)
+    w[0] += w[1] * _U64(10 ** 8) + w[2]
+    n = w[0].astype(np.longdouble)
+    del w
+    q = np.clip(exp10, -27, 27)
+    n /= _POW10_LD[np.maximum(-q, 0)]
+    big = np.flatnonzero(q > 0)
+    n[big] *= _POW10_LD[q[big]]
+    low = np.ndarray(n.shape, "<u8", n, strides=(n.itemsize,))
+    good &= (low & _U64(0x7FF)) != 0x400
+    return n.astype(np.float64), good

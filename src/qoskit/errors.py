@@ -103,6 +103,15 @@ def _count(value, what: str, minimum=None) -> None:
     raise DomainError(f"{what} must be {kind}, got {value!r}")
 
 
+def _seed(value, what: str) -> int:
+    """``value`` as an ``int``, raising DomainError unless it is an integer
+    in [0, 2**64), the range every seed and seed index of qoskit takes."""
+    _count(value, what, 0)
+    if value >= 1 << 64:
+        raise DomainError(f"{what} must be below 2**64, got {value!r}")
+    return int(value)
+
+
 def _parse(text: str, what: str, kind=float):
     """``kind(text)``, raising DomainError that names ``what`` when the
     text is not a number of that kind."""

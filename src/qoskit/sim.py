@@ -38,6 +38,7 @@ from .errors import (
     InstabilityError,
     _count,
     _real,
+    _seed,
 )
 from .metrics import _abs_differences, _mean
 
@@ -67,11 +68,12 @@ def child_seed(base_seed: int, *indices: int) -> int:
 
     Recipe: starting from the base seed, fold in each index with
     ``s = splitmix64(s XOR (index + 1))``. Documented so any point of a sweep
-    can be reproduced standalone.
+    can be reproduced standalone. Raises DomainError unless the base seed
+    and every index are integers in [0, 2**64).
     """
-    s = base_seed & _MASK64
+    s = _seed(base_seed, "base seed")
     for ix in indices:
-        s = splitmix64(s ^ ((ix + 1) & _MASK64))
+        s = splitmix64(s ^ ((_seed(ix, "seed index") + 1) & _MASK64))
     return s
 
 
@@ -103,11 +105,8 @@ class SimConfig:
         if self.horizon_packets == 0:
             raise EmptyRunError("horizon of zero packets: nothing to simulate")
         _real(self.warmup_fraction, "warmup fraction", ge=0, lt=0.5)
-        _count(self.seed, "seed", 0)
-        # a numpy integer seed would overflow child_seed's 64-bit mask
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed > _MASK64:
-            raise DomainError(f"seed must be below 2**64, got {self.seed!r}")
+        # stored as an int: a numpy integer seed would not serialize as JSON
+        object.__setattr__(self, "seed", _seed(self.seed, "seed"))
         if self.service_distribution not in _SERVICE_KINDS:
             raise DomainError(
                 f"service distribution must be one of {_SERVICE_KINDS}, "
@@ -885,8 +884,8 @@ def simulate_sweep(
 _DUMP_WRITE_PACKETS = 2_048
 
 #: Bytes read per block by ``read_packet_trace``; each block is cut back to
-#: whole lines. Split into ``bytes`` tokens a block takes about 8x its size,
-#: so the reader's working memory is about 4 MiB.
+#: whole lines. Either path's temporaries take about 6-8x a block's size, so
+#: the reader's working memory is about 4 MiB.
 _DUMP_READ_BYTES = 512 << 10
 
 #: A dump line as uint64 words (see ``_dumptext``): the index, "," and the
@@ -956,9 +955,12 @@ def read_packet_trace(path) -> PacketLog:
 
     Two passes: the first counts lines so the six output arrays are
     allocated once (34 bytes a packet); the second parses blocks of whole
-    lines of about ``_DUMP_READ_BYTES``. So memory is the output arrays plus
-    one block's split tokens, about 8x the block's bytes, and no per-packet
-    Python object outlives its block.
+    lines of about ``_DUMP_READ_BYTES``, in numpy where
+    ``_dumptext.EXACT_SCALING`` holds (``_read_fast``), else, or where a
+    check fails, by ``float()`` on its ``bytes`` tokens; the arrays and errors
+    are the same. So memory is the output arrays plus one block's
+    temporaries, about 8x its bytes, and no per-packet Python object
+    outlives its block.
 
     Raises DomainError, naming the 1-based line, on a wrong header, a line
     without exactly 7 fields or with a NUL byte, a flow other than
@@ -984,9 +986,11 @@ def read_packet_trace(path) -> PacketLog:
         tail = b""
         while data := fh.read(_DUMP_READ_BYTES):
             block = tail + data
+            del data                    # one copy of the block while it is parsed
             cut = block.rfind(b"\n") + 1
             tail = block[cut:]
-            done += _read_trace_lines(block[:cut], done, log)
+            block = block[:cut]
+            done += _read_trace_lines(block, done, log)
         if tail:
             done += _read_trace_lines(tail + b"\n", done, log)
     if done != n:
@@ -1005,7 +1009,8 @@ def _read_trace_lines(block: bytes, first: int, log: PacketLog) -> int:
     line0 = first + 2       # 1-based line number of the block's first line
     if first + m > len(log):
         raise DomainError(f"packet trace line {line0}: the file changed while it was read")
-    n_fields = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0) + 1
+    commas = np.flatnonzero(raw == ord(","))
+    n_fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
     bad = np.flatnonzero(n_fields != 7)
     if bad.size:
         j = int(bad[0])
@@ -1015,11 +1020,13 @@ def _read_trace_lines(block: bytes, first: int, log: PacketLog) -> int:
     if b"\0" in block:     # numpy bytes arrays drop trailing NULs: "1\0" would read as "1"
         j = int(np.searchsorted(ends, block.index(b"\0")))
         raise DomainError(f"packet trace line {line0 + j}: NUL byte in packet trace line")
+    span = slice(first, first + m)
+    if _dumptext.EXACT_SCALING and _read_fast(block, raw, commas, ends, log, span):
+        return m
     # Newlines become field separators, so column k of the block is
     # fields[k::7]; the empty field after the last newline is never read.
     fields = block.replace(b"\n", b",").split(b",")
     line_nos = np.arange(line0, line0 + m)
-    span = slice(first, first + m)
 
     flow = np.array(fields[1::7])
     tagged = flow == b"tagged"
@@ -1039,6 +1046,51 @@ def _read_trace_lines(block: bytes, first: int, log: PacketLog) -> int:
     log.sojourn_times[span][delivered] = _parse_floats(
         list(compress(fields[5::7], keep)), line_nos[delivered], "sojourn_s")
     return m
+
+
+_PAD = np.zeros(24, np.uint8)
+_TAGGED, _BACKGRO, _KGROUND = (int(_dumptext.le_words(np.frombuffer(text, np.uint8))[0])
+                               for text in (b",tagged,", b",backgro", b"kground,"))
+
+
+def _read_fast(block, raw, commas, ends, log: PacketLog, span) -> bool:
+    """Parse the block as ``_read_trace_lines`` does, given its lines of 7
+    fields, their ``commas`` (consumed) and ``ends``: the times are read by
+    ``_dumptext.parse_decimals``, and by ``float()`` only where it does not
+    certify a token. Returns False, having written nothing, where a flow, a
+    flag or a time is bad, so that the token path names the line."""
+    text = np.concatenate([_PAD, raw, _PAD])
+    words = _dumptext.unaligned_words(text)
+    c = commas.reshape(-1, 6)
+    c += _PAD.size
+    flow = words[c[:, 0]]
+    tagged = flow == _TAGGED
+    flag = text[c[:, 5] + 1]
+    dropped = flag == ord("1")
+    if not ((tagged | ((flow == _BACKGRO) & (words[c[:, 0] + 4] == _KGROUND))).all()
+            and (dropped | (flag == ord("0"))).all()
+            and (ends + _PAD.size - c[:, 5] == 2).all()):      # a flag of one byte
+        return False
+    starts, stops = (c[:, 1:5] + 1).ravel(), c[:, 2:6].ravel()
+    values, good = _dumptext.parse_decimals(text, starts, stops)
+    values, good = values.reshape(-1, 4), good.reshape(-1, 4)
+    good[dropped, 2:] = True                  # never read
+    for i in np.flatnonzero(~good).tolist():
+        try:
+            values.flat[i] = float(block[starts[i] - _PAD.size:stops[i] - _PAD.size])
+        except ValueError:
+            return False
+    values[dropped, 2:] = 0.0
+    if not np.isfinite(values).all():
+        return False
+    log.tagged[span] = tagged
+    log.dropped[span] = dropped
+    log.arrival_times[span] = values[:, 0]
+    log.service_times[span] = values[:, 1]
+    delivered = ~dropped
+    np.copyto(log.departure_times[span], values[:, 2], where=delivered)
+    np.copyto(log.sojourn_times[span], values[:, 3], where=delivered)
+    return True
 
 
 def _check_tokens(known, tokens, line_nos, what: str) -> None:

@@ -33,7 +33,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, EmptyTraceError, TraceParseError, _count, _parse, _real
+from .errors import (DomainError, EmptyTraceError, TraceParseError, _count, _parse, _real,
+                     _seed)
 from .metrics import _abs_differences
 from .sim import DEFAULT_SEED, fcfs_departures
 
@@ -261,7 +262,7 @@ class MobilityScenario:
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         _count(self.duration_s, "duration_s", 0)
-        _count(self.seed, "seed", 0)
+        _seed(self.seed, "seed")
         _real(self.static_dist_m, "static_dist_m", ge=0)
         _real(self.speed_kmh, "speed_kmh", ge=0)
         _real(self.track_min_m, "track_min_m", gt=0)

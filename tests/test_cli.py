@@ -418,6 +418,15 @@ class TestSynthCommand:
         assert code == 1
         assert missing in err
 
+    def test_seed_outside_64_bits_rejected(self, capsys, tmp_path):
+        """synth ran this seed while simulate and validate refused it."""
+        scn = _write_scenario(tmp_path, "kind = static\nduration_s = 20\n")
+        out_csv = tmp_path / "log.csv"
+        code, out, err = run_cli(capsys, "synth", "--scenario", scn, "--output", str(out_csv),
+                                 "--seed", "18446744073709551616")
+        assert code == 1 and out == "" and "seed must be below 2**64" in err
+        assert not out_csv.exists()
+
     def test_seed_override_changes_bytes(self, capsys, tmp_path):
         scn = _write_scenario(tmp_path, "kind = constant_speed\nduration_s = 20\nseed = 8\n")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,7 +9,7 @@ import pytest
 from qoskit.errors import DomainError
 from qoskit.metrics import mean_abs_jitter
 from qoskit.model import LinkParams, invert_load_for_jitter, loss_from_throughput
-from qoskit.sim import SimConfig, simulate_run, simulate_sweep
+from qoskit.sim import SimConfig, child_seed, simulate_run, simulate_sweep
 from qoskit.traces import MobilityScenario
 
 _BASE = SimConfig(1000.0, 500.0, horizon_packets=10)
@@ -42,6 +42,12 @@ _BAD_CALLS = {
     "throughput nan": lambda: loss_from_throughput(1.0, math.nan),
     "speed profile speed nan": lambda: MobilityScenario.variable_speed(
         10, speed_profile=((0.0, math.nan),)),
+    # child_seed masked both to 64 bits: -1 read as 2**64 - 1, 2**64 as 0.
+    "child_seed base -1": lambda: child_seed(-1, 0),
+    "child_seed index -1": lambda: child_seed(5, -1),
+    "child_seed base 2**64": lambda: child_seed(2**64, 0),
+    # numpy seeds any non-negative integer; the scenario now takes SimConfig's range.
+    "scenario seed 2**64": lambda: MobilityScenario.static(100.0, 5, seed=2**64),
 }
 
 

@@ -1621,9 +1621,10 @@ class TestPacketTrace:
         """The writer's traced peak, a chunk's uint64 word matrix, its text
         and the renderer's temporaries, measured 2.3 MiB at the default
         2,048 lines; the reader's, above its 34-byte-a-packet output arrays,
-        one block's split tokens and temporaries, measured 3.8 MiB at
-        512 KiB. The dump of 200k packets is about 19 MiB, so neither bound
-        holds for a peak that grows with its length."""
+        one block's temporaries, measured 3.9 MiB at 512 KiB in numpy and
+        3.1 MiB on the token path. The dump of 200k packets is about
+        19 MiB, so neither bound holds for a peak that grows with its
+        length."""
         n = 200_000
         log, _ = simulate_run(SimConfig(1000.0, 500.0, tagged_fraction=0.1,
                                         horizon_packets=n, seed=8))
@@ -1761,3 +1762,216 @@ class TestPacketTrace:
         write_packet_trace(log, p1)
         write_packet_trace(read_packet_trace(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@contextlib.contextmanager
+def _token_path():
+    """The reader with the fast path's gate off, as on a platform without x87
+    extended precision; the fast path's two entry points fail if called."""
+    def fast_path(*args):
+        raise AssertionError("fast-path code ran with its gate off")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dumptext, "EXACT_SCALING", False)
+        mp.setattr(sim, "_read_fast", fast_path)
+        mp.setattr(_dumptext, "parse_decimals", fast_path)
+        yield
+
+
+class TestPacketTraceTokenPath(TestPacketTrace):
+    """Every ``TestPacketTrace`` test again on the token path. It is the
+    fallback where the gate is off and the fast path's oracle here, where
+    the gate is always on, so it must stay tested here too."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _gate_off(self):
+        with _token_path():
+            yield
+
+    # Hypothesis runs each test from one class, so the two property tests
+    # are wrapped again here.
+    test_writer_bytes_match_reference = settings(deadline=None)(given(
+        log=_packet_logs(times=st.floats()), chunk=st.integers(1, 8))(
+        TestPacketTrace.test_writer_bytes_match_reference.hypothesis.inner_test))
+    test_read_back_bit_identical_across_blocks = settings(deadline=None)(given(
+        log=_packet_logs(), write_chunk=st.integers(1, 8), read_bytes=st.integers(1, 300))(
+        TestPacketTrace.test_read_back_bit_identical_across_blocks.hypothesis.inner_test))
+
+    def test_no_fast_path_code_runs(self, tmp_path):
+        """The gate is off, and the fast path's entry points fail if called."""
+        assert not _dumptext.EXACT_SCALING
+        log, _ = simulate_run(SimConfig(1000.0, 1500.0, buffer_capacity=2, horizon_packets=50,
+                                        seed=4))
+        write_packet_trace(log, tmp_path / "a.csv")
+        _assert_same_log(read_packet_trace(tmp_path / "a.csv"), log)
+
+
+def _read_outcome(path):
+    """The arrays read back, or the error's text."""
+    try:
+        log = read_packet_trace(path)
+    except DomainError as exc:
+        return str(exc)
+    return [getattr(log, name).tobytes() for name in _DUMP_ARRAYS]
+
+
+def _certified(token: bytes):
+    """``_dumptext.parse_decimals`` on one token after a dump's ",", and
+    before one: (value, certified)."""
+    text = np.frombuffer(b"," * 24 + token + b"," * 8, np.uint8)
+    values, good = _dumptext.parse_decimals(text, np.array([24]), np.array([24 + len(token)]))
+    return values[0], bool(good[0])
+
+
+_NEEDS_X87 = pytest.mark.skipif(not _dumptext.EXACT_SCALING,
+                                reason="the fast path runs only with x87 extended precision")
+
+#: Tokens at the edges of the fast path's grammar, and whether it certifies
+#: each: midpoints of two doubles, and decimals whose extended-precision
+#: value rounds onto a midpoint, where a second rounding goes the wrong way
+#: (float() reads 26.229135849669728 and 85.13751424477427, rounding twice
+#: ...724 and ...425), all refused by the certificate; 19 and 20 digits;
+#: scales of 10**27 and 10**28; 2- and 3-digit exponents; the spellings
+#: only ``float()`` reads; a subnormal; and malformed tokens.
+_TOKENS = {
+    b"9007199254740993": False, b"4503599627370496.5": False, b"9.007199254740993e+15": False,
+    b"26.229135849669726": False, b"85.137514244774259": False,
+    b"1234567890123456789": True, b"12345678901234567890": False,
+    b"0.1234567890123456789": True, b"0.12345678901234567891": False,
+    b"1.5e-26": True, b"1.5e-27": False, b"1e+27": True, b"1e+28": False,
+    b"1.2345e-005": True, b"1e-100": False, b"1e-05": True, b"1.0000000000000001e-05": True,
+    b"0.00012345678901234567": True, b"000000000000000000000001": True,
+    b"0000000000000000000000001": False, b"0.1": True, b"0": True, b".5": True, b"5.": True,
+    b"1_0": False, b" 1.5": False, b"+1": False, b"1E5": False, b"1e5": False, b"1e+5": False,
+    b"-0": False, b"-1.5": False, b"infinity": False, b"4.9406564584124654e-324": False,
+    b"1.7976931348623157e+308": False, b"": False, b".": False, b"e-05": False, b"1..5": False,
+    b"1.5.": False, b"1e-05e": False, b"1e--5": False, b"1e-0:": False, b"1e-00:": False,
+    b"2.5e+01;": False, b"nan": False, b"0x10": False,
+}
+
+
+_ODD_FIELD = st.one_of(
+    st.floats().map("%.17g".__mod__), st.sampled_from(list(_TOKENS)).map(bytes.decode),
+    st.sampled_from(["probe", "", "2", " 0", "tagged\0"]), st.text("0123456789.e+-E_ \0\r", max_size=8))
+
+
+@st.composite
+def _dump_lines(draw):
+    """Dump lines in the grammar, then up to three edits: a field replaced by
+    an odd one (which ``float()`` may still read) or a line that is not a
+    dump line at all."""
+    times = st.floats(0, 1e6).map("%.17g".__mod__)
+    lines = [[str(i), draw(st.sampled_from(["tagged", "background"])),
+              *draw(st.lists(times, min_size=4, max_size=4)), draw(st.sampled_from("01"))]
+             for i in range(draw(st.integers(1, 12)))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        if draw(st.integers(0, 5)) and len(lines[at]) == 7:
+            lines[at][draw(st.integers(1, 6))] = draw(_ODD_FIELD)
+        else:
+            lines[at] = [draw(st.text("01.,e\n", max_size=30))]
+    return "".join(",".join(fields) + "\n" for fields in lines)
+
+
+class TestDumpParse:
+    @pytest.mark.parametrize("token", list(_TOKENS), ids=[t.decode() or "empty" for t in _TOKENS])
+    def test_token_reads_as_float_or_fails_as_before(self, tmp_path, token):
+        """In each time column the token reads back as ``float(token)``, or
+        fails with the token path's error."""
+        path = tmp_path / "trace.csv"
+        line = b"1,tagged,%s,%s,%s,%s,0\n" % ((token,) * 4)
+        path.write_bytes(PACKET_TRACE_HEADER.encode() + b"\n0,background,0.5,0.1,0.6,0.1,0\n"
+                         + line + b"2,background,0.9,0.1,1.0,0.1,0\n")
+        with _token_path():
+            expected = _read_outcome(path)
+        assert _read_outcome(path) == expected
+        try:
+            value = float(token)
+        except ValueError:
+            assert expected == f"packet trace line 3: arrival_s {token.decode()!r} is not a number"
+            return
+        if not math.isfinite(value):
+            assert expected == f"packet trace line 3: arrival_s {token.decode()!r} is not finite"
+            return
+        assert [np.frombuffer(column)[1:2].tobytes() for column in expected[:4]] == [
+            np.float64(value).tobytes()] * 4
+
+    @_NEEDS_X87
+    @pytest.mark.parametrize("token", list(_TOKENS), ids=[t.decode() or "empty" for t in _TOKENS])
+    def test_certified_tokens(self, token):
+        value, good = _certified(token)
+        assert good == _TOKENS[token]
+        if good:
+            assert value.tobytes() == np.float64(float(token)).tobytes()
+
+    @_NEEDS_X87
+    @settings(deadline=None)
+    @given(digits=st.text("0123456789", min_size=1, max_size=22), point=st.integers(-1, 22),
+           exponent=st.none() | st.tuples(st.sampled_from("+-"), st.integers(0, 40),
+                                         st.sampled_from(["%02d", "%03d"])))
+    def test_any_certified_decimal_is_float(self, digits, point, exponent):
+        """Any decimal in or near the grammar: where certified, the value is
+        float()'s bit for bit."""
+        token = digits if point < 0 else digits[:point] + "." + digits[point:]
+        if exponent is not None:
+            sign, e, form = exponent
+            token += "e" + sign + form % e
+        value, good = _certified(token.encode())
+        event(f"certified: {good}")
+        if good:
+            assert value.tobytes() == np.float64(float(token)).tobytes()
+
+    @_NEEDS_X87
+    def test_midpoints_are_refused(self):
+        """A decimal exactly between two doubles makes the extended result a
+        float64 midpoint, which rounding once more could break the wrong way."""
+        for shift in range(11):
+            for odd in (1, 3, 5, 2 ** 52 - 1):
+                midpoint = (2 ** 53 + odd) << shift
+                if midpoint < 10 ** 19:
+                    assert _certified(b"%d" % midpoint)[1] is False
+        assert _certified(b"4503599627370497.5")[1] is False
+        assert _certified(b"9007199254740994")[1] is True
+
+    @_NEEDS_X87
+    def test_simulated_dump_needs_no_float(self, tmp_path, monkeypatch):
+        """On a dump with drops every time the writer wrote is certified; the
+        only uncertified tokens are the dropped rows' empty fields."""
+        log, _ = simulate_run(SimConfig(1000.0, 1100.0, buffer_capacity=20,
+                                        horizon_packets=30_000, seed=5))
+        write_packet_trace(log, tmp_path / "a.csv")
+        refused = []
+        parse = _dumptext.parse_decimals
+
+        def counted(text, starts, stops):
+            values, good = parse(text, starts, stops)
+            refused.extend((stops - starts)[~good].tolist())
+            return values, good
+
+        monkeypatch.setattr(_dumptext, "parse_decimals", counted)
+        _assert_same_log(read_packet_trace(tmp_path / "a.csv"), log)
+        assert refused == [0] * (2 * int(log.dropped.sum())) and refused
+
+    @settings(deadline=None)
+    @given(lines=_dump_lines(), read_bytes=st.integers(1, 400))
+    def test_fast_and_token_paths_agree(self, tmp_path_factory, lines, read_bytes):
+        """Random lines, most in the dump's grammar, some with a field or the
+        whole line out of it, give the same arrays or the same error on both
+        paths."""
+        path = tmp_path_factory.mktemp("dump") / "trace.csv"
+        path.write_bytes((PACKET_TRACE_HEADER + "\n" + lines).encode())
+        accepted = []
+        read_fast = sim._read_fast
+
+        def fast_path(*args):
+            accepted.append(read_fast(*args))
+            return accepted[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_DUMP_READ_BYTES", read_bytes)
+            mp.setattr(sim, "_read_fast", fast_path)
+            fast = _read_outcome(path)
+            with _token_path():
+                assert _read_outcome(path) == fast
+        event(f"blocks the fast path took: {min(sum(accepted), 3)}+")
+        event("arrays" if isinstance(fast, list) else fast.split(": ")[1].split(" ")[0])

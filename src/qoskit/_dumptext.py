@@ -263,10 +263,9 @@ def parse_decimals(text, starts, stops):
     w[0] += w[1] * _U64(10 ** 8) + w[2]
     n = w[0].astype(np.longdouble)
     del w
-    q = np.clip(exp10, -27, 27)
-    n /= _POW10_LD[np.maximum(-q, 0)]
-    big = np.flatnonzero(q > 0)
-    n[big] *= _POW10_LD[q[big]]
+    n /= _POW10_LD[np.clip(-exp10, 0, 27)]
+    big = np.flatnonzero(exp10 > 0)
+    n[big] *= _POW10_LD[np.minimum(exp10[big], 27)]
     low = np.ndarray(n.shape, "<u8", n, strides=(n.itemsize,))
     good &= (low & _U64(0x7FF)) != 0x400
     return n.astype(np.float64), good

@@ -1621,7 +1621,7 @@ class TestPacketTrace:
         """The writer's traced peak, a chunk's uint64 word matrix, its text
         and the renderer's temporaries, measured 2.3 MiB at the default
         2,048 lines; the reader's, above its 34-byte-a-packet output arrays,
-        one block's temporaries, measured 3.9 MiB at 512 KiB in numpy and
+        one block's temporaries, measured 4.1 MiB at 512 KiB in numpy and
         3.1 MiB on the token path. The dump of 200k packets is about
         19 MiB, so neither bound holds for a peak that grows with its
         length."""

@@ -107,7 +107,7 @@ def _seed(value, what: str) -> int:
     """``value`` as an ``int``, raising DomainError unless it is an integer
     in [0, 2**64), the range every seed and seed index of qoskit takes."""
     _count(value, what, 0)
-    if value >= 1 << 64:
+    if int(value) >= 1 << 64:
         raise DomainError(f"{what} must be below 2**64, got {value!r}")
     return int(value)
 

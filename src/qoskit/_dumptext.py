@@ -209,23 +209,19 @@ def parse_decimals(text, starts, stops):
     """The double nearest each token ``text[starts[i]:stops[i]]`` of the uint8
     array ``text`` (24 bytes before the first, 8 after the last), and
     whether it is certified, else a placeholder: 1-19 digits and at most one
-    point in 24 bytes, then ``e[+-]dd``, ``e[+-]ddd`` or nothing, |q| <= 27,
-    and no midpoint."""
+    point in 24 bytes, then ``e[+-]dd`` or nothing, |q| <= 27, and no
+    midpoint."""
     size = stops - starts
-    e4 = (text[stops - 4] == ord("e")) & (size > 4)
-    e5 = (text[stops - 5] == ord("e")) & (size > 5)
-    mend = stops - np.maximum(4 * e4, 5 * e5)    # where the digits end
+    exponent = (text[stops - 4] == ord("e")) & (size > 4)
+    mend = stops - 4 * exponent                   # where the digits end
     good = np.ones(size.size, bool)
     exp10 = np.zeros(size.size, np.int64)
-    at = np.flatnonzero(e4 | e5)
+    at = np.flatnonzero(exponent)
     if at.size:
-        e, three = mend[at], e5[at] & ~e4[at]
-        sign = text[e + 1]
-        d = [(text[e + k] - np.uint8(48)).astype(np.int64) for k in (2, 3, 4)]  # > 9: no digit
-        good[at] = (((sign == ord("+")) | (sign == ord("-"))) & (d[0] < 10) & (d[1] < 10)
-                    & ((d[2] < 10) | ~three))
-        value = np.where(three, 100 * d[0] + 10 * d[1] + d[2], 10 * d[0] + d[1])
-        exp10[at] = np.where(sign == ord("-"), -value, value)
+        sign = text[mend[at] + 1]
+        d = [(text[mend[at] + k] - np.uint8(48)).astype(np.int64) for k in (2, 3)]  # > 9: no digit
+        good[at] = ((sign == ord("+")) | (sign == ord("-"))) & (d[0] < 10) & (d[1] < 10)
+        exp10[at] = np.where(sign == ord("-"), -1, 1) * (10 * d[0] + d[1])
     size = mend - starts
     # The 24 bytes that end at the last digit as three words, the bytes
     # before the token made "0", and where the first "." is (24: none).
@@ -248,7 +244,7 @@ def parse_decimals(text, starts, stops):
     up = (point + 1) % 25
     del mend, lead                                # the block's memory peaks below
     for k in (2, 1, 0):                           # the bytes up to the point move up one
-        moved = (w[k] << _U64(8)) | (w[k - 1] >> _U64(56) if k else _BYTES[0x30])
+        moved = (w[k] << _U64(8)) | (w[k - 1] >> _U64(56) if k else _U64(0x30))
         w[k] ^= (w[k] ^ moved) & _BEFORE[k][up]
         bad = (((w[k] + _BYTES[0x06]) & _BYTES[0xF0]) >> _U64(4)) | (w[k] & _BYTES[0xF0])
         good &= bad == _BYTES[0x33]               # eight digits

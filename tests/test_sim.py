@@ -1832,27 +1832,44 @@ _NEEDS_X87 = pytest.mark.skipif(not _dumptext.EXACT_SCALING,
 #: (float() reads 26.229135849669728 and 85.13751424477427, rounding twice
 #: ...724 and ...425), all refused by the certificate; 19 and 20 digits;
 #: scales of 10**27 and 10**28; 2- and 3-digit exponents; the spellings
-#: only ``float()`` reads; a subnormal; and malformed tokens.
+#: only ``float()`` reads; a subnormal; and malformed tokens, among them
+#: 24-byte ones with a byte below "0" before a point in their first word.
 _TOKENS = {
     b"9007199254740993": False, b"4503599627370496.5": False, b"9.007199254740993e+15": False,
     b"26.229135849669726": False, b"85.137514244774259": False,
     b"1234567890123456789": True, b"12345678901234567890": False,
     b"0.1234567890123456789": True, b"0.12345678901234567891": False,
     b"1.5e-26": True, b"1.5e-27": False, b"1e+27": True, b"1e+28": False,
-    b"1.2345e-005": True, b"1e-100": False, b"1e-05": True, b"1.0000000000000001e-05": True,
+    b"1.2345e-005": False, b"1e-100": False, b"1e-05": True, b"1.0000000000000001e-05": True,
     b"0.00012345678901234567": True, b"000000000000000000000001": True,
     b"0000000000000000000000001": False, b"0.1": True, b"0": True, b".5": True, b"5.": True,
     b"1_0": False, b" 1.5": False, b"+1": False, b"1E5": False, b"1e5": False, b"1e+5": False,
     b"-0": False, b"-1.5": False, b"infinity": False, b"4.9406564584124654e-324": False,
     b"1.7976931348623157e+308": False, b"": False, b".": False, b"e-05": False, b"1..5": False,
     b"1.5.": False, b"1e-05e": False, b"1e--5": False, b"1e-0:": False, b"1e-00:": False,
-    b"2.5e+01;": False, b"nan": False, b"0x10": False,
+    b"2.5e+01;": False, b"nan": False, b"0x10": False, b"00000!.00000000000000001": False,
+    b"0000 .000000000000000001": False, b"0000\t.000000000000000001": False,
 }
+
+
+@st.composite
+def _low_byte_before_point(draw):
+    """24 bytes: four zeros, 19 digits and a point, but for one byte in
+    0x01-0x29 after the zeros and before the point. The fast path reads a
+    token's last 24 mantissa bytes, so the byte lands in the first of its
+    three words, and only the digit test refuses the token."""
+    before = draw(st.integers(5, 8))
+    digits = "0000" + draw(st.text("0123456789", min_size=19, max_size=19))
+    low = draw(st.integers(4, before - 1))
+    byte = chr(draw(st.integers(0x01, 0x29)))
+    return digits[:low] + byte + digits[low + 1:before] + "." + digits[before:]
 
 
 _ODD_FIELD = st.one_of(
     st.floats().map("%.17g".__mod__), st.sampled_from(list(_TOKENS)).map(bytes.decode),
-    st.sampled_from(["probe", "", "2", " 0", "tagged\0"]), st.text("0123456789.e+-E_ \0\r", max_size=8))
+    st.sampled_from(["probe", "", "2", " 0", "tagged\0"]),
+    st.text("0123456789.e+-E_ \0\r", max_size=8),
+    _low_byte_before_point())
 
 
 @st.composite

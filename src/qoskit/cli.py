@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -380,7 +381,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: every parse makes its own
+    namespace and leaves the parser as it found it."""
     parser = _Parser(prog="qoskit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qoskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -277,17 +277,27 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     return departures, np.isnan(departures)
 
 
-def _fcfs_finite(arr, srv, buffer_capacity, departures):
+def _fcfs_finite(arr, srv, buffer_capacity, departures, state=None):
     """The finite-buffer queue of ``fcfs_departures`` on checked arrays,
-    into ``departures``; NaN marks a dropped packet."""
-    if buffer_capacity >= _BLOCK_MIN_BUFFER:
-        _fcfs_blocks(arr, srv, buffer_capacity, departures)
-        return
-    empty = ([-math.inf] * buffer_capacity, 0, -math.inf)
+    from ``state`` (None: the empty queue) into ``departures``; NaN marks a
+    dropped packet.
+
+    Returns the seam state: the queue after the last packet, from which a
+    call on the packets that follow gives the bits of one call over both.
+    K alone picks the path, so one stream keeps one kind of state: the
+    ring loop's ``(ring, pos, last)`` below 96 (the lanes take and return
+    it too), the block path's above.
+    """
+    k = buffer_capacity
+    if k >= _BLOCK_MIN_BUFFER:
+        if state is None:
+            state = (np.full(k, -math.inf), np.empty(k), 0, 0.0, -math.inf, 4 * k)
+        return _fcfs_blocks(arr, srv, departures, state)
+    if state is None:
+        state = ([-math.inf] * k, 0, -math.inf)
     if arr.size >= _LANE_MIN_PACKETS:
-        _fcfs_lanes(arr, srv, departures, empty)
-    else:
-        _ring_run(arr, srv, 0, arr.size, departures, empty)
+        return _fcfs_lanes(arr, srv, departures, state)
+    return _ring_run(arr, srv, 0, arr.size, departures, state)
 
 
 def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
@@ -392,9 +402,10 @@ def _ring_run(arr, srv, lo, hi, departures, state):
 
 
 def _fcfs_lanes(arr, srv, departures, state):
-    """Tail-drop FCFS from the empty ring ``state`` in lanes checked at
-    shared idle instants, into ``departures``; NaN marks a dropped packet.
-    Bit-identical to ``_ring_run`` over the whole stream from that state.
+    """Tail-drop FCFS from the ring ``state`` in lanes checked at shared
+    idle instants, into ``departures``; NaN marks a dropped packet. Returns
+    the state after the last packet. Bit-identical to ``_ring_run`` over the
+    whole stream from that state.
 
     The stream is cut into lanes; each starts empty W packets before its
     first packet. The first group is ``_LANE_PROBE`` lanes of W packets,
@@ -413,6 +424,10 @@ def _fcfs_lanes(arr, srv, departures, state):
       the lane are both idle; from there the lane's output stands. A lane
       never idle together with its rerun leaves the next one to a rerun.
 
+    The first lane is repaired like any other, from ``state``: it stands
+    from the first arrival at which it and the queue from ``state`` are
+    both idle, which from the empty state is its first.
+
     A group, the first or a later one, whose repairs reran more than
     ``_LANE_BUSY`` of its packets hands the rest of the stream to the ring
     loop. When more than ``_LANE_BUSY`` of the first group's lanes have no
@@ -426,7 +441,9 @@ def _fcfs_lanes(arr, srv, departures, state):
     # warm-up, whether its output is exact from some packet on, and its true
     # end state (None: its speculative end state, the same when exact).
     prev_idle = np.ones(warm, dtype=bool)
-    exact = True
+    # Before the stream the queue is ``state``, not a lane: the first lane's
+    # stand-in packets are no arrivals of it, so the first lane is repaired.
+    exact = False
     lo = 0
     lane, m = warm, min(_LANE_PROBE, n // warm)
     while m:
@@ -483,7 +500,7 @@ def _fcfs_lanes(arr, srv, departures, state):
         lane = _LANE_PACKETS
         rest = (n - lo) // lane
         m = math.ceil(rest / math.ceil(rest / _LANE_GROUP)) if rest else 0
-    _ring_run(arr, srv, lo, n, departures, state)
+    return _ring_run(arr, srv, lo, n, departures, state)
 
 
 def _speculate(arr, srv, lo, m, lane, buffer_capacity, departures):
@@ -565,9 +582,10 @@ def _transpose_into(dst, src):
         dst[:, j:j + 64] = src[j:j + 64].T
 
 
-def _fcfs_blocks(arr, srv, buffer_capacity, departures):
-    """Tail-drop FCFS, K acceptances per step, into ``departures``; NaN
-    marks a dropped packet.
+def _fcfs_blocks(arr, srv, departures, state):
+    """Tail-drop FCFS, K acceptances per step, from ``state`` into
+    ``departures``; NaN marks a dropped packet. Returns the state after the
+    last packet.
 
     Accepted packet m needs ``a >= D[m-K]`` (D: departures of accepted
     packets, non-decreasing), so once K departures are known the next K
@@ -583,44 +601,58 @@ def _fcfs_blocks(arr, srv, buffer_capacity, departures):
     indices past it (the running max makes the two the same). The window
     starts at 4K arrivals and doubles whenever the last threshold lies past
     its end, so every index is the whole array's.
+
+    A state is ``(thresholds, step, j, total, top, span)``: the step's K
+    thresholds, its first j departures in ``step``, its running service sum
+    ``total`` and running max ``top`` after them (at a step's start, 0.0
+    and the last departure), and the window. A step whose admissions run
+    past the last arrival stops there, and the next call goes on with it
+    from its two running values, which are sequential: the step's sums are
+    grouped as in one call over the whole stream, and keep their bits.
     """
+    thresholds, step, j, total, top, span = state
     n = arr.size
+    k = thresholds.size
     departures.fill(math.nan)
-    k = min(buffer_capacity, n)
-    steps = np.arange(k)
-    thresholds = np.full(k, -math.inf)
-    cs = np.zeros(k + 1)        # cs[0] stays 0
-    cs_prev, cs_next, dep = cs[:-1], cs[1:], np.empty(k)
-    span = 4 * k
+    offsets = np.arange(k)
+    sums = np.empty(k + 1)
     next_free = 0               # first arrival index not yet considered
-    d_prev = -math.inf          # departure of the last accepted packet
-    while True:
-        idx = arr[next_free:next_free + span].searchsorted(thresholds, side="left")
+    while next_free < n:
+        wanted = thresholds[j:]
+        idx = arr[next_free:next_free + span].searchsorted(wanted, side="left")
         while idx[-1] == span and next_free + span < n:
             span *= 2
-            idx = arr[next_free:next_free + span].searchsorted(thresholds, side="left")
+            idx = arr[next_free:next_free + span].searchsorted(wanted, side="left")
+        steps = offsets[:idx.size]
         idx -= steps
         np.maximum.accumulate(idx, out=idx)
         idx += steps
         idx += next_free
         if idx[-1] >= n:
-            idx = idx[: idx.searchsorted(n)]
-            m = idx.size
-            if m == 0:
+            idx = idx[:idx.searchsorted(n)]
+            if not idx.size:
                 break
-            cs_prev, cs_next, dep = cs_prev[:m], cs_next[:m], dep[:m]
-        np.add.accumulate(srv[idx], out=cs_next)
-        np.subtract(arr[idx], cs_prev, out=dep)
-        if d_prev > dep[0]:
-            dep[0] = d_prev
+        m = idx.size
+        cs = sums[:m + 1]
+        cs[0] = total
+        cs[1:] = srv[idx]
+        np.add.accumulate(cs, out=cs)
+        dep = step[j:j + m]
+        np.subtract(arr[idx], cs[:-1], out=dep)
+        if top > dep[0]:
+            dep[0] = top
         np.maximum.accumulate(dep, out=dep)
-        dep += cs_next
+        top = dep[-1]
+        dep += cs[1:]
         departures[idx] = dep
-        if dep.size < k:
+        j += m
+        if j < k:
+            total = cs[-1]      # the rest of the step lies past the arrivals
             break
-        thresholds = dep
+        thresholds, step = step, thresholds
         next_free = int(idx[-1]) + 1
-        d_prev = dep[-1]
+        j, total, top = 0, 0.0, dep[-1]
+    return thresholds, step, j, total, top, span
 
 
 def _exponential_into(rng, scale: float, out) -> None:

@@ -36,7 +36,8 @@ import numpy as np
 from .errors import (DomainError, EmptyTraceError, TraceParseError, _count, _parse, _real,
                      _seed)
 from .metrics import _abs_differences
-from .sim import DEFAULT_SEED, fcfs_departures
+from . import sim
+from .sim import DEFAULT_SEED
 
 KIND_STATIC = "static"
 KIND_CONSTANT_SPEED = "constant_speed"
@@ -334,14 +335,18 @@ def _poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> 
     """Arrival instants of a Poisson process on [0, horizon).
 
     Draws interarrival blocks until the horizon is covered (deterministic for
-    a given generator state), then truncates. An expected count above
+    a given generator state), then truncates. The first block is drawn and
+    summed in place, one column; its draws have the bits of
+    ``rng.exponential(1 / rate, block)``. An expected count above
     ``_MAX_ARRIVALS``, or one that overflows, raises DomainError.
     """
     expected = rate * horizon
     _real(expected, f"expected packet count at {rate!r} packets/s over {horizon!r} s",
           le=_MAX_ARRIVALS)
     block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
-    times = np.cumsum(rng.exponential(1.0 / rate, size=block))
+    times = np.empty(block)
+    sim._exponential_into(rng, 1.0 / rate, times)
+    np.cumsum(times, out=times)
     while times[-1] < horizon:
         more = np.cumsum(rng.exponential(1.0 / rate, size=block)) + times[-1]
         times = np.concatenate((times, more))
@@ -353,6 +358,13 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
 
     Deterministic for a given scenario (including its seed). Packets still
     queued when the trace ends are neither delivered nor lost.
+
+    The arrivals are one column; everything else is made and folded into
+    the per-second columns one chunk of arrivals at a time, with the
+    queue's seam state carried from chunk to chunk, and the bits are those
+    of one pass over whole arrays. A chunk is ``sim._CHUNK`` arrivals on
+    the block path and one group of lanes below it, where lanes over
+    shorter spans lose their edge.
     """
     d = scenario.duration_s
     if d == 0:
@@ -363,66 +375,98 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     rng = np.random.default_rng(scenario.seed)
     lam = scenario.offered_Bps / scenario.packet_size_B
     arrivals = _poisson_arrivals(rng, lam, float(d))
-    work = rng.exponential(1.0, size=arrivals.size)
+    n = arrivals.size
 
     # The arrivals are sorted, so each second's arrivals are one range.
     seconds = np.arange(d + 1, dtype=float)
     bounds = arrivals.searchsorted(seconds)
     total_per_sec = np.diff(bounds)
     up = rates_pkts != 0.0
-    live_per_sec = total_per_sec
-    if not up.all():
-        # Packets arriving in an outage are lost; only the rest are queued.
-        live = np.repeat(up, total_per_sec)
-        arrivals, work = np.compress(live, arrivals), np.compress(live, work)
-        live_per_sec = np.where(up, total_per_sec, 0)
-        bounds = np.concatenate(([0], np.cumsum(live_per_sec)))
-
     # Work coordinate: breaks[k] is the work the link can have drained by the
     # start of second k; within a second the mapping is linear at that
     # second's rate. In this coordinate the varying-rate queue is the plain
     # unit-rate FCFS queue.
     breaks = np.concatenate(([0.0], np.cumsum(rates_pkts)))
-    a_w = arrivals - np.repeat(seconds[:-1], live_per_sec)
-    a_w *= np.repeat(rates_pkts, live_per_sec)
-    a_w += np.repeat(breaks[:-1], live_per_sec)
-    departures, dropped = fcfs_departures(a_w, work, scenario.buffer_pkts)
-    del a_w, work       # every full-length array dies once it is spent
+    lost_per_sec = np.where(up, 0, total_per_sec)   # packets arriving in an outage
+    delivered_per_sec = np.zeros(d, dtype=np.int64)
+    gap_sums = np.zeros(d)
 
-    # Lost in the queue, per second of arrival: the running drop count at
-    # the ends of the seconds' ranges.
-    drop_counts = np.flatnonzero(dropped).searchsorted(bounds)
-    lost_per_sec = total_per_sec - live_per_sec + np.diff(drop_counts)
+    k = scenario.buffer_pkts
+    chunk = sim._CHUNK if k >= sim._BLOCK_MIN_BUFFER else sim._LANE_GROUP * sim._LANE_PACKETS
+    work = np.empty(min(chunk, n))
+    state = None
+    last_sojourn, last_sec = 0.0, -1    # the last delivery so far, if any
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        # The work is drawn chunk by chunk, after all the arrivals; a
+        # standard draw has the bits of ``rng.exponential(1.0)``.
+        w = rng.standard_exponential(out=work[:hi - lo])
+        t = arrivals[lo:hi]
+        s0 = int(bounds.searchsorted(lo, side="right")) - 1     # the chunk's seconds
+        s1 = int(bounds.searchsorted(hi - 1, side="right"))     # are s0 to s1 - 1
+        per_sec = np.diff(np.clip(bounds[s0:s1 + 1], lo, hi))
+        if not up[s0:s1].all():
+            # Packets arriving in an outage are lost; only the rest are queued.
+            live = np.repeat(up[s0:s1], per_sec)
+            t, w = np.compress(live, t), np.compress(live, w)
+            per_sec = np.where(up[s0:s1], per_sec, 0)
+        if not t.size:
+            continue
+        a_w = np.repeat(seconds[s0:s1], per_sec)
+        np.subtract(t, a_w, out=a_w)
+        a_w *= np.repeat(rates_pkts[s0:s1], per_sec)
+        a_w += np.repeat(breaks[s0:s1], per_sec)
+        if not a_w[-1] < math.inf:
+            raise DomainError("times must be finite and service times non-negative")
+        dep = np.empty(t.size)
+        state = sim._fcfs_finite(a_w, w, k, dep, state)
+        del a_w         # the chunk's arrays die once spent; the work buffer stays
 
-    # FCFS delivers in arrival order, so the delivered departures are
-    # sorted, and those by the horizon are a prefix. The ones in second s
-    # of the work coordinate, breaks[s] < x <= breaks[s + 1], are a range
-    # too (s = -1 only for a departure at work 0).
-    delivered = ~dropped
-    dep_t = np.compress(delivered, departures)
-    sojourns = np.compress(delivered, arrivals)
-    del arrivals, departures, dropped, delivered
-    h = dep_t.searchsorted(breaks[-1], side="right")
-    dep_t, sojourns = dep_t[:h], sojourns[:h]
-    segs = np.arange(-1, d)
-    per_seg = np.diff(dep_t.searchsorted(breaks, side="right"), prepend=0)
-    dep_t -= np.repeat(breaks[segs], per_seg)
-    dep_t /= np.repeat(rates_pkts[segs], per_seg)
-    dep_t += np.repeat(segs.astype(float), per_seg)
-    np.subtract(dep_t, sojourns, out=sojourns)
-    # Departure times sort by whole second, and the ones at the exact
-    # horizon edge count in the last second.
-    dep_bounds = np.append(dep_t.searchsorted(seconds[:-1]), h)
-    delivered_per_sec = np.diff(dep_bounds)
+        # Lost in the queue, per second of arrival: the running drop count
+        # at the ends of the seconds' ranges.
+        dropped = np.isnan(dep)
+        lost_per_sec[s0:s1] += np.diff(np.flatnonzero(dropped).searchsorted(np.cumsum(per_sec)),
+                                       prepend=0)
 
-    # Each second's jitter is the mean |dT| over its consecutive pairs; a pair
-    # whose packets depart in different seconds belongs to neither, so a
-    # second with fewer than two deliveries sums to 0.0.
-    gaps = _abs_differences(sojourns, out=sojourns[:-1])
-    cuts = dep_bounds[1:-1]
-    gaps[cuts[(cuts > 0) & (cuts < h)] - 1] = 0.0
-    dep_sec = np.repeat(np.arange(d), delivered_per_sec)
-    gap_sums = np.bincount(dep_sec[1:], weights=gaps, minlength=d)
+        # FCFS delivers in arrival order, so the delivered departures are
+        # sorted, and those by the horizon are a prefix. The ones in second s
+        # of the work coordinate, breaks[s] < x <= breaks[s + 1], are a range
+        # too (s = -1 only for a departure at work 0).
+        np.logical_not(dropped, out=dropped)
+        dep_t = np.compress(dropped, dep)
+        sojourns = np.compress(dropped, t, out=work[:dep_t.size])
+        del dep, dropped
+        h = dep_t.searchsorted(breaks[-1], side="right")
+        if not h:
+            continue
+        dep_t, sojourns = dep_t[:h], sojourns[:h]
+        j0, j1 = breaks.searchsorted(dep_t[[0, -1]])
+        segs = np.arange(j0 - 1, j1)
+        per_seg = np.diff(dep_t.searchsorted(breaks[j0:j1 + 1], side="right"), prepend=0)
+        dep_t -= np.repeat(breaks[segs], per_seg)
+        dep_t /= np.repeat(rates_pkts[segs], per_seg)
+        dep_t += np.repeat(segs.astype(float), per_seg)
+        np.subtract(dep_t, sojourns, out=sojourns)
+        # Departure times sort by whole second, and the ones at the exact
+        # horizon edge count in the last second: the chunk's are q0 to q1.
+        q0, q1 = seconds[1:d].searchsorted(dep_t[[0, -1]], side="right")
+        cuts = dep_t.searchsorted(seconds[q0 + 1:q1 + 1])
+        per_dep = np.diff(cuts, prepend=0, append=h)
+        delivered_per_sec[q0:q1 + 1] += per_dep
+
+        # Each second's jitter is the mean |dT| over its consecutive pairs; a
+        # pair whose packets depart in different seconds belongs to neither,
+        # so a second with fewer than two deliveries sums to 0.0. gaps[i] is
+        # the pair that ends at delivery i; gaps[0] also carries the open
+        # second's sum so far, so each second's sum is one sequential
+        # addition however the chunks fall (0.0 + s == s).
+        gaps = dep_t
+        _abs_differences(sojourns, out=gaps[1:])
+        gaps[cuts] = 0.0
+        gaps[0] = gap_sums[q0] + (abs(sojourns[0] - last_sojourn) if q0 == last_sec else 0.0)
+        gap_sums[q0:q1 + 1] = np.bincount(np.repeat(np.arange(q1 + 1 - q0), per_dep),
+                                          weights=gaps, minlength=q1 + 1 - q0)
+        last_sojourn, last_sec = sojourns[-1], q1
     jitter_ms = gap_sums / np.maximum(delivered_per_sec - 1, 1) * 1000.0
 
     theta = math.radians(scenario.track_bearing_deg)

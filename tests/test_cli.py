@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qoskit import traces
+from qoskit import cli, traces
 from qoskit.cli import main
 from qoskit.sim import SimConfig, child_seed, simulate_run
 from qoskit.traces import LOG_HEADER, QosLogRow, parse_log, write_log
@@ -676,6 +676,30 @@ class TestUsageContract:
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    def test_calls_in_a_row_match_fresh_parsers(self, capsys):
+        """``main`` builds its argument tree once per process. Calls in a
+        row, good and bad, exit and print as they do on a tree built afresh
+        for each call."""
+        argvs = [
+            ["model", "--capacity", "1000", "--rho", "0.5", "--json"],
+            ["model", "--rho", "0.5"],
+            ["invert", "--capacity", "1000", "--budget", "0.001", "--json"],
+            ["frobnicate"],
+            ["model", "--capacity", "1000", "--lambda", "500", "--rho", "0.5"],
+            ["invert", "--lambda", "600", "--budget", "0.001"],
+            ["model", "--capacity", "abc", "--rho", "0.5"],
+            ["simulate", "--capacity", "1000", "--rho", "0.5", "--packets", "1000", "--json"],
+            ["simulate", "--capacity", "1000", "--rho", "0.5", "--packets", "-1"],
+            ["model", "--capacity", "1000", "--rho", "0.5"],
+        ]
+        in_a_row = [run_cli(capsys, *argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert in_a_row == fresh
+        assert [code for code, _, _ in in_a_row] == [0, 1, 0, 1, 1, 0, 1, 0, 1, 0]
 
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "model", "--rho", "0.5")

@@ -130,9 +130,11 @@ def _ring(arrivals, services, buffer_capacity):
 
 
 def _blocks(arrivals, services, buffer_capacity):
-    """The block path into a new departures array."""
+    """The block path, at any buffer, into a new departures array."""
     departures = np.empty(len(arrivals))
-    sim._fcfs_blocks(arrivals, services, buffer_capacity, departures)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_BLOCK_MIN_BUFFER", 1)
+        sim._fcfs_finite(arrivals, services, buffer_capacity, departures)
     return departures
 
 
@@ -581,6 +583,113 @@ class TestLanesAtTheRealShape:
         assert len(shares) == 4
         assert max(shares[:2]) == 0.0
         assert 0.5 < shares[2] <= sim._LANE_BUSY < shares[3]
+
+
+#: Module constants that put ``_fcfs_finite`` on one path at any buffer;
+#: the lanes are small (as in ``_lane_shapes``) and run from 1 packet.
+_PATHS = {
+    "ring": {"_BLOCK_MIN_BUFFER": 10**9, "_LANE_MIN_PACKETS": 10**9},
+    "lanes": {"_BLOCK_MIN_BUFFER": 10**9, "_LANE_MIN_PACKETS": 1,
+              **dict(zip(_LANE_CONSTANTS, (8, 4, 3, 2, 5)))},
+    "blocks": {"_BLOCK_MIN_BUFFER": 1},
+}
+
+
+@contextlib.contextmanager
+def _on_path(path):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _PATHS[path].items():
+            mp.setattr(sim, name, value)
+        yield
+
+
+def _in_pieces(arrivals, services, buffer_capacity, cuts):
+    """The finite queue over the pieces between ``cuts``, each call from
+    the seam state the call before returned; also returns those states."""
+    departures = np.empty(len(arrivals))
+    state, states = None, []
+    for lo, hi in zip([0, *cuts], [*cuts, len(arrivals)]):
+        state = sim._fcfs_finite(arrivals[lo:hi], services[lo:hi], buffer_capacity,
+                                 departures[lo:hi], state)
+        states.append(state)
+    return departures, states
+
+
+def _one_call(arrivals, services, buffer_capacity):
+    departures = np.empty(len(arrivals))
+    sim._fcfs_finite(arrivals, services, buffer_capacity, departures)
+    return departures
+
+
+class TestSeamState:
+    """A stream split anywhere and resumed from the seam state gives the
+    departures and drops of one call, bit for bit, on every path."""
+
+    @pytest.mark.parametrize("path", list(_PATHS))
+    @settings(deadline=None, max_examples=150)
+    @given(times=_integer_times() | _continuous_times(),
+           buffer_capacity=st.sampled_from([1, 10, 95, 96, 100, 256]), data=st.data())
+    def test_resumed_stream_is_one_call(self, path, times, buffer_capacity, data):
+        arrivals, services = times
+        n = len(arrivals)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6), label="cuts"))
+        with _on_path(path):
+            whole = _one_call(arrivals, services, buffer_capacity)
+            pieces, states = _in_pieces(arrivals, services, buffer_capacity, cuts)
+        assert np.array_equal(pieces, whole, equal_nan=True)
+        seams = [(cut, state) for cut, state in zip(cuts, states) if cut < n]
+        if path == "blocks" and any(state[2] for _, state in seams):
+            event("a block step split at a seam")
+        if path != "blocks" and any(state[2] > arrivals[cut] for cut, state in seams):
+            event("resumed from a busy queue")
+
+    @pytest.mark.parametrize("path", ["ring", "lanes"])
+    def test_lanes_and_ring_resume_from_a_busy_queue(self, path):
+        """Overload up to the seam, light load after it: the second call
+        starts from a queue that is still busy. The lanes (of 32 packets,
+        a first group of four lanes of 8) repair their first lane from that
+        state (to its end: a rerun checks for a shared idle arrival at most
+        every 16 packets), and the rest couple."""
+        rng = np.random.default_rng(24)
+        n, cut, k = 600, 200, 3
+        arrivals = np.cumsum(rng.exponential(1.0, size=n))
+        services = np.concatenate((rng.exponential(2.0, size=cut),
+                                   rng.exponential(0.3, size=n - cut)))
+        departures = np.empty(n)
+        with _on_path(path), pytest.MonkeyPatch.context() as mp:
+            for name, value in zip(_LANE_CONSTANTS, (32, 8, 4, 4, 8)):
+                mp.setattr(sim, name, value)
+            state = sim._fcfs_finite(arrivals[:cut], services[:cut], k, departures[:cut])
+            assert state[2] > arrivals[cut]
+            with _ring_calls() as calls:
+                sim._fcfs_finite(arrivals[cut:], services[cut:], k, departures[cut:], state)
+        assert np.array_equal(departures, _ring(arrivals, services, k), equal_nan=True)
+        if path == "lanes":
+            assert calls[0] == (0, 8)       # the first lane, rerun from the state
+            assert sum(hi - lo for lo, hi in calls) < (n - cut) // 4
+        else:
+            assert calls == [(0, n - cut)]
+
+    @pytest.mark.parametrize("buffer_capacity", [96, 100, 256])
+    @pytest.mark.parametrize("exact", [False, True], ids=["continuous", "integer"])
+    def test_block_step_split_at_a_seam(self, buffer_capacity, exact):
+        """Seams every 7K + 3 arrivals in overload: the block steps run past
+        them, go on in the next call from their running sum and running
+        max, and keep the bits of one call."""
+        rng = np.random.default_rng(buffer_capacity)
+        n = 40 * buffer_capacity
+        if exact:
+            arrivals = np.cumsum(rng.integers(0, 2, size=n)).astype(float)
+            services = rng.integers(0, 5, size=n).astype(float)
+        else:
+            arrivals = np.cumsum(rng.exponential(1.0, size=n))
+            services = rng.exponential(2.0, size=n)
+        cuts = list(range(7 * buffer_capacity + 3, n, 7 * buffer_capacity + 3))
+        pieces, states = _in_pieces(arrivals, services, buffer_capacity, cuts)
+        assert sum(0 < state[2] < buffer_capacity for state in states[:-1]) >= 3
+        assert np.array_equal(pieces, _one_call(arrivals, services, buffer_capacity),
+                              equal_nan=True)
+        _assert_blocks_match_ring(arrivals, services, buffer_capacity, exact)
 
 
 class TestSimConfig:

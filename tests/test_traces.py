@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qoskit import sim
 from qoskit.errors import DomainError, EmptyTraceError, TraceParseError
+from qoskit.metrics import _abs_differences
 from qoskit.sim import fcfs_departures
 from qoskit.traces import (
     LOG_HEADER,
@@ -594,6 +596,192 @@ def _assert_matches_reference(scenario):
     return rows
 
 
+def _whole_draw_arrivals(rng, rate, horizon):
+    """``_poisson_arrivals`` as it was before it drew in place: the draw and
+    its ``cumsum`` are two columns. The oracle of its bits."""
+    expected = rate * horizon
+    block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
+    times = np.cumsum(rng.exponential(1.0 / rate, size=block))
+    while times[-1] < horizon:
+        more = np.cumsum(rng.exponential(1.0 / rate, size=block)) + times[-1]
+        times = np.concatenate((times, more))
+    return times[:np.searchsorted(times, horizon)]
+
+
+def _whole_array_trace(scenario):
+    """The synthesis over whole arrays that the chunk loop replaced: every
+    packet's work, work-coordinate arrival and departure at once, and one
+    queue call. The oracle of ``synth_mobility_trace``."""
+    d = scenario.duration_s
+    speeds, positions = _per_second_kinematics(scenario)
+    rates_pkts = _rates(scenario.rate_map, positions) / scenario.packet_size_B
+    rng = np.random.default_rng(scenario.seed)
+    lam = scenario.offered_Bps / scenario.packet_size_B
+    arrivals = _whole_draw_arrivals(rng, lam, float(d))
+    work = rng.exponential(1.0, size=arrivals.size)
+
+    seconds = np.arange(d + 1, dtype=float)
+    bounds = arrivals.searchsorted(seconds)
+    total_per_sec = np.diff(bounds)
+    up = rates_pkts != 0.0
+    live_per_sec = total_per_sec
+    if not up.all():
+        live = np.repeat(up, total_per_sec)
+        arrivals, work = np.compress(live, arrivals), np.compress(live, work)
+        live_per_sec = np.where(up, total_per_sec, 0)
+        bounds = np.concatenate(([0], np.cumsum(live_per_sec)))
+    breaks = np.concatenate(([0.0], np.cumsum(rates_pkts)))
+    a_w = arrivals - np.repeat(seconds[:-1], live_per_sec)
+    a_w *= np.repeat(rates_pkts, live_per_sec)
+    a_w += np.repeat(breaks[:-1], live_per_sec)
+    departures, dropped = fcfs_departures(a_w, work, scenario.buffer_pkts)
+
+    drop_counts = np.flatnonzero(dropped).searchsorted(bounds)
+    lost_per_sec = total_per_sec - live_per_sec + np.diff(drop_counts)
+    dep_t = np.compress(~dropped, departures)
+    sojourns = np.compress(~dropped, arrivals)
+    h = dep_t.searchsorted(breaks[-1], side="right")
+    dep_t, sojourns = dep_t[:h], sojourns[:h]
+    segs = np.arange(-1, d)
+    per_seg = np.diff(dep_t.searchsorted(breaks, side="right"), prepend=0)
+    dep_t -= np.repeat(breaks[segs], per_seg)
+    dep_t /= np.repeat(rates_pkts[segs], per_seg)
+    dep_t += np.repeat(segs.astype(float), per_seg)
+    np.subtract(dep_t, sojourns, out=sojourns)
+    dep_bounds = np.append(dep_t.searchsorted(seconds[:-1]), h)
+    delivered_per_sec = np.diff(dep_bounds)
+    gaps = _abs_differences(sojourns, out=sojourns[:-1])
+    cuts = dep_bounds[1:-1]
+    gaps[cuts[(cuts > 0) & (cuts < h)] - 1] = 0.0
+    dep_sec = np.repeat(np.arange(d), delivered_per_sec)
+    gap_sums = np.bincount(dep_sec[1:], weights=gaps, minlength=d)
+    jitter_ms = gap_sums / np.maximum(delivered_per_sec - 1, 1) * 1000.0
+
+    theta = math.radians(scenario.track_bearing_deg)
+    coslat = math.cos(math.radians(scenario.base_lat_deg))
+    lat = scenario.base_lat_deg + positions * math.cos(theta) / 111_320.0
+    lon = scenario.base_lon_deg + positions * math.sin(theta) / (111_320.0 * coslat)
+    return [QosLogRow(*row) for row in zip(
+        range(scenario.t0_unix_s, scenario.t0_unix_s + d), lat.tolist(), lon.tolist(),
+        [1] * d, positions.tolist(), speeds.tolist(),
+        (delivered_per_sec * scenario.packet_size_B).astype(float).tolist(),
+        jitter_ms.tolist(), lost_per_sec.tolist(), total_per_sec.tolist())]
+
+
+def _arrivals(scenario):
+    return _whole_draw_arrivals(np.random.default_rng(scenario.seed),
+                                scenario.offered_Bps / scenario.packet_size_B,
+                                float(scenario.duration_s))
+
+
+#: Lane constants (see ``test_sim._LANE_CONSTANTS``) small enough that a
+#: group of lanes, and so a chunk below the block path, is 40 packets.
+_SMALL_LANES = {"_LANE_PACKETS": 8, "_LANE_WARMUP": 4, "_LANE_GROUP": 5, "_LANE_PROBE": 2,
+                "_LANE_CHUNK": 5, "_LANE_MIN_PACKETS": 16}
+
+
+def _assert_chunks_match_whole_arrays(scenario, chunk, lanes=None):
+    """The chunked synthesis, at ``sim._CHUNK`` = ``chunk`` and the given
+    lane constants, against the whole-array oracle (at the real constants):
+    the same ``write_log`` bytes, and the same rows bit for bit, which the
+    log's 9 significant digits would not show."""
+    expected = _whole_array_trace(scenario)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_CHUNK", chunk)
+        for name, value in (lanes or {}).items():
+            mp.setattr(sim, name, value)
+        rows = synth_mobility_trace(scenario)
+    assert rows == expected
+    assert write_log(rows) == write_log(expected)
+    return rows
+
+
+class TestChunkedSynthesis:
+    """One pass over chunks of arrivals against one pass over whole arrays,
+    byte for byte: the work drawn chunk by chunk, the queue resumed from its
+    seam state, and each second's |dT| sum seeded with its running value."""
+
+    @pytest.mark.parametrize("name", ["static_far", "constant_50kmh", "variable_speed"])
+    def test_arrivals_are_bit_identical_to_one_whole_draw(self, name):
+        """The arrivals drawn and summed in place keep their bits, and leave
+        the generator where the work stream starts."""
+        scenario = load_scenario(_SCENARIOS / f"{name}.scn")
+        rate = scenario.offered_Bps / scenario.packet_size_B
+        for horizon in (float(scenario.duration_s), 0.5, 1e-9):
+            rng, oracle_rng = (np.random.default_rng(scenario.seed) for _ in range(2))
+            got = _poisson_arrivals(rng, rate, horizon)
+            assert np.array_equal(got, _whole_draw_arrivals(oracle_rng, rate, horizon))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["static_far", "constant_50kmh", "variable_speed"])
+    @pytest.mark.parametrize("chunk", [1_000, 4_096, sim._CHUNK])
+    def test_committed_scenarios(self, name, chunk):
+        _assert_chunks_match_whole_arrays(load_scenario(_SCENARIOS / f"{name}.scn"), chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1_000])
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=_scenarios(), lanes=st.sampled_from([None, _SMALL_LANES]))
+    def test_any_chunk_matches_whole_arrays(self, chunk, scenario, lanes):
+        # Keep about 3,000 arrivals a chunk of one: each chunk costs a few
+        # dozen numpy calls.
+        rate = scenario.offered_Bps / scenario.packet_size_B
+        if chunk < 1_000 and rate * scenario.duration_s > 3_000 * chunk:
+            scenario = replace(scenario, duration_s=max(1, int(3_000 * chunk / rate)))
+        _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
+
+    @pytest.mark.parametrize("buffer_pkts, lanes", [(1, _SMALL_LANES), (10, _SMALL_LANES),
+                                                    (100, None)])
+    def test_outages_straddle_chunk_edges(self, buffer_pkts, lanes):
+        """100 m/s from 500 m under 1,200 packets/s: each zone silences one
+        or two seconds, each of more arrivals than a chunk of 1,000 (and
+        than a group of small lanes), so chunk edges fall inside outages."""
+        zones = ((790.0, 810.0), (1000.0, 1100.0), (1390.0, 1450.0))
+        scenario = MobilityScenario.constant_speed(
+            360.0, 10, seed=11, track_min_m=500.0, track_max_m=1500.0,
+            rate_map=replace(default_rate_map(), mask_zones=zones), buffer_pkts=buffer_pkts)
+        chunk = 1_000
+        rows = _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
+        bounds = np.cumsum([0] + [r.total_pkts for r in rows])
+        dead = [k for k, r in enumerate(rows) if any(lo <= r.dist_m <= hi for lo, hi in zones)]
+        size = chunk if lanes is None else lanes["_LANE_GROUP"] * lanes["_LANE_PACKETS"]
+        assert dead and all(bounds[k] // size < (bounds[k + 1] - 1) // size for k in dead)
+
+    @pytest.mark.parametrize("buffer_pkts", [10, 100])
+    def test_arrival_count_a_multiple_of_the_chunk(self, buffer_pkts):
+        """24,035 arrivals in chunks of 1,045: on the block path a chunk of
+        ``sim._CHUNK``, below it a group of 5 lanes of 209 packets."""
+        scenario = MobilityScenario.variable_speed(20, seed=9, buffer_pkts=buffer_pkts)
+        n, chunk = _arrivals(scenario).size, 1_045
+        lanes = {**_SMALL_LANES, "_LANE_PACKETS": chunk // 5}
+        assert n % chunk == 0 and lanes["_LANE_GROUP"] * lanes["_LANE_PACKETS"] == chunk
+        _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
+
+    @pytest.mark.parametrize("buffer_pkts, chunk, lanes",
+                             [(10, 1, _SMALL_LANES), (100, 7, None), (100, 1_000, None)])
+    def test_departures_past_the_horizon(self, buffer_pkts, chunk, lanes):
+        """Overload to the end: the deliveries stop at the horizon inside a
+        chunk, and the chunks after it deliver nothing by the horizon but
+        still lose packets (at K = 100 and chunks of 7, the packets queued
+        at the horizon span several chunks)."""
+        scenario = MobilityScenario.static(1570.0, 10, seed=3, offered_Bps=1_500_000.0,
+                                           buffer_pkts=buffer_pkts)
+        rows = _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
+        delivered = sum(r.tput_Bps for r in rows) / scenario.packet_size_B
+        queued = sum(r.total_pkts - r.lost_pkts for r in rows) - delivered
+        assert 0 < queued <= buffer_pkts and rows[-1].lost_pkts > 0
+        if chunk == 7:
+            assert queued > 2 * chunk
+
+
+def _peak_traced(scenario):
+    tracemalloc.start()
+    try:
+        synth_mobility_trace(scenario)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestColumnarSynthesis:
     @settings(max_examples=80, deadline=None)
     @given(scenario=_scenarios())
@@ -647,21 +835,22 @@ class TestColumnarSynthesis:
         assert any(r.total_pkts > 0 for r in rows)
 
     def test_memory_per_arrival(self):
-        """Synthesis of variable_speed.scn peaks at 33.1 traced bytes an
-        arrival, about four full-length float columns at once (the arrival
-        and work columns, the work-coordinate arrivals and one more); with
-        per-packet seconds, gathers and selections it peaked at 86.1."""
+        """Synthesis of variable_speed.scn peaks at 9.4 traced bytes an
+        arrival: the arrivals' column and one chunk's arrays. Over whole
+        arrays, about four float columns at once, it peaked at 33.1, and
+        with per-packet seconds, gathers and selections at 86.1."""
         scenario = load_scenario(_SCENARIOS / "variable_speed.scn")
-        n = _poisson_arrivals(np.random.default_rng(scenario.seed),
-                              scenario.offered_Bps / scenario.packet_size_B,
-                              float(scenario.duration_s)).size
-        tracemalloc.start()
-        try:
-            synth_mobility_trace(scenario)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 36.4 * n
+        n = _arrivals(scenario).size
+        assert _peak_traced(scenario) <= 10.4 * n
+
+    def test_memory_below_the_block_path(self):
+        """At K = 20 a chunk is one group of lanes (1M packets): the peak is
+        the arrivals plus about 29.7 bytes a packet of one group."""
+        scenario = replace(load_scenario(_SCENARIOS / "variable_speed.scn"), buffer_pkts=20)
+        n = _arrivals(scenario).size
+        group = sim._LANE_GROUP * sim._LANE_PACKETS
+        assert n > group
+        assert _peak_traced(scenario) <= 8.1 * n + 32.7 * group
 
     @settings(max_examples=100, deadline=None)
     @given(profile=_speed_profiles(), duration_s=st.integers(1, 120))

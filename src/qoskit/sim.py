@@ -279,8 +279,9 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
 
 def _fcfs_finite(arr, srv, buffer_capacity, departures, state=None):
     """The finite-buffer queue of ``fcfs_departures`` on checked arrays,
-    from ``state`` (None: the empty queue) into ``departures``; NaN marks a
-    dropped packet.
+    from ``state`` into ``departures``; NaN marks a dropped packet. None
+    is the empty queue for a stream of just these packets; a stream fed in
+    pieces starts from ``_fcfs_seam``'s state.
 
     Returns the seam state: the queue after the last packet, from which a
     call on the packets that follow gives the bits of one call over both.
@@ -288,16 +289,40 @@ def _fcfs_finite(arr, srv, buffer_capacity, departures, state=None):
     ring loop's ``(ring, pos, last)`` below 96 (the lanes take and return
     it too), the block path's above.
     """
-    k = buffer_capacity
-    if k >= _BLOCK_MIN_BUFFER:
-        if state is None:
-            state = (np.full(k, -math.inf), np.empty(k), 0, 0.0, -math.inf, 4 * k)
-        return _fcfs_blocks(arr, srv, departures, state)
     if state is None:
-        state = ([-math.inf] * k, 0, -math.inf)
+        state = _fcfs_seam(buffer_capacity, arr.size)[0]
+    if buffer_capacity >= _BLOCK_MIN_BUFFER:
+        return _fcfs_blocks(arr, srv, departures, state)
     if arr.size >= _LANE_MIN_PACKETS:
         return _fcfs_lanes(arr, srv, departures, state)
     return _ring_run(arr, srv, 0, arr.size, departures, state)
+
+
+def _fcfs_seam(buffer_capacity, n):
+    """The empty queue's seam state for a stream of at most ``n`` packets
+    through a buffer of K, and the packets per piece that suit K's path
+    when the stream is fed in pieces: ``_CHUNK`` on the block path, and
+    below it equal pieces of at most one group of lanes, as ``_fcfs_lanes``
+    sizes its groups (lanes over shorter spans lose their edge).
+
+    The queue never holds more packets than the stream has, so the block
+    path's thresholds are min(K, n): one step then takes a stream no
+    longer than K whole, as a step of K would.
+    """
+    if buffer_capacity >= _BLOCK_MIN_BUFFER:
+        k = min(buffer_capacity, n)
+        return (np.full(k, -math.inf), np.empty(k), 0, 0.0, -math.inf, 4 * k), _CHUNK
+    group = _LANE_GROUP * _LANE_PACKETS
+    chunk = math.ceil(n / math.ceil(n / group)) if n else 1
+    return ([-math.inf] * buffer_capacity, 0, -math.inf), chunk
+
+
+def _require_finite(last_arrival, top_service=0.0):
+    """The finiteness checks of ``fcfs_departures``, from the last arrival
+    and the largest service time of times that never decrease and draws
+    that are never negative: a NaN or an infinity reaches both."""
+    if not (last_arrival < math.inf and top_service < math.inf):
+        raise DomainError("times must be finite and service times non-negative")
 
 
 def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
@@ -346,8 +371,7 @@ def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
                 a[0] += last_arrival
             np.cumsum(a, out=a)
             draw(s)
-            if not (a[-1] < math.inf and s.max() < math.inf):
-                raise DomainError("times must be finite and service times non-negative")
+            _require_finite(a[-1], s.max())
         prefix, low = prefix_buf[:hi - lo + 1], low_buf[:hi - lo + 1]
         prefix[0] = last_prefix
         prefix[1] = last_service - (a[0] - last_arrival) if lo else -0.0
@@ -609,16 +633,20 @@ def _fcfs_blocks(arr, srv, departures, state):
     past the last arrival stops there, and the next call goes on with it
     from its two running values, which are sequential: the step's sums are
     grouped as in one call over the whole stream, and keep their bits.
+    Each arrival takes at most one admission, so a call searches for no
+    more thresholds than it has arrivals left, and its work and buffers
+    are sized by the shorter of K and its arrivals.
     """
     thresholds, step, j, total, top, span = state
     n = arr.size
     k = thresholds.size
     departures.fill(math.nan)
-    offsets = np.arange(k)
-    sums = np.empty(k + 1)
+    offsets = np.arange(min(k, n))
+    sums = np.empty(offsets.size + 1)
     next_free = 0               # first arrival index not yet considered
     while next_free < n:
-        wanted = thresholds[j:]
+        # The first i thresholds alone fix the first i admissions.
+        wanted = thresholds[j:j + n - next_free]
         idx = arr[next_free:next_free + span].searchsorted(wanted, side="left")
         while idx[-1] == span and next_free + span < n:
             span *= 2
@@ -733,8 +761,7 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
         draw(services)
         np.cumsum(arrivals, out=arrivals)
         # draws are never negative: see _fcfs_unbounded
-        if not (arrivals[-1] < math.inf and services.max() < math.inf):
-            raise DomainError("times must be finite and service times non-negative")
+        _require_finite(arrivals[-1], services.max())
         t_start = float(arrivals[first - 1]) if first > 0 else 0.0
         t_end = float(arrivals[-1])
         _fcfs_finite(arrivals, services, config.buffer_capacity, ws.departures)

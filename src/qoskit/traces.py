@@ -362,9 +362,8 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     The arrivals are one column; everything else is made and folded into
     the per-second columns one chunk of arrivals at a time, with the
     queue's seam state carried from chunk to chunk, and the bits are those
-    of one pass over whole arrays. A chunk is ``sim._CHUNK`` arrivals on
-    the block path and one group of lanes below it, where lanes over
-    shorter spans lose their edge.
+    of one pass over whole arrays. The queue's path sets the chunk
+    (``sim._fcfs_seam``).
     """
     d = scenario.duration_s
     if d == 0:
@@ -392,9 +391,8 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     gap_sums = np.zeros(d)
 
     k = scenario.buffer_pkts
-    chunk = sim._CHUNK if k >= sim._BLOCK_MIN_BUFFER else sim._LANE_GROUP * sim._LANE_PACKETS
+    state, chunk = sim._fcfs_seam(k, n)
     work = np.empty(min(chunk, n))
-    state = None
     last_sojourn, last_sec = 0.0, -1    # the last delivery so far, if any
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -416,8 +414,7 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
         np.subtract(t, a_w, out=a_w)
         a_w *= np.repeat(rates_pkts[s0:s1], per_sec)
         a_w += np.repeat(breaks[s0:s1], per_sec)
-        if not a_w[-1] < math.inf:
-            raise DomainError("times must be finite and service times non-negative")
+        sim._require_finite(a_w[-1])
         dep = np.empty(t.size)
         state = sim._fcfs_finite(a_w, w, k, dep, state)
         del a_w         # the chunk's arrays die once spent; the work buffer stays

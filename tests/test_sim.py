@@ -604,10 +604,11 @@ def _on_path(path):
 
 
 def _in_pieces(arrivals, services, buffer_capacity, cuts):
-    """The finite queue over the pieces between ``cuts``, each call from
-    the seam state the call before returned; also returns those states."""
+    """The finite queue over the pieces between ``cuts``, the first from
+    the stream's empty state, each later one from the seam state the call
+    before returned; also returns those states."""
     departures = np.empty(len(arrivals))
-    state, states = None, []
+    state, states = sim._fcfs_seam(buffer_capacity, len(arrivals))[0], []
     for lo, hi in zip([0, *cuts], [*cuts, len(arrivals)]):
         state = sim._fcfs_finite(arrivals[lo:hi], services[lo:hi], buffer_capacity,
                                  departures[lo:hi], state)
@@ -690,6 +691,46 @@ class TestSeamState:
         assert np.array_equal(pieces, _one_call(arrivals, services, buffer_capacity),
                               equal_nan=True)
         _assert_blocks_match_ring(arrivals, services, buffer_capacity, exact)
+
+
+class TestBufferLargerThanTheStream:
+    """A queue never holds more packets than its stream has, so a buffer of
+    K beyond the stream costs what one of the stream's length does, and
+    gives the same bits."""
+
+    def test_fcfs_departures_at_a_huge_buffer(self):
+        departures, dropped = fcfs_departures([0.0], [1.0], 10**12)
+        assert departures.tolist() == [1.0] and dropped.tolist() == [False]
+        rng = np.random.default_rng(5)
+        arrivals = np.cumsum(rng.exponential(1.0, size=500))
+        services = rng.exponential(3.0, size=500)
+        got = fcfs_departures(arrivals, services, 10**12)
+        want = fcfs_departures(arrivals, services, 500)
+        assert np.array_equal(got[0], want[0]) and not got[1].any()
+
+    def test_simulate_run_at_a_huge_buffer(self):
+        base = SimConfig(1000.0, 1500.0, buffer_capacity=1000, horizon_packets=1000, seed=7)
+        log, summary = simulate_run(dataclasses.replace(base, buffer_capacity=10**12))
+        want_log, want_summary = simulate_run(base)
+        assert np.array_equal(log.departure_times, want_log.departure_times)
+        assert summary == dataclasses.replace(want_summary, config=summary.config)
+
+    def test_a_piece_costs_its_own_length(self):
+        """A piece of 10 packets from the state of a 10**6-packet stream at
+        K = 10**12 searches and allocates for 10 packets, not for K or
+        the stream."""
+        state = sim._fcfs_seam(10**12, 10**6)[0]
+        arrivals, services = np.arange(10.0), np.full(10, 5.0)
+        departures = np.empty(10)
+        tracemalloc.start()
+        try:
+            state = sim._fcfs_finite(arrivals, services, 10**12, departures, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_096
+        assert departures.tolist() == (5.0 * np.arange(1, 11)).tolist()
+        assert state[2] == 10
 
 
 class TestSimConfig:

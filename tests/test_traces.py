@@ -743,7 +743,11 @@ class TestChunkedSynthesis:
         rows = _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
         bounds = np.cumsum([0] + [r.total_pkts for r in rows])
         dead = [k for k, r in enumerate(rows) if any(lo <= r.dist_m <= hi for lo, hi in zones)]
-        size = chunk if lanes is None else lanes["_LANE_GROUP"] * lanes["_LANE_PACKETS"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CHUNK", chunk)
+            for name, value in (lanes or {}).items():
+                mp.setattr(sim, name, value)
+            size = sim._fcfs_seam(buffer_pkts, int(bounds[-1]))[1]
         assert dead and all(bounds[k] // size < (bounds[k + 1] - 1) // size for k in dead)
 
     @pytest.mark.parametrize("buffer_pkts", [10, 100])
@@ -771,6 +775,16 @@ class TestChunkedSynthesis:
         assert 0 < queued <= buffer_pkts and rows[-1].lost_pkts > 0
         if chunk == 7:
             assert queued > 2 * chunk
+
+    @pytest.mark.parametrize("chunk", [7, 1_000])
+    def test_buffer_beyond_the_stream(self, chunk):
+        """A buffer of 10**12 packets in overload: nothing is lost in the
+        queue, and the seam state is sized by the stream, not by K."""
+        scenario = MobilityScenario.static(1570.0, 10, seed=3, offered_Bps=1_500_000.0,
+                                           buffer_pkts=10**12)
+        rows = _assert_chunks_match_whole_arrays(scenario, chunk)
+        assert sum(r.lost_pkts for r in rows) == 0
+        assert sum(r.tput_Bps for r in rows) / scenario.packet_size_B < _arrivals(scenario).size
 
 
 def _peak_traced(scenario):
@@ -844,13 +858,15 @@ class TestColumnarSynthesis:
         assert _peak_traced(scenario) <= 10.4 * n
 
     def test_memory_below_the_block_path(self):
-        """At K = 20 a chunk is one group of lanes (1M packets): the peak is
-        the arrivals plus about 29.7 bytes a packet of one group."""
+        """At K = 20 the 1.08M arrivals run in two chunks of 540,262, equal
+        pieces of at most one group of lanes (1M packets): the peak is the
+        arrivals plus about 34.1 bytes a packet of one chunk, 25.0 bytes an
+        arrival in all. Over whole arrays it was 35.0."""
         scenario = replace(load_scenario(_SCENARIOS / "variable_speed.scn"), buffer_pkts=20)
         n = _arrivals(scenario).size
-        group = sim._LANE_GROUP * sim._LANE_PACKETS
-        assert n > group
-        assert _peak_traced(scenario) <= 8.1 * n + 32.7 * group
+        chunk = sim._fcfs_seam(20, n)[1]
+        assert sim._LANE_GROUP * sim._LANE_PACKETS < n < 2 * chunk + 1
+        assert _peak_traced(scenario) <= 8.1 * n + 37.5 * chunk
 
     @settings(max_examples=100, deadline=None)
     @given(profile=_speed_profiles(), duration_s=st.integers(1, 120))

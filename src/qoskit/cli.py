@@ -204,6 +204,9 @@ def _cmd_invert(args) -> int:
 
 
 def _config_from_args(args) -> SimConfig:
+    if args.lam is None:
+        # checked before it forms lambda, which would name a value never typed
+        _real(args.rho, "load", gt=0)
     lam = args.lam if args.lam is not None else args.rho * args.capacity
     return SimConfig(
         capacity_C=args.capacity,

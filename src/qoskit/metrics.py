@@ -85,7 +85,7 @@ def mean_abs_jitter(
     scaling all delays scales it linearly; it measures variation, not latency.
     """
     samples = _abs_differences(_as_delay_array(delays))
-    mean = float(samples.mean())
+    mean = _mean(samples)
     halfwidth = None
     if ci:
         _count(n_boot, "n_boot", 1)
@@ -94,7 +94,7 @@ def mean_abs_jitter(
         n = samples.size
         means = np.empty(n_boot)
         for b in range(n_boot):
-            means[b] = samples[rng.integers(0, n, size=n)].mean()
+            means[b] = _mean(samples[rng.integers(0, n, size=n)])
         lo, hi = np.percentile(means, [2.5, 97.5])
         halfwidth = float((hi - lo) / 2.0)
     return JitterEstimate(mean_abs_ipdv=mean, n_samples=int(samples.size), ci95_halfwidth=halfwidth)

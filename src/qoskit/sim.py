@@ -201,11 +201,14 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
 
     This is the deterministic core of the simulator and doubles as a test
     hook for hand-built packet patterns. Returns ``(departures, dropped)``
-    where departures holds NaN for dropped packets. A departure occurring
-    exactly at an arrival instant frees its buffer slot first.
+    where departures holds NaN for dropped packets and ``dropped`` is
+    ``np.isnan(departures)``. A departure occurring exactly at an arrival
+    instant frees its buffer slot first. Either buffer is one call of the
+    queue (``_fcfs``) over the whole arrays, from the empty state.
 
-    The unbounded buffer uses the closed-form Lindley recursion. A finite
-    buffer of K packets takes one of three paths:
+    The unbounded buffer uses the closed-form Lindley recursion
+    (``_fcfs_unbounded``). A finite buffer of K packets takes one of three
+    paths:
 
     - ``K < 96``, at least 131,072 packets: lanes of 1,024 packets run side
       by side in numpy, then are checked and repaired (``_fcfs_lanes``).
@@ -266,31 +269,30 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     if np.any(srv < 0) or not np.all(np.isfinite(srv)) or not np.all(np.isfinite(arr)):
         raise DomainError("times must be finite and service times non-negative")
 
-    if buffer_capacity is None:
-        departures = np.empty(n)
-        _fcfs_unbounded(arr, srv, departures)
-        return departures, np.zeros(n, dtype=bool)
-
-    _count(buffer_capacity, "buffer capacity", 1)
+    if buffer_capacity is not None:
+        _count(buffer_capacity, "buffer capacity", 1)
     departures = np.empty(n)
-    _fcfs_finite(arr, srv, buffer_capacity, departures)
+    _fcfs(arr, srv, buffer_capacity, departures)
     return departures, np.isnan(departures)
 
 
-def _fcfs_finite(arr, srv, buffer_capacity, departures, state=None):
-    """The finite-buffer queue of ``fcfs_departures`` on checked arrays,
-    from ``state`` into ``departures``; NaN marks a dropped packet. None
-    is the empty queue for a stream of just these packets; a stream fed in
-    pieces starts from ``_fcfs_seam``'s state.
+def _fcfs(arr, srv, buffer_capacity, departures, state=None):
+    """The queue of ``fcfs_departures`` on checked arrays, through a buffer
+    of K packets (None: unbounded), from ``state`` into ``departures``; NaN
+    marks a dropped packet. None is the empty queue for a stream of just
+    these packets; a stream fed in pieces starts from ``_fcfs_seam``'s
+    state.
 
     Returns the seam state: the queue after the last packet, from which a
     call on the packets that follow gives the bits of one call over both.
     K alone picks the path, so one stream keeps one kind of state: the
-    ring loop's ``(ring, pos, last)`` below 96 (the lanes take and return
-    it too), the block path's above.
+    unbounded pass's, the ring loop's ``(ring, pos, last)`` below 96 (the
+    lanes take and return it too), or the block path's above.
     """
     if state is None:
         state = _fcfs_seam(buffer_capacity, arr.size)[0]
+    if buffer_capacity is None:
+        return _fcfs_unbounded(arr, srv, departures, state)
     if buffer_capacity >= _BLOCK_MIN_BUFFER:
         return _fcfs_blocks(arr, srv, departures, state)
     if arr.size >= _LANE_MIN_PACKETS:
@@ -300,15 +302,19 @@ def _fcfs_finite(arr, srv, buffer_capacity, departures, state=None):
 
 def _fcfs_seam(buffer_capacity, n):
     """The empty queue's seam state for a stream of at most ``n`` packets
-    through a buffer of K, and the packets per piece that suit K's path
-    when the stream is fed in pieces: ``_CHUNK`` on the block path, and
-    below it equal pieces of at most one group of lanes, as ``_fcfs_lanes``
-    sizes its groups (lanes over shorter spans lose their edge).
+    through a buffer of K (None: unbounded), and the packets per piece that
+    suit K's path when the stream is fed in pieces: ``_CHUNK`` when
+    unbounded and on the block path, and below it equal pieces of at most
+    one group of lanes, as ``_fcfs_lanes`` sizes its groups (lanes over
+    shorter spans lose their edge).
 
     The queue never holds more packets than the stream has, so the block
     path's thresholds are min(K, n): one step then takes a stream no
     longer than K whole, as a step of K would.
     """
+    if buffer_capacity is None:
+        size = min(_CHUNK, n) + 1
+        return (np.empty(size), np.empty(size), None, 0.0, -0.0, math.inf), _CHUNK
     if buffer_capacity >= _BLOCK_MIN_BUFFER:
         k = min(buffer_capacity, n)
         return (np.full(k, -math.inf), np.empty(k), 0, 0.0, -math.inf, 4 * k), _CHUNK
@@ -325,74 +331,47 @@ def _require_finite(last_arrival, top_service=0.0):
         raise DomainError("times must be finite and service times non-negative")
 
 
-def _fcfs_unbounded(arr, srv, departures, sojourn=None, draw=None, first=0):
-    """Unbounded FCFS in chunks of ``_CHUNK`` packets; departures
-    go to ``departures`` and, when given, ``departure - arrival`` to
-    ``sojourn``. Returns the arrival of packet ``first - 1`` (0.0 when
-    ``first`` is 0) and the last arrival.
+def _fcfs_unbounded(arr, srv, departures, state):
+    """Unbounded FCFS from ``state`` in chunks of ``_CHUNK`` packets, into
+    ``departures``; returns the state after the last packet.
 
     The wait is the running sum of ``s[k] - (a[k+1] - a[k])`` minus its
-    running minimum (the Lindley recursion in closed form). Slot 0 of the
-    chunk's buffer holds the chunk before's last running sum for ``cumsum``,
-    then its last running minimum for ``minimum.accumulate``. Both are
+    running minimum (the Lindley recursion in closed form). A state is two
+    buffers of a chunk and one slot, and the last packet's arrival (None
+    before the first packet), service time, running sum and running
+    minimum. Slot 0 of a buffer holds the last running sum for ``cumsum``,
+    then the last running minimum for ``minimum.accumulate``. Both are
     sequential, so every value is the same operation on the same operands
     as in one pass over the whole arrays, and the bits are the same. The
-    first chunk starts from a sum of -0.0 and an increment of -0.0 for
-    packet 0 (adding -0.0 changes no bits), then gives packet 0 the +0.0
-    sum of the whole-array form; the minimum starts at +inf. The chunk
-    before's last arrival and last service time, which the chunk's first
-    increment needs, are carried as numbers, so ``sojourn`` may be ``arr``
-    itself: each chunk's sojourns then overwrite its arrivals.
-
-    With ``draw``, the pass also makes the run: ``arr`` holds interarrival
-    draws and becomes the arrivals in place, and ``draw(out)`` writes each
-    chunk's service times, in packet order, ahead of the chunk's pass.
-    Draws are never negative, so the arrivals never decrease and a NaN or
-    an infinity stays to the end of its chunk: a chunk's last arrival and
-    largest service time carry the checks that ``fcfs_departures`` makes on
-    whole arrays.
-
-    ``srv`` and ``departures`` are whole columns, or, for a run that keeps
-    neither, buffers a chunk long that every chunk reuses. A run of one
-    chunk uses its buffers as columns.
+    first packet starts from a sum of -0.0 and an increment of -0.0 (adding
+    -0.0 changes no bits), then gets the +0.0 sum of the whole-array form;
+    the minimum starts at +inf. The last arrival and service time make the
+    next packet's increment, so a caller may overwrite a piece's arrivals
+    once it is queued.
     """
+    prefix_buf, low_buf, last_arrival, last_service, last_prefix, last_low = state
     n = arr.size
-    size = min(_CHUNK, n) + 1
-    prefix_buf, low_buf = np.empty(size), np.empty(size)
-    last_prefix, last_low = -0.0, math.inf
-    t_start = last_arrival = last_service = 0.0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        a = arr[lo:hi]
-        at = lo % departures.size       # lo in a column, 0 in a chunk buffer
-        s, dep = srv[at:at + hi - lo], departures[at:at + hi - lo]
-        if draw is not None:
-            if lo:
-                a[0] += last_arrival
-            np.cumsum(a, out=a)
-            draw(s)
-            _require_finite(a[-1], s.max())
+        a, s = arr[lo:hi], srv[lo:hi]
         prefix, low = prefix_buf[:hi - lo + 1], low_buf[:hi - lo + 1]
         prefix[0] = last_prefix
-        prefix[1] = last_service - (a[0] - last_arrival) if lo else -0.0
+        prefix[1] = -0.0 if last_arrival is None else last_service - (a[0] - last_arrival)
         inc = prefix[2:]
         np.subtract(a[1:], a[:-1], out=inc)
         np.subtract(s[:-1], inc, out=inc)
         np.cumsum(prefix, out=prefix)
-        if not lo:
+        if last_arrival is None:
             prefix[1] = 0.0
         prefix[0] = last_low
         np.minimum.accumulate(prefix, out=low)
         last_prefix, last_low = prefix[-1], low[-1]
-        if lo < first <= hi:
-            t_start = float(a[first - 1 - lo])
         last_arrival, last_service = a[-1], s[-1]
         waits = np.subtract(prefix[1:], low[1:], out=low[1:])
+        dep = departures[lo:hi]
         np.add(a, waits, out=dep)
         dep += s
-        if sojourn is not None:
-            np.subtract(dep, a, out=sojourn[lo:hi])
-    return t_start, float(last_arrival)
+    return prefix_buf, low_buf, last_arrival, last_service, last_prefix, last_low
 
 
 def _ring_run(arr, srv, lo, hi, departures, state):
@@ -698,35 +677,29 @@ class _Workspace:
 
     A logged run (``simulate_run``) gets the six whole columns its
     ``PacketLog`` keeps. A summary-only run keeps less, and a sweep reuses
-    one such workspace per worker for all its runs:
-
-    - unbounded: one column, 8 bytes a packet. It takes the interarrival
-      draws, becomes the arrivals, and then, chunk by chunk, the sojourns
-      (``_fcfs_unbounded``). Once the mean sojourn is taken, the window's
-      tagged sojourns are compacted to its front and differenced there.
-      The services, departures, tagging uniforms and tagged flags go to
-      buffers of one chunk each; the pass carries the chunk before's last
-      service time as a number, as it does its last arrival.
-    - finite buffer: the arrivals, a column that takes the services and
-      then the sojourns, and the departures, 24 bytes a packet. Once the
-      sojourns are formed, the departures are spent; the summary selects
-      the delivered sojourns and the unbroken |dT| pairs into them
-      (``_delivered``).
+    one such workspace per worker for all its runs. Its one whole column
+    takes the interarrival draws, becomes the arrivals, and then, piece by
+    piece, the sojourns (``_simulate``). Once the mean sojourn is taken,
+    the window's tagged sojourns are compacted to its front and differenced
+    there. The services go to a buffer of one piece (``_fcfs_seam``), the
+    tagging uniforms and tagged flags to buffers of ``_CHUNK``. The
+    departures go to a buffer of one piece when unbounded, 8 bytes a packet
+    in all. A finite buffer keeps them in a whole column, which the summary
+    reuses once it is spent to select the delivered sojourns and the
+    unbroken |dT| pairs into (``_delivered``): 16 bytes a packet and one
+    piece, which below K = 96 is up to one group of lanes.
     """
 
     def __init__(self, config: SimConfig, logged: bool):
         n = config.horizon_packets
+        piece = min(_fcfs_seam(config.buffer_capacity, n)[1], n)
         chunk = min(_CHUNK, n)
-        finite = config.buffer_capacity is not None
-        whole = logged or finite
         self.logged = logged
         self.arrivals = np.empty(n)
-        self.sojourn = np.empty(n) if whole else self.arrivals
-        if logged or not finite:
-            self.services = np.empty(n if logged else chunk)
-        else:
-            self.services = self.sojourn
-        self.departures = np.empty(n if whole else chunk)
+        self.sojourn = np.empty(n) if logged else self.arrivals
+        self.services = np.empty(n if logged else piece)
+        self.departures = np.empty(n if logged or config.buffer_capacity is not None
+                                   else piece)
         self.tagged = np.empty(n if logged else chunk, dtype=bool)
         self.uniforms = np.empty(chunk)
 
@@ -734,45 +707,60 @@ class _Workspace:
 def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
     """Draw, queue and summarise one run in ``ws``.
 
-    Draw order: all interarrivals, then the service times (chunk by chunk
-    inside the unbounded pass), then the tagging uniforms (chunk by chunk
-    after the mean sojourn is taken). Each stream is consumed in order, so
-    the bits are those of one whole-array draw per stream. All tagged (a
-    fraction of 1) takes no tagging draw: uniforms below 1 are all below
-    it, and it is the last draw. Every mean is taken over the same values,
-    contiguous and in the same order, in both forms of a run, so its bits
-    are the same.
+    One loop over the pieces of ``_fcfs_seam`` runs either buffer. Each
+    piece continues the ``cumsum`` of the arrivals from the last arrival
+    before it, draws its service times, checks that its times are finite,
+    notes the window's start, queues from the seam state the piece before
+    left, and writes its sojourns (a summary-only run's over its arrivals).
+    Draws are never negative, so the arrivals never decrease and a NaN or
+    an infinity stays to the end of its piece: a piece's last arrival and
+    largest service time carry the checks that ``fcfs_departures`` makes
+    on whole arrays.
+
+    Draw order: all interarrivals, then the service times piece by piece,
+    then the tagging uniforms (chunk by chunk after the mean sojourn is
+    taken). Each stream is consumed in order, so the bits are those of one
+    whole-array draw per stream, and the seam state gives those of one
+    queue call over the whole stream. All tagged (a fraction of 1) takes no
+    tagging draw: uniforms below 1 are all below it, and it is the last
+    draw. Every mean is taken over the same values, contiguous and in the
+    same order, in both forms of a run, so its bits are the same.
     """
     n = config.horizon_packets
     first = int(n * config.warmup_fraction)
     rng = np.random.default_rng(config.seed)
-    arrivals, sojourn, services = ws.arrivals, ws.sojourn, ws.services
+    arrivals, sojourn = ws.arrivals, ws.sojourn
     _exponential_into(rng, 1.0 / config.arrival_rate_lambda, arrivals)
     service = 1.0 / config.capacity_C
-    if config.service_distribution == SERVICE_EXPONENTIAL:
-        def draw(out):
-            _exponential_into(rng, service, out)
-    else:
-        def draw(out):
-            out.fill(service)
+    state, piece = _fcfs_seam(config.buffer_capacity, n)
+    t_start = last_arrival = 0.0
+    for lo in range(0, n, piece):
+        hi = min(lo + piece, n)
+        a = arrivals[lo:hi]
+        # lo in a whole column, 0 in a buffer of one piece
+        s, dep = (column[lo % column.size:][:hi - lo] for column in (ws.services, ws.departures))
+        if lo:
+            a[0] += last_arrival
+        np.cumsum(a, out=a)
+        if config.service_distribution == SERVICE_EXPONENTIAL:
+            _exponential_into(rng, service, s)
+        else:
+            s.fill(service)
+        _require_finite(a[-1], s.max())
+        if lo < first <= hi:
+            t_start = float(a[first - 1 - lo])
+        last_arrival = a[-1]
+        state = _fcfs(a, s, config.buffer_capacity, dep, state)
+        np.subtract(dep, a, out=sojourn[lo:hi])
+    t_end = float(last_arrival)
 
     finite = config.buffer_capacity is not None
     if finite:
-        draw(services)
-        np.cumsum(arrivals, out=arrivals)
-        # draws are never negative: see _fcfs_unbounded
-        _require_finite(arrivals[-1], services.max())
-        t_start = float(arrivals[first - 1]) if first > 0 else 0.0
-        t_end = float(arrivals[-1])
-        _fcfs_finite(arrivals, services, config.buffer_capacity, ws.departures)
-        np.subtract(ws.departures, arrivals, out=sojourn)
         # a dropped packet's sojourn is NaN, and only a dropped one's
         delivered_sojourns = _delivered(sojourn[first:], ws)
         delivered = delivered_sojourns.size
         mean_sojourn = _mean(delivered_sojourns)
     else:
-        t_start, t_end = _fcfs_unbounded(arrivals, services, ws.departures, sojourn, draw,
-                                         first)
         delivered = n - first
         mean_sojourn = _mean(sojourn[first:])
 
@@ -846,9 +834,9 @@ def _tagged_pairs(rng, fraction: float, ws: _Workspace, first: int):
 def simulate_run(config: SimConfig) -> tuple[PacketLog, RunSummary]:
     """Generate, queue, and summarize one packet stream.
 
-    The unbounded queue runs in one chunked pass that also forms the
-    arrivals and sojourns (``_fcfs_unbounded``). ``simulate_sweep`` makes
-    the same runs without their logs.
+    Either buffer's queue runs piece by piece in one loop that also forms
+    the arrivals and sojourns (``_simulate``). ``simulate_sweep`` makes the
+    same runs without their logs.
     """
     ws = _Workspace(config, logged=True)
     summary = _simulate(config, ws)
@@ -896,8 +884,9 @@ def simulate_sweep(
     unbounded sweep runs on one worker thread per available core (at most
     one per run), each in a workspace of 8 bytes a packet. A finite buffer
     runs on one worker: its ring loop holds the GIL, and its workspace
-    takes 24 bytes a packet. The workers run under the caller's numpy error
-    handling (``np.errstate``).
+    takes 16 bytes a packet and one piece of the queue's loop, which below
+    K = 96 is up to one group of lanes (about 1M packets). The workers run
+    under the caller's numpy error handling (``np.errstate``).
     """
     if vary not in ("arrival", "capacity"):
         raise DomainError(f"vary must be 'arrival' or 'capacity', got {vary!r}")

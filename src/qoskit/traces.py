@@ -416,7 +416,7 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
         a_w += np.repeat(breaks[s0:s1], per_sec)
         sim._require_finite(a_w[-1])
         dep = np.empty(t.size)
-        state = sim._fcfs_finite(a_w, w, k, dep, state)
+        state = sim._fcfs(a_w, w, k, dep, state)
         del a_w         # the chunk's arrays die once spent; the work buffer stays
 
         # Lost in the queue, per second of arrival: the running drop count

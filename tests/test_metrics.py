@@ -61,6 +61,20 @@ class TestMeanAbsJitter:
         assert est.ci95_halfwidth == 0.0
         assert est.n_samples == 9
 
+    @pytest.mark.parametrize("delays", [[0.0, 1.5e308, 0.0, 1.5e308],
+                                        [0.0, 1e308, 0.0, 1.6e308, 0.0, 1.6e308]])
+    def test_mean_whose_sum_overflows(self, delays):
+        """The estimate and each bootstrap resample take the overflow-safe
+        mean of the run summaries; a plain sum of these samples is inf."""
+        samples = np.abs(np.diff(delays))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = mean_abs_jitter(delays, seed=1)
+        assert est.mean_abs_ipdv == pytest.approx(math.fsum(samples / 8) / samples.size * 8,
+                                                  rel=1e-15)
+        assert math.isfinite(est.ci95_halfwidth)
+        assert (est.ci95_halfwidth == 0.0) == (np.ptp(samples) == 0.0)
+
     def test_bootstrap_is_seeded(self):
         delays = np.random.default_rng(3).exponential(1.0, 200)
         a = mean_abs_jitter(delays, seed=42)

@@ -134,7 +134,7 @@ def _blocks(arrivals, services, buffer_capacity):
     departures = np.empty(len(arrivals))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_BLOCK_MIN_BUFFER", 1)
-        sim._fcfs_finite(arrivals, services, buffer_capacity, departures)
+        sim._fcfs(arrivals, services, buffer_capacity, departures)
     return departures
 
 
@@ -585,7 +585,7 @@ class TestLanesAtTheRealShape:
         assert 0.5 < shares[2] <= sim._LANE_BUSY < shares[3]
 
 
-#: Module constants that put ``_fcfs_finite`` on one path at any buffer;
+#: Module constants that put ``_fcfs`` on one path at any buffer;
 #: the lanes are small (as in ``_lane_shapes``) and run from 1 packet.
 _PATHS = {
     "ring": {"_BLOCK_MIN_BUFFER": 10**9, "_LANE_MIN_PACKETS": 10**9},
@@ -610,7 +610,7 @@ def _in_pieces(arrivals, services, buffer_capacity, cuts):
     departures = np.empty(len(arrivals))
     state, states = sim._fcfs_seam(buffer_capacity, len(arrivals))[0], []
     for lo, hi in zip([0, *cuts], [*cuts, len(arrivals)]):
-        state = sim._fcfs_finite(arrivals[lo:hi], services[lo:hi], buffer_capacity,
+        state = sim._fcfs(arrivals[lo:hi], services[lo:hi], buffer_capacity,
                                  departures[lo:hi], state)
         states.append(state)
     return departures, states
@@ -618,7 +618,7 @@ def _in_pieces(arrivals, services, buffer_capacity, cuts):
 
 def _one_call(arrivals, services, buffer_capacity):
     departures = np.empty(len(arrivals))
-    sim._fcfs_finite(arrivals, services, buffer_capacity, departures)
+    sim._fcfs(arrivals, services, buffer_capacity, departures)
     return departures
 
 
@@ -660,10 +660,10 @@ class TestSeamState:
         with _on_path(path), pytest.MonkeyPatch.context() as mp:
             for name, value in zip(_LANE_CONSTANTS, (32, 8, 4, 4, 8)):
                 mp.setattr(sim, name, value)
-            state = sim._fcfs_finite(arrivals[:cut], services[:cut], k, departures[:cut])
+            state = sim._fcfs(arrivals[:cut], services[:cut], k, departures[:cut])
             assert state[2] > arrivals[cut]
             with _ring_calls() as calls:
-                sim._fcfs_finite(arrivals[cut:], services[cut:], k, departures[cut:], state)
+                sim._fcfs(arrivals[cut:], services[cut:], k, departures[cut:], state)
         assert np.array_equal(departures, _ring(arrivals, services, k), equal_nan=True)
         if path == "lanes":
             assert calls[0] == (0, 8)       # the first lane, rerun from the state
@@ -724,7 +724,7 @@ class TestBufferLargerThanTheStream:
         departures = np.empty(10)
         tracemalloc.start()
         try:
-            state = sim._fcfs_finite(arrivals, services, 10**12, departures, state)
+            state = sim._fcfs(arrivals, services, 10**12, departures, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -941,9 +941,10 @@ def _reference_unbounded_fcfs(arrival_times, service_times):
 
 
 def _reference_simulate_run(config):
-    """The whole-array ``simulate_run`` of an unbounded run before the
-    chunked pass, kept verbatim as its oracle: it always takes the tagging
-    draw and builds the drop masks."""
+    """The whole-array ``simulate_run`` before the chunked pass, kept
+    verbatim as its oracle: it always takes the tagging draw and builds the
+    drop masks. A finite buffer is one ``fcfs_departures`` call over the
+    whole arrays."""
     n = config.horizon_packets
     rng = np.random.default_rng(config.seed & ((1 << 64) - 1))
     interarrivals = rng.exponential(1.0 / config.arrival_rate_lambda, size=n)
@@ -953,8 +954,11 @@ def _reference_simulate_run(config):
     else:
         services = np.full(n, 1.0 / config.capacity_C)
     tagged = rng.random(size=n) < config.tagged_fraction
-    departures = _reference_unbounded_fcfs(arrivals, services)
-    dropped = np.zeros(n, dtype=bool)
+    if config.buffer_capacity is None:
+        departures = _reference_unbounded_fcfs(arrivals, services)
+        dropped = np.zeros(n, dtype=bool)
+    else:
+        departures, dropped = fcfs_departures(arrivals, services, config.buffer_capacity)
     sojourn = departures - arrivals
     log = PacketLog(arrivals, services, departures, sojourn, tagged, dropped)
 
@@ -1059,6 +1063,19 @@ class TestUnboundedChunks:
         assert departures.tobytes() == _reference_unbounded_fcfs(arrivals, services).tobytes()
         assert not dropped.any()
 
+    @settings(deadline=None)
+    @given(times=_unbounded_times(), chunk=st.sampled_from(_CHUNKS[:4]), data=st.data())
+    def test_resumed_stream_is_one_call(self, times, chunk, data):
+        """The unbounded pass split anywhere and resumed from its seam
+        state gives the departures of the whole-array pass, bit for bit."""
+        arrivals, services = times
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(arrivals)), max_size=6),
+                                label="cuts"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CHUNK", chunk)
+            departures, _ = _in_pieces(arrivals, services, None, cuts)
+        assert departures.tobytes() == _reference_unbounded_fcfs(arrivals, services).tobytes()
+
     @pytest.mark.parametrize("arrivals, services", [
         ([0.0, math.inf], [1.0, 1.0]),
         ([0.0, 1.0], [math.nan, 1.0]),
@@ -1089,6 +1106,64 @@ class TestUnboundedChunks:
         with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"), \
                 np.errstate(all="ignore"):
             simulate_run(config)
+
+
+#: Finite-buffer runs the loop over pieces must reproduce bit for bit:
+#: horizons that no piece size divides, no warm-up and the longest one, a
+#: full and a sparse tagged flow, overload and light load.
+_FINITE_RUNS = {
+    "overload, all tagged, no warm-up": dict(arrival_rate_lambda=1500.0, tagged_fraction=1.0,
+                                             warmup_fraction=0.0, horizon_packets=2_503,
+                                             seed=41),
+    "overload, sparse tags, long warm-up": dict(arrival_rate_lambda=1300.0,
+                                                tagged_fraction=0.1, warmup_fraction=0.49,
+                                                horizon_packets=2_503, seed=42),
+    "light load, all tagged, long warm-up": dict(arrival_rate_lambda=600.0,
+                                                 tagged_fraction=1.0, warmup_fraction=0.49,
+                                                 horizon_packets=1_009, seed=43),
+    "deterministic service, sparse tags": dict(arrival_rate_lambda=1100.0,
+                                               tagged_fraction=0.1, warmup_fraction=0.0,
+                                               horizon_packets=1_009, seed=44,
+                                               service_distribution="deterministic"),
+}
+
+
+def _assert_matches_whole_array_oracle(config):
+    log, summary = simulate_run(config)
+    want_log, want = _reference_simulate_run(config)
+    _assert_same_log(log, want_log)
+    _assert_same_summary(summary, want)
+    _assert_same_summary(sim._summarize_run(config), want)
+
+
+class TestFiniteRuns:
+    """A finite-buffer run queues piece by piece from the seam state; its
+    log and summary equal those of one queue call over the whole arrays."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, sim._CHUNK])
+    @pytest.mark.parametrize("buffer_capacity", [1, 10, 95, 96, 100])
+    @pytest.mark.parametrize("run", list(_FINITE_RUNS.values()), ids=list(_FINITE_RUNS))
+    def test_simulate_run_matches_whole_array_oracle(self, monkeypatch, chunk,
+                                                     buffer_capacity, run):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        _assert_matches_whole_array_oracle(
+            SimConfig(1000.0, buffer_capacity=buffer_capacity, **run))
+
+    @pytest.mark.parametrize("buffer_capacity", [10, 100])
+    def test_seams_at_the_default_chunk(self, buffer_capacity):
+        _assert_matches_whole_array_oracle(
+            SimConfig(1000.0, 1200.0, buffer_capacity=buffer_capacity,
+                      horizon_packets=2 * sim._CHUNK + 4_001, seed=45))
+
+    def test_lane_groups_meet_at_seams(self):
+        """Below K = 96 a piece is one group of lanes. With groups of three
+        lanes of 8 packets, a run in overload is about 130 pieces, each run
+        by the lanes from the often busy queue the piece before left."""
+        config = SimConfig(1000.0, 1100.0, buffer_capacity=10, horizon_packets=3_001,
+                           seed=46)
+        with _on_path("lanes"):
+            assert sim._fcfs_seam(10, 3_001)[1] <= 24
+            _assert_matches_whole_array_oracle(config)
 
 
 #: SHA-256 of ``departure_times.tobytes()`` and ``sojourn_times.tobytes()``
@@ -1259,16 +1334,26 @@ class TestSummaryOnly:
             _use_cores(monkeypatch, workers)
             assert _sweep_peak(base, [0.3, 0.6, 0.9]) <= workers * (8 * n + (2 << 20))
 
-    @pytest.mark.parametrize("tagged_fraction", [0.1, 1.0])
-    def test_finite_sweep_memory_per_packet(self, tagged_fraction):
-        """A finite-buffer sweep runs on one worker, which keeps arrivals,
-        services then sojourns, and departures (24 bytes a packet) plus the
-        lanes' working memory (about 1.8 MiB here); with fresh departures
-        and drop flags per run and a delivered copy it peaked at 35.7."""
+    @pytest.mark.parametrize("tagged_fraction, buffer_capacity, bytes_per_packet", [
+        pytest.param(0.1, 10, 24, id="0.1"),
+        pytest.param(1.0, 10, 24, id="1.0"),
+        pytest.param(0.1, 100, 16, id="0.1-K100"),
+        pytest.param(1.0, 100, 16, id="1.0-K100"),
+    ])
+    def test_finite_sweep_memory_per_packet(self, tagged_fraction, buffer_capacity,
+                                            bytes_per_packet):
+        """A finite-buffer sweep runs on one worker, which keeps the
+        arrivals then sojourns and the departures (16 bytes a packet), and
+        the services of one piece: at K = 10 one group of lanes, here the
+        whole run, with the lanes' working memory (about 1.8 MiB); at
+        K = 100 a chunk. With a whole column of services at any K it peaked
+        at 25.2 bytes a packet at K = 100, and with fresh departures and
+        drop flags per run and a delivered copy at 35.7 at K = 10."""
         n = 500_000
-        base = SimConfig(1000.0, 800.0, tagged_fraction=tagged_fraction, buffer_capacity=10,
-                         horizon_packets=n, seed=11)
-        assert _sweep_peak(base, [0.6, 1.0, 1.4], vary="capacity") <= 24 * n + (3 << 20)
+        base = SimConfig(1000.0, 800.0, tagged_fraction=tagged_fraction,
+                         buffer_capacity=buffer_capacity, horizon_packets=n, seed=11)
+        assert (_sweep_peak(base, [0.6, 1.0, 1.4], vary="capacity")
+                <= bytes_per_packet * n + (3 << 20))
 
     def test_tiny_capacity_near_saturation_has_finite_means(self, monkeypatch):
         """Near saturation at C = 1e-300 the sojourns near 1e302 sum past

@@ -218,12 +218,6 @@ class TestSimulateCommand:
         assert code == 1 and out == ""
         assert err == f"error: load must be a finite number > 0, got {float(rho)!r}\n"
 
-    def test_finite_buffer_accepts_overload(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--capacity", "1000", "--rho", "2.5",
-                               "--buffer", "10", "--packets", "1000", "--json")
-        assert code == 0
-        assert json.loads(out)["loss_B"] > 0.5
-
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_rejected(self, capsys, seed):
         """Both seeds used to run another seed's stream (2^64 - 1 and 0)

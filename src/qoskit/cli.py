@@ -25,6 +25,7 @@ from .model import (
     DEFAULT_VARIANT,
     VARIANTS,
     LinkParams,
+    _rate_from_load,
     analytical_jitter,
     invert_capacity_for_jitter,
     invert_load_for_jitter,
@@ -204,10 +205,7 @@ def _cmd_invert(args) -> int:
 
 
 def _config_from_args(args) -> SimConfig:
-    if args.lam is None:
-        # checked before it forms lambda, which would name a value never typed
-        _real(args.rho, "load", gt=0)
-    lam = args.lam if args.lam is not None else args.rho * args.capacity
+    lam = args.lam if args.lam is not None else _rate_from_load(args.rho, args.capacity, gt=0)
     return SimConfig(
         capacity_C=args.capacity,
         arrival_rate_lambda=lam,

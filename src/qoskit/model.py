@@ -93,11 +93,19 @@ class LinkParams:
     @classmethod
     def from_rho(cls, capacity_C: float, load_rho: float) -> "LinkParams":
         """Build params from a load factor instead of an arrival rate."""
-        # Both factors are checked before they are multiplied; the product
-        # is then checked as the arrival rate.
-        _real(load_rho, "load")
-        _real(capacity_C, "capacity", gt=0)
-        return cls(capacity_C, load_rho * capacity_C)
+        return cls(capacity_C, _rate_from_load(load_rho, capacity_C))
+
+
+def _rate_from_load(load_rho, capacity_C, **load_bounds) -> float:
+    """lambda = rho * C. Both factors are checked before they are
+    multiplied, the load within ``load_bounds``; the product is then checked
+    as the arrival rate, except that a product beyond the largest float is
+    named by the two values typed."""
+    _real(load_rho, "load", **load_bounds)
+    _real(capacity_C, "capacity", gt=0)
+    if math.isfinite(load_rho * capacity_C):
+        return load_rho * capacity_C
+    raise DomainError(f"load {load_rho!r} times capacity {capacity_C!r} overflows the arrival rate")
 
 
 @dataclass(frozen=True)
@@ -140,15 +148,17 @@ def analytical_jitter(params: LinkParams, variant: str = DEFAULT_VARIANT) -> Jit
     """Predict the mean absolute delay variation for one link.
 
     The result depends on traffic only through (C, lambda, rho) and scales
-    as 1/C at fixed load.
+    as 1/C at fixed load. Raises DomainError, naming C and lambda, where the
+    prediction is beyond the largest float (C - lambda below about 1e-308).
     """
+    c, lam = params.capacity_C, params.arrival_rate_lambda
     # (C - lambda) is exact near saturation; 1 - rho would round rho first.
     # At loads below about 1e-308 the ratio overflows; the largest double
     # gives the same bracket, 1, without an inf * 0.
-    x = min((params.capacity_C - params.arrival_rate_lambda) / params.arrival_rate_lambda,
-            sys.float_info.max)
-    shape = _shape_factor(x, variant)
-    jitter = shape / (params.capacity_C - params.arrival_rate_lambda)
+    x = min((c - lam) / lam, sys.float_info.max)
+    jitter = _shape_factor(x, variant) / (c - lam)
+    if not math.isfinite(jitter):
+        raise DomainError(f"the predicted jitter at C = {c!r}, lambda = {lam!r} overflows")
     return JitterPrediction(jitter_seconds=jitter, params=params, formula_variant=variant)
 
 

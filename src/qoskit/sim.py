@@ -169,22 +169,20 @@ _CHUNK = 32_768
 _BLOCK_MIN_BUFFER = 96
 
 #: Lanes of the small-buffer path (see ``_fcfs_lanes``): packets per lane,
-#: packets each lane runs before its own to warm up, and the most lanes
-#: advanced together by one numpy step.
+#: packets each lane runs before its own to warm up, and the most lanes of
+#: a piece's one group (``_fcfs_seam`` sizes the pieces to it).
 _LANE_PACKETS = 1024
 _LANE_WARMUP = 128
 _LANE_GROUP = 1024
 
-#: The first group of lanes: how many, each of just W packets. A numpy step
-#: costs 5-8 us however few lanes it has, so the first group's 2W steps
-#: (about 2 ms) find out a queue that is seldom idle, where a group of whole
-#: lanes would take 9 ms.
+#: The probe that opens each piece: how many lanes, each of just W packets.
+#: A numpy step costs 5-8 us however few lanes it has, so the probe's 2W
+#: steps (about 2 ms) find out a queue that is seldom idle, where a group of
+#: whole lanes would take 9 ms.
 _LANE_PROBE = 64
 
-#: Share of a group's packets, the first group's or a later one's, that the
-#: ring loop had to rerun above which it runs the rest of the stream; also
-#: the share of the first group's lanes without a shared idle arrival above
-#: which it runs the whole stream.
+#: Share of the probe's packets that the ring loop had to rerun above which
+#: it runs the rest of the piece.
 _LANE_BUSY = 0.9
 
 #: The side-by-side run costs about 9 ms per group however few lanes it has,
@@ -203,18 +201,22 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     hook for hand-built packet patterns. Returns ``(departures, dropped)``
     where departures holds NaN for dropped packets and ``dropped`` is
     ``np.isnan(departures)``. A departure occurring exactly at an arrival
-    instant frees its buffer slot first. Either buffer is one call of the
-    queue (``_fcfs``) over the whole arrays, from the empty state.
+    instant frees its buffer slot first. Either buffer runs through the
+    queue (``_fcfs``) over the pieces of ``_fcfs_seam``, from the empty
+    state, as the simulator does; the seam state makes the pieces one call.
 
     The unbounded buffer uses the closed-form Lindley recursion
-    (``_fcfs_unbounded``). A finite buffer of K packets takes one of three
-    paths:
+    (``_fcfs_unbounded``); its running sum holds minus the arrivals' span,
+    so the arrivals may span at most 2**1023 s (about 9e307, half the
+    largest double). A finite buffer of K packets takes one of three paths:
 
-    - ``K < 96``, at least 131,072 packets: lanes of 1,024 packets run side
-      by side in numpy, then are checked and repaired (``_fcfs_lanes``).
-      Bit-identical to the per-packet recursion ``d = max(a, d_prev) + s``
-      with tail drop.
-    - ``K < 96`` otherwise, and the rest of a stream on which lanes stop
+    - ``K < 96``, a piece of at least 131,072 packets: lanes run side by
+      side in numpy, then are checked and repaired (``_fcfs_lanes``). A
+      piece is one probe of 64 lanes of 128 packets and one group of lanes
+      of 1,024 packets: at most 1,057,791 packets, with those after the last
+      whole lane. Bit-identical to the per-packet recursion
+      ``d = max(a, d_prev) + s`` with tail drop.
+    - ``K < 96`` otherwise, and the rest of a piece on which lanes stop
       paying: a sequential loop over a ring of the last K accepted
       departures (``_ring_run``), bit-identical to the same recursion.
     - ``K >= 96``: K acceptances at a time (one ``searchsorted`` in a
@@ -236,18 +238,12 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
 
     When the queue seldom goes idle (long overload at moderate K) nearly
     every lane needs that rerun, and the lanes cost more than the ring loop
-    alone once reruns pass about 0.65 of the packets. Observed shares,
-    never K or the load, hand such a stream to the ring loop:
-
-    - The first group is 64 lanes of just 128 packets from the start of the
-      stream (about 2 ms side by side). If more than 0.9 of them share no
-      idle arrival with the lane before, the ring loop runs the whole
-      stream without repairing them.
-    - The rest is cut into lanes of 1,024 packets, in equal groups of at
-      most 1,024 lanes sized to the input (one group up to 1,057,791
-      packets).
-    - Once the repairs of any group, the first or a later one, have rerun
-      more than 0.9 of its packets, the ring loop runs the rest.
+    alone once reruns pass about 0.65 of the packets. One observed share,
+    never K or the load, hands such a piece to the ring loop: once the
+    repairs of its probe (about 2 ms side by side) have rerun more than 0.9
+    of its packets, the ring loop runs the rest of the piece. The probe's
+    reruns are ring work that the hand-over would do anyway. Each piece
+    probes afresh, so a stream that leaves overload gets its lanes back.
 
     On every path packet i is dropped exactly when the accepted packet K
     places before it has not departed by ``a_i``, so the drop set is the
@@ -264,24 +260,28 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     n = arr.size
     if n == 0:
         return np.empty(0), np.empty(0, dtype=bool)
-    if np.any(np.diff(arr) < 0):
+    if np.any(arr[1:] < arr[:-1]):
         raise DomainError("arrival times must be non-decreasing")
     if np.any(srv < 0) or not np.all(np.isfinite(srv)) or not np.all(np.isfinite(arr)):
         raise DomainError("times must be finite and service times non-negative")
 
     if buffer_capacity is not None:
         _count(buffer_capacity, "buffer capacity", 1)
+    elif not float(arr[-1]) - float(arr[0]) <= 2.0**1023:
+        raise DomainError("the unbounded buffer takes arrivals spanning at most 2**1023 s")
     departures = np.empty(n)
-    _fcfs(arr, srv, buffer_capacity, departures)
+    state, piece = _fcfs_seam(buffer_capacity, n)
+    for lo in range(0, n, piece):
+        hi = lo + piece
+        state = _fcfs(arr[lo:hi], srv[lo:hi], buffer_capacity, departures[lo:hi], state)
     return departures, np.isnan(departures)
 
 
-def _fcfs(arr, srv, buffer_capacity, departures, state=None):
+def _fcfs(arr, srv, buffer_capacity, departures, state):
     """The queue of ``fcfs_departures`` on checked arrays, through a buffer
     of K packets (None: unbounded), from ``state`` into ``departures``; NaN
-    marks a dropped packet. None is the empty queue for a stream of just
-    these packets; a stream fed in pieces starts from ``_fcfs_seam``'s
-    state.
+    marks a dropped packet. A stream starts from ``_fcfs_seam``'s state and
+    is fed in its pieces, or in any others.
 
     Returns the seam state: the queue after the last packet, from which a
     call on the packets that follow gives the bits of one call over both.
@@ -289,8 +289,6 @@ def _fcfs(arr, srv, buffer_capacity, departures, state=None):
     unbounded pass's, the ring loop's ``(ring, pos, last)`` below 96 (the
     lanes take and return it too), or the block path's above.
     """
-    if state is None:
-        state = _fcfs_seam(buffer_capacity, arr.size)[0]
     if buffer_capacity is None:
         return _fcfs_unbounded(arr, srv, departures, state)
     if buffer_capacity >= _BLOCK_MIN_BUFFER:
@@ -303,10 +301,12 @@ def _fcfs(arr, srv, buffer_capacity, departures, state=None):
 def _fcfs_seam(buffer_capacity, n):
     """The empty queue's seam state for a stream of at most ``n`` packets
     through a buffer of K (None: unbounded), and the packets per piece that
-    suit K's path when the stream is fed in pieces: ``_CHUNK`` when
-    unbounded and on the block path, and below it equal pieces of at most
-    one group of lanes, as ``_fcfs_lanes`` sizes its groups (lanes over
-    shorter spans lose their edge).
+    suit K's path: ``_CHUNK`` when unbounded and on the block path, and
+    below it equal pieces of at most one probe and one group of lanes, with
+    the packets after the group's last whole lane (1,057,791 packets at the
+    real constants). The lanes then decide once per piece, and a stream
+    that one piece holds is never split into two (lanes over shorter spans
+    lose their edge).
 
     The queue never holds more packets than the stream has, so the block
     path's thresholds are min(K, n): one step then takes a stream no
@@ -318,8 +318,8 @@ def _fcfs_seam(buffer_capacity, n):
     if buffer_capacity >= _BLOCK_MIN_BUFFER:
         k = min(buffer_capacity, n)
         return (np.full(k, -math.inf), np.empty(k), 0, 0.0, -math.inf, 4 * k), _CHUNK
-    group = _LANE_GROUP * _LANE_PACKETS
-    chunk = math.ceil(n / math.ceil(n / group)) if n else 1
+    most = _LANE_PROBE * _LANE_WARMUP + (_LANE_GROUP + 1) * _LANE_PACKETS - 1
+    chunk = math.ceil(n / math.ceil(n / most)) if n else 1
     return ([-math.inf] * buffer_capacity, 0, -math.inf), chunk
 
 
@@ -408,14 +408,14 @@ def _fcfs_lanes(arr, srv, departures, state):
     """Tail-drop FCFS from the ring ``state`` in lanes checked at shared
     idle instants, into ``departures``; NaN marks a dropped packet. Returns
     the state after the last packet. Bit-identical to ``_ring_run`` over the
-    whole stream from that state.
+    whole piece from that state.
 
-    The stream is cut into lanes; each starts empty W packets before its
-    first packet. The first group is ``_LANE_PROBE`` lanes of W packets,
-    the rest are lanes of L packets in equal groups of at most
-    ``_LANE_GROUP``, and the packets after the last whole lane go to the
-    ring loop. Each group runs side by side (``_speculate``), then lane by
-    lane:
+    The piece is cut into lanes; each starts empty W packets before its
+    first packet. A probe of ``_LANE_PROBE`` lanes of W packets comes
+    first, then one group of lanes of L packets over the rest (the piece's
+    length bounds it), and the packets after the last whole lane go to the
+    ring loop. The probe and the group each run side by side
+    (``_speculate``), then lane by lane:
 
     - Check: a lane is exact over its whole range when, at one of its first
       W arrivals, both it and the lane before it were idle, and that lane
@@ -431,11 +431,8 @@ def _fcfs_lanes(arr, srv, departures, state):
     from the first arrival at which it and the queue from ``state`` are
     both idle, which from the empty state is its first.
 
-    A group, the first or a later one, whose repairs reran more than
-    ``_LANE_BUSY`` of its packets hands the rest of the stream to the ring
-    loop. When more than ``_LANE_BUSY`` of the first group's lanes have no
-    shared idle arrival, the ring loop runs the whole stream without
-    repairing them.
+    A probe whose repairs reran more than ``_LANE_BUSY`` of its packets
+    hands the rest of the piece to the ring loop.
     """
     n = arr.size
     warm = _LANE_WARMUP
@@ -444,7 +441,7 @@ def _fcfs_lanes(arr, srv, departures, state):
     # warm-up, whether its output is exact from some packet on, and its true
     # end state (None: its speculative end state, the same when exact).
     prev_idle = np.ones(warm, dtype=bool)
-    # Before the stream the queue is ``state``, not a lane: the first lane's
+    # Before the piece the queue is ``state``, not a lane: the first lane's
     # stand-in packets are no arrivals of it, so the first lane is repaired.
     exact = False
     lo = 0
@@ -458,8 +455,6 @@ def _fcfs_lanes(arr, srv, departures, state):
         shared[:, 1:] &= idle[lane:, :-1]
         has_shared = shared.any(axis=0)
         unshared = np.flatnonzero(~has_shared)
-        if not lo and unshared.size > _LANE_BUSY * m:
-            break       # lanes without a shared idle arrival need a rerun
         rerun = 0
         l = 0
         while l < m:
@@ -496,13 +491,9 @@ def _fcfs_lanes(arr, srv, departures, state):
         if state is None:
             state = rings[m - 1].tolist(), 0, float(lasts[m - 1])
         prev_idle = idle[lane:, m - 1].copy()
-        fall_back = rerun > _LANE_BUSY * (hi - lo)
-        lo = hi
-        if fall_back:
-            break
-        lane = _LANE_PACKETS
-        rest = (n - lo) // lane
-        m = math.ceil(rest / math.ceil(rest / _LANE_GROUP)) if rest else 0
+        # After the group no whole lane is left.
+        m = 0 if rerun > _LANE_BUSY * (hi - lo) else (n - hi) // _LANE_PACKETS
+        lo, lane = hi, _LANE_PACKETS
     return _ring_run(arr, srv, lo, n, departures, state)
 
 
@@ -687,7 +678,7 @@ class _Workspace:
     in all. A finite buffer keeps them in a whole column, which the summary
     reuses once it is spent to select the delivered sojourns and the
     unbroken |dT| pairs into (``_delivered``): 16 bytes a packet and one
-    piece, which below K = 96 is up to one group of lanes.
+    piece, which below K = 96 is up to one probe and one group of lanes.
     """
 
     def __init__(self, config: SimConfig, logged: bool):
@@ -752,7 +743,6 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
         last_arrival = a[-1]
         state = _fcfs(a, s, config.buffer_capacity, dep, state)
         np.subtract(dep, a, out=sojourn[lo:hi])
-    t_end = float(last_arrival)
 
     finite = config.buffer_capacity is not None
     if finite:
@@ -775,7 +765,7 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
         # the NaN differences are exactly the pairs that a drop breaks
         samples = _delivered(samples, ws)
 
-    window = t_end - t_start
+    window = float(last_arrival) - t_start
     offered = n - first
     return RunSummary(
         mean_sojourn=mean_sojourn,
@@ -885,8 +875,8 @@ def simulate_sweep(
     one per run), each in a workspace of 8 bytes a packet. A finite buffer
     runs on one worker: its ring loop holds the GIL, and its workspace
     takes 16 bytes a packet and one piece of the queue's loop, which below
-    K = 96 is up to one group of lanes (about 1M packets). The workers run
-    under the caller's numpy error handling (``np.errstate``).
+    K = 96 is up to one probe and one group of lanes (about 1M packets). The
+    workers run under the caller's numpy error handling (``np.errstate``).
     """
     if vary not in ("arrival", "capacity"):
         raise DomainError(f"vary must be 'arrival' or 'capacity', got {vary!r}")

@@ -55,6 +55,25 @@ class TestModelCommand:
         assert "WARNING" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("model", "--capacity", "1e-320", "--rho", "0.5"),
+        ("invert", "--lambda", "1e-320", "--budget", "1"),
+    ], ids=["model", "invert"])
+    def test_prediction_beyond_the_largest_float_rejected(self, capsys, argv):
+        """C - lambda of 5e-321 or less: the prediction used to print as
+        null, the spelling kept for an undefined estimate, and the inversion
+        named an attainable minimum of inf s."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: the predicted jitter at C = ")
+        assert err.count("\n") == 1 and "inf" not in err
+
+    def test_tiny_capacity_keeps_a_finite_prediction(self, capsys):
+        code, out, _ = run_cli(capsys, "model", "--capacity", "1e-300", "--rho", "0.5", "--json")
+        assert code == 0
+        assert json.loads(out)["jitter_seconds"] == pytest.approx(9.9357055118389e299, rel=1e-12)
+
+
 class TestInvertCommand:
     def test_forward_then_invert_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "model", "--capacity", "1000", "--rho", "0.8", "--json")
@@ -217,6 +236,16 @@ class TestSimulateCommand:
                                  "--buffer", "10", "--packets", "10")
         assert code == 1 and out == ""
         assert err == f"error: load must be a finite number > 0, got {float(rho)!r}\n"
+
+    @pytest.mark.parametrize("command", [("model",), ("simulate", "--buffer", "5")])
+    def test_overflowing_arrival_rate_named_as_typed(self, capsys, command):
+        """rho * C beyond the largest float used to be reported as an
+        arrival rate of inf, a value never typed."""
+        code, out, err = run_cli(capsys, *command, "--capacity", "1e10", "--rho", "1e300")
+        assert code == 1 and out == ""
+        assert err == ("error: load 1e+300 times capacity 10000000000.0 overflows "
+                       "the arrival rate\n")
+        assert "inf" not in err
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_rejected(self, capsys, seed):

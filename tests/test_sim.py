@@ -71,6 +71,20 @@ class TestEngine:
         with pytest.raises(DomainError):
             fcfs_departures([1.0, 0.5], [0.1, 0.1])
 
+    def test_arrivals_spanning_past_the_double_range(self):
+        """Arrivals 3e308 apart: the finite buffer queues them without a
+        warning, and the unbounded pass, whose running sum holds minus the
+        span, refuses a span above 2**1023 s, half the largest double. It
+        used to return NaN, flag the packet dropped and warn of overflows."""
+        arrivals, services = [-1.5e308, 1.5e308], [1.0, 1.0]
+        for buffer_capacity in (1, 5, 100):
+            dep, dropped = fcfs_departures(arrivals, services, buffer_capacity)
+            assert dep.tolist() == arrivals and not dropped.any()
+        with pytest.raises(DomainError, match=r"at most 2\*\*1023 s"):
+            fcfs_departures(arrivals, services)
+        dep, dropped = fcfs_departures([-4e307, 4e307], services)
+        assert dep.tolist() == [-4e307, 4e307] and not dropped.any()
+
     @pytest.mark.parametrize("buffer_capacity", [None, 3, 50])
     def test_work_conservation_and_fcfs_order(self, buffer_capacity):
         """Service starts at max(arrival, previous accepted departure): the
@@ -134,7 +148,8 @@ def _blocks(arrivals, services, buffer_capacity):
     departures = np.empty(len(arrivals))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_BLOCK_MIN_BUFFER", 1)
-        sim._fcfs(arrivals, services, buffer_capacity, departures)
+        sim._fcfs(arrivals, services, buffer_capacity, departures,
+                  sim._fcfs_seam(buffer_capacity, len(arrivals))[0])
     return departures
 
 
@@ -296,13 +311,13 @@ _LANE_CONSTANTS = ("_LANE_PACKETS", "_LANE_WARMUP", "_LANE_GROUP", "_LANE_PROBE"
 
 @st.composite
 def _lane_shapes(draw):
-    """Small lanes, so that short inputs span many lanes and groups: L
-    packets per lane, W warm-up packets (1 to L), groups of 1 to 7 lanes
-    after a first group of 1 to 8 lanes of W packets, chunks of 1 to L + W
-    steps, and a hand-over share that sends the rest of the stream to the
-    ring loop after the first group, after a later one, or never. (The
-    first group's first two lanes always couple at packet 0, so its reruns
-    pass one half of its packets only from 5 lanes on.)"""
+    """Small lanes, so that short inputs span many lanes: L packets per
+    lane, W warm-up packets (1 to L), groups of at most 1 to 7 lanes (which
+    size ``_fcfs_seam``'s pieces), a probe of 1 to 8 lanes of W packets,
+    chunks of 1 to L + W steps, and a hand-over share that sends the rest
+    of the piece to the ring loop after the probe, or never. (The probe's
+    first two lanes always couple at packet 0, so its reruns pass one half
+    of its packets only from 5 lanes on.)"""
     lane = draw(st.integers(4, 64))
     warm = draw(st.integers(1, lane))
     return (lane, warm, draw(st.integers(1, 7)), draw(st.integers(1, 8)),
@@ -319,45 +334,40 @@ def _continuous_times(draw):
 
 def _lane_starts(shape, n):
     """The first packet of every lane ``_fcfs_lanes`` cuts n packets into
-    at the given lane shape, and the end of the last whole lane: the first
-    group's lanes of W packets, then lanes of L."""
+    at the given lane shape, and the end of the last whole lane: the
+    probe's lanes of W packets, then the group's lanes of L."""
     lane, warm, _, probe = shape[:4]
     first = min(probe, n // warm) * warm
     whole = first + (n - first) // lane * lane
     return list(range(0, first, warm)) + list(range(first, whole, lane)), whole
 
 
-def _group_ends(shape, n):
-    """The end of every group of lanes ``_fcfs_lanes`` runs at the given
-    shape over n packets when none hands over: the first group's, then
-    those of the equal groups of at most G lanes of L packets. The last is
-    the end of the last whole lane."""
-    lane, warm, group, probe = shape[:4]
-    ends = [min(probe, n // warm) * warm]
-    while rest := (n - ends[-1]) // lane:
-        ends.append(ends[-1] + math.ceil(rest / math.ceil(rest / group)) * lane)
-    return ends
-
-
-def _rerun_shares(calls, ends):
-    """The share of each group's packets that the ring loop reran, from the
-    ring calls of one ``_fcfs_lanes`` run (the last runs the rest)."""
-    starts = [0] + ends[:-1]
-    return [sum(hi - lo for lo, hi in calls[:-1] if lo0 <= lo < hi0) / (hi0 - lo0)
-            for lo0, hi0 in zip(starts, ends)]
+def _pieces(buffer_capacity, n):
+    """The (lo, hi) packet ranges ``fcfs_departures`` feeds the queue."""
+    size = sim._fcfs_seam(buffer_capacity, n)[1]
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 @contextlib.contextmanager
 def _ring_calls():
-    """Record the (lo, hi) packet range of every ``sim._ring_run`` call."""
+    """Record the (lo, hi) packet range of every ``sim._ring_run`` call,
+    counted from the start of the stream that ``sim._fcfs`` is fed in
+    pieces."""
     calls = []
-    ring_run = sim._ring_run
+    starts = [0, 0]         # the current piece's first packet, and the next one's
+    fcfs, ring_run = sim._fcfs, sim._ring_run
+
+    def fcfs_spy(arr, *args):
+        starts[0] = starts[1]
+        starts[1] += arr.size
+        return fcfs(arr, *args)
 
     def spy(arr, srv, lo, hi, departures, state):
-        calls.append((lo, hi))
+        calls.append((starts[0] + lo, starts[0] + hi))
         return ring_run(arr, srv, lo, hi, departures, state)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_fcfs", fcfs_spy)
         mp.setattr(sim, "_ring_run", spy)
         yield calls
 
@@ -376,12 +386,26 @@ def _run_lanes(shape, arrivals, services, buffer_capacity):
     return departures, calls
 
 
+def _run_pieces(shape, arrivals, services, buffer_capacity):
+    """``fcfs_departures`` at the given lane shape, with lanes on a piece of
+    any length; also returns the ranges handed to the ring loop, and the
+    pieces."""
+    with pytest.MonkeyPatch.context() as mp, _ring_calls() as calls:
+        for name, value in zip(_LANE_CONSTANTS, shape):
+            mp.setattr(sim, name, value)
+        mp.setattr(sim, "_LANE_MIN_PACKETS", 1)
+        departures, _ = fcfs_departures(arrivals, services, buffer_capacity)
+        pieces = _pieces(buffer_capacity, len(arrivals))
+    return departures, calls, pieces
+
+
 class TestLanes:
     """The lanes path against the per-packet oracle, bit for bit, at lane
-    shapes small enough to reach every branch: several groups, lanes that
-    couple in their overlap, lanes repaired up to a shared idle arrival,
-    chains of lanes that never couple (overload), the packets after the
-    last whole lane, and the hand-over to the ring loop."""
+    shapes small enough to reach every branch: lanes that couple in their
+    overlap, lanes repaired up to a shared idle arrival, chains of lanes
+    that never couple (overload), the packets after the last whole lane,
+    the hand-over to the ring loop, and, through ``fcfs_departures``,
+    several pieces that each probe afresh."""
 
     @settings(deadline=None, max_examples=300)
     @given(shape=_lane_shapes(), times=_integer_times() | _continuous_times(),
@@ -391,12 +415,12 @@ class TestLanes:
         departures, calls = _run_lanes(shape, arrivals, services, buffer_capacity)
         ref_dep, _ = _reference_fcfs(arrivals, services, buffer_capacity)
         assert np.array_equal(departures, ref_dep, equal_nan=True)
-        ends = _group_ends(shape, len(arrivals))
+        lane, warm, _, probe = shape[:4]
+        probe_end = min(probe, len(arrivals) // warm) * warm
+        whole = _lane_starts(shape, len(arrivals))[1]
         rest = calls[-1][0]     # the ring loop always runs the rest
-        event("no hand-over" if rest == ends[-1] else
-              "hand-over before any repair" if rest == 0 else
-              "hand-over after the first group" if rest == ends[0] else
-              "hand-over after a later group")
+        assert rest in (probe_end, whole)
+        event("no hand-over" if rest == whole else "hand-over after the probe")
 
     @pytest.mark.parametrize("buffer_capacity", [1, 3])
     def test_departure_at_an_arrival_counts_as_idle(self, buffer_capacity):
@@ -430,67 +454,79 @@ class TestLanes:
     @pytest.mark.parametrize(
         "load, buffer_capacity, branches",
         [
-            # Mostly idle: every lane couples in its overlap, over many groups.
-            (0.3, 3, {"several groups", "last packets"}),
+            # Mostly idle: every lane couples in its overlap, piece after piece.
+            (0.3, 3, {"several pieces", "last packets"}),
             # Near saturation: some lanes need a rerun up to a shared idle arrival.
-            (1.0, 4, {"several groups", "rerun until coupled", "last packets"}),
+            (1.0, 4, {"several pieces", "rerun until coupled", "last packets"}),
             # Overload: lanes never couple, so reruns chain and the ring takes over.
             (3.0, 6, {"never coupled", "ring takes over"}),
         ],
         ids=["idle", "saturated", "overload"],
     )
     def test_reaches_every_branch(self, load, buffer_capacity, branches):
+        """Through ``fcfs_departures``, which cuts the stream into pieces of
+        one probe (two lanes of 8) and one group (four lanes of 64) each."""
         shape = (64, 8, 4, 2, 16)
-        lane, _, group, _, _ = shape
         rng = np.random.default_rng(2024)
-        n = 40 * lane + 5
+        n = 40 * shape[0] + 5
         arrivals = np.cumsum(rng.integers(0, 3, size=n, endpoint=True)).astype(float)
         services = rng.integers(0, round(2 * load), size=n, endpoint=True).astype(float)
-        departures, calls = _run_lanes(shape, arrivals, services, buffer_capacity)
+        departures, calls, pieces = _run_pieces(shape, arrivals, services, buffer_capacity)
         ref_dep, _ = _reference_fcfs(arrivals, services, buffer_capacity)
         assert np.array_equal(departures, ref_dep, equal_nan=True)
         # The true queue is idle at an arrival when every earlier departure is
         # at or before it; a lane without such an arrival cannot couple.
         before = np.concatenate(([-np.inf], np.fmax.accumulate(ref_dep)[:-1]))
         idle = np.nan_to_num(before, nan=-np.inf) <= arrivals
-        starts, whole = _lane_starts(shape, n)
         seen = set()
-        if (whole, n) in calls:
-            seen.add("last packets")
-            if len(starts) - shape[3] > group:
-                seen.add("several groups")
-        if any(hi == n and lo < whole for lo, hi in calls):
-            seen.add("ring takes over")
-        for first, end in zip(starts, starts[1:] + [whole]):
-            ends = [hi for lo, hi in calls if first <= lo < end and hi <= whole]
-            if ends and max(ends) < end:
-                seen.add("rerun until coupled")
-            elif ends and not idle[first:end].any():
-                seen.add("never coupled")
+        kept = 0            # pieces whose lanes ran to the last whole one
+        for p0, p1 in pieces:
+            starts, whole = _lane_starts(shape, p1 - p0)
+            starts, whole = [p0 + first for first in starts], p0 + whole
+            assert len(starts) <= shape[3] + shape[2]
+            if (whole, p1) in calls:
+                seen.add("last packets")
+                kept += 1
+            if any(hi == p1 and lo < whole for lo, hi in calls):
+                seen.add("ring takes over")
+            for first, end in zip(starts, starts[1:] + [whole]):
+                ends = [hi for lo, hi in calls if first <= lo < end and hi <= whole]
+                if ends and max(ends) < end:
+                    seen.add("rerun until coupled")
+                elif ends and not idle[first:end].any():
+                    seen.add("never coupled")
+        if kept > 1:
+            seen.add("several pieces")
         assert branches <= seen
 
-    @pytest.mark.parametrize("calm", [0, 100], ids=["first group", "later group"])
-    def test_hands_over_after_any_group(self, calm):
-        """Light load for ``calm`` packets, then overload: the ring loop runs
-        the rest of the stream from the end of the first group, the first or
-        a later one, whose repairs rerun more than ``_LANE_BUSY`` (here 0.5)
-        of its packets, with whole lanes still to run."""
+    @pytest.mark.parametrize("calm", [0, 100], ids=["first piece", "later piece"])
+    def test_hands_over_in_any_piece(self, calm):
+        """Light load for ``calm`` packets, then overload, in pieces of one
+        probe (six lanes of 2) and one group (three lanes of 8): a piece
+        whose probe's repairs rerun more than ``_LANE_BUSY`` (here 0.5) of
+        its packets hands the rest of the piece, whole lanes still to run,
+        to the ring loop; the others keep their lanes. The first piece to
+        hand over is the first one, or one past the calm packets."""
         shape = (8, 2, 3, 6, 5, 0.5)
         n = 273
         rng = np.random.default_rng(36)
         arrivals = np.cumsum(rng.integers(0, 3, size=n, endpoint=True)).astype(float)
         services = rng.integers(0, 4, size=n, endpoint=True).astype(float)
         services[:calm] //= 4
-        departures, calls = _run_lanes(shape, arrivals, services, 3)
+        departures, calls, pieces = _run_pieces(shape, arrivals, services, 3)
         ref_dep, _ = _reference_fcfs(arrivals, services, 3)
         assert np.array_equal(departures, ref_dep, equal_nan=True)
-        ends = _group_ends(shape, n)
-        rest = calls[-1][0]
-        assert rest < ends[-1]
-        handed = ends.index(rest)
-        assert (handed == 0) == (calm == 0)
-        shares = _rerun_shares(calls, ends[:handed + 1])
-        assert max(shares[:-1], default=0.0) <= 0.5 < shares[-1]
+        handed = []
+        for p0, p1 in pieces:
+            starts, whole = _lane_starts(shape, p1 - p0)
+            probe_end = p0 + starts[shape[3]]
+            share = sum(hi - lo for lo, hi in calls if p0 <= lo < probe_end) / (probe_end - p0)
+            hands = (probe_end, p1) in calls
+            assert hands == (share > 0.5) and probe_end < p0 + whole
+            handed.append(hands)
+        first = handed.index(True)
+        assert (first == 0) == (calm == 0)
+        assert pieces[first][1] > calm
 
 
 class TestLanesAtTheRealShape:
@@ -498,7 +534,7 @@ class TestLanesAtTheRealShape:
     in for."""
 
     def test_bit_identical_with_couplings_and_reruns(self):
-        """A first group of 64 lanes of 128 packets, then one group of the
+        """A probe of 64 lanes of 128 packets, then one group of the
         rest, at a load where half the lanes couple in their overlap, most
         others are rerun up to a shared idle arrival, and some to their
         end."""
@@ -530,7 +566,7 @@ class TestLanesAtTheRealShape:
     )
     def test_lanes_only_where_they_pay(self, n, load, lanes):
         """Short inputs go to the ring loop, and so does the rest of a queue
-        that is seldom idle once the first group has found that out."""
+        that is seldom idle once the probe has found that out."""
         rng = np.random.default_rng(7)
         arrivals = np.cumsum(rng.exponential(1.0, size=n))
         services = rng.exponential(load, size=n)
@@ -539,7 +575,7 @@ class TestLanesAtTheRealShape:
         ring = sum(hi - lo for lo, hi in calls)
         first = sim._LANE_PROBE * sim._LANE_WARMUP
         if not lanes:
-            # never more than the first group's packets off the ring loop
+            # never more than the probe's packets off the ring loop
             assert ring >= n - first
             assert calls[-1][1] == n and calls[-1][0] <= first
         else:
@@ -561,28 +597,26 @@ class TestLanesAtTheRealShape:
         assert (calls[0] == (0, n)) == (n < sim._LANE_MIN_PACKETS)
         assert np.array_equal(departures, _ring(arrivals, services, 10), equal_nan=True)
 
-    def test_hands_over_after_a_later_group(self):
-        """2.2M packets at K = 20, rho 0.5 for the first half and 2.5 for the
-        second: after the first group come three equal groups of 713-714
-        lanes. The one across the load step reruns about half its packets and
-        keeps its lanes; the next reruns all of its own, and the ring loop
-        runs the rest of the stream from its end."""
+    def test_lanes_come_back_after_overload(self):
+        """2.2M packets at K = 20, rho 2.5 for the first half and 0.5 for the
+        second, in three pieces of 733,334 that each probe afresh. The first
+        piece hands the rest of itself to the ring loop after its probe; the
+        last lies wholly past the load step, keeps its lanes, and reruns less
+        than a tenth of its packets."""
         n = 2_200_000
         rng = np.random.default_rng(7)
         arrivals = np.cumsum(rng.exponential(1.0, size=n))
-        services = np.concatenate((rng.exponential(0.5, size=n // 2),
-                                   rng.exponential(2.5, size=n - n // 2)))
+        services = np.concatenate((rng.exponential(2.5, size=n // 2),
+                                   rng.exponential(0.5, size=n - n // 2)))
         with _ring_calls() as calls:
             departures, _ = fcfs_departures(arrivals, services, 20)
         assert np.array_equal(departures, _ring(arrivals, services, 20), equal_nan=True)
-        ends = _group_ends(tuple(getattr(sim, name) for name in _LANE_CONSTANTS), n)
-        assert len(ends) == 4
-        to_end = [lo for lo, hi in calls if hi == n]
-        assert len(to_end) == 1 and to_end[0] in ends
-        shares = _rerun_shares(calls, ends[:ends.index(to_end[0]) + 1])
-        assert len(shares) == 4
-        assert max(shares[:2]) == 0.0
-        assert 0.5 < shares[2] <= sim._LANE_BUSY < shares[3]
+        pieces = _pieces(20, n)
+        assert len(pieces) == 3
+        assert (sim._LANE_PROBE * sim._LANE_WARMUP, pieces[0][1]) in calls
+        lo, hi = pieces[-1]
+        assert lo > n // 2
+        assert sum(b - a for a, b in calls if a >= lo) < (hi - lo) // 10
 
 
 #: Module constants that put ``_fcfs`` on one path at any buffer;
@@ -618,7 +652,8 @@ def _in_pieces(arrivals, services, buffer_capacity, cuts):
 
 def _one_call(arrivals, services, buffer_capacity):
     departures = np.empty(len(arrivals))
-    sim._fcfs(arrivals, services, buffer_capacity, departures)
+    sim._fcfs(arrivals, services, buffer_capacity, departures,
+              sim._fcfs_seam(buffer_capacity, len(arrivals))[0])
     return departures
 
 
@@ -648,7 +683,7 @@ class TestSeamState:
     def test_lanes_and_ring_resume_from_a_busy_queue(self, path):
         """Overload up to the seam, light load after it: the second call
         starts from a queue that is still busy. The lanes (of 32 packets,
-        a first group of four lanes of 8) repair their first lane from that
+        a probe of four lanes of 8) repair their first lane from that
         state (to its end: a rerun checks for a shared idle arrival at most
         every 16 packets), and the rest couple."""
         rng = np.random.default_rng(24)
@@ -660,7 +695,8 @@ class TestSeamState:
         with _on_path(path), pytest.MonkeyPatch.context() as mp:
             for name, value in zip(_LANE_CONSTANTS, (32, 8, 4, 4, 8)):
                 mp.setattr(sim, name, value)
-            state = sim._fcfs(arrivals[:cut], services[:cut], k, departures[:cut])
+            state = sim._fcfs(arrivals[:cut], services[:cut], k, departures[:cut],
+                              sim._fcfs_seam(k, n)[0])
             assert state[2] > arrivals[cut]
             with _ring_calls() as calls:
                 sim._fcfs(arrivals[cut:], services[cut:], k, departures[cut:], state)
@@ -781,6 +817,24 @@ def _all_tagged_run(config):
     return summary, batches.std(ddof=1) / math.sqrt(50)
 
 
+def _mm1k_jitter(rho, buffer_capacity):
+    """E|dT| of all-tagged M/M/1/K at C = 1 over the pairs of consecutive
+    admitted packets (the README has the derivation): packet n finds j
+    packets with weight rho**j, j < K, and the pair counts unless j = K - 1
+    and the next arrival comes before the first departure."""
+    lam, k = rho, buffer_capacity
+    q1, q2 = 1 / (lam + 1), 1 / (lam + 2)
+
+    def spread(m):          # E|S - min(Erlang(m), Exp(lambda))|
+        return (1 - q1**m) / lam - 1 + 2 * (1 - q2 * (1 - q2**m) / (1 - q2))
+
+    full = (1 / (lam + 1) + (1 - q1**(k - 1)) / lam - 1
+            + 2 * (lam + 1) / (lam + 2) * (1 - q2 * (1 - q2**(k - 1)) / (1 - q2)))
+    weights = [rho**j for j in range(k)]
+    total = sum(w * spread(j + 1) for j, w in enumerate(weights[:-1])) + weights[-1] * q1 * full
+    return total / (sum(weights[:-1]) + weights[-1] * q1)
+
+
 class TestSimulateRun:
     def test_deterministic_bit_identical(self):
         cfg = SimConfig(1000.0, 500.0, horizon_packets=5000, seed=7)
@@ -866,6 +920,53 @@ class TestSimulateRun:
                         horizon_packets=packets, seed=1729)
         summary, stderr = _all_tagged_run(cfg)
         exact = (1 + 1 / (1 + rho) - 2 / (2 + rho)) / capacity
+        assert abs(summary.empirical_jitter_J - exact) <= 4 * stderr
+
+    def test_finite_buffer_jitter_formula_at_known_points(self):
+        """``_mm1k_jitter`` gives 13/15 and 5/6 at K = 1, M/M/1/1's form at
+        any load, 0.81902 at K = 10 and rho 2.5, and M/M/1's 1/C as K grows
+        below rho 1."""
+        assert _mm1k_jitter(0.5, 1) == pytest.approx(13 / 15, rel=1e-12)
+        assert _mm1k_jitter(1.0, 1) == pytest.approx(5 / 6, rel=1e-12)
+        for rho in (0.3, 0.9, 2.5):
+            assert _mm1k_jitter(rho, 1) == pytest.approx(1 + 1 / (1 + rho) - 2 / (2 + rho),
+                                                         rel=1e-12)
+        assert _mm1k_jitter(2.5, 10) == pytest.approx(0.81902, abs=5e-6)
+        assert _mm1k_jitter(0.5, 300) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("buffer_capacity, rho, packets, path", [
+        (3, 0.9, 100_000, "ring"),
+        (20, 0.9, 1_000_000, "lanes"),
+        (20, 2.5, 1_000_000, "lanes, then ring"),
+        (100, 1.4, 1_000_000, "blocks"),
+        (100, 2.5, 1_000_000, "blocks"),
+    ])
+    def test_finite_buffer_jitter_is_exact(self, buffer_capacity, rho, packets, path):
+        """All-tagged M/M/1/K against its exact jitter under loss
+        (``_mm1k_jitter``), on each finite-buffer path, which the ring
+        loop's calls pin: all of the run, a few lanes' reruns, the probe's
+        reruns and then the rest of the piece, or none. The seed is
+        101 + 5i + j for K at index i of (1, 3, 10, 20, 64, 95, 96, 100, 256)
+        and the load at index j of (0.5, 0.9, 1.0, 1.4, 2.5), fixed before
+        any run."""
+        seed = (101 + 5 * (1, 3, 10, 20, 64, 95, 96, 100, 256).index(buffer_capacity)
+                + (0.5, 0.9, 1.0, 1.4, 2.5).index(rho))
+        capacity = 1000.0
+        cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
+                        buffer_capacity=buffer_capacity, horizon_packets=packets, seed=seed)
+        with _ring_calls() as calls:
+            summary, stderr = _all_tagged_run(cfg)
+        probe = sim._LANE_PROBE * sim._LANE_WARMUP
+        rerun = sum(hi - lo for lo, hi in calls)
+        if path == "ring":
+            assert calls == [(0, packets)]
+        elif path == "lanes":
+            assert 0 < rerun < packets // 2 and calls[-1][0] > probe
+        elif path == "lanes, then ring":
+            assert calls[-1] == (probe, packets) and rerun < packets
+        else:
+            assert calls == []
+        exact = _mm1k_jitter(rho, buffer_capacity) / capacity
         assert abs(summary.empirical_jitter_J - exact) <= 4 * stderr
 
     def test_counter_identity_is_exact(self):
@@ -1156,13 +1257,14 @@ class TestFiniteRuns:
                       horizon_packets=2 * sim._CHUNK + 4_001, seed=45))
 
     def test_lane_groups_meet_at_seams(self):
-        """Below K = 96 a piece is one group of lanes. With groups of three
-        lanes of 8 packets, a run in overload is about 130 pieces, each run
-        by the lanes from the often busy queue the piece before left."""
+        """Below K = 96 a piece is one probe and one group of lanes. With a
+        probe of two lanes of 4 packets and a group of three lanes of 8, a
+        run in overload is 77 pieces of at most 39 packets, each run by the
+        lanes from the often busy queue the piece before left."""
         config = SimConfig(1000.0, 1100.0, buffer_capacity=10, horizon_packets=3_001,
                            seed=46)
         with _on_path("lanes"):
-            assert sim._fcfs_seam(10, 3_001)[1] <= 24
+            assert sim._fcfs_seam(10, 3_001)[1] == 39
             _assert_matches_whole_array_oracle(config)
 
 

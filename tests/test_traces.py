@@ -675,7 +675,8 @@ def _arrivals(scenario):
 
 
 #: Lane constants (see ``test_sim._LANE_CONSTANTS``) small enough that a
-#: group of lanes, and so a chunk below the block path, is 40 packets.
+#: chunk below the block path, one probe and one group of lanes and the
+#: packets after its last whole lane, is at most 55 packets.
 _SMALL_LANES = {"_LANE_PACKETS": 8, "_LANE_WARMUP": 4, "_LANE_GROUP": 5, "_LANE_PROBE": 2,
                 "_LANE_CHUNK": 5, "_LANE_MIN_PACKETS": 16}
 
@@ -753,11 +754,15 @@ class TestChunkedSynthesis:
     @pytest.mark.parametrize("buffer_pkts", [10, 100])
     def test_arrival_count_a_multiple_of_the_chunk(self, buffer_pkts):
         """24,035 arrivals in chunks of 1,045: on the block path a chunk of
-        ``sim._CHUNK``, below it a group of 5 lanes of 209 packets."""
+        ``sim._CHUNK``, below it a probe of 2 lanes of 4 packets, a group of
+        5 lanes of 173, and the 172 packets after its last whole lane."""
         scenario = MobilityScenario.variable_speed(20, seed=9, buffer_pkts=buffer_pkts)
         n, chunk = _arrivals(scenario).size, 1_045
-        lanes = {**_SMALL_LANES, "_LANE_PACKETS": chunk // 5}
-        assert n % chunk == 0 and lanes["_LANE_GROUP"] * lanes["_LANE_PACKETS"] == chunk
+        lanes = {**_SMALL_LANES, "_LANE_PACKETS": 173}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in {**lanes, "_CHUNK": chunk}.items():
+                mp.setattr(sim, name, value)
+            assert n % chunk == 0 and sim._fcfs_seam(buffer_pkts, n)[1] == chunk
         _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
 
     @pytest.mark.parametrize("buffer_pkts, chunk, lanes",
@@ -859,13 +864,14 @@ class TestColumnarSynthesis:
 
     def test_memory_below_the_block_path(self):
         """At K = 20 the 1.08M arrivals run in two chunks of 540,262, equal
-        pieces of at most one group of lanes (1M packets): the peak is the
-        arrivals plus about 34.1 bytes a packet of one chunk, 25.0 bytes an
-        arrival in all. Over whole arrays it was 35.0."""
+        pieces of at most one probe and one group of lanes (1,057,791
+        packets): the peak is the arrivals plus about 34.1 bytes a packet of
+        one chunk, 25.0 bytes an arrival in all. Over whole arrays it was
+        35.0."""
         scenario = replace(load_scenario(_SCENARIOS / "variable_speed.scn"), buffer_pkts=20)
         n = _arrivals(scenario).size
         chunk = sim._fcfs_seam(20, n)[1]
-        assert sim._LANE_GROUP * sim._LANE_PACKETS < n < 2 * chunk + 1
+        assert chunk < n <= 2 * chunk
         assert _peak_traced(scenario) <= 8.1 * n + 37.5 * chunk
 
     @settings(max_examples=100, deadline=None)

@@ -1,4 +1,10 @@
-"""Exact ``%d`` and ``%.17g`` text for the packet dump, rendered by numpy.
+"""The packet dump's line format, with exact ``%d`` and ``%.17g`` text,
+rendered and parsed by numpy.
+
+This module owns the dump's lines: the header (``PACKET_TRACE_HEADER``),
+``render_lines`` for a chunk of packets and ``parse_lines`` for a block of
+whole lines, with every column name and every flow and flag token declared
+once below. ``qoskit.sim`` keeps the file loops around them.
 
 Every field is rendered into a fixed slot of uint64 words whose
 little-endian bytes are its text, with byte 0 wherever the text is shorter
@@ -39,8 +45,11 @@ outside the grammar, is left to ``float()``.
 from __future__ import annotations
 
 import sys
+from itertools import compress
 
 import numpy as np
+
+from .errors import DomainError
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFF_FFFF)
@@ -60,6 +69,13 @@ def le_words(rows) -> np.ndarray:
 def word_bytes(word_rows) -> np.ndarray:
     """The little-endian bytes of uint64 words, 8 per word along the last axis."""
     return word_rows.astype("<u8", copy=False).view(np.uint8)
+
+
+def _words(texts) -> np.ndarray:
+    """Each byte string as a row of uint64 words, padded with 0 bytes to the
+    whole words of the longest."""
+    size = -(-max(map(len, texts)) // 8) * 8
+    return le_words([np.frombuffer(text.ljust(size, b"\0"), np.uint8) for text in texts])
 
 
 #: The four ASCII digits of each of 0..9999, first digit in the lowest byte.
@@ -87,10 +103,10 @@ _SCIENTIFIC = _X < -4
 _BELOW_ONE = ~_SCIENTIFIC & (_X < 0)
 _INT_DIGITS = np.where(_SCIENTIFIC, 1, _X + 1)
 _POINT_AT = np.where(_BELOW_ONE, 17, _INT_DIGITS)
-_LEAD = le_words([np.frombuffer((b"\0" + (b"0.000"[:1 - x] if low else b"")).ljust(8, b"\0"),
-                                np.uint8) for x, low in zip(_X.tolist(), _BELOW_ONE)]).ravel()
-_EXPONENT = le_words([np.frombuffer(b"\0" * 4 + (b"e-%02d" % -x if sci else b"\0" * 4), np.uint8)
-                      for x, sci in zip(_X.tolist(), _SCIENTIFIC)]).ravel()
+_LEAD = _words([b"\0" + (b"0.000"[:1 - x] if low else b"")
+                for x, low in zip(_X.tolist(), _BELOW_ONE)]).ravel()
+_EXPONENT = _words([b"\0" * 4 + (b"e-%02d" % -x if sci else b"\0" * 4)
+                    for x, sci in zip(_X.tolist(), _SCIENTIFIC)]).ravel()
 
 
 def _word8(y) -> np.ndarray:
@@ -265,3 +281,177 @@ def parse_decimals(text, starts, stops):
     low = np.ndarray(n.shape, "<u8", n, strides=(n.itemsize,))
     good &= (low & _U64(0x7FF)) != 0x400
     return n.astype(np.float64), good
+
+
+#: The dump's columns as its header names them: the packet index, the flow,
+#: the four times, the dropped flag. The flow and flag tokens are listed by
+#: truth (tagged; dropped), each led by "," on its line.
+_COLUMNS = ("index", "flow", "arrival_s", "service_s", "departure_s", "sojourn_s", "dropped")
+PACKET_TRACE_HEADER = ",".join(_COLUMNS)
+_TIMES = _COLUMNS[2:-1]
+_FLOWS = (b"background", b"tagged")
+_FLAGS = (b"0", b"1")
+#: A dropped packet's times from this one on (its departure and sojourn)
+#: are left empty.
+_BLANK_FROM = 2
+
+
+#: A dump line as slot words: the index (``index_words``), the flow, four
+#: 4-word ``float_words`` slots each led by ",", and the flag with the
+#: newline; and where each slot after the index starts.
+_FLOW_WORDS = _words([b"," + token for token in _FLOWS])
+_FLAG_WORDS = _words([b"," + token + b"\n" for token in _FLAGS])
+_FLOW_AT, _TIMES_AT, _FLAG_AT, _LINE_WORDS = np.cumsum(
+    [2, _FLOW_WORDS.shape[1], 4 * len(_TIMES), _FLAG_WORDS.shape[1]]).tolist()
+
+
+def render_lines(first: int, tagged, dropped, *times) -> np.ndarray:
+    """The dump lines of packets ``first``, ``first + 1``, ... from slices of
+    their columns, as the uint8 array of their text.
+
+    The bytes are those of ``"%d,%s,%.17g,%.17g,%.17g,%.17g,%s\\n"`` with the
+    index, the flow token, the four times and the flag token, but with the
+    departure and sojourn left empty on a dropped line. Each field goes into
+    a fixed slot of a matrix of uint64 words, with byte 0 where its text is
+    shorter, and dropping the 0 bytes leaves the text; no Python object is
+    made per packet. Times of another dtype are written as their float64
+    values and flags by truth, as ``'%.17g'`` and ``if`` would.
+    """
+    n = len(tagged)
+    drop = dropped.astype(bool)
+    values = np.empty((n, len(times)))
+    for j, column in enumerate(times):
+        values[:, j] = column
+    values[drop, _BLANK_FROM:] = 1.0        # not written; 1.0 keeps them off the % path
+    lines = np.empty((n, _LINE_WORDS), np.uint64)
+    lines[:, :_FLOW_AT] = index_words(np.arange(first, first + n)).T
+    lines[:, _FLOW_AT:_TIMES_AT] = _FLOW_WORDS[tagged.astype(bool).view(np.uint8)]
+    slots = lines[:, _TIMES_AT:_FLAG_AT]
+    for j, word in enumerate(float_words(values.ravel())):
+        slots[:, j::4] = word.reshape(-1, 4)
+    slots[drop, 4 * _BLANK_FROM:] = 0
+    slots[:, 0::4] |= np.uint64(ord(","))
+    lines[:, _FLAG_AT:] = _FLAG_WORDS[drop.view(np.uint8)]
+    text = word_bytes(lines).ravel()
+    return text[text != 0]
+
+
+def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> None:
+    """Parse whole newline-terminated dump lines, the first of them line
+    ``line0`` of the file, into slices of their columns, one row a line;
+    a dropped line's departure and sojourn are not written.
+
+    Where ``EXACT_SCALING`` holds the block is read in numpy
+    (``_read_fast``); else, or where a check fails there, by ``float()``
+    on its ``bytes`` tokens. The columns and errors are the same. Raises
+    DomainError, naming the line, on a line without one field per column
+    or with a NUL byte, an unknown flow or dropped flag, or a time that is
+    not a finite number (a delivered packet needs its departure and
+    sojourn; a dropped one's are ignored).
+    """
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    bad = np.flatnonzero(np.diff(np.searchsorted(commas, ends), prepend=0) != len(_COLUMNS) - 1)
+    if bad.size:
+        j = int(bad[0])
+        line = block[ends[j - 1] + 1 if j else 0:ends[j]].decode("utf-8", "replace")
+        raise DomainError(f"packet trace line {line0 + j}: "
+                          f"malformed packet trace line: {line!r}")
+    if b"\0" in block:     # numpy bytes arrays drop trailing NULs: "1\0" would read as "1"
+        j = int(np.searchsorted(ends, block.index(b"\0")))
+        raise DomainError(f"packet trace line {line0 + j}: NUL byte in packet trace line")
+    if EXACT_SCALING and _read_fast(block, raw, commas, ends, tagged, dropped, times):
+        return
+    # Newlines become field separators, so column k of the block is
+    # fields[k::len(_COLUMNS)]; the empty field after the last newline is
+    # never read.
+    fields = block.replace(b"\n", b",").split(b",")
+    step = len(_COLUMNS)
+    line_nos = np.arange(line0, line0 + ends.size)
+    for column, k, known, what in ((tagged, 1, _FLOWS, _COLUMNS[1]),
+                                   (dropped, step - 1, _FLAGS, f"{_COLUMNS[-1]} flag")):
+        tokens = np.array(fields[k::step])
+        false, true = (tokens == token for token in known)
+        bad = np.flatnonzero(~(false | true))
+        if bad.size:
+            raise DomainError(f"packet trace line {line_nos[bad[0]]}: unknown {what} "
+                              f"{tokens[bad[0]].decode('utf-8', 'replace')!r}")
+        column[:] = true
+    delivered = ~dropped
+    keep = delivered.tolist()
+    for j, (column, name) in enumerate(zip(times, _TIMES)):
+        tokens, rows = fields[2 + j::step], slice(None)
+        if j >= _BLANK_FROM:
+            tokens, rows = list(compress(tokens, keep)), delivered
+        column[rows] = _parse_floats(tokens, line_nos[rows], name)
+
+
+_PAD = np.zeros(24, np.uint8)
+
+
+#: Each flow token between its two "," (8 to 16 bytes), as its first and
+#: its last 8 bytes and the offset of the last.
+_FLOW_TESTS = [(*_words([text[:8], text[-8:]])[:, 0], len(text) - 8)
+               for text in (b"," + token + b"," for token in _FLOWS)]
+
+
+def _read_fast(block, raw, commas, ends, tagged, dropped, times) -> bool:
+    """Parse the block as ``parse_lines`` does, given its lines of one field
+    per column, their ``commas`` (consumed) and ``ends``: the times are read
+    by ``parse_decimals``, and by ``float()`` only where it does not certify
+    a token. Returns False, having written nothing, where a flow, a flag or
+    a time is bad, so that the token path names the line."""
+    text = np.concatenate([_PAD, raw, _PAD])
+    words = unaligned_words(text)
+    c = commas.reshape(-1, len(_COLUMNS) - 1)
+    c += _PAD.size
+    at = c[:, 0]
+    background, is_tagged = ((words[at] == head) & (words[at + offset] == tail)
+                             for head, tail, offset in _FLOW_TESTS)
+    flag = text[c[:, -1] + 1]
+    kept, is_dropped = (flag == token[0] for token in _FLAGS)
+    if not ((is_tagged | background).all() and (is_dropped | kept).all()
+            and (ends + _PAD.size - c[:, -1] == 2).all()):      # a flag of one byte
+        return False
+    starts, stops = (c[:, 1:-1] + 1).ravel(), c[:, 2:].ravel()
+    values, good = parse_decimals(text, starts, stops)
+    values, good = values.reshape(-1, len(_TIMES)), good.reshape(-1, len(_TIMES))
+    good[is_dropped, _BLANK_FROM:] = True     # never read
+    for i in np.flatnonzero(~good).tolist():
+        try:
+            values.flat[i] = float(block[starts[i] - _PAD.size:stops[i] - _PAD.size])
+        except ValueError:
+            return False
+    values[is_dropped, _BLANK_FROM:] = 0.0
+    if not np.isfinite(values).all():
+        return False
+    tagged[:] = is_tagged
+    dropped[:] = is_dropped
+    delivered = ~is_dropped
+    for j, column in enumerate(times):
+        np.copyto(column, values[:, j], where=delivered if j >= _BLANK_FROM else True)
+    return True
+
+
+def _parse_floats(tokens: list, line_nos, column: str) -> np.ndarray:
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        for token, line_no in zip(tokens, line_nos):
+            try:
+                float(token)
+            except ValueError:
+                raise DomainError(
+                    f"packet trace line {line_no}: {column} "
+                    f"{token.decode('utf-8', 'replace')!r} is not a number"
+                ) from None
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        j = int(bad[0])
+        raise DomainError(f"packet trace line {line_nos[j]}: {column} "
+                          f"{tokens[j].decode('utf-8', 'replace')!r} is not finite")
+    return values

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import QoskitError, _real
+from .errors import DomainError, QoskitError, _real
 from .model import (
     DEFAULT_VARIANT,
     VARIANTS,
@@ -149,6 +149,9 @@ def _emit(payload: dict, as_json: bool):
 def _cmd_model(args) -> int:
     params = _link_params(args)
     pred = analytical_jitter(params, args.variant)
+    if not math.isfinite(pred.jitter_seconds * 1e3):
+        load = f"rho = {args.rho!r}" if args.rho is not None else f"lambda = {args.lam!r}"
+        raise DomainError(f"the predicted jitter at C = {args.capacity!r}, {load} overflows in ms")
     if pred.jitter_seconds < 0:
         sys.stderr.write(
             "=" * 66 + "\n"
@@ -258,16 +261,10 @@ def _cmd_validate(args) -> int:
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         write_validation_report(report, report_path)
-        write_xy(
-            os.path.join(args.out, "validation_model.dat"),
-            [r.load_rho for r in report.rows],
-            [r.jitter_model for r in report.rows],
-        )
-        write_xy(
-            os.path.join(args.out, "validation_sim.dat"),
-            [r.load_rho for r in report.rows],
-            [r.jitter_sim_mean for r in report.rows],
-        )
+        rhos = [r.load_rho for r in report.rows]
+        for curve, jitters in (("model", [r.jitter_model for r in report.rows]),
+                               ("sim", [r.jitter_sim_mean for r in report.rows])):
+            write_xy(os.path.join(args.out, f"validation_{curve}.dat"), rhos, jitters)
     print(f"# wrote {report_path}")
     print("rho    J_model_s      J_sim_mean_s   rel_err   verdict")
     for r in report.rows:
@@ -331,12 +328,10 @@ def _cmd_analyze(args) -> int:
         times = [r.t_unix_s - rows[0].t_unix_s for r in rows]
         with _writing(args.out):
             os.makedirs(args.out, exist_ok=True)
-            write_xy(os.path.join(args.out, "throughput_vs_time.dat"),
-                     times, [r.tput_Bps for r in rows])
-            write_xy(os.path.join(args.out, "jitter_vs_time.dat"),
-                     times, [r.jitter_ms for r in rows])
-            write_xy(os.path.join(args.out, "speed_vs_time.dat"),
-                     times, [r.speed_kmh for r in rows])
+            for curve, field in (("throughput", "tput_Bps"), ("jitter", "jitter_ms"),
+                                 ("speed", "speed_kmh")):
+                write_xy(os.path.join(args.out, f"{curve}_vs_time.dat"),
+                         times, [getattr(r, field) for r in rows])
 
     if args.json:
         payload = {

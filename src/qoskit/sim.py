@@ -27,11 +27,10 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
-from . import _dumptext
+from ._dumptext import PACKET_TRACE_HEADER, parse_lines, render_lines
 from .errors import (
     DomainError,
     EmptyRunError,
@@ -50,8 +49,6 @@ _SERVICE_KINDS = (SERVICE_EXPONENTIAL, SERVICE_DETERMINISTIC)
 DEFAULT_SEED = 1729
 
 _MASK64 = (1 << 64) - 1
-
-PACKET_TRACE_HEADER = "index,flow,arrival_s,service_s,departure_s,sojourn_s,dropped"
 
 
 def splitmix64(value: int) -> int:
@@ -208,7 +205,8 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
     The unbounded buffer uses the closed-form Lindley recursion
     (``_fcfs_unbounded``); its running sum holds minus the arrivals' span,
     so the arrivals may span at most 2**1023 s (about 9e307, half the
-    largest double). A finite buffer of K packets takes one of three paths:
+    largest double). On either buffer a departure past the largest double
+    raises DomainError. A finite buffer of K packets takes one of three paths:
 
     - ``K < 96``, a piece of at least 131,072 packets: lanes run side by
       side in numpy, then are checked and repaired (``_fcfs_lanes``). A
@@ -288,14 +286,27 @@ def _fcfs(arr, srv, buffer_capacity, departures, state):
     K alone picks the path, so one stream keeps one kind of state: the
     unbounded pass's, the ring loop's ``(ring, pos, last)`` below 96 (the
     lanes take and return it too), or the block path's above.
+
+    Raises DomainError where a departure passes the largest double. The
+    path runs with numpy's overflow ignored; admitted departures never
+    decrease, so an overflow reaches the last one, which the state or the
+    order gives.
     """
-    if buffer_capacity is None:
-        return _fcfs_unbounded(arr, srv, departures, state)
-    if buffer_capacity >= _BLOCK_MIN_BUFFER:
-        return _fcfs_blocks(arr, srv, departures, state)
-    if arr.size >= _LANE_MIN_PACKETS:
-        return _fcfs_lanes(arr, srv, departures, state)
-    return _ring_run(arr, srv, 0, arr.size, departures, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if buffer_capacity is None:
+            state = _fcfs_unbounded(arr, srv, departures, state)
+            last = departures[-1] if arr.size else -math.inf
+        elif buffer_capacity >= _BLOCK_MIN_BUFFER:
+            state = _fcfs_blocks(arr, srv, departures, state)
+            _, step, j, _, top, _ = state
+            last = step[j - 1] if j else top
+        else:
+            state = (_fcfs_lanes(arr, srv, departures, state) if arr.size >= _LANE_MIN_PACKETS
+                     else _ring_run(arr, srv, 0, arr.size, departures, state))
+            last = state[2]
+    if not last < math.inf:
+        raise DomainError("a departure time passes the largest double")
+    return state
 
 
 def _fcfs_seam(buffer_capacity, n):
@@ -732,7 +743,8 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
         s, dep = (column[lo % column.size:][:hi - lo] for column in (ws.services, ws.departures))
         if lo:
             a[0] += last_arrival
-        np.cumsum(a, out=a)
+        with np.errstate(over="ignore"):    # an infinite arrival fails the check below
+            np.cumsum(a, out=a)
         if config.service_distribution == SERVICE_EXPONENTIAL:
             _exponential_into(rng, service, s)
         else:
@@ -745,14 +757,10 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
         np.subtract(dep, a, out=sojourn[lo:hi])
 
     finite = config.buffer_capacity is not None
-    if finite:
-        # a dropped packet's sojourn is NaN, and only a dropped one's
-        delivered_sojourns = _delivered(sojourn[first:], ws)
-        delivered = delivered_sojourns.size
-        mean_sojourn = _mean(delivered_sojourns)
-    else:
-        delivered = n - first
-        mean_sojourn = _mean(sojourn[first:])
+    # a dropped packet's sojourn is NaN, and only a dropped one's
+    delivered_sojourns = _delivered(sojourn[first:], ws) if finite else sojourn[first:]
+    delivered = delivered_sojourns.size
+    mean_sojourn = _mean(delivered_sojourns)
 
     all_tagged = config.tagged_fraction == 1
     if all_tagged:
@@ -839,6 +847,12 @@ def _summarize_run(config: SimConfig) -> RunSummary:
     return _simulate(config, _Workspace(config, logged=False))
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform has one (Linux), else every core."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _at_point(rho, i: int, j: int, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, its domain errors naming the sweep point."""
     try:
@@ -909,7 +923,7 @@ def simulate_sweep(
             return _at_point(rho, i, j, _simulate, config, local.ws)
 
     if base_config.buffer_capacity is None:
-        workers = min(len(os.sched_getaffinity(0)), len(jobs))
+        workers = min(_usable_cores(), len(jobs))
     else:
         workers = 1
     with ThreadPoolExecutor(workers) as pool:
@@ -926,33 +940,17 @@ _DUMP_WRITE_PACKETS = 2_048
 #: the reader's working memory is about 4 MiB.
 _DUMP_READ_BYTES = 512 << 10
 
-#: A dump line as uint64 words (see ``_dumptext``): the index, "," and the
-#: flow, four 4-word float slots each led by ",", then "," and the flag.
-_LINE_WORDS = 21
-_FLOW_WORDS = _dumptext.le_words([np.frombuffer(b",background".ljust(16, b"\0"), np.uint8),
-                                  np.frombuffer(b",tagged".ljust(16, b"\0"), np.uint8)])
-_FLAG_WORDS = _dumptext.le_words([np.frombuffer(b",0\n".ljust(8, b"\0"), np.uint8),
-                                  np.frombuffer(b",1\n".ljust(8, b"\0"), np.uint8)]).ravel()
-
-
 def write_packet_trace(log: PacketLog, path) -> None:
     """Dump one packet per line; floats carry 17 significant digits so the
     file round-trips to the exact same doubles.
 
-    The bytes are those of ``"%d,%s,%.17g,%.17g,%.17g,%.17g,0"`` for a
-    delivered packet and ``"%d,%s,%.17g,%.17g,,,1"`` for a dropped one, but
-    numpy renders ``_DUMP_WRITE_PACKETS`` lines at a time with no Python
-    object per packet: each field goes into a fixed slot of a matrix of
-    uint64 words, with byte 0 where its text is shorter, and a chunk is one
-    ``write`` of the matrix's bytes without the 0 bytes. The digits of a
-    double x = m * 2**q are exact integer arithmetic (``_dumptext``): they
-    are round-half-even(m * 5**p * 2**(q + p)) with p = 16 - floor(log10 x),
-    the 53 x 64-bit product shifted right, wherever p is in [0, 27] and the
-    shift in [1, 63], which is about 1e-11 <= x < 2**51. Every other value
-    (0, -0, negatives, subnormals, infinities, NaN, values too large or too
-    small) goes through ``'%.17g' %`` into its own slot. Time columns of
-    another dtype are written as their float64 values and flags by truth,
-    as ``'%.17g'`` and ``if`` would.
+    After the header the bytes are those of
+    ``"%d,%s,%.17g,%.17g,%.17g,%.17g,0"`` for a delivered packet and
+    ``"%d,%s,%.17g,%.17g,,,1"`` for a dropped one, with the index and the
+    flow ``tagged`` or ``background``, each line ended by a newline. Time
+    columns of another dtype are written as their float64 values and flags
+    by truth. ``_DUMP_WRITE_PACKETS`` lines at a time are rendered in numpy
+    (``_dumptext.render_lines``) and written in one ``write``.
 
     Raises DomainError, before the file is opened, unless the six columns
     are 1-D arrays of one length.
@@ -964,47 +962,29 @@ def write_packet_trace(log: PacketLog, path) -> None:
     if len(shape) != 1 or any(c.shape != shape for c in columns):
         raise DomainError("packet log columns must be 1-D arrays of one length, got shapes "
                           + ", ".join(str(c.shape) for c in columns))
-    n = shape[0]
-    tagged, dropped, *times = columns
     with open(path, "wb") as fh:
         fh.write(PACKET_TRACE_HEADER.encode() + b"\n")
-        for lo in range(0, n, _DUMP_WRITE_PACKETS):
-            hi = min(lo + _DUMP_WRITE_PACKETS, n)
-            drop = dropped[lo:hi].astype(bool)
-            values = np.empty((hi - lo, 4))
-            for j, column in enumerate(times):
-                values[:, j] = column[lo:hi]
-            values[drop, 2:] = 1.0          # not written; 1.0 keeps them off the % path
-            lines = np.empty((hi - lo, _LINE_WORDS), np.uint64)
-            lines[:, 0:2] = _dumptext.index_words(np.arange(lo, hi)).T
-            lines[:, 2:4] = _FLOW_WORDS[tagged[lo:hi].astype(bool).view(np.uint8)]
-            floats = lines[:, 4:20]
-            for j, word in enumerate(_dumptext.float_words(values.ravel())):
-                floats[:, j::4] = word.reshape(-1, 4)
-            floats[drop, 8:] = 0                # no departure or sojourn
-            floats[:, 0::4] |= np.uint64(ord(","))
-            lines[:, 20] = _FLAG_WORDS[drop.view(np.uint8)]
-            text = _dumptext.word_bytes(lines).ravel()
-            fh.write(text[text != 0])
+        for lo in range(0, shape[0], _DUMP_WRITE_PACKETS):
+            fh.write(render_lines(lo, *(c[lo:lo + _DUMP_WRITE_PACKETS] for c in columns)))
 
 
 def read_packet_trace(path) -> PacketLog:
     """Inverse of write_packet_trace.
 
-    Two passes: the first counts lines so the six output arrays are
-    allocated once (34 bytes a packet); the second parses blocks of whole
-    lines of about ``_DUMP_READ_BYTES``, in numpy where
-    ``_dumptext.EXACT_SCALING`` holds (``_read_fast``), else, or where a
-    check fails, by ``float()`` on its ``bytes`` tokens; the arrays and errors
-    are the same. So memory is the output arrays plus one block's
-    temporaries, about 8x its bytes, and no per-packet Python object
-    outlives its block.
+    Reads the header line, then lines of the writer's seven fields, each
+    ended by LF or CR LF (the last one may lack it). Two passes: the first
+    counts lines so the six output arrays are allocated once (34 bytes a
+    packet); the second parses blocks of whole lines of about
+    ``_DUMP_READ_BYTES`` (``_dumptext.parse_lines``). So memory is the
+    output arrays plus one block's temporaries, about 8x its bytes, and no
+    per-packet Python object outlives its block.
 
     Raises DomainError, naming the 1-based line, on a wrong header, a line
     without exactly 7 fields or with a NUL byte, a flow other than
     tagged/background, a dropped flag other than 0/1, or a time that is not
     a finite number (a delivered packet needs its departure and sojourn; a
-    dropped one's are ignored).
+    dropped one's are ignored), and on a file that changed while it was
+    read.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
@@ -1018,143 +998,23 @@ def read_packet_trace(path) -> PacketLog:
             last = block[-1:]
         n += last != b"\n"
         fh.seek(body)
-        log = PacketLog(np.empty(n), np.empty(n), np.full(n, math.nan), np.full(n, math.nan),
-                        np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+        tagged, dropped, *times = columns = (
+            np.empty(n, dtype=bool), np.empty(n, dtype=bool), np.empty(n), np.empty(n),
+            np.full(n, math.nan), np.full(n, math.nan))
         done = 0
         tail = b""
-        while data := fh.read(_DUMP_READ_BYTES):
+        # once the file is read, a last line without its newline gets one
+        while data := fh.read(_DUMP_READ_BYTES) or tail and b"\n":
             block = tail + data
             del data                    # one copy of the block while it is parsed
             cut = block.rfind(b"\n") + 1
-            tail = block[cut:]
-            block = block[:cut]
-            done += _read_trace_lines(block, done, log)
-        if tail:
-            done += _read_trace_lines(tail + b"\n", done, log)
+            tail, block = block[cut:], block[:cut]
+            m = block.count(b"\n")
+            if done + m > n:
+                raise DomainError(f"packet trace line {done + 2}: "
+                                  "the file changed while it was read")
+            parse_lines(block, done + 2, *(c[done:done + m] for c in columns))
+            done += m
     if done != n:
         raise DomainError(f"packet trace changed while it was read: {path!r}")
-    return log
-
-
-def _read_trace_lines(block: bytes, first: int, log: PacketLog) -> int:
-    """Parse whole newline-terminated dump lines into ``log`` from packet
-    ``first`` on; returns the number of lines parsed."""
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
-    raw = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    m = ends.size
-    line0 = first + 2       # 1-based line number of the block's first line
-    if first + m > len(log):
-        raise DomainError(f"packet trace line {line0}: the file changed while it was read")
-    commas = np.flatnonzero(raw == ord(","))
-    n_fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
-    bad = np.flatnonzero(n_fields != 7)
-    if bad.size:
-        j = int(bad[0])
-        line = block[ends[j - 1] + 1 if j else 0:ends[j]].decode("utf-8", "replace")
-        raise DomainError(f"packet trace line {line0 + j}: "
-                          f"malformed packet trace line: {line!r}")
-    if b"\0" in block:     # numpy bytes arrays drop trailing NULs: "1\0" would read as "1"
-        j = int(np.searchsorted(ends, block.index(b"\0")))
-        raise DomainError(f"packet trace line {line0 + j}: NUL byte in packet trace line")
-    span = slice(first, first + m)
-    if _dumptext.EXACT_SCALING and _read_fast(block, raw, commas, ends, log, span):
-        return m
-    # Newlines become field separators, so column k of the block is
-    # fields[k::7]; the empty field after the last newline is never read.
-    fields = block.replace(b"\n", b",").split(b",")
-    line_nos = np.arange(line0, line0 + m)
-
-    flow = np.array(fields[1::7])
-    tagged = flow == b"tagged"
-    _check_tokens(tagged | (flow == b"background"), flow, line_nos, "flow")
-    flag = np.array(fields[6::7])
-    dropped = flag == b"1"
-    _check_tokens(dropped | (flag == b"0"), flag, line_nos, "dropped flag")
-    log.tagged[span] = tagged
-    log.dropped[span] = dropped
-
-    log.arrival_times[span] = _parse_floats(fields[2::7], line_nos, "arrival_s")
-    log.service_times[span] = _parse_floats(fields[3::7], line_nos, "service_s")
-    delivered = ~dropped
-    keep = delivered.tolist()
-    log.departure_times[span][delivered] = _parse_floats(
-        list(compress(fields[4::7], keep)), line_nos[delivered], "departure_s")
-    log.sojourn_times[span][delivered] = _parse_floats(
-        list(compress(fields[5::7], keep)), line_nos[delivered], "sojourn_s")
-    return m
-
-
-_PAD = np.zeros(24, np.uint8)
-_TAGGED, _BACKGRO, _KGROUND = (int(_dumptext.le_words(np.frombuffer(text, np.uint8))[0])
-                               for text in (b",tagged,", b",backgro", b"kground,"))
-
-
-def _read_fast(block, raw, commas, ends, log: PacketLog, span) -> bool:
-    """Parse the block as ``_read_trace_lines`` does, given its lines of 7
-    fields, their ``commas`` (consumed) and ``ends``: the times are read by
-    ``_dumptext.parse_decimals``, and by ``float()`` only where it does not
-    certify a token. Returns False, having written nothing, where a flow, a
-    flag or a time is bad, so that the token path names the line."""
-    text = np.concatenate([_PAD, raw, _PAD])
-    words = _dumptext.unaligned_words(text)
-    c = commas.reshape(-1, 6)
-    c += _PAD.size
-    flow = words[c[:, 0]]
-    tagged = flow == _TAGGED
-    flag = text[c[:, 5] + 1]
-    dropped = flag == ord("1")
-    if not ((tagged | ((flow == _BACKGRO) & (words[c[:, 0] + 4] == _KGROUND))).all()
-            and (dropped | (flag == ord("0"))).all()
-            and (ends + _PAD.size - c[:, 5] == 2).all()):      # a flag of one byte
-        return False
-    starts, stops = (c[:, 1:5] + 1).ravel(), c[:, 2:6].ravel()
-    values, good = _dumptext.parse_decimals(text, starts, stops)
-    values, good = values.reshape(-1, 4), good.reshape(-1, 4)
-    good[dropped, 2:] = True                  # never read
-    for i in np.flatnonzero(~good).tolist():
-        try:
-            values.flat[i] = float(block[starts[i] - _PAD.size:stops[i] - _PAD.size])
-        except ValueError:
-            return False
-    values[dropped, 2:] = 0.0
-    if not np.isfinite(values).all():
-        return False
-    log.tagged[span] = tagged
-    log.dropped[span] = dropped
-    log.arrival_times[span] = values[:, 0]
-    log.service_times[span] = values[:, 1]
-    delivered = ~dropped
-    np.copyto(log.departure_times[span], values[:, 2], where=delivered)
-    np.copyto(log.sojourn_times[span], values[:, 3], where=delivered)
-    return True
-
-
-def _check_tokens(known, tokens, line_nos, what: str) -> None:
-    bad = np.flatnonzero(~known)
-    if bad.size:
-        j = int(bad[0])
-        raise DomainError(f"packet trace line {line_nos[j]}: unknown {what} "
-                          f"{tokens[j].decode('utf-8', 'replace')!r}")
-
-
-def _parse_floats(tokens: list, line_nos, column: str) -> np.ndarray:
-    try:
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:
-        for token, line_no in zip(tokens, line_nos):
-            try:
-                float(token)
-            except ValueError:
-                raise DomainError(
-                    f"packet trace line {line_no}: {column} "
-                    f"{token.decode('utf-8', 'replace')!r} is not a number"
-                ) from None
-        raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        j = int(bad[0])
-        raise DomainError(f"packet trace line {line_nos[j]}: {column} "
-                          f"{tokens[j].decode('utf-8', 'replace')!r} is not finite")
-    return values
+    return PacketLog(*times, tagged, dropped)

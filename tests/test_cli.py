@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qoskit import cli, traces
+from qoskit import cli, sim, traces
 from qoskit.cli import main
 from qoskit.sim import SimConfig, child_seed, simulate_run
 from qoskit.traces import LOG_HEADER, QosLogRow, parse_log, write_log
@@ -67,6 +67,16 @@ class TestModelCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: the predicted jitter at C = ")
         assert err.count("\n") == 1 and "inf" not in err
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_milliseconds_beyond_the_largest_float_rejected(self, capsys, json_flag):
+        """At C = 1e-306 the prediction, 9.9e305 s, is finite but not in
+        milliseconds: ``jitter_ms`` used to print as null, the spelling kept
+        for an undefined estimate."""
+        code, out, err = run_cli(capsys, "model", "--capacity", "1e-306", "--rho", "0.5",
+                                 *json_flag)
+        assert code == 1 and out == ""
+        assert err == "error: the predicted jitter at C = 1e-306, rho = 0.5 overflows in ms\n"
 
     def test_tiny_capacity_keeps_a_finite_prediction(self, capsys):
         code, out, _ = run_cli(capsys, "model", "--capacity", "1e-300", "--rho", "0.5", "--json")
@@ -221,6 +231,20 @@ class TestSimulateCommand:
         assert 1e301 < payload["mean_sojourn_s"] < math.inf
         assert 0 < payload["empirical_jitter_J_s"] < math.inf
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--rho", "100", "--buffer", "500"), "a departure time passes the largest double"),
+        (("--rho", "0.99"), "times must be finite and service times non-negative"),
+    ], ids=["departures", "arrivals"])
+    def test_times_past_the_largest_double_rejected(self, capsys, argv, message):
+        """At C = 1e-306 the work of 1,000 packets passes the largest double.
+        The finite buffer used to print null means from infinite departures
+        with three overflow warnings, and the unbounded run warned of the
+        arrivals' overflow before its error."""
+        code, out, err = run_cli(capsys, "simulate", "--capacity", "1e-306", *argv,
+                                 "--packets", "1000")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_unstable_config_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--capacity", "1000", "--rho", "1.1", "--packets", "10"
@@ -286,7 +310,7 @@ class TestValidateCommand:
                             lambda workers: sizes.append(workers) or executor(workers))
         written = []
         for cores in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            monkeypatch.setattr(sim, "_usable_cores", lambda n=cores: n)
             out = tmp_path / f"cores{cores}"
             code, _, _ = run_cli(
                 capsys, "validate", "--capacity", "1000", "--rho-grid", "0.2:0.8:0.3",

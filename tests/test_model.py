@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from qoskit import model
 from qoskit.errors import (
     AccountingError,
     DomainError,
@@ -258,6 +259,24 @@ def test_inversion_never_exceeds_budget(invert, fixed, budgets):
     for budget in budgets:
         res = invert(fixed, budget)
         assert res.jitter_seconds <= budget, (budget, res)
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_bisection_stops_when_the_interval_collapses(side):
+    """A function that jumps over the budget: no value within budget comes
+    within 1e-9 of it, so the bisection stops once the interval shrinks to
+    1e-9 of its ends, about 32 halvings of [0, 3] rather than all 200, and
+    returns the end on the feasible side."""
+    calls = []
+
+    def jump(v):
+        calls.append(v)
+        return 0.5 if (v <= 1.0) == (side == "lo") else 2.0
+
+    v, f = model._bisect_to_budget(jump, 0.0, 3.0, 1.0, feasible_side=side)
+    assert f == 0.5 and (v <= 1.0) == (side == "lo")
+    assert v == pytest.approx(1.0, rel=2e-9)
+    assert len(calls) < 40
 
 
 class TestInvertCapacity:

@@ -657,6 +657,31 @@ def _one_call(arrivals, services, buffer_capacity):
     return departures
 
 
+class TestDepartureOverflow:
+    """A departure past the largest double is an error on every path. It
+    used to come back as an infinite departure of a delivered packet, and
+    the block path and the unbounded pass warned of overflows."""
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    @pytest.mark.parametrize("path", [*_PATHS, "unbounded"])
+    def test_overflowing_departure_raises(self, path, n):
+        buffer_capacity = None if path == "unbounded" else 5
+        with _on_path(path) if buffer_capacity else contextlib.nullcontext():
+            with pytest.raises(DomainError, match="largest double"):
+                fcfs_departures(np.zeros(n), np.full(n, 1e308), buffer_capacity)
+            # the last departure just below the largest double stands
+            dep, dropped = fcfs_departures(np.zeros(2), np.full(2, 8e307), buffer_capacity)
+            assert dep.tolist() == [8e307, 1.6e308] and not dropped.any()
+
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_overflow_after_the_first_piece(self, path):
+        """The check holds for a piece fed from another's seam state."""
+        arrivals, services = np.zeros(12), np.full(12, 4e307)
+        with _on_path(path):
+            with pytest.raises(DomainError, match="largest double"):
+                _in_pieces(arrivals, services, 5, [3, 4])
+
+
 class TestSeamState:
     """A stream split anywhere and resumed from the seam state gives the
     departures and drops of one call, bit for bit, on every path."""
@@ -805,12 +830,13 @@ class TestSimConfig:
             SimConfig(1000.0, 500.0, **counts)
 
 
-def _all_tagged_run(config):
-    """An all-tagged run's summary and the 50-batch batch-means standard
-    error of its |dT| samples, which are serially dependent."""
+def _tagged_run(config):
+    """A run's summary and the 50-batch batch-means standard error of its
+    |dT| samples between consecutive tagged packets, which are serially
+    dependent."""
     log, summary = simulate_run(config)
     first = int(config.horizon_packets * config.warmup_fraction)
-    samples = np.abs(np.diff(log.sojourn_times[first:]))
+    samples = np.abs(np.diff(log.sojourn_times[first:][log.tagged[first:]]))
     samples = samples[~np.isnan(samples)]       # the pairs that a drop breaks
     assert summary.n_jitter_samples == samples.size
     batches = samples[:samples.size // 50 * 50].reshape(50, -1).mean(axis=1)
@@ -890,8 +916,26 @@ class TestSimulateRun:
         capacity = 1000.0
         cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
                         horizon_packets=1_000_000, seed=1729)
-        summary, stderr = _all_tagged_run(cfg)
+        summary, stderr = _tagged_run(cfg)
         assert abs(summary.empirical_jitter_J - 1.0 / capacity) <= 4 * stderr
+
+    @pytest.mark.parametrize("j, fraction", enumerate([0.1, 0.5]))
+    @pytest.mark.parametrize("i, rho", enumerate([0.2, 0.5, 0.8]))
+    def test_tagged_jitter_matches_the_exact_value(self, i, rho, j, fraction):
+        """M/M/1 with a measured flow of a fraction p: E|T_{n+G} - T_n| over
+        a geometric gap G is (sqrt((C + lambda)**2 - 4 lambda C (1 - p)) -
+        (C - lambda)) / (2 lambda p C), established numerically (the README
+        gives the evidence). At C = 1 that is 1.21320 / 1.09902 at rho 0.2,
+        1.70820 / 1.23607 at 0.5 and 2.5 / 1.35078 at 0.8 (p = 0.1 / 0.5).
+        Each cell's seed is fixed by its place in the grid."""
+        capacity, lam = 1.0, rho
+        exact = ((math.sqrt((capacity + lam) ** 2 - 4 * lam * capacity * (1 - fraction))
+                  - (capacity - lam)) / (2 * lam * fraction * capacity))
+        cfg = SimConfig(capacity, lam, tagged_fraction=fraction, horizon_packets=1_000_000,
+                        seed=child_seed(1729, i, j))
+        summary, stderr = _tagged_run(cfg)
+        assert sim._summarize_run(cfg) == summary
+        assert abs(summary.empirical_jitter_J - exact) <= 4 * stderr
 
     @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8, 0.95])
     def test_all_tagged_deterministic_jitter_is_exact(self, rho):
@@ -903,7 +947,7 @@ class TestSimulateRun:
         cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
                         horizon_packets=1_000_000, seed=1729,
                         service_distribution="deterministic")
-        summary, stderr = _all_tagged_run(cfg)
+        summary, stderr = _tagged_run(cfg)
         exact = 2 * (rho + math.expm1(-rho)) / (rho * capacity)
         assert abs(summary.empirical_jitter_J - exact) <= 4 * stderr
 
@@ -918,7 +962,7 @@ class TestSimulateRun:
         capacity = 1000.0
         cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0, buffer_capacity=1,
                         horizon_packets=packets, seed=1729)
-        summary, stderr = _all_tagged_run(cfg)
+        summary, stderr = _tagged_run(cfg)
         exact = (1 + 1 / (1 + rho) - 2 / (2 + rho)) / capacity
         assert abs(summary.empirical_jitter_J - exact) <= 4 * stderr
 
@@ -955,7 +999,7 @@ class TestSimulateRun:
         cfg = SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
                         buffer_capacity=buffer_capacity, horizon_packets=packets, seed=seed)
         with _ring_calls() as calls:
-            summary, stderr = _all_tagged_run(cfg)
+            summary, stderr = _tagged_run(cfg)
         probe = sim._LANE_PROBE * sim._LANE_WARMUP
         rerun = sum(hi - lo for lo, hi in calls)
         if path == "ring":
@@ -1354,7 +1398,7 @@ _SUMMARY_HORIZONS = [1, 2, 32_767, 32_768, 32_769, 65_537, 300_001]
 
 def _use_cores(monkeypatch, cores):
     """Make ``simulate_sweep`` see ``cores`` available cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
 
 
 def _sweep_peak(base, grid, **kwargs):
@@ -1582,6 +1626,17 @@ class TestParallelSweep:
             simulate_sweep(base, [0.5, 1e9, 0.5], vary="capacity")
         assert str(got.value) == ("rho=1000000000.0 (grid index 1, seed index 0): "
                                   "times must be finite and service times non-negative")
+
+    def test_platform_without_affinity(self, monkeypatch):
+        """Where ``os`` has no ``sched_getaffinity`` (macOS, Windows) the
+        sweep runs on ``os.cpu_count()`` workers, with the summaries of one
+        run at a time. It used to raise AttributeError."""
+        sizes = _pool_sizes(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        base = SimConfig(1000.0, 500.0, tagged_fraction=0.1, horizon_packets=40_001, seed=5)
+        _sweep_against_runs(base, [0.2, 0.5, 0.8], seeds_per_point=2)
+        assert sizes == [3]
 
     def test_no_thread_outlives_a_sweep(self, monkeypatch):
         _use_cores(monkeypatch, 3)
@@ -2110,7 +2165,7 @@ def _token_path():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_dumptext, "EXACT_SCALING", False)
-        mp.setattr(sim, "_read_fast", fast_path)
+        mp.setattr(_dumptext, "_read_fast", fast_path)
         mp.setattr(_dumptext, "parse_decimals", fast_path)
         yield
 
@@ -2315,7 +2370,7 @@ class TestDumpParse:
         path = tmp_path_factory.mktemp("dump") / "trace.csv"
         path.write_bytes((PACKET_TRACE_HEADER + "\n" + lines).encode())
         accepted = []
-        read_fast = sim._read_fast
+        read_fast = _dumptext._read_fast
 
         def fast_path(*args):
             accepted.append(read_fast(*args))
@@ -2323,7 +2378,7 @@ class TestDumpParse:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_DUMP_READ_BYTES", read_bytes)
-            mp.setattr(sim, "_read_fast", fast_path)
+            mp.setattr(_dumptext, "_read_fast", fast_path)
             fast = _read_outcome(path)
             with _token_path():
                 assert _read_outcome(path) == fast

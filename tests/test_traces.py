@@ -714,6 +714,28 @@ class TestChunkedSynthesis:
             assert np.array_equal(got, _whole_draw_arrivals(oracle_rng, rate, horizon))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    def test_arrivals_past_the_first_block(self):
+        """Draws a quarter of a real generator's leave the first block, 176
+        arrivals for an expected 100, short of the horizon; the later
+        blocks continue from its last arrival, as the oracle's do."""
+        class Quartered:
+            def __init__(self):
+                self.rng, self.blocks = np.random.default_rng(11), 0
+
+            def standard_exponential(self, out):
+                self.rng.standard_exponential(out=out)
+                out *= 0.25
+
+            def exponential(self, scale, size):
+                self.blocks += 1
+                assert self.blocks < 10, "the arrivals never reach the horizon"
+                return self.rng.exponential(scale, size) * 0.25
+
+        got, oracle = Quartered(), Quartered()
+        arrivals = _poisson_arrivals(got, 2.0, 50.0)
+        assert got.blocks >= 2 and arrivals.size > 176
+        assert np.array_equal(arrivals, _whole_draw_arrivals(oracle, 2.0, 50.0))
+
     @pytest.mark.parametrize("name", ["static_far", "constant_50kmh", "variable_speed"])
     @pytest.mark.parametrize("chunk", [1_000, 4_096, sim._CHUNK])
     def test_committed_scenarios(self, name, chunk):

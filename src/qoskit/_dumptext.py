@@ -336,10 +336,12 @@ def render_lines(first: int, tagged, dropped, *times) -> np.ndarray:
     return text[text != 0]
 
 
-def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> None:
+def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> int:
     """Parse whole newline-terminated dump lines, the first of them line
-    ``line0`` of the file, into slices of their columns, one row a line;
-    a dropped line's departure and sojourn are not written.
+    ``line0`` of the file, into the first rows of slices of their columns,
+    one row a line, and return the number of lines; a dropped line's
+    departure and sojourn are not written. More lines than rows means that
+    the file changed while it was read (its lines were counted first).
 
     Where ``EXACT_SCALING`` holds the block is read in numpy
     (``_read_fast``); else, or where a check fails there, by ``float()``
@@ -353,6 +355,10 @@ def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> None:
         block = block.replace(b"\r\n", b"\n")
     raw = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
+    m = ends.size
+    if m > len(tagged):
+        raise DomainError(f"packet trace line {line0}: the file changed while it was read")
+    tagged, dropped, times = tagged[:m], dropped[:m], [column[:m] for column in times]
     commas = np.flatnonzero(raw == ord(","))
     bad = np.flatnonzero(np.diff(np.searchsorted(commas, ends), prepend=0) != len(_COLUMNS) - 1)
     if bad.size:
@@ -364,13 +370,13 @@ def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> None:
         j = int(np.searchsorted(ends, block.index(b"\0")))
         raise DomainError(f"packet trace line {line0 + j}: NUL byte in packet trace line")
     if EXACT_SCALING and _read_fast(block, raw, commas, ends, tagged, dropped, times):
-        return
+        return m
     # Newlines become field separators, so column k of the block is
     # fields[k::len(_COLUMNS)]; the empty field after the last newline is
     # never read.
     fields = block.replace(b"\n", b",").split(b",")
     step = len(_COLUMNS)
-    line_nos = np.arange(line0, line0 + ends.size)
+    line_nos = np.arange(line0, line0 + m)
     for column, k, known, what in ((tagged, 1, _FLOWS, _COLUMNS[1]),
                                    (dropped, step - 1, _FLAGS, f"{_COLUMNS[-1]} flag")):
         tokens = np.array(fields[k::step])
@@ -387,6 +393,7 @@ def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> None:
         if j >= _BLANK_FROM:
             tokens, rows = list(compress(tokens, keep)), delivered
         column[rows] = _parse_floats(tokens, line_nos[rows], name)
+    return m
 
 
 _PAD = np.zeros(24, np.uint8)

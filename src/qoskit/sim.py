@@ -975,9 +975,10 @@ def read_packet_trace(path) -> PacketLog:
     ended by LF or CR LF (the last one may lack it). Two passes: the first
     counts lines so the six output arrays are allocated once (34 bytes a
     packet); the second parses blocks of whole lines of about
-    ``_DUMP_READ_BYTES`` (``_dumptext.parse_lines``). So memory is the
-    output arrays plus one block's temporaries, about 8x its bytes, and no
-    per-packet Python object outlives its block.
+    ``_DUMP_READ_BYTES`` into the rest of the arrays
+    (``_dumptext.parse_lines``). So memory is the output arrays plus one
+    block's temporaries, about 8x its bytes, and no per-packet Python
+    object outlives its block.
 
     Raises DomainError, naming the 1-based line, on a wrong header, a line
     without exactly 7 fields or with a NUL byte, a flow other than
@@ -1009,12 +1010,7 @@ def read_packet_trace(path) -> PacketLog:
             del data                    # one copy of the block while it is parsed
             cut = block.rfind(b"\n") + 1
             tail, block = block[cut:], block[:cut]
-            m = block.count(b"\n")
-            if done + m > n:
-                raise DomainError(f"packet trace line {done + 2}: "
-                                  "the file changed while it was read")
-            parse_lines(block, done + 2, *(c[done:done + m] for c in columns))
-            done += m
+            done += parse_lines(block, done + 2, *(c[done:] for c in columns))
     if done != n:
         raise DomainError(f"packet trace changed while it was read: {path!r}")
     return PacketLog(*times, tagged, dropped)

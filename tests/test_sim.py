@@ -2107,6 +2107,32 @@ class TestPacketTrace:
         _assert_same_log(read_packet_trace(path), log)
         _assert_same_log(read_packet_trace(path), _reference_read_packet_trace(path))
 
+    @pytest.mark.parametrize("grow", [True, False], ids=["grown", "cut"])
+    def test_file_changed_while_read(self, tmp_path, monkeypatch, grow):
+        """Lines appended, or the file cut at a line end past what the
+        reader has buffered, once the lines are counted and the first block
+        is read: a block with more lines than the arrays have rows left, or
+        fewer lines in all, is an error, not a log of another length."""
+        log, _ = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=2_000, seed=4))
+        path = tmp_path / "trace.csv"
+        write_packet_trace(log, path)
+        text = path.read_bytes()
+        body = text.index(b"\n") + 1
+        parse = sim.parse_lines
+
+        def changing(block, line0, *columns):
+            if line0 == 2:
+                path.write_bytes(text + text[body:] if grow
+                                 else text[:text.index(b"\n", body + 65_536) + 1])
+            return parse(block, line0, *columns)
+
+        monkeypatch.setattr(sim, "_DUMP_READ_BYTES", 256)
+        monkeypatch.setattr(sim, "parse_lines", changing)
+        message = (r"packet trace line \d+: the file changed while it was read" if grow
+                   else "packet trace changed while it was read")
+        with pytest.raises(DomainError, match=message):
+            read_packet_trace(path)
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -25,7 +25,7 @@ from .model import (
     DEFAULT_VARIANT,
     VARIANTS,
     LinkParams,
-    _rate_from_load,
+    _from_load,
     analytical_jitter,
     invert_capacity_for_jitter,
     invert_load_for_jitter,
@@ -33,8 +33,6 @@ from .model import (
 from .reporting import (
     DEFAULT_VALIDATION_THRESHOLD,
     analyze_rows,
-    correlation_matrix,
-    ANALYSIS_COLUMNS,
     run_validation,
     write_validation_report,
     write_xy,
@@ -208,7 +206,7 @@ def _cmd_invert(args) -> int:
 
 
 def _config_from_args(args) -> SimConfig:
-    lam = args.lam if args.lam is not None else _rate_from_load(args.rho, args.capacity, gt=0)
+    lam = args.lam if args.lam is not None else _from_load(args.rho, args.capacity, gt=0)
     return SimConfig(
         capacity_C=args.capacity,
         arrival_rate_lambda=lam,
@@ -299,18 +297,12 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _correlations_json(correlations) -> dict:
-    return {key: None if s is None else
-            {"pearson_r": s.pearson_r, "spearman_rho": s.spearman_rho, "n": s.n}
-            for key, s in correlations}
-
-
-def _print_correlations(correlations, indent: str) -> None:
+def _print_correlations(correlations: dict, indent: str) -> None:
     """One line per pair; the warnings printed with them say why a pair is
     undefined."""
-    for key, s in correlations:
+    for key, s in correlations.items():
         value = ("undefined" if s is None else
-                 f"{s.pearson_r:+.3f} / {s.spearman_rho:+.3f}  (n={s.n})")
+                 f"{s['pearson_r']:+.3f} / {s['spearman_rho']:+.3f}  (n={s['n']})")
         print(f"{indent}{key}: {value}")
 
 
@@ -332,48 +324,24 @@ def _cmd_analyze(args) -> int:
                                  ("speed", "speed_kmh")):
                 write_xy(os.path.join(args.out, f"{curve}_vs_time.dat"),
                          times, [getattr(r, field) for r in rows])
-
     if args.json:
-        payload = {
-            "n_rows": report.n_rows,
-            "duration_s": report.duration_s,
-            "columns": {
-                name: {"mean": s.mean, "min": s.minimum, "max": s.maximum}
-                for name, s in report.summaries
-            },
-            "correlation_columns": list(ANALYSIS_COLUMNS),
-            "pearson_matrix": correlation_matrix(report),
-            "correlations": _correlations_json(report.correlations),
-            "warnings": list(report.warnings),
-        }
-        if report.speed_bins is not None:
-            payload["speed_bins"] = [
-                {
-                    "lo_kmh": b.lo_kmh,
-                    "hi_kmh": b.hi_kmh,
-                    "n": b.n,
-                    "means": dict(b.means),
-                    "correlations": _correlations_json(b.correlations),
-                }
-                for b in report.speed_bins
-            ]
-        _print_json(payload)
+        _print_json(report)
         return 0
 
-    print(f"rows: {report.n_rows}   span: {report.duration_s} s")
-    for name, s in report.summaries:
-        print(f"{name:>13}: mean {s.mean:.6g}   min {s.minimum:.6g}   max {s.maximum:.6g}")
+    print(f"rows: {report['n_rows']}   span: {report['duration_s']} s")
+    for name, s in report["columns"].items():
+        print(f"{name:>13}: mean {s['mean']:.6g}   min {s['min']:.6g}   max {s['max']:.6g}")
     print("correlations (pearson / spearman):")
-    _print_correlations(report.correlations, "  ")
-    for warning in report.warnings:
+    _print_correlations(report["correlations"], "  ")
+    for warning in report["warnings"]:
         print(f"warning: {warning}")
-    if report.speed_bins is not None:
+    if "speed_bins" in report:
         print("per-speed bins:")
-        for b in report.speed_bins:
-            print(f"  [{b.lo_kmh:g}, {b.hi_kmh:g}) km/h  n={b.n}")
-            for name, mean in b.means:
+        for b in report["speed_bins"]:
+            print(f"  [{b['lo_kmh']:g}, {b['hi_kmh']:g}) km/h  n={b['n']}")
+            for name, mean in b["means"].items():
                 print(f"      mean {name}: {mean:.6g}")
-            _print_correlations(b.correlations, "      ")
+            _print_correlations(b["correlations"], "      ")
     return 0
 
 

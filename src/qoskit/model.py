@@ -93,19 +93,25 @@ class LinkParams:
     @classmethod
     def from_rho(cls, capacity_C: float, load_rho: float) -> "LinkParams":
         """Build params from a load factor instead of an arrival rate."""
-        return cls(capacity_C, _rate_from_load(load_rho, capacity_C))
+        return cls(capacity_C, _from_load(load_rho, capacity_C))
 
 
-def _rate_from_load(load_rho, capacity_C, **load_bounds) -> float:
-    """lambda = rho * C. Both factors are checked before they are
-    multiplied, the load within ``load_bounds``; the product is then checked
-    as the arrival rate, except that a product beyond the largest float is
-    named by the two values typed."""
+def _from_load(load_rho, given, solve_for: str = "arrival rate", **load_bounds) -> float:
+    """The arrival rate lambda = rho * C from a capacity ``given`` or, with
+    ``solve_for="capacity"``, the capacity C = lambda / rho from an arrival
+    rate. Both values are checked first, the load within ``load_bounds``.
+    A nonzero load whose result leaves the range of a double (rounds to 0
+    or to infinity) is an error naming the two values typed; any other
+    result is returned for its user to check."""
     _real(load_rho, "load", **load_bounds)
-    _real(capacity_C, "capacity", gt=0)
-    if math.isfinite(load_rho * capacity_C):
-        return load_rho * capacity_C
-    raise DomainError(f"load {load_rho!r} times capacity {capacity_C!r} overflows the arrival rate")
+    to_rate = solve_for == "arrival rate"
+    _real(given, "capacity" if to_rate else "arrival rate", gt=0)
+    value = load_rho * given if to_rate else given / load_rho
+    if math.isfinite(value) and (value != 0 or load_rho == 0):
+        return value
+    formed = (f"load {load_rho!r} times capacity {given!r}" if to_rate else
+              f"arrival rate {given!r} over load {load_rho!r}")
+    raise DomainError(f"{formed} {'underflows' if value == 0 else 'overflows'} the {solve_for}")
 
 
 @dataclass(frozen=True)

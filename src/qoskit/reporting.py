@@ -10,14 +10,14 @@ curve, so any plotting tool can consume it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _real
-from .metrics import SeriesStats, _mean, _unit_scaled, correlate
-from .model import DEFAULT_VARIANT, LinkParams, analytical_jitter
+from .metrics import _mean, _unit_scaled, correlate
+from .model import DEFAULT_VARIANT, LinkParams, _from_load, analytical_jitter
 from .sim import SimConfig, simulate_sweep
 from .traces import QosLogRow
 
@@ -78,10 +78,11 @@ def run_validation(
     grid = [float(r) for r in rho_grid]
     if not grid:
         raise DomainError("the validation grid must not be empty")
-    # The sweep sets lambda = rho * C at each point and names a bad point.
+    # The sweep sets lambda = rho * C at each point and names a bad point; the
+    # base's rate, at a load of 0.5, is a placeholder.
     base = SimConfig(
         capacity_C=capacity_C,
-        arrival_rate_lambda=capacity_C / 2,
+        arrival_rate_lambda=_from_load(0.5, capacity_C),
         tagged_fraction=tagged_fraction,
         buffer_capacity=None,
         horizon_packets=packets,
@@ -169,36 +170,6 @@ def write_xy(path, xs, ys) -> None:
 ANALYSIS_COLUMNS = ("tput_Bps", "jitter_ms", "loss_fraction")
 
 
-@dataclass(frozen=True)
-class ColumnSummary:
-    mean: float
-    minimum: float
-    maximum: float
-
-
-@dataclass(frozen=True)
-class SpeedBin:
-    """Rows grouped by speed: per-column means and in-bin correlations."""
-
-    lo_kmh: float
-    hi_kmh: float
-    n: int
-    means: tuple[tuple[str, float], ...]
-    correlations: tuple[tuple[str, SeriesStats | None], ...]
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Summary, correlation matrix, and optional per-speed breakdown."""
-
-    n_rows: int
-    duration_s: int
-    summaries: tuple[tuple[str, ColumnSummary], ...]
-    correlations: tuple[tuple[str, SeriesStats | None], ...]
-    warnings: tuple[str, ...]
-    speed_bins: tuple[SpeedBin, ...] | None
-
-
 def _column_arrays(rows: list[QosLogRow]) -> dict[str, np.ndarray]:
     total = np.array([r.total_pkts for r in rows], dtype=float)
     lost = np.array([r.lost_pkts for r in rows], dtype=float)
@@ -211,19 +182,20 @@ def _column_arrays(rows: list[QosLogRow]) -> dict[str, np.ndarray]:
     }
 
 
-def _pairwise(columns: dict[str, np.ndarray], warnings: list[str], context: str = ""):
-    out = []
+def _pairwise(columns: dict[str, np.ndarray], warnings: list[str], context: str = "") -> dict:
+    """Each pair's ``{"pearson_r", "spearman_rho", "n"}``, keyed ``"a~b"``;
+    None, with a warning, where the pair is undefined."""
+    out = {}
     names = list(columns)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             key = f"{a}~{b}"
             try:
-                stats = correlate(columns[a], columns[b])
+                out[key] = asdict(correlate(columns[a], columns[b]))
             except (ConstantSeriesError, InsufficientDataError) as exc:
                 warnings.append(f"{context}{key}: {exc}")
-                stats = None
-            out.append((key, stats))
-    return tuple(out)
+                out[key] = None
+    return out
 
 
 def analyze_rows(
@@ -231,25 +203,38 @@ def analyze_rows(
     *,
     by_speed: bool = False,
     speed_bin_width_kmh: float = 10.0,
-) -> AnalysisReport:
+) -> dict:
     """Summarize one log: column statistics and the pairwise correlation
-    matrix over {throughput, jitter, loss fraction}; optionally the same
-    means and correlations within speed bins.
+    matrix over ANALYSIS_COLUMNS; optionally the same means and
+    correlations within speed bins.
 
-    A constant column makes its correlations undefined; those pairs are
-    reported as missing with a warning and the rest of the analysis proceeds.
+    Returns the payload ``qoskit analyze --json`` prints: ``n_rows``,
+    ``duration_s``, ``columns`` (each column's mean, min and max),
+    ``correlation_columns``, ``pearson_matrix`` (symmetric, unit diagonal),
+    ``correlations``, ``warnings`` and, with ``by_speed``, ``speed_bins``
+    (each bin's bounds, row count, column means and correlations). A
+    constant column makes its correlations undefined; those pairs are None
+    with a warning and the rest of the analysis proceeds.
     """
     if not rows:
         raise DomainError("cannot analyze an empty log")
     columns = _column_arrays(rows)
     warnings: list[str] = []
-    summaries = tuple(
-        (name, ColumnSummary(_mean(vals), float(vals.min()), float(vals.max())))
-        for name, vals in columns.items()
-    )
     correlations = _pairwise(columns, warnings)
-
-    speed_bins = None
+    pearson = {tuple(key.split("~")): None if s is None else s["pearson_r"]
+               for key, s in correlations.items()}
+    report = {
+        "n_rows": len(rows),
+        "duration_s": rows[-1].t_unix_s - rows[0].t_unix_s + 1,
+        "columns": {name: {"mean": _mean(vals), "min": float(vals.min()),
+                           "max": float(vals.max())}
+                    for name, vals in columns.items()},
+        "correlation_columns": list(ANALYSIS_COLUMNS),
+        "pearson_matrix": [[1.0 if a == b else pearson.get((a, b), pearson.get((b, a)))
+                            for b in ANALYSIS_COLUMNS] for a in ANALYSIS_COLUMNS],
+        "correlations": correlations,
+        "warnings": warnings,
+    }
     if by_speed:
         _real(speed_bin_width_kmh, "speed bin width", gt=0)
         speeds = np.array([r.speed_kmh for r in rows])
@@ -258,48 +243,17 @@ def analyze_rows(
             raise DomainError(f"speed bin width {speed_bin_width_kmh!r} km/h gives more "
                               f"bins than can be counted")
         bins = bins.astype(int)
-        out = []
+        report["speed_bins"] = []
         for b in sorted(set(bins.tolist())):
             mask = bins == b
             sub = {name: vals[mask] for name, vals in columns.items()}
-            means = tuple((name, _mean(vals)) for name, vals in sub.items())
-            corr = _pairwise(
-                sub, warnings, context=f"speed bin [{b * speed_bin_width_kmh:g}, "
-                f"{(b + 1) * speed_bin_width_kmh:g}) km/h: "
-            )
-            out.append(
-                SpeedBin(
-                    lo_kmh=b * speed_bin_width_kmh,
-                    hi_kmh=(b + 1) * speed_bin_width_kmh,
-                    n=int(mask.sum()),
-                    means=means,
-                    correlations=corr,
-                )
-            )
-        speed_bins = tuple(out)
-
-    return AnalysisReport(
-        n_rows=len(rows),
-        duration_s=rows[-1].t_unix_s - rows[0].t_unix_s + 1,
-        summaries=summaries,
-        correlations=correlations,
-        warnings=tuple(warnings),
-        speed_bins=speed_bins,
-    )
-
-
-def correlation_matrix(report: AnalysisReport) -> list[list[float | None]]:
-    """Full symmetric matrix with unit diagonal over ANALYSIS_COLUMNS,
-    None where a pair was undefined."""
-    names = list(ANALYSIS_COLUMNS)
-    lookup = dict(report.correlations)
-    size = len(names)
-    matrix: list[list[float | None]] = [[None] * size for _ in range(size)]
-    for i in range(size):
-        matrix[i][i] = 1.0
-        for j in range(i + 1, size):
-            stats = lookup.get(f"{names[i]}~{names[j]}")
-            value = stats.pearson_r if stats is not None else None
-            matrix[i][j] = value
-            matrix[j][i] = value
-    return matrix
+            lo, hi = b * speed_bin_width_kmh, (b + 1) * speed_bin_width_kmh
+            report["speed_bins"].append({
+                "lo_kmh": lo,
+                "hi_kmh": hi,
+                "n": int(mask.sum()),
+                "means": {name: _mean(vals) for name, vals in sub.items()},
+                "correlations": _pairwise(sub, warnings,
+                                          context=f"speed bin [{lo:g}, {hi:g}) km/h: "),
+            })
+    return report

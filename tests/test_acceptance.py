@@ -190,19 +190,19 @@ class TestCriterion08VariableSpeedShape:
         checked = 0
         details = []
         ok = True
-        for b in report.speed_bins:
-            if b.n < 30:
+        for b in report["speed_bins"]:
+            if b["n"] < 30:
                 continue
-            corr = dict(b.correlations)
+            corr = b["correlations"]
             r_tj = corr["tput_Bps~jitter_ms"]
             r_jl = corr["jitter_ms~loss_fraction"]
             assert r_tj is not None and r_jl is not None
             checked += 1
             details.append(
-                f"[{b.lo_kmh:g},{b.hi_kmh:g}) n={b.n} "
-                f"r_tj={r_tj.pearson_r:+.2f} r_jl={r_jl.pearson_r:+.2f}"
+                f"[{b['lo_kmh']:g},{b['hi_kmh']:g}) n={b['n']} "
+                f"r_tj={r_tj['pearson_r']:+.2f} r_jl={r_jl['pearson_r']:+.2f}"
             )
-            ok = ok and r_tj.pearson_r < 0 and r_jl.pearson_r > 0
+            ok = ok and r_tj["pearson_r"] < 0 and r_jl["pearson_r"] > 0
         ok = ok and checked >= 3
         _verdict("8 (variable-speed shape)", ok,
                  f"{checked} bins with >=30 samples: " + "; ".join(details))

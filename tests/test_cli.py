@@ -271,6 +271,22 @@ class TestSimulateCommand:
                        "the arrival rate\n")
         assert "inf" not in err
 
+    @pytest.mark.parametrize("argv, formed", [
+        (("model", "--capacity", "5e-324", "--rho", "0.5"), "load 0.5 times capacity 5e-324"),
+        (("simulate", "--capacity", "1e-300", "--rho", "1e-30", "--packets", "10"),
+         "load 1e-30 times capacity 1e-300"),
+        (("validate", "--capacity", "5e-324", "--rho-grid", "0.5", "--packets", "10",
+          "--seeds", "1"), "load 0.5 times capacity 5e-324"),
+    ], ids=["model", "simulate", "validate"])
+    def test_underflowing_arrival_rate_named_as_typed(self, capsys, tmp_path, argv, formed):
+        """rho * C below the smallest double used to be reported as an
+        arrival rate of 0 (``arrival rate is zero``, ``got 0.0``)."""
+        if argv[0] == "validate":
+            argv += ("--out", str(tmp_path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {formed} underflows the arrival rate\n"
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_rejected(self, capsys, seed):
         """Both seeds used to run another seed's stream (2^64 - 1 and 0)
@@ -391,6 +407,14 @@ class TestValidateCommand:
             for line in lines:
                 x, y = line.split()
                 float(x), float(y)
+
+    @pytest.mark.parametrize("grid, expected", [("a:b:c", "start:stop:step"),
+                                                ("0.2,x", "comma-separated loads")])
+    def test_unparsable_grid(self, capsys, tmp_path, grid, expected):
+        code, out, err = run_cli(capsys, "validate", "--capacity", "1000", "--rho-grid", grid,
+                                 "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse grid {grid!r}; expected {expected}\n"
 
     def test_empty_grid_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -588,6 +612,75 @@ class TestAnalyzeCommand:
         assert payload["correlations"]["tput_Bps~jitter_ms"] is None
         assert payload["correlations"]["jitter_ms~loss_fraction"] is not None
         assert payload["warnings"]
+
+    _TEXT_SUMMARY = """\
+rows: 12   span: 12 s
+     tput_Bps: mean 5000   min 5000   max 5000
+    jitter_ms: mean 2.58333   min 0   max 6
+loss_fraction: mean 0.1   min 0   max 0.2
+correlations (pearson / spearman):
+  tput_Bps~jitter_ms: undefined
+  tput_Bps~loss_fraction: undefined
+  jitter_ms~loss_fraction: +0.055 / +0.089  (n=12)
+warning: tput_Bps~jitter_ms: first series is constant; correlation undefined
+warning: tput_Bps~loss_fraction: first series is constant; correlation undefined
+"""
+
+    _TEXT_BY_SPEED = """\
+warning: speed bin [0, 10) km/h: tput_Bps~jitter_ms: first series is constant; correlation undefined
+warning: speed bin [0, 10) km/h: tput_Bps~loss_fraction: first series is constant; correlation undefined
+warning: speed bin [10, 20) km/h: tput_Bps~jitter_ms: first series is constant; correlation undefined
+warning: speed bin [10, 20) km/h: tput_Bps~loss_fraction: first series is constant; correlation undefined
+warning: speed bin [20, 30) km/h: tput_Bps~jitter_ms: need at least 3 paired samples, got 2
+warning: speed bin [20, 30) km/h: tput_Bps~loss_fraction: need at least 3 paired samples, got 2
+warning: speed bin [20, 30) km/h: jitter_ms~loss_fraction: need at least 3 paired samples, got 2
+per-speed bins:
+  [0, 10) km/h  n=5
+      mean tput_Bps: 5000
+      mean jitter_ms: 2
+      mean loss_fraction: 0.08
+      tput_Bps~jitter_ms: undefined
+      tput_Bps~loss_fraction: undefined
+      jitter_ms~loss_fraction: +0.189 / +0.211  (n=5)
+  [10, 20) km/h  n=5
+      mean tput_Bps: 5000
+      mean jitter_ms: 2.8
+      mean loss_fraction: 0.1
+      tput_Bps~jitter_ms: undefined
+      tput_Bps~loss_fraction: undefined
+      jitter_ms~loss_fraction: -0.193 / -0.316  (n=5)
+  [20, 30) km/h  n=2
+      mean tput_Bps: 5000
+      mean jitter_ms: 3.5
+      mean loss_fraction: 0.15
+      tput_Bps~jitter_ms: undefined
+      tput_Bps~loss_fraction: undefined
+      jitter_ms~loss_fraction: undefined
+"""
+
+    @pytest.mark.parametrize("by_speed", [False, True])
+    def test_text_form(self, capsys, tmp_path, by_speed):
+        """The whole text output on a log with a constant throughput and a
+        two-row speed bin: undefined pairs, the warnings with and without a
+        bin's context, and the bin means."""
+        rows = [
+            QosLogRow(100 + k, 0.0, 0.0, 1, 1000.0, (5.0, 15.0, 25.0)[min(k // 5, 2)],
+                      5000.0, float(k % 7), k % 3, 10)
+            for k in range(12)
+        ]
+        log = tmp_path / "const.csv"
+        log.write_bytes(write_log(rows))
+        argv = ["analyze", "--log", str(log)] + (["--by-speed"] if by_speed else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == self._TEXT_SUMMARY + (self._TEXT_BY_SPEED if by_speed else "")
+
+    def test_header_only_log_exits_1(self, capsys, tmp_path):
+        log = tmp_path / "empty.csv"
+        log.write_text(LOG_HEADER + "\n")
+        code, out, err = run_cli(capsys, "analyze", "--log", str(log))
+        assert (code, out) == (1, "")
+        assert err == "error: cannot analyze an empty log\n"
 
     def test_by_speed_bins(self, capsys, tmp_path):
         log = self._synthesize(

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from qoskit.errors import DomainError
-from qoskit.metrics import mean_abs_jitter
+from qoskit.errors import DomainError, TraceParseError
+from qoskit.metrics import correlate, mean_abs_jitter
 from qoskit.model import LinkParams, invert_load_for_jitter, loss_from_throughput
-from qoskit.sim import SimConfig, child_seed, simulate_run, simulate_sweep
-from qoskit.traces import MobilityScenario
+from qoskit.sim import SimConfig, child_seed, fcfs_departures, simulate_run, simulate_sweep
+from qoskit.traces import (LOG_HEADER, MobilityScenario, RateDistanceMap, parse_log,
+                           parse_scenario, write_log)
 
 _BASE = SimConfig(1000.0, 500.0, horizon_packets=10)
 
@@ -55,6 +56,60 @@ _BAD_CALLS = {
 def test_bad_value_is_a_domain_error(call):
     with pytest.raises(DomainError, match=r" must be .*, got "):
         call()
+
+
+_SCENARIO = "kind = static\nduration_s = 5\n"
+
+# Checks with a message of their own, each reached by no other test.
+_REJECTED_CALLS = {
+    "departures of unequal shapes": (
+        lambda: fcfs_departures([0.0, 1.0], [1.0]), DomainError,
+        "arrival and service times must be 1-D arrays of equal length"),
+    "sweep varying neither": (
+        lambda: simulate_sweep(_BASE, [0.5], vary="x"), DomainError,
+        "vary must be 'arrival' or 'capacity', got 'x'"),
+    "correlation of 2-D series": (
+        lambda: correlate([[1.0, 2.0, 3.0]], [[1.0, 2.0, 4.0]]), DomainError,
+        "series must be one-dimensional"),
+    "correlation with a NaN": (
+        lambda: correlate([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]), DomainError,
+        "series must be finite"),
+    "jitter of a 2-D series": (
+        lambda: mean_abs_jitter([[1.0, 2.0, 3.0]]), DomainError,
+        "a delay series must be one-dimensional"),
+    "log of a non-row": (
+        lambda: write_log([1]), DomainError, "rows[0] is not a QosLogRow"),
+    "log of no bytes": (
+        lambda: parse_log(b""), TraceParseError,
+        "line 1: empty file, expected the canonical header"),
+    "log row one field short": (
+        lambda: parse_log(LOG_HEADER + "\n100,0,0,1,1000,50,230000,4.5,1\n"), TraceParseError,
+        "line 2: expected 10 fields, got 9"),
+    "rate map without anchors": (
+        lambda: RateDistanceMap(anchors=()), DomainError,
+        "a rate map needs at least one anchor"),
+    "scenario interpolation cubic": (
+        lambda: parse_scenario(_SCENARIO + "rate_interpolation = cubic\n"), DomainError,
+        "interpolation must be 'step' or 'linear', got 'cubic'"),
+    "scenario kind foo": (
+        lambda: parse_scenario("kind = foo\nduration_s = 5\n"), DomainError,
+        "kind must be one of ('static', 'constant_speed', 'variable_speed'), got 'foo'"),
+    "scenario line without '='": (
+        lambda: parse_scenario("kind static\n"), DomainError,
+        "scenario line 1: expected 'key = value', got 'kind static'"),
+    "scenario anchors without a pair": (
+        lambda: parse_scenario(_SCENARIO + "rate_anchors = ,\n"), DomainError,
+        "scenario line 3: rate_anchors must contain at least one 'a:b' pair"),
+}
+
+
+@pytest.mark.parametrize("call, kind, message", list(_REJECTED_CALLS.values()),
+                         ids=list(_REJECTED_CALLS))
+def test_rejection_names_its_cause(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
 
 
 def test_numpy_scalars_are_numbers():

@@ -1368,6 +1368,18 @@ class TestSweep:
         with pytest.raises(InstabilityError, match="grid index 1"):
             simulate_sweep(base, [0.5, 1.2])
 
+    @pytest.mark.parametrize("vary, rho, formed", [
+        ("capacity", 1e-310, "arrival rate 500.0 over load 1e-310 overflows the capacity"),
+        ("arrival", 1e306, "load 1e+306 times capacity 1000.0 overflows the arrival rate"),
+    ], ids=["capacity", "arrival"])
+    def test_load_beyond_the_double_range_named_as_typed(self, vary, rho, formed):
+        """lambda / rho and rho * C past the largest double used to be
+        reported as a capacity or an arrival rate of inf."""
+        base = SimConfig(1000.0, 500.0, horizon_packets=100, seed=1)
+        with pytest.raises(DomainError) as got:
+            simulate_sweep(base, [0.5, rho], vary=vary)
+        assert str(got.value) == f"rho={rho!r} (grid index 1, seed index 0): {formed}"
+
     def test_capacity_mode_holds_arrival_rate(self):
         base = SimConfig(1000.0, 800.0, buffer_capacity=10, horizon_packets=1000, seed=5)
         summaries = simulate_sweep(base, [0.5, 1.0, 1.6], seeds_per_point=1, vary="capacity")

@@ -103,6 +103,11 @@ class TestLogRoundTrip:
         with pytest.raises(TraceParseError, match="line 1"):
             parse_log(b"nope\n")
 
+    def test_blank_lines_skipped(self):
+        rows = [_row(t=100), _row(t=101)]
+        data = write_log(rows).decode().replace("\n", "\n\n")
+        assert parse_log(data) == rows
+
     def test_non_utf8_bytes_name_their_line(self):
         data = (LOG_HEADER + "\n100,0,0,1,1000,50,230000,4.5,1,10\n").encode() + b"\xff\n"
         with pytest.raises(TraceParseError, match="line 3: not UTF-8 text"):
@@ -318,6 +323,13 @@ class TestScenario:
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(DomainError, match="unknown scenario key"):
             parse_scenario("kind = static\nduration_s = 5\nbogus = 1\n")
+
+    def test_empty_list_items_skipped(self):
+        scenario = parse_scenario("kind = static\nduration_s = 5\n"
+                                  "rate_anchors = 500:1000, ,800:10,\n"
+                                  "mask_zones = ;100-200; ;\n")
+        assert scenario.rate_map.anchors == ((500.0, 1000.0), (800.0, 10.0))
+        assert scenario.rate_map.mask_zones == ((100.0, 200.0),)
 
     def test_parse_rejects_duplicate_key(self):
         with pytest.raises(DomainError, match="duplicate"):

@@ -324,6 +324,7 @@ def _cmd_analyze(args) -> int:
                                  ("speed", "speed_kmh")):
                 write_xy(os.path.join(args.out, f"{curve}_vs_time.dat"),
                          times, [getattr(r, field) for r in rows])
+
     if args.json:
         _print_json(report)
         return 0

@@ -18,7 +18,7 @@ from . import __version__
 from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _real
 from .metrics import _mean, _unit_scaled, correlate
 from .model import DEFAULT_VARIANT, LinkParams, _from_load, analytical_jitter
-from .sim import SimConfig, simulate_sweep
+from .sim import SimConfig, _at_point, simulate_sweep
 from .traces import QosLogRow
 
 #: Relative disagreement between model and simulation tolerated by default.
@@ -78,11 +78,19 @@ def run_validation(
     grid = [float(r) for r in rho_grid]
     if not grid:
         raise DomainError("the validation grid must not be empty")
-    # The sweep sets lambda = rho * C at each point and names a bad point; the
-    # base's rate, at a load of 0.5, is a placeholder.
+    # The sweep sets lambda = rho * C at each point and names a bad point. The
+    # points are checked here first, as the sweep checks them, so an error
+    # names a load typed; the base, at the first point's rate, then fails only
+    # on a field that every point shares, named without a point.
+    _real(capacity_C, "capacity", gt=0)
+    rates = []
+    for i, rho in enumerate(grid):
+        _real(rho, f"rho_grid[{i}]", gt=0)
+        rates.append(_at_point(rho, i, 0, _from_load, rho, capacity_C))
+        _at_point(rho, i, 0, SimConfig, capacity_C, rates[-1])     # lambda < C
     base = SimConfig(
         capacity_C=capacity_C,
-        arrival_rate_lambda=_from_load(0.5, capacity_C),
+        arrival_rate_lambda=rates[0],
         tagged_fraction=tagged_fraction,
         buffer_capacity=None,
         horizon_packets=packets,

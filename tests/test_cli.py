@@ -276,7 +276,7 @@ class TestSimulateCommand:
         (("simulate", "--capacity", "1e-300", "--rho", "1e-30", "--packets", "10"),
          "load 1e-30 times capacity 1e-300"),
         (("validate", "--capacity", "5e-324", "--rho-grid", "0.5", "--packets", "10",
-          "--seeds", "1"), "load 0.5 times capacity 5e-324"),
+          "--seeds", "1"), "rho=0.5 (grid index 0, seed index 0): load 0.5 times capacity 5e-324"),
     ], ids=["model", "simulate", "validate"])
     def test_underflowing_arrival_rate_named_as_typed(self, capsys, tmp_path, argv, formed):
         """rho * C below the smallest double used to be reported as an
@@ -395,6 +395,31 @@ class TestValidateCommand:
         assert code == 1
         assert err == f"error: {message}\n"
         assert not (tmp_path / "validation.csv").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.3", "rho=0.3 (grid index 0, seed index 0): "
+                "load 0.3 times capacity 5e-324 underflows the arrival rate"),
+        ("0.7,0.3", "rho=0.7 (grid index 0, seed index 0): "
+                    "unbounded buffer requires lambda < C; got load 1"),
+    ], ids=["underflow", "unstable"])
+    def test_smallest_capacity_names_a_grid_point(self, capsys, tmp_path, grid, message):
+        """No rate below the smallest double is positive, so every point
+        fails. The error used to name the load 0.5 of a placeholder base
+        rate, which was never typed."""
+        code, out, err = run_cli(
+            capsys, "validate", "--capacity", "5e-324", "--rho-grid", grid,
+            "--packets", "10", "--seeds", "1", "--out", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_shared_field_named_without_a_point(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "validate", "--capacity", "1000", "--rho-grid", "0.3,0.5",
+            "--tagged-fraction", "2", "--packets", "10", "--seeds", "1", "--out", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: tagged fraction must be a finite number > 0 and <= 1, got 2.0\n"
 
     def test_plot_data_files_two_columns(self, capsys, tmp_path):
         run_cli(

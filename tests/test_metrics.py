@@ -1,15 +1,20 @@
 """Estimator unit truths and invariance properties."""
 
+import json
 import math
 import sys
+import threading
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qoskit.errors import ConstantSeriesError, DomainError, InsufficientDataError
-from qoskit.metrics import correlate, ipdv_series, mean_abs_jitter
+from qoskit import metrics
+from qoskit.metrics import JitterEstimate, correlate, ipdv_series, mean_abs_jitter
 from qoskit.model import loss_from_throughput
 from qoskit.sim import SimConfig, simulate_run
 
@@ -130,6 +135,134 @@ class TestMeanAbsJitter:
         est = mean_abs_jitter(delays, ci=False)
         assert est.mean_abs_ipdv == summary.empirical_jitter_J
         assert est.n_samples == summary.n_jitter_samples
+
+
+def _sequential_jitter(delays, n_boot, seed) -> JitterEstimate:
+    """``mean_abs_jitter`` as one plain loop: each resample is drawn, gathered
+    and averaged before the next is drawn."""
+    samples = metrics._abs_differences(metrics._as_delay_array(delays))
+    rng = np.random.default_rng(seed)
+    n = samples.size
+    means = np.empty(n_boot)
+    for b in range(n_boot):
+        means[b] = metrics._mean(samples[rng.integers(0, n, size=n)])
+    lo, hi = np.percentile(means, [2.5, 97.5])
+    return JitterEstimate(mean_abs_ipdv=metrics._mean(samples), n_samples=int(n),
+                          ci95_halfwidth=float((hi - lo) / 2.0))
+
+
+def _outcome(estimate):
+    """What ``estimate()`` returns, or the type and text of its error."""
+    try:
+        return estimate()
+    except FloatingPointError as exc:
+        return type(exc), str(exc)
+
+
+# |differences| of about 1.6e308: a resample's plain sum leaves the double
+# range, so its mean is taken over unit-scaled values
+_NEAR_MAX = [0.0, 1.6e308, 0.0, 1e308, 1.5e308, 0.0, 1.7e308, 2e307]
+
+# nine |differences| of 1e-300 and one of 1.7e308: the estimate's sum is
+# finite, but a resample that draws the large one twice is unit-scaled, and
+# 1e-300 scaled by 2^-1024 underflows
+_UNDERFLOWS_WHEN_SCALED = [0.0, 1e-300] * 5 + [1.7e308]
+
+
+class TestBootstrapPipeline:
+    """The bootstrap draws resample b + 1 while a worker thread averages
+    resample b; it must give the plain loop's values bit for bit."""
+
+    @pytest.mark.parametrize("n_boot", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("size", [2, 3, 4, 17, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_equals_the_sequential_loop(self, n_boot, size, seed):
+        delays = np.random.default_rng([size, seed % 97]).exponential(1e-3, size)
+        assert mean_abs_jitter(delays, n_boot=n_boot, seed=seed) == \
+            _sequential_jitter(delays, n_boot, seed)
+
+    @pytest.mark.parametrize("n_boot", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_the_sequential_loop_near_the_largest_double(self, n_boot, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            estimate = mean_abs_jitter(_NEAR_MAX, n_boot=n_boot, seed=seed)
+        assert estimate == _sequential_jitter(_NEAR_MAX, n_boot, seed)
+        assert math.isfinite(estimate.ci95_halfwidth)
+
+    def test_equals_the_sequential_loop_under_fast_thread_switches(self):
+        """The worker writes each mean while the caller draws; a switch
+        interval of 1 us interleaves the two threads as finely as it can."""
+        delays = np.random.default_rng(5).exponential(1.0, 300)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimate = mean_abs_jitter(delays, n_boot=2000, seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert estimate == _sequential_jitter(delays, 2000, 3)
+
+    def test_workload_fingerprint(self):
+        """The packet-dump benchmark's estimate, over the tagged sojourns of
+        its 1M-packet seed-42 run, is the recorded fingerprint exactly."""
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+        recorded = json.loads(golden.read_text())["packet-dump"]["jitter"]
+        log, _ = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=1_000_000, seed=42))
+        estimate = mean_abs_jitter(log.sojourn_times[log.tagged & ~log.dropped])
+        assert {"mean_abs_ipdv": estimate.mean_abs_ipdv, "n_samples": estimate.n_samples,
+                "ci95_halfwidth": estimate.ci95_halfwidth} == recorded
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        mean_abs_jitter(np.arange(50.0) % 7, n_boot=100)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 99])
+    def test_first_error_in_resample_order(self, monkeypatch, k):
+        """Every resample from k on fails; the caller gets resample k's
+        error, no later resample is averaged, and no thread is left."""
+        calls = []
+        mean = metrics._mean
+
+        def failing(values):
+            calls.append(len(calls) - 1)    # call 0 takes the estimate itself
+            if calls[-1] >= k:
+                raise RuntimeError(f"resample {calls[-1]}")
+            return mean(values)
+
+        monkeypatch.setattr(metrics, "_mean", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^resample {k}$"):
+            mean_abs_jitter(np.arange(50.0) % 7, n_boot=100)
+        assert calls == list(range(-1, k + 1))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("errors, raises", [({"over": "raise"}, False),
+                                                ({"under": "raise"}, True),
+                                                ({"all": "raise"}, True)])
+    def test_caller_error_handling_reaches_the_worker(self, errors, raises):
+        """numpy's error handling is per thread: the worker must average
+        under the caller's, as the plain loop does."""
+        with np.errstate(**errors):
+            got = _outcome(lambda: mean_abs_jitter(_UNDERFLOWS_WHEN_SCALED, n_boot=20, seed=0))
+            want = _outcome(lambda: _sequential_jitter(_UNDERFLOWS_WHEN_SCALED, 20, 0))
+        assert got == want
+        assert isinstance(got, tuple) == raises
+
+    def test_peak_memory_a_few_arrays(self):
+        """At most five arrays of n doubles at once: the samples, the
+        indices being averaged and those being drawn, and the gathered
+        resample. The plain loop peaked at about 2.3 MiB here."""
+        n = 100_000
+        delays = np.random.default_rng(11).exponential(1e-3, n + 1)
+        mean_abs_jitter(delays[:100], n_boot=2)     # imports outside the trace
+        tracemalloc.start()
+        try:
+            mean_abs_jitter(delays, n_boot=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * 8
 
 
 class TestWindowedThroughput:

@@ -124,12 +124,9 @@ def _bootstrap_means(samples, n_boot: int, seed: int) -> np.ndarray:
     with ThreadPoolExecutor(1) as pool:
         summed = None
         for b in range(n_boot):
-            try:
-                idx = rng.integers(0, n, size=n)
-            finally:
-                # resample b - 1's error comes before any error of this draw
-                if summed is not None:
-                    summed.result()
+            idx = rng.integers(0, n, size=n)
+            if summed is not None:
+                summed.result()
             summed = pool.submit(average, b, idx)
         summed.result()
     return means

@@ -108,8 +108,8 @@ def _bootstrap_means(samples, n_boot: int, seed: int) -> np.ndarray:
     call returns or raises, and an error reaches the caller in resample
     order.
     """
-    # imported here: it brings in logging, about 1 MiB and 7 ms that a call
-    # without the bootstrap would pay
+    # imported here, as in sim.simulate_sweep: it brings in logging, which a
+    # call without the bootstrap need not load
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(seed)

@@ -42,7 +42,6 @@ from .model import (
     invert_capacity_for_jitter,
     invert_load_for_jitter,
     loss_from_throughput,
-    throughput_from_loss,
 )
 from .sim import (
     DEFAULT_SEED,

@@ -409,8 +409,10 @@ def _read_fast(block, raw, commas, ends, tagged, dropped, times) -> bool:
     """Parse the block as ``parse_lines`` does, given its lines of one field
     per column, their ``commas`` (consumed) and ``ends``: the times are read
     by ``parse_decimals``, and by ``float()`` only where it does not certify
-    a token. Returns False, having written nothing, where a flow, a flag or
-    a time is bad, so that the token path names the line."""
+    a token. A certified token (at most 19 digits, |q| <= 27) is always
+    finite, so only a ``float()`` value is checked. Returns False, having
+    written nothing, where a flow, a flag or a time is bad, so that the
+    token path names the line."""
     text = np.concatenate([_PAD, raw, _PAD])
     words = unaligned_words(text)
     c = commas.reshape(-1, len(_COLUMNS) - 1)
@@ -429,12 +431,11 @@ def _read_fast(block, raw, commas, ends, tagged, dropped, times) -> bool:
     good[is_dropped, _BLANK_FROM:] = True     # never read
     for i in np.flatnonzero(~good).tolist():
         try:
-            values.flat[i] = float(block[starts[i] - _PAD.size:stops[i] - _PAD.size])
+            values.flat[i] = value = float(block[starts[i] - _PAD.size:stops[i] - _PAD.size])
         except ValueError:
             return False
-    values[is_dropped, _BLANK_FROM:] = 0.0
-    if not np.isfinite(values).all():
-        return False
+        if not np.isfinite(value):
+            return False
     tagged[:] = is_tagged
     dropped[:] = is_dropped
     delivered = ~is_dropped

@@ -108,7 +108,9 @@ def _parse_grid(text: str) -> list[float]:
         _real(start, "grid start")
         _real(step, "grid step", gt=0)
         _real(stop, "grid stop", ge=start)
-        _real((stop - start) / step + 1, "number of grid points", le=_MAX_GRID_POINTS)
+        # the grid has round((stop - start) / step) + 1 points
+        if not (stop - start) / step < _MAX_GRID_POINTS - 0.5:
+            raise QoskitError(f"grid {text!r} has more than {_MAX_GRID_POINTS:,} points")
         n = int(round((stop - start) / step)) + 1
         return [round(start + k * step, 12) for k in range(n) if start + k * step <= stop + step / 2]
     try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,13 +116,12 @@ def _bootstrap_means(samples, n_boot: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = samples.size
     means = np.empty(n_boot)
-    errors = np.geterr()        # numpy's error handling is per thread
 
     def average(b, idx):
-        with np.errstate(**errors):
-            means[b] = _mean(samples[idx])
+        means[b] = _mean(samples[idx])
 
-    with ThreadPoolExecutor(1) as pool:
+    # numpy's error handling is per thread: the worker starts from the caller's
+    with ThreadPoolExecutor(1, initializer=partial(np.seterr, **np.geterr())) as pool:
         summed = None
         for b in range(n_boot):
             idx = rng.integers(0, n, size=n)

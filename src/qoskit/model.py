@@ -179,13 +179,6 @@ def loss_from_throughput(arrival_rate_lambda: float, throughput_X: float) -> flo
     return (arrival_rate_lambda - throughput_X) / arrival_rate_lambda
 
 
-def throughput_from_loss(arrival_rate_lambda: float, loss_B: float) -> float:
-    """Throughput X = lambda * (1 - B); exact inverse of loss_from_throughput."""
-    _real(arrival_rate_lambda, "arrival rate", gt=0)
-    _real(loss_B, "loss probability", ge=0, le=1)
-    return arrival_rate_lambda * (1.0 - loss_B)
-
-
 def _jitter_at_load(capacity_C: float, lam: float, variant: str) -> float:
     return analytical_jitter(LinkParams(capacity_C, lam), variant).jitter_seconds
 

@@ -152,17 +152,14 @@ def run_validation(
 VALIDATION_COLUMNS = "rho,lambda,J_model_s,J_sim_mean_s,J_sim_stderr_s,relative_error"
 
 
-def format_validation_csv(report: ValidationReport) -> str:
-    lines = [f"# {key}={value}" for key, value in report.metadata]
-    lines.append(VALIDATION_COLUMNS)
-    for r in report.rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in astuple(r)))
-    return "\n".join(lines) + "\n"
-
-
 def write_validation_report(report: ValidationReport, path) -> None:
+    """The ``# key=value`` metadata lines, the header and one line per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_validation_csv(report))
+        for key, value in report.metadata:
+            fh.write(f"# {key}={value}\n")
+        fh.write(VALIDATION_COLUMNS + "\n")
+        for r in report.rows:
+            fh.write(",".join("" if v is None else _fmt(v) for v in astuple(r)) + "\n")
 
 
 def write_xy(path, xs, ys) -> None:

@@ -27,6 +27,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -277,10 +278,16 @@ def fcfs_departures(arrival_times, service_times, buffer_capacity: int | None = 
 
 
 def _fcfs(arr, srv, buffer_capacity, departures, state):
-    """The queue of ``fcfs_departures`` on checked arrays, through a buffer
+    """The queue of ``fcfs_departures`` on arrays whose arrivals never
+    decrease and whose service times are never negative, through a buffer
     of K packets (None: unbounded), from ``state`` into ``departures``; NaN
     marks a dropped packet. A stream starts from ``_fcfs_seam``'s state and
-    is fed in its pieces, or in any others.
+    is fed in its pieces, or in any others; an empty piece is valid.
+
+    Raises DomainError where a non-empty piece's last arrival or largest
+    service time is not finite: a NaN or an infinity among such times
+    reaches one of the two, so they carry the checks that
+    ``fcfs_departures`` makes on whole arrays.
 
     Returns the seam state: the queue after the last packet, from which a
     call on the packets that follow gives the bits of one call over both.
@@ -293,6 +300,8 @@ def _fcfs(arr, srv, buffer_capacity, departures, state):
     decrease, so an overflow reaches the last one, which the state or the
     order gives.
     """
+    if arr.size and not (arr[-1] < math.inf and srv.max() < math.inf):
+        raise DomainError("times must be finite and service times non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
         if buffer_capacity is None:
             state = _fcfs_unbounded(arr, srv, departures, state)
@@ -333,14 +342,6 @@ def _fcfs_seam(buffer_capacity, n):
     most = _LANE_PROBE * _LANE_WARMUP + (_LANE_GROUP + 1) * _LANE_PACKETS - 1
     chunk = math.ceil(n / math.ceil(n / most)) if n else 1
     return ([-math.inf] * buffer_capacity, 0, -math.inf), chunk
-
-
-def _require_finite(last_arrival, top_service=0.0):
-    """The finiteness checks of ``fcfs_departures``, from the last arrival
-    and the largest service time of times that never decrease and draws
-    that are never negative: a NaN or an infinity reaches both."""
-    if not (last_arrival < math.inf and top_service < math.inf):
-        raise DomainError("times must be finite and service times non-negative")
 
 
 def _fcfs_unbounded(arr, srv, departures, state):
@@ -712,13 +713,11 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
 
     One loop over the pieces of ``_fcfs_seam`` runs either buffer. Each
     piece continues the ``cumsum`` of the arrivals from the last arrival
-    before it, draws its service times, checks that its times are finite,
-    notes the window's start, queues from the seam state the piece before
-    left, and writes its sojourns (a summary-only run's over its arrivals).
-    Draws are never negative, so the arrivals never decrease and a NaN or
-    an infinity stays to the end of its piece: a piece's last arrival and
-    largest service time carry the checks that ``fcfs_departures`` makes
-    on whole arrays.
+    before it, draws its service times, notes the window's start, queues
+    from the seam state the piece before left (``_fcfs`` checks that the
+    piece's times are finite), and writes its sojourns (a summary-only
+    run's over its arrivals). Draws are never negative, so the arrivals
+    never decrease.
 
     Draw order: all interarrivals, then the service times piece by piece,
     then the tagging uniforms (chunk by chunk after the mean sojourn is
@@ -744,13 +743,12 @@ def _simulate(config: SimConfig, ws: _Workspace) -> RunSummary:
         s, dep = (column[lo % column.size:][:hi - lo] for column in (ws.services, ws.departures))
         if lo:
             a[0] += last_arrival
-        with np.errstate(over="ignore"):    # an infinite arrival fails the check below
+        with np.errstate(over="ignore"):    # an infinite arrival fails _fcfs's check
             np.cumsum(a, out=a)
         if config.service_distribution == SERVICE_EXPONENTIAL:
             _exponential_into(rng, service, s)
         else:
             s.fill(service)
-        _require_finite(a[-1], s.max())
         if lo < first <= hi:
             t_start = float(a[first - 1 - lo])
         last_arrival = a[-1]
@@ -916,20 +914,19 @@ def simulate_sweep(
     from concurrent.futures import ThreadPoolExecutor
 
     local = threading.local()
-    errors = np.geterr()        # numpy's error handling is per thread
 
     def run(job):
         rho, i, j, config = job
         if not hasattr(local, "ws"):
             local.ws = _Workspace(base_config, logged=False)
-        with np.errstate(**errors):
-            return _at_point(rho, i, j, _simulate, config, local.ws)
+        return _at_point(rho, i, j, _simulate, config, local.ws)
 
     if base_config.buffer_capacity is None:
         workers = min(_usable_cores(), len(jobs))
     else:
         workers = 1
-    with ThreadPoolExecutor(workers) as pool:
+    # numpy's error handling is per thread: each worker starts from the caller's
+    with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
         return list(pool.map(run, jobs))
 
 

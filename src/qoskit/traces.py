@@ -286,18 +286,6 @@ class MobilityScenario:
             _real(v, f"speed_profile[{k}] speed", ge=0)
             prev_t = t
 
-    @classmethod
-    def static(cls, dist_m: float, duration_s: int, **kwargs) -> "MobilityScenario":
-        return cls(kind=KIND_STATIC, duration_s=duration_s, static_dist_m=dist_m, **kwargs)
-
-    @classmethod
-    def constant_speed(cls, speed_kmh: float, duration_s: int, **kwargs) -> "MobilityScenario":
-        return cls(kind=KIND_CONSTANT_SPEED, duration_s=duration_s, speed_kmh=speed_kmh, **kwargs)
-
-    @classmethod
-    def variable_speed(cls, duration_s: int, **kwargs) -> "MobilityScenario":
-        return cls(kind=KIND_VARIABLE_SPEED, duration_s=duration_s, **kwargs)
-
 
 def _per_second_kinematics(scenario: MobilityScenario):
     """Speed and track position at the start of every second.
@@ -414,7 +402,6 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
         np.subtract(t, a_w, out=a_w)
         a_w *= np.repeat(rates_pkts[s0:s1], per_sec)
         a_w += np.repeat(breaks[s0:s1], per_sec)
-        sim._require_finite(a_w[-1])
         dep = np.empty(t.size)
         state = sim._fcfs(a_w, w, k, dep, state)
         del a_w         # the chunk's arrays die once spent; the work buffer stays

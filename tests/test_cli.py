@@ -1,5 +1,6 @@
 """Command-line contract: values, exit codes, reproducibility, file formats."""
 
+import argparse
 import concurrent.futures
 import dataclasses
 import json
@@ -323,7 +324,7 @@ class TestValidateCommand:
         sizes = []
         executor = concurrent.futures.ThreadPoolExecutor
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            lambda workers: sizes.append(workers) or executor(workers))
+                            lambda workers, **kw: sizes.append(workers) or executor(workers, **kw))
         written = []
         for cores in (1, 2):
             monkeypatch.setattr(sim, "_usable_cores", lambda n=cores: n)
@@ -448,17 +449,26 @@ class TestValidateCommand:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("grid, count", [
-        ("0:1e300:1e-300", "inf"),             # the count overflows
-        ("0:1e12:1", "1000000000001.0"),       # a list too long to build
+    @pytest.mark.parametrize("grid", [
+        "0:1e300:1e-300",       # the count overflows
+        "0:1e12:1",             # a list too long to build
+        "0.1:0.2:1e-7",         # 1,000,001 points, a count not exact in floats
+        "0:99999.5:1",          # 100,001 points
     ])
-    def test_grid_size_checked_before_any_point(self, capsys, tmp_path, grid, count):
+    def test_grid_size_checked_before_any_point(self, capsys, tmp_path, grid):
+        """The error names the grid as typed, never a derived count."""
         code, _, err = run_cli(
             capsys, "validate", "--capacity", "1000", "--rho-grid", grid,
             "--out", str(tmp_path),
         )
         assert code == 1
-        assert err == f"error: number of grid points must be a finite number <= 100000, got {count}\n"
+        assert err == f"error: grid {grid!r} has more than 100,000 points\n"
+
+    @pytest.mark.parametrize("grid", ["0:99999:1", "0:99999.4:1"])
+    def test_grid_of_the_most_points_is_built(self, grid):
+        """A range rounds its step count, so both grids have 100,000 points."""
+        points = cli._parse_grid(grid)
+        assert len(points) == 100_000 and points[-1] == 99_999.0
 
     def test_grid_range_syntax(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -886,42 +896,56 @@ class TestUsageContract:
         assert code == 1
 
 
-# Flag values a user may type by mistake: non-finite, negative, zero, empty,
-# not a number, and extremes, next to a few sensible ones.
-_ODD = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1e-300", "1e300"]
-_RATE = _ODD + ["1000", "600", "0.5", "0.9", "2"]
-_PACKETS = ["nan", "-1", "0", "", "abc", "1", "2", "50", "2000"]  # at most 2,000
-_COUNT = ["nan", "-1", "0", "", "abc", "1", "2"]
-_SEED = ["-1", "0", "", "abc", "7", "99999999999999999999"]
-_GRID = ["0.5", "0.3,0.6", "0.2:0.8:0.3", "nan", "inf", "", ",", "abc", "0:1:0",
-         "1.5", "-1", "0.5:0.1:0.1", "0.9999999"]
-_VARIANT = ["nonneg-v1", "printed-literal", "bogus", ""]
-_SWITCH = None  # a flag without a value
+# Values a user may type by mistake: non-finite, signed zero, the smallest
+# subnormal, extremes, 2**64, negative, empty and not a number, next to a
+# few sensible ones for each option type.
+_ODD = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-320", "1e308", str(2 ** 64), "-1",
+        "", "abc"]
+_SENSIBLE = {float: ["1000", "600", "0.5", "0.9", "2"], int: ["1", "2", "7", "200"]}
+# A text option that is not a path is a load grid.
+_GRIDS = ["0.5", "0.3,0.6", "0.2:0.8:0.3", ",", "0.2,x", "a:b:c", "1:2", "0:1:0", "0.5:0.1:0.1",
+          "0.1:0.2:1e-7", "0:1e300:1e-300", "0.9999999", "nan:1:0.1", "0.2:inf:0.1"]
+# The largest value drawn for an option that multiplies the work. A sweep
+# builds every run's config before the first run, so --seeds 2**64 would
+# fill memory: the CLI does not yet state a memory need before allocating.
+_MOST = {"--packets": 10 ** 4, "--seeds": 7}
+
+
+def _option_values(option: str, action, paths: dict):
+    """The values drawn for one option, from its parser action: None for a
+    switch, its choices and two it lacks, a hand-made pool for a path, and
+    else odd and sensible values of its type."""
+    if action.nargs == 0:
+        return None
+    if action.choices is not None:
+        return list(action.choices) + ["bogus", ""]
+    if option in paths:
+        return paths[option]
+    values = _ODD + _SENSIBLE.get(action.type, _GRIDS)
+    if option in _MOST:
+        values = [v for v in values if not v.isdigit() or int(v) < _MOST[option]]
+        values.append(str(_MOST[option]))
+    return values
 
 
 def _fuzz_flags(work: Path) -> dict:
+    """Each command's options and the values drawn for them, read from
+    ``cli.build_parser()``; only the paths are listed here."""
     scenarios = [str(work / "tiny.scn"), str(work / "missing.scn"), str(work),
                  str(work / "garbage.txt"), ""]
     logs = [str(work / "tiny.csv"), str(work / "missing.csv"), str(work),
-            str(work / "garbage.txt"), str(work / "tiny.scn")]
-    outputs = [str(work / "out.csv"), str(work), str(work / "missing" / "out.csv")]
-    dirs = [str(work / "reports"), str(work / "garbage.txt"), str(work / "missing" / "dir")]
-    link = {"--capacity": _RATE, "--lambda": _RATE, "--rho": _RATE}
-    return {
-        "model": {**link, "--variant": _VARIANT, "--json": _SWITCH},
-        "invert": {"--capacity": _RATE, "--lambda": _RATE, "--budget": _RATE,
-                   "--variant": _VARIANT, "--json": _SWITCH},
-        "simulate": {**link, "--packets": _PACKETS, "--tagged-fraction": _RATE,
-                     "--buffer": _COUNT + ["3", "200"], "--warmup": _RATE,
-                     "--service": ["exponential", "deterministic", "uniform"],
-                     "--seed": _SEED, "--trace-out": outputs, "--json": _SWITCH},
-        "validate": {"--capacity": _RATE, "--rho-grid": _GRID, "--packets": _PACKETS,
-                     "--seeds": _COUNT, "--threshold": _RATE, "--variant": _VARIANT,
-                     "--tagged-fraction": _RATE, "--seed": _SEED, "--out": dirs},
-        "synth": {"--scenario": scenarios, "--output": outputs, "--seed": _SEED},
-        "analyze": {"--log": logs, "--by-speed": _SWITCH, "--speed-bin-width": _RATE,
-                    "--json": _SWITCH, "--out": dirs},
-    }
+            str(work / "garbage.txt"), str(work / "tiny.scn"), ""]
+    outputs = [str(work / "out.csv"), str(work), str(work / "missing" / "out.csv"), ""]
+    dirs = [str(work / "reports"), str(work / "garbage.txt"), str(work / "missing" / "dir"), ""]
+    paths = {"--scenario": scenarios, "--log": logs, "--output": outputs,
+             "--trace-out": outputs, "--out": dirs}
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {command: {option: _option_values(option, action, paths)
+                      for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)
+                      for option in action.option_strings}
+            for command, parser in commands.items()}
 
 
 def _valid_argv(work: Path) -> dict:
@@ -937,16 +961,15 @@ def _valid_argv(work: Path) -> dict:
 
 
 @st.composite
-def _argv(draw, work: Path):
+def _argv(draw, flags: dict, valid: dict):
     """Either any subset of a command's flags, or a working command line
     with one to three flags set to drawn values."""
-    flags = _fuzz_flags(work)
     command = draw(st.sampled_from(sorted(flags)))
     names = st.sampled_from(sorted(flags[command]))
     if draw(st.booleans()):
         chosen = {name: None for name in draw(st.lists(names, unique=True))}
     else:
-        chosen = dict(_valid_argv(work)[command])
+        chosen = dict(valid[command])
         chosen.update({name: None for name in draw(st.lists(names, min_size=1, max_size=3,
                                                             unique=True))})
     argv = [command]
@@ -977,9 +1000,11 @@ _SCENARIO_VALUES = {
 
 
 class TestCliFuzz:
-    """Whatever the command line, the CLI ends with exit code 0, 1 or 2 and
-    no traceback. ``--packets`` stays at or below 2,000: a horizon too
-    large for memory is a separate, known defect."""
+    """Whatever the command line, the CLI ends with exit code 0, 1 or 2, no
+    traceback and at most one ``error:`` line, and an error line means exit
+    code 1. ``--packets`` stays at or below 10,000 and ``--seeds`` at or
+    below 7: a horizon or sweep too large for memory is a separate, known
+    defect."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
@@ -991,16 +1016,37 @@ class TestCliFuzz:
                      "--output", str(work / "tiny.csv")]) == 0
         return work
 
-    @settings(deadline=None, max_examples=150,
+    @pytest.fixture(scope="class")
+    def flags(self, work):
+        return _fuzz_flags(work)
+
+    def test_flags_cover_every_option(self, flags):
+        """Every option of every command is drawn, each path from a pool."""
+        assert sorted(flags) == ["analyze", "invert", "model", "simulate", "synth", "validate"]
+        assert sorted(flags["simulate"]) == [
+            "--buffer", "--capacity", "--json", "--lambda", "--packets", "--rho", "--seed",
+            "--service", "--tagged-fraction", "--trace-out", "--warmup"]
+        assert flags["simulate"]["--service"] == ["exponential", "deterministic", "bogus", ""]
+        assert max(int(v) for v in flags["validate"]["--packets"] if v.isdigit()) == 10 ** 4
+        assert "0.1:0.2:1e-7" in flags["validate"]["--rho-grid"]
+        for command in flags.values():
+            for option, values in command.items():
+                assert values is None or "" in values, option
+
+    @settings(deadline=None, max_examples=300,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_any_argv_exits_0_1_or_2_without_traceback(self, capsys, monkeypatch, work, data):
+    def test_any_argv_exits_0_1_or_2_without_traceback(self, capsys, monkeypatch, work, flags,
+                                                       data):
         monkeypatch.chdir(work)     # default output paths land here too
-        argv = data.draw(_argv(work), label="argv")
+        argv = data.draw(_argv(flags, _valid_argv(work)), label="argv")
         code = main(argv)
         err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+        assert len(errors) <= 1, argv
+        assert code == 1 or not errors, argv
 
     @settings(deadline=None, max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

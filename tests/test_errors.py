@@ -41,14 +41,14 @@ _BAD_CALLS = {
     "arrival rate inf": lambda: LinkParams(1.0, math.inf),
     "jitter budget nan": lambda: invert_load_for_jitter(1000.0, math.nan),
     "throughput nan": lambda: loss_from_throughput(1.0, math.nan),
-    "speed profile speed nan": lambda: MobilityScenario.variable_speed(
-        10, speed_profile=((0.0, math.nan),)),
+    "speed profile speed nan": lambda: MobilityScenario(
+        "variable_speed", 10, speed_profile=((0.0, math.nan),)),
     # child_seed masked both to 64 bits: -1 read as 2**64 - 1, 2**64 as 0.
     "child_seed base -1": lambda: child_seed(-1, 0),
     "child_seed index -1": lambda: child_seed(5, -1),
     "child_seed base 2**64": lambda: child_seed(2**64, 0),
     # numpy seeds any non-negative integer; the scenario now takes SimConfig's range.
-    "scenario seed 2**64": lambda: MobilityScenario.static(100.0, 5, seed=2**64),
+    "scenario seed 2**64": lambda: MobilityScenario("static", 5, static_dist_m=100.0, seed=2**64),
 }
 
 

@@ -19,7 +19,6 @@ from qoskit.model import (
     invert_capacity_for_jitter,
     invert_load_for_jitter,
     loss_from_throughput,
-    throughput_from_loss,
 )
 from qoskit.sim import SimConfig
 
@@ -153,10 +152,6 @@ class TestLossThroughputIdentity:
     def test_total_loss(self):
         assert loss_from_throughput(100, 0) == 1.0
 
-    def test_rearranged(self):
-        assert throughput_from_loss(100, 0.1) == pytest.approx(90.0, rel=1e-15)
-        assert throughput_from_loss(100, 0) == 100.0
-
     def test_throughput_above_arrivals_inconsistent(self):
         with pytest.raises(AccountingError):
             loss_from_throughput(100, 101)
@@ -164,20 +159,17 @@ class TestLossThroughputIdentity:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             loss_from_throughput(0, 0)
-        with pytest.raises(DomainError):
-            throughput_from_loss(100, 1.5)
-        with pytest.raises(DomainError):
-            throughput_from_loss(100, -0.1)
 
     @given(
         lam=st.floats(min_value=1e-6, max_value=1e12),
         frac=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_round_trip_identity(self, lam, frac):
-        """loss -> throughput -> loss is the identity to 1e-12 relative."""
+        """The throughput lambda * (1 - B) of the loss B computed from a
+        throughput X is X to 1e-12 relative."""
         x = lam * frac
         loss = loss_from_throughput(lam, x)
-        assert throughput_from_loss(lam, loss) == pytest.approx(x, rel=1e-12, abs=1e-12 * lam)
+        assert lam * (1.0 - loss) == pytest.approx(x, rel=1e-12, abs=1e-12 * lam)
 
 
 class TestLoadGrid:

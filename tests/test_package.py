@@ -19,8 +19,8 @@ _PUBLIC_NAMES = (
     "fcfs_departures", "invert_capacity_for_jitter", "invert_load_for_jitter",
     "ipdv_series", "load_scenario", "loss_from_throughput", "mean_abs_jitter",
     "parse_log", "parse_scenario", "rate_at_distance", "read_packet_trace",
-    "simulate_run", "simulate_sweep", "synth_mobility_trace", "throughput_from_loss",
-    "write_log", "write_packet_trace",
+    "simulate_run", "simulate_sweep", "synth_mobility_trace", "write_log",
+    "write_packet_trace",
 )
 
 

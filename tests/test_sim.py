@@ -682,6 +682,29 @@ class TestDepartureOverflow:
                 _in_pieces(arrivals, services, 5, [3, 4])
 
 
+class TestPieceGuard:
+    """``_fcfs`` checks the last arrival and the largest service time of
+    each non-empty piece, the one check that the simulator and trace
+    synthesis rely on: times that never decrease carry a NaN or an infinity
+    to the end of their piece, and draws that are never negative carry one
+    to its largest service time. Empty pieces stay valid."""
+
+    @pytest.mark.parametrize("column, value", [("arrival", math.nan), ("arrival", math.inf),
+                                               ("service", math.nan), ("service", math.inf)])
+    @pytest.mark.parametrize("path", [*_PATHS, "unbounded"])
+    def test_non_finite_piece_refused(self, path, column, value):
+        arrivals, services = np.arange(12.0), np.ones(12)
+        if column == "arrival":
+            arrivals[-1] = value
+        else:
+            services[6] = value
+        buffer_capacity = None if path == "unbounded" else 5
+        with _on_path(path) if buffer_capacity else contextlib.nullcontext():
+            with pytest.raises(DomainError, match="^times must be finite and service "
+                                                  "times non-negative$"):
+                _in_pieces(arrivals, services, buffer_capacity, [4, 4, 8, 12])
+
+
 class TestSeamState:
     """A stream split anywhere and resumed from the seam state gives the
     departures and drops of one call, bit for bit, on every path."""
@@ -918,6 +941,34 @@ class TestSimulateRun:
                         horizon_packets=1_000_000, seed=1729)
         summary, stderr = _tagged_run(cfg)
         assert abs(summary.empirical_jitter_J - 1.0 / capacity) <= 4 * stderr
+
+    @pytest.mark.parametrize("i, rho", enumerate([0.2, 0.5, 0.8]))
+    def test_all_tagged_steps_are_laplace(self, i, rho):
+        """The same M/M/1 step S - min(T, A) is Laplace(0, 1/C) in law, not
+        only in its mean. The steps are serially dependent, so every k-th
+        is kept, k the first lag at which the sample autocorrelations of dT
+        and |dT| both fall within 2/sqrt(n) (medians 7, 17 and 37 over the
+        seeds below), and the thinned steps go to a KS test.
+
+        The rejection level comes from 500 seeds per load
+        (``child_seed(99, i, j)``): the p-values were uniform (a KS test of
+        them against U(0, 1) gave 0.38, 0.18 and 0.58), 1.2%, 1.8% and 0.6%
+        fell below 0.01, and the smallest of the 1,500 was 0.0014. The test
+        rejects below 1e-4, which a correct simulator does with probability
+        1e-4 per load; a step scale 10% off gives p below 1e-5 at these
+        sizes. The seed is fixed by the load's place in the grid."""
+        stats = pytest.importorskip("scipy.stats")
+        capacity, n = 1000.0, 1_000_000
+        log, _ = simulate_run(SimConfig(capacity, rho * capacity, tagged_fraction=1.0,
+                                        horizon_packets=n, seed=child_seed(1729, i)))
+        steps = np.diff(log.sojourn_times[n // 10:])
+        centred = [x - x.mean() for x in (steps, np.abs(steps))]
+        noise = [2 / math.sqrt(steps.size) * (x @ x) for x in centred]
+        k = next(k for k in range(1, 200)
+                 if all(abs(x[:-k] @ x[k:]) < bound for x, bound in zip(centred, noise)))
+        assert 3 <= k < 100
+        result = stats.kstest(steps[::k], stats.laplace(scale=1 / capacity).cdf)
+        assert result.pvalue >= 1e-4, (k, result)
 
     @pytest.mark.parametrize("j, fraction", enumerate([0.1, 0.5]))
     @pytest.mark.parametrize("i, rho", enumerate([0.2, 0.5, 0.8]))
@@ -1428,9 +1479,9 @@ def _pool_sizes(monkeypatch):
     sizes = []
     executor = concurrent.futures.ThreadPoolExecutor
 
-    def spy(workers):
+    def spy(workers, **kwargs):
         sizes.append(workers)
-        return executor(workers)
+        return executor(workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
     return sizes
@@ -1944,6 +1995,69 @@ class TestDumpText:
         assert [bytes(slot[slot != 0]) for slot in slots] == [b"%d" % k for k in i]
 
 
+class TestPacketTraceWriter:
+    """The writer's bytes; these tests read no dump, so the reader's gate
+    cannot change them and they run once."""
+
+    @settings(deadline=None)
+    @given(log=_packet_logs(times=st.floats()), chunk=st.integers(1, 8))
+    def test_writer_bytes_match_reference(self, tmp_path_factory, log, chunk):
+        """Any doubles, NaN and infinities included, format as before."""
+        out = tmp_path_factory.mktemp("dump")
+        _reference_write_packet_trace(log, out / "reference.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_DUMP_WRITE_PACKETS", chunk)
+            write_packet_trace(log, out / "chunked.csv")
+        assert (out / "chunked.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+    def test_other_dtypes_write_as_the_reference(self, tmp_path):
+        """int64 and float32 times are written as their doubles, and 0/1/2
+        flags by truth, as the per-line writer's ``'%.17g'`` and ``if`` do;
+        5,000 packets span three chunks."""
+        n = 5_000
+        rng = np.random.default_rng(3)
+        flags = rng.integers(0, 3, size=(2, n))
+        ints = rng.integers(-(2 ** 62), 2 ** 62, size=n)
+        ints[:3] = [2 ** 53 + 1, -(2 ** 63), 2 ** 63 - 1]     # not exact as doubles
+        small = rng.integers(0, 10 ** 6, size=n)
+        singles = rng.exponential(1e-3, size=n).astype(np.float32)
+        log = PacketLog(ints, singles, small, singles * np.float32(3), flags[0], flags[1])
+        write_packet_trace(log, tmp_path / "a.csv")
+        _reference_write_packet_trace(log, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_index_digits_across_powers_of_ten(self, tmp_path):
+        """At the real chunk size the index gains a digit inside a chunk at
+        10, 100, ..., 100,000; the lines are the reference writer's."""
+        n = 100_050
+        t = np.arange(n) * 1e-3 + 0.5
+        log = PacketLog(t, np.full(n, 1e-3), t + 1e-3, np.full(n, 1e-3),
+                        np.arange(n) % 3 == 0, np.zeros(n, dtype=bool))
+        write_packet_trace(log, tmp_path / "a.csv")
+        lines = (tmp_path / "a.csv").read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == n + 2
+        for k in range(1, 6):
+            for i in (10 ** k - 1, 10 ** k):
+                assert lines[i + 1] == b"%d,%s,%.17g,0.001,%.17g,0.001,0" % (
+                    i, b"tagged" if i % 3 == 0 else b"background", t[i], t[i] + 1e-3)
+        head = PacketLog(*(getattr(log, name)[:12_000] for name in _DUMP_ARRAYS))
+        _reference_write_packet_trace(head, tmp_path / "b.csv")
+        assert b"\n".join(lines[:12_001]) + b"\n" == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("column", _DUMP_ARRAYS)
+    def test_unequal_columns_rejected_before_the_file_is_made(self, tmp_path, column):
+        """``zip`` would stop at the shortest column and write a partial dump."""
+        log, _ = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=5, seed=4))
+        path = tmp_path / "trace.csv"
+        short = dataclasses.replace(log, **{column: getattr(log, column)[:3]})
+        with pytest.raises(DomainError, match="1-D arrays of one length"):
+            write_packet_trace(short, path)
+        tall = dataclasses.replace(log, **{column: getattr(log, column).reshape(5, 1)})
+        with pytest.raises(DomainError, match="1-D arrays of one length"):
+            write_packet_trace(tall, path)
+        assert not path.exists()
+
+
 class TestPacketTrace:
     def test_round_trip_exact(self, tmp_path):
         cfg = SimConfig(1000.0, 900.0, buffer_capacity=5, horizon_packets=3000, seed=21)
@@ -1970,17 +2084,6 @@ class TestPacketTrace:
         path.write_text(PACKET_TRACE_HEADER + "\n0,tagged,0.5,0.1,0.6,0.1,0\n1,background,0.7\n")
         with pytest.raises(DomainError, match="malformed packet trace line"):
             read_packet_trace(path)
-
-    @settings(deadline=None)
-    @given(log=_packet_logs(times=st.floats()), chunk=st.integers(1, 8))
-    def test_writer_bytes_match_reference(self, tmp_path_factory, log, chunk):
-        """Any doubles, NaN and infinities included, format as before."""
-        out = tmp_path_factory.mktemp("dump")
-        _reference_write_packet_trace(log, out / "reference.csv")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_DUMP_WRITE_PACKETS", chunk)
-            write_packet_trace(log, out / "chunked.csv")
-        assert (out / "chunked.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
     @settings(deadline=None)
     @given(log=_packet_logs(), write_chunk=st.integers(1, 8), read_bytes=st.integers(1, 300))
@@ -2045,53 +2148,6 @@ class TestPacketTrace:
         assert path.stat().st_size > 16 << 20
         assert write_peak <= 4 << 20
         assert read_peak <= 34 * n + (5 << 20)
-
-    def test_other_dtypes_write_as_the_reference(self, tmp_path):
-        """int64 and float32 times are written as their doubles, and 0/1/2
-        flags by truth, as the per-line writer's ``'%.17g'`` and ``if`` do;
-        5,000 packets span three chunks."""
-        n = 5_000
-        rng = np.random.default_rng(3)
-        flags = rng.integers(0, 3, size=(2, n))
-        ints = rng.integers(-(2 ** 62), 2 ** 62, size=n)
-        ints[:3] = [2 ** 53 + 1, -(2 ** 63), 2 ** 63 - 1]     # not exact as doubles
-        small = rng.integers(0, 10 ** 6, size=n)
-        singles = rng.exponential(1e-3, size=n).astype(np.float32)
-        log = PacketLog(ints, singles, small, singles * np.float32(3), flags[0], flags[1])
-        write_packet_trace(log, tmp_path / "a.csv")
-        _reference_write_packet_trace(log, tmp_path / "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_index_digits_across_powers_of_ten(self, tmp_path):
-        """At the real chunk size the index gains a digit inside a chunk at
-        10, 100, ..., 100,000; the lines are the reference writer's."""
-        n = 100_050
-        t = np.arange(n) * 1e-3 + 0.5
-        log = PacketLog(t, np.full(n, 1e-3), t + 1e-3, np.full(n, 1e-3),
-                        np.arange(n) % 3 == 0, np.zeros(n, dtype=bool))
-        write_packet_trace(log, tmp_path / "a.csv")
-        lines = (tmp_path / "a.csv").read_bytes().split(b"\n")
-        assert lines[-1] == b"" and len(lines) == n + 2
-        for k in range(1, 6):
-            for i in (10 ** k - 1, 10 ** k):
-                assert lines[i + 1] == b"%d,%s,%.17g,0.001,%.17g,0.001,0" % (
-                    i, b"tagged" if i % 3 == 0 else b"background", t[i], t[i] + 1e-3)
-        head = PacketLog(*(getattr(log, name)[:12_000] for name in _DUMP_ARRAYS))
-        _reference_write_packet_trace(head, tmp_path / "b.csv")
-        assert b"\n".join(lines[:12_001]) + b"\n" == (tmp_path / "b.csv").read_bytes()
-
-    @pytest.mark.parametrize("column", _DUMP_ARRAYS)
-    def test_unequal_columns_rejected_before_the_file_is_made(self, tmp_path, column):
-        """``zip`` would stop at the shortest column and write a partial dump."""
-        log, _ = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=5, seed=4))
-        path = tmp_path / "trace.csv"
-        short = dataclasses.replace(log, **{column: getattr(log, column)[:3]})
-        with pytest.raises(DomainError, match="1-D arrays of one length"):
-            write_packet_trace(short, path)
-        tall = dataclasses.replace(log, **{column: getattr(log, column).reshape(5, 1)})
-        with pytest.raises(DomainError, match="1-D arrays of one length"):
-            write_packet_trace(tall, path)
-        assert not path.exists()
 
     def test_header_only_file_is_an_empty_log(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -2218,11 +2274,8 @@ class TestPacketTraceTokenPath(TestPacketTrace):
         with _token_path():
             yield
 
-    # Hypothesis runs each test from one class, so the two property tests
-    # are wrapped again here.
-    test_writer_bytes_match_reference = settings(deadline=None)(given(
-        log=_packet_logs(times=st.floats()), chunk=st.integers(1, 8))(
-        TestPacketTrace.test_writer_bytes_match_reference.hypothesis.inner_test))
+    # Hypothesis runs each test from one class, so the property test is
+    # wrapped again here.
     test_read_back_bit_identical_across_blocks = settings(deadline=None)(given(
         log=_packet_logs(), write_chunk=st.integers(1, 8), read_bytes=st.integers(1, 300))(
         TestPacketTrace.test_read_back_bit_identical_across_blocks.hypothesis.inner_test))

@@ -215,20 +215,20 @@ class TestRateMap:
 class TestSpeedProfile:
     def test_single_step_covers_everything(self):
         speeds, _ = _per_second_kinematics(
-            MobilityScenario.variable_speed(1_000_001, speed_profile=((0.0, 50.0),)))
+            MobilityScenario("variable_speed", 1_000_001, speed_profile=((0.0, 50.0),)))
         assert np.all(speeds == 50.0)
 
     def test_step_boundaries(self):
-        speeds, _ = _per_second_kinematics(MobilityScenario.variable_speed(
-            101, speed_profile=((0.0, 10.0), (100.0, 50.0))))
+        speeds, _ = _per_second_kinematics(MobilityScenario(
+            "variable_speed", 101, speed_profile=((0.0, 10.0), (100.0, 50.0))))
         assert speeds[99] == 10.0
         assert speeds[100] == 50.0
 
     def test_fractional_step_start(self):
         """A step starting between whole seconds takes effect at the first
         second at or after its start."""
-        speeds, _ = _per_second_kinematics(MobilityScenario.variable_speed(
-            101, speed_profile=((0.0, 10.0), (99.5, 50.0))))
+        speeds, _ = _per_second_kinematics(MobilityScenario(
+            "variable_speed", 101, speed_profile=((0.0, 10.0), (99.5, 50.0))))
         assert speeds[99] == 10.0
         assert speeds[100] == 50.0
 
@@ -242,13 +242,14 @@ class TestSpeedProfile:
 
 class TestScenario:
     def test_zero_duration_is_empty_trace(self):
-        scenario = MobilityScenario.static(1000.0, 0)
+        scenario = MobilityScenario("static", 0, static_dist_m=1000.0)
         with pytest.raises(EmptyTraceError):
             synth_mobility_trace(scenario)
 
     def test_bad_track_bounds(self):
         with pytest.raises(DomainError):
-            MobilityScenario.constant_speed(50.0, 10, track_min_m=200.0, track_max_m=100.0)
+            MobilityScenario("constant_speed", 10, speed_kmh=50.0, track_min_m=200.0,
+                             track_max_m=100.0)
 
     def test_parse_full_scenario(self):
         text = """
@@ -318,7 +319,7 @@ class TestScenario:
         synthesis partway with an error about t."""
         with pytest.raises(DomainError, match=r"speed_profile\[0\] start must be a finite "
                                               r"number <= 0.0, got 10.0"):
-            MobilityScenario.variable_speed(30, speed_profile=((10.0, 50.0), (20.0, 30.0)))
+            MobilityScenario("variable_speed", 30, speed_profile=((10.0, 50.0), (20.0, 30.0)))
 
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(DomainError, match="unknown scenario key"):
@@ -353,7 +354,7 @@ class TestScenario:
 
 class TestSynthesis:
     def test_deterministic_bytes(self):
-        scenario = MobilityScenario.constant_speed(50.0, 60, seed=77)
+        scenario = MobilityScenario("constant_speed", 60, speed_kmh=50.0, seed=77)
         a = write_log(synth_mobility_trace(scenario))
         b = write_log(synth_mobility_trace(scenario))
         assert a == b
@@ -371,12 +372,12 @@ class TestSynthesis:
         assert write_log(parse_log(data)) == data
 
     def test_seed_changes_trace(self):
-        rows_a = synth_mobility_trace(MobilityScenario.static(1000.0, 30, seed=1))
-        rows_b = synth_mobility_trace(MobilityScenario.static(1000.0, 30, seed=2))
+        rows_a = synth_mobility_trace(MobilityScenario("static", 30, static_dist_m=1000.0, seed=1))
+        rows_b = synth_mobility_trace(MobilityScenario("static", 30, static_dist_m=1000.0, seed=2))
         assert rows_a != rows_b
 
     def test_one_row_per_second_and_parses_back(self):
-        scenario = MobilityScenario.variable_speed(120, seed=5)
+        scenario = MobilityScenario("variable_speed", 120, seed=5)
         rows = synth_mobility_trace(scenario)
         assert len(rows) == 120
         assert [r.t_unix_s for r in rows] == list(
@@ -388,9 +389,8 @@ class TestSynthesis:
         assert write_log(parse_log(canonical)) == canonical
 
     def test_reflection_keeps_positions_in_bounds(self):
-        scenario = MobilityScenario.constant_speed(
-            120.0, 300, track_min_m=540.0, track_max_m=700.0, seed=3
-        )
+        scenario = MobilityScenario(
+            "constant_speed", 300, speed_kmh=120.0, track_min_m=540.0, track_max_m=700.0, seed=3)
         rows = synth_mobility_trace(scenario)
         dists = [r.dist_m for r in rows]
         assert min(dists) >= 540.0
@@ -400,9 +400,8 @@ class TestSynthesis:
     def test_path_length_matches_speed_integral(self):
         """Total distance walked equals the per-second speed sum, up to one
         step of discretization slack per track reflection."""
-        scenario = MobilityScenario.constant_speed(
-            90.0, 240, track_min_m=540.0, track_max_m=740.0, seed=3
-        )
+        scenario = MobilityScenario(
+            "constant_speed", 240, speed_kmh=90.0, track_min_m=540.0, track_max_m=740.0, seed=3)
         rows = synth_mobility_trace(scenario)
         dists = np.array([r.dist_m for r in rows])
         step = 90.0 / 3.6
@@ -413,8 +412,8 @@ class TestSynthesis:
         assert walked >= nominal - 2 * step * bounces
 
     def test_static_point_in_mask_zone_loses_everything(self):
-        scenario = MobilityScenario.static(
-            925.0, 20, seed=5,
+        scenario = MobilityScenario(
+            "static", 20, static_dist_m=925.0, seed=5,
             rate_map=RateDistanceMap(
                 anchors=((540.0, 1e6), (2000.0, 0.0)),
                 mask_zones=((900.0, 950.0),),
@@ -427,7 +426,7 @@ class TestSynthesis:
         assert all(r.lost_pkts == r.total_pkts for r in rows)
 
     def test_speed_column_follows_profile(self):
-        rows = synth_mobility_trace(MobilityScenario.variable_speed(130, seed=4))
+        rows = synth_mobility_trace(MobilityScenario("variable_speed", 130, seed=4))
         assert rows[0].speed_kmh == 10.0
         assert rows[60].speed_kmh == 20.0
         assert rows[120].speed_kmh == 30.0
@@ -438,7 +437,7 @@ class TestSynthesis:
         mean throughput (checked across 10 independent seeds)."""
         def mean_tput(dist, seed):
             rows = synth_mobility_trace(
-                MobilityScenario.static(dist, 30, seed=seed)
+                MobilityScenario("static", 30, static_dist_m=dist, seed=seed)
             )
             return np.mean([r.tput_Bps for r in rows])
 
@@ -771,8 +770,8 @@ class TestChunkedSynthesis:
         or two seconds, each of more arrivals than a chunk of 1,000 (and
         than a group of small lanes), so chunk edges fall inside outages."""
         zones = ((790.0, 810.0), (1000.0, 1100.0), (1390.0, 1450.0))
-        scenario = MobilityScenario.constant_speed(
-            360.0, 10, seed=11, track_min_m=500.0, track_max_m=1500.0,
+        scenario = MobilityScenario(
+            "constant_speed", 10, speed_kmh=360.0, seed=11, track_min_m=500.0, track_max_m=1500.0,
             rate_map=replace(default_rate_map(), mask_zones=zones), buffer_pkts=buffer_pkts)
         chunk = 1_000
         rows = _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
@@ -790,7 +789,7 @@ class TestChunkedSynthesis:
         """24,035 arrivals in chunks of 1,045: on the block path a chunk of
         ``sim._CHUNK``, below it a probe of 2 lanes of 4 packets, a group of
         5 lanes of 173, and the 172 packets after its last whole lane."""
-        scenario = MobilityScenario.variable_speed(20, seed=9, buffer_pkts=buffer_pkts)
+        scenario = MobilityScenario("variable_speed", 20, seed=9, buffer_pkts=buffer_pkts)
         n, chunk = _arrivals(scenario).size, 1_045
         lanes = {**_SMALL_LANES, "_LANE_PACKETS": 173}
         with pytest.MonkeyPatch.context() as mp:
@@ -806,8 +805,8 @@ class TestChunkedSynthesis:
         chunk, and the chunks after it deliver nothing by the horizon but
         still lose packets (at K = 100 and chunks of 7, the packets queued
         at the horizon span several chunks)."""
-        scenario = MobilityScenario.static(1570.0, 10, seed=3, offered_Bps=1_500_000.0,
-                                           buffer_pkts=buffer_pkts)
+        scenario = MobilityScenario("static", 10, static_dist_m=1570.0, seed=3,
+                                    offered_Bps=1_500_000.0, buffer_pkts=buffer_pkts)
         rows = _assert_chunks_match_whole_arrays(scenario, chunk, lanes)
         delivered = sum(r.tput_Bps for r in rows) / scenario.packet_size_B
         queued = sum(r.total_pkts - r.lost_pkts for r in rows) - delivered
@@ -819,8 +818,8 @@ class TestChunkedSynthesis:
     def test_buffer_beyond_the_stream(self, chunk):
         """A buffer of 10**12 packets in overload: nothing is lost in the
         queue, and the seam state is sized by the stream, not by K."""
-        scenario = MobilityScenario.static(1570.0, 10, seed=3, offered_Bps=1_500_000.0,
-                                           buffer_pkts=10**12)
+        scenario = MobilityScenario("static", 10, static_dist_m=1570.0, seed=3,
+                                    offered_Bps=1_500_000.0, buffer_pkts=10**12)
         rows = _assert_chunks_match_whole_arrays(scenario, chunk)
         assert sum(r.lost_pkts for r in rows) == 0
         assert sum(r.tput_Bps for r in rows) / scenario.packet_size_B < _arrivals(scenario).size
@@ -842,13 +841,14 @@ class TestColumnarSynthesis:
         _assert_matches_reference(scenario)
 
     def test_seconds_with_zero_or_one_delivery(self):
-        scenario = MobilityScenario.static(1570.0, 30, seed=3, offered_Bps=1000.0)
+        scenario = MobilityScenario("static", 30, static_dist_m=1570.0, seed=3, offered_Bps=1000.0)
         rows = _assert_matches_reference(scenario)
         assert {0.0, 1000.0} <= {r.tput_Bps for r in rows}
         assert all(r.jitter_ms == 0.0 for r in rows if r.tput_Bps <= 1000.0)
 
     def test_departures_clipped_at_the_horizon(self):
-        scenario = MobilityScenario.static(1570.0, 30, seed=3, offered_Bps=1_500_000.0)
+        scenario = MobilityScenario("static", 30, static_dist_m=1570.0, seed=3,
+                                    offered_Bps=1_500_000.0)
         rows = _assert_matches_reference(scenario)
         delivered = sum(r.tput_Bps for r in rows) / scenario.packet_size_B
         assert delivered < sum(r.total_pkts - r.lost_pkts for r in rows)
@@ -864,8 +864,8 @@ class TestColumnarSynthesis:
     ])
     @pytest.mark.parametrize("buffer_pkts", [1, 10, 100])
     def test_outages(self, zones, buffer_pkts):
-        scenario = MobilityScenario.constant_speed(
-            360.0, 10, seed=11, track_min_m=500.0, track_max_m=1500.0,
+        scenario = MobilityScenario(
+            "constant_speed", 10, speed_kmh=360.0, seed=11, track_min_m=500.0, track_max_m=1500.0,
             rate_map=replace(default_rate_map(), mask_zones=zones), buffer_pkts=buffer_pkts)
         rows = _assert_matches_reference(scenario)
         dead = [r for r in rows if any(lo <= r.dist_m <= hi for lo, hi in zones)]
@@ -874,14 +874,15 @@ class TestColumnarSynthesis:
     @pytest.mark.parametrize("buffer_pkts", [1, 10, 100])
     def test_static_outage_beyond_coverage(self, buffer_pkts):
         rows = _assert_matches_reference(
-            MobilityScenario.static(2100.0, 20, seed=4, buffer_pkts=buffer_pkts))
+            MobilityScenario("static", 20, static_dist_m=2100.0, seed=4, buffer_pkts=buffer_pkts))
         assert all(r.lost_pkts == r.total_pkts > 0 and r.tput_Bps == 0.0 for r in rows)
 
     @pytest.mark.parametrize("buffer_pkts", [1, 10, 100])
     @pytest.mark.parametrize("zones", [(), ((700.0, 900.0),)])
     def test_seconds_with_no_arrival(self, buffer_pkts, zones):
-        scenario = MobilityScenario.constant_speed(
-            50.0, 120, seed=8, offered_Bps=400.0, buffer_pkts=buffer_pkts,
+        scenario = MobilityScenario(
+            "constant_speed", 120, speed_kmh=50.0, seed=8, offered_Bps=400.0,
+            buffer_pkts=buffer_pkts,
             rate_map=replace(default_rate_map(), mask_zones=zones))
         rows = _assert_matches_reference(scenario)
         assert any(r.total_pkts == 0 for r in rows)
@@ -912,5 +913,5 @@ class TestColumnarSynthesis:
     @given(profile=_speed_profiles(), duration_s=st.integers(1, 120))
     def test_speed_lookup_matches_speed_at(self, profile, duration_s):
         speeds, _ = _per_second_kinematics(
-            MobilityScenario.variable_speed(duration_s, speed_profile=profile))
+            MobilityScenario("variable_speed", duration_s, speed_profile=profile))
         assert speeds.tolist() == [_reference_speed(profile, k) for k in range(duration_s)]

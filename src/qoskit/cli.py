@@ -85,10 +85,9 @@ def _writing(path: str):
             f"cannot write {exc.filename or path!r}: {exc.strerror or exc}") from None
 
 
-def _link_params(args) -> LinkParams:
-    if getattr(args, "rho", None) is not None:
-        return LinkParams.from_rho(args.capacity, args.rho)
-    return LinkParams(args.capacity, args.lam)
+def _typed_rate(args) -> float:
+    """``--lambda``, or the rate ``--rho`` forms, the load checked as typed."""
+    return args.lam if args.lam is not None else _from_load(args.rho, args.capacity, gt=0)
 
 
 #: Most points a start:stop:step grid may have; its size is checked
@@ -147,7 +146,7 @@ def _emit(payload: dict, as_json: bool):
 
 
 def _cmd_model(args) -> int:
-    params = _link_params(args)
+    params = LinkParams(args.capacity, _typed_rate(args))
     pred = analytical_jitter(params, args.variant)
     if not math.isfinite(pred.jitter_seconds * 1e3):
         load = f"rho = {args.rho!r}" if args.rho is not None else f"lambda = {args.lam!r}"
@@ -208,10 +207,9 @@ def _cmd_invert(args) -> int:
 
 
 def _config_from_args(args) -> SimConfig:
-    lam = args.lam if args.lam is not None else _from_load(args.rho, args.capacity, gt=0)
     return SimConfig(
         capacity_C=args.capacity,
-        arrival_rate_lambda=lam,
+        arrival_rate_lambda=_typed_rate(args),
         tagged_fraction=args.tagged_fraction,
         buffer_capacity=args.buffer,
         horizon_packets=args.packets,

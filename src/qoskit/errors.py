@@ -32,14 +32,12 @@ class UndefinedJitterError(DomainError):
 class InfeasibleBudgetError(QoskitError, ValueError):
     """No point in the search bracket satisfies the jitter budget.
 
-    Carries the best (smallest) jitter attainable on the bracket and the
-    parameter value where it was attained.
+    Carries the best (smallest) jitter attainable on the bracket, in seconds.
     """
 
-    def __init__(self, message: str, attained_min: float, at_value: float):
+    def __init__(self, message: str, attained_min: float):
         super().__init__(message)
         self.attained_min = attained_min
-        self.at_value = at_value
 
 
 class InsufficientDataError(DomainError):

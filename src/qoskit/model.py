@@ -32,6 +32,7 @@ and ``LinkParams(C, lambda).load_rho`` is the load.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -56,9 +57,7 @@ VARIANTS = ("nonneg-v1", "printed-literal")
 _GRID_POINTS = 256
 _REL_TOL = 1e-9
 _MAX_ITER = 200
-_LOAD_EPS = 1e-6          # lambda bracket: [eps * C, (1 - eps) * C]
-_CAPACITY_EPS = 1e-6      # capacity bracket floor: (1 + eps) * lambda
-_CAPACITY_CEILING = 1e6   # capacity bracket ceiling: 1e6 * lambda
+_LOAD_EPS = 1e-6  # load bracket: [eps, 1 - eps] at fixed C, [eps, 1 / (1 + eps)] at fixed lambda
 
 
 @dataclass(frozen=True)
@@ -77,23 +76,33 @@ class LinkParams:
         c = self.capacity_C
         lam = self.arrival_rate_lambda
         # The arrival rate first: a zero rate leaves jitter undefined at any
-        # capacity, and the capacity inversion relies on that error.
-        _real(lam, "arrival rate", ge=0)
-        if lam == 0:
-            raise UndefinedJitterError(
-                "arrival rate is zero: no consecutive packets exist, jitter undefined"
-            )
+        # capacity.
+        _arrival_rate(lam)
         _real(c, "capacity", gt=0)
-        if lam >= c:
-            raise InstabilityError(
-                f"load {lam / c:.6g} >= 1: the queue is unstable, jitter diverges"
-            )
+        _require_stable(c, lam)
         object.__setattr__(self, "load_rho", lam / c)
 
     @classmethod
     def from_rho(cls, capacity_C: float, load_rho: float) -> "LinkParams":
         """Build params from a load factor instead of an arrival rate."""
         return cls(capacity_C, _from_load(load_rho, capacity_C))
+
+
+def _arrival_rate(lam) -> None:
+    """Raise DomainError unless ``lam`` is a finite rate >= 0, and
+    UndefinedJitterError if it is zero: no consecutive packets exist."""
+    _real(lam, "arrival rate", ge=0)
+    if lam == 0:
+        raise UndefinedJitterError(
+            "arrival rate is zero: no consecutive packets exist, jitter undefined"
+        )
+
+
+def _require_stable(capacity_C, arrival_rate_lambda) -> None:
+    """Raise InstabilityError unless lambda < C, naming both as given."""
+    if arrival_rate_lambda >= capacity_C:
+        raise InstabilityError(f"arrival rate {arrival_rate_lambda!r} >= capacity "
+                               f"{capacity_C!r}: an unbounded queue is unstable")
 
 
 def _from_load(load_rho, given, solve_for: str = "arrival rate", **load_bounds) -> float:
@@ -179,8 +188,61 @@ def loss_from_throughput(arrival_rate_lambda: float, throughput_X: float) -> flo
     return (arrival_rate_lambda - throughput_X) / arrival_rate_lambda
 
 
-def _jitter_at_load(capacity_C: float, lam: float, variant: str) -> float:
-    return analytical_jitter(LinkParams(capacity_C, lam), variant).jitter_seconds
+def _load_curve(rho: float, variant: str, per_rate: bool) -> float:
+    """The jitter times the fixed value, as a function of the load alone:
+    C * J = h(rho) = shape(x) / (1 - rho) at a fixed capacity, and
+    lambda * J = rho * h(rho) = shape(x) / x at a fixed arrival rate, with
+    x = (1 - rho) / rho."""
+    x = (1.0 - rho) / rho
+    return _shape_factor(x, variant) / (x if per_rate else 1.0 - rho)
+
+
+@functools.cache
+def _grid(variant: str, per_rate: bool) -> tuple:
+    """The load bracket's 256-point grid and the curve on it; neither
+    depends on C or lambda, so each is built once a process."""
+    hi = 1.0 / (1.0 + _LOAD_EPS) if per_rate else 1.0 - _LOAD_EPS
+    rhos = tuple(_LOAD_EPS + (hi - _LOAD_EPS) * k / (_GRID_POINTS - 1)
+                 for k in range(_GRID_POINTS))
+    return rhos, tuple(_load_curve(rho, variant, per_rate) for rho in rhos)
+
+
+def _invert(fixed: float, budget: float, variant: str, per_rate: bool) -> InversionResult:
+    """The largest load on the grid's bracket whose curve value stays within
+    budget * fixed, and the answer it forms: lambda = rho * C at a fixed
+    capacity, C = lambda / rho at a fixed arrival rate (``per_rate``).
+
+    The grid locates the global minimum and the rightmost crossing, which a
+    bisection then narrows. The jitter returned is ``analytical_jitter`` at
+    the answer. It can round a few ulps above the scaled curve, so when it
+    exceeds the budget the search runs again one ulp lower.
+    """
+    rhos, curve = _grid(variant, per_rate)
+    target = budget * fixed
+    while True:
+        k = max((k for k, g in enumerate(curve) if g <= target), default=None)
+        if k is None:
+            j_min = min(curve) / fixed
+            at = f"at {'arrival rate' if per_rate else 'capacity'} {fixed!r}"
+            raise InfeasibleBudgetError(
+                f"budget {budget!r} s is below the attainable minimum "
+                + (f"{j_min:.6g} s {at}" if math.isfinite(j_min)
+                   else f"{at}, which passes the largest double"),
+                attained_min=j_min,
+            )
+        rho = rhos[k]
+        if k < _GRID_POINTS - 1:
+            rho, _ = _bisect_to_budget(lambda r: _load_curve(r, variant, per_rate),
+                                       rho, rhos[k + 1], target)
+        value = fixed / rho if per_rate else _from_load(rho, fixed)
+        if value == math.inf:
+            raise DomainError(f"the smallest capacity for arrival rate {fixed!r} within "
+                              f"budget {budget!r} s passes the largest double")
+        c, lam = (value, fixed) if per_rate else (fixed, value)
+        jitter = analytical_jitter(LinkParams(c, lam), variant).jitter_seconds
+        if jitter <= budget:
+            return InversionResult(value, jitter, constrained=k < _GRID_POINTS - 1)
+        target = math.nextafter(target, 0.0)
 
 
 def invert_load_for_jitter(
@@ -188,44 +250,16 @@ def invert_load_for_jitter(
 ) -> InversionResult:
     """Largest arrival rate in (0, C) whose predicted jitter meets the budget.
 
-    The jitter curve over load is not monotone (it has an interior peak and an
-    interior minimum), so the bracket is first sampled on a 256-point grid to
-    locate the global minimum and the rightmost crossing. When the budget is
-    met at the bracket ceiling the result carries constrained=False; when even
-    the grid minimum exceeds the budget the inversion is infeasible.
+    C * J = h(rho) is a fixed curve of the load, searched on the bracket
+    [1e-6, 1 - 1e-6]. It is not monotone (it has an interior peak and an
+    interior minimum), so a 256-point grid first locates the global minimum
+    and the rightmost crossing. When the budget is met at the bracket ceiling
+    the result carries constrained=False; when even the grid minimum exceeds
+    the budget the inversion is infeasible.
     """
     _real(capacity_C, "capacity", gt=0)
     _real(jitter_budget_seconds, "jitter budget", gt=0)
-
-    lo = _LOAD_EPS * capacity_C
-    hi = (1.0 - _LOAD_EPS) * capacity_C
-    grid = [lo + (hi - lo) * k / (_GRID_POINTS - 1) for k in range(_GRID_POINTS)]
-    values = [_jitter_at_load(capacity_C, lam, variant) for lam in grid]
-
-    if values[-1] <= jitter_budget_seconds:
-        return InversionResult(hi, values[-1], constrained=False)
-
-    j_min = min(values)
-    if jitter_budget_seconds < j_min:
-        k_min = values.index(j_min)
-        raise InfeasibleBudgetError(
-            f"budget {jitter_budget_seconds:.6g} s is below the attainable minimum "
-            f"{j_min:.6g} s (at lambda = {grid[k_min]:.6g})",
-            attained_min=j_min,
-            at_value=grid[k_min],
-        )
-
-    # Rightmost grid point still within budget; the curve rises through the
-    # budget somewhere in the next interval.
-    k = max(i for i, v in enumerate(values) if v <= jitter_budget_seconds)
-    lam_lo, lam_hi = grid[k], grid[k + 1]
-    lam, jit = _bisect_to_budget(
-        lambda lam: _jitter_at_load(capacity_C, lam, variant),
-        lam_lo,
-        lam_hi,
-        jitter_budget_seconds,
-    )
-    return InversionResult(lam, jit, constrained=True)
+    return _invert(capacity_C, jitter_budget_seconds, variant, per_rate=False)
 
 
 def invert_capacity_for_jitter(
@@ -233,58 +267,32 @@ def invert_capacity_for_jitter(
 ) -> InversionResult:
     """Smallest capacity above lambda whose predicted jitter meets the budget.
 
-    At fixed arrival rate the prediction decreases in capacity (the 1/(C -
-    lambda) prefactor dominates the mild shape variation), so a plain
-    bisection over C in ((1 + eps) * lambda, 1e6 * lambda] converges. A zero
-    arrival rate raises UndefinedJitterError from the first evaluation.
+    lambda * J = rho * h(rho) is a fixed curve of the load, rising from about
+    1e-6 to 1 on the bracket [1e-6, 1 / (1 + 1e-6)]; the largest load within
+    budget * lambda gives C = lambda / rho. A zero arrival rate raises
+    UndefinedJitterError.
     """
-    _real(arrival_rate_lambda, "arrival rate", ge=0)
+    _arrival_rate(arrival_rate_lambda)
     _real(jitter_budget_seconds, "jitter budget", gt=0)
-
-    lo = (1.0 + _CAPACITY_EPS) * arrival_rate_lambda
-    hi = _CAPACITY_CEILING * arrival_rate_lambda
-    j_hi = _jitter_at_load(hi, arrival_rate_lambda, variant)
-    if j_hi > jitter_budget_seconds:
-        raise InfeasibleBudgetError(
-            f"budget {jitter_budget_seconds:.6g} s is below the attainable minimum "
-            f"{j_hi:.6g} s (at capacity = {hi:.6g})",
-            attained_min=j_hi,
-            at_value=hi,
-        )
-    j_lo = _jitter_at_load(lo, arrival_rate_lambda, variant)
-    if j_lo <= jitter_budget_seconds:
-        return InversionResult(lo, j_lo, constrained=False)
-
-    cap, jit = _bisect_to_budget(
-        lambda c: _jitter_at_load(c, arrival_rate_lambda, variant),
-        lo,
-        hi,
-        jitter_budget_seconds,
-        feasible_side="hi",
-    )
-    return InversionResult(cap, jit, constrained=True)
+    return _invert(arrival_rate_lambda, jitter_budget_seconds, variant, per_rate=True)
 
 
-def _bisect_to_budget(func, lo, hi, budget, feasible_side="lo"):
-    """Bisect func(v) = budget on [lo, hi].
+def _bisect_to_budget(func, lo, hi, budget):
+    """Bisect func(v) = budget on [lo, hi], where func(lo) <= budget < func(hi).
 
-    One endpoint satisfies func <= budget (named by ``feasible_side``), the
-    other exceeds it. Stops when a value within budget matches it to _REL_TOL
-    or the interval collapses; returns (v, func(v)) with func(v) <= budget.
+    Stops when a value within budget matches it to _REL_TOL or the interval
+    collapses; returns (v, func(v)) with func(v) <= budget.
     """
     f_lo = func(lo)
-    f_hi = func(hi)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = func(mid)
         if f_mid <= budget and budget - f_mid <= _REL_TOL * budget:
             return mid, f_mid
-        if (f_mid <= budget) == (feasible_side == "lo"):
+        if f_mid <= budget:
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
         if hi - lo <= _REL_TOL * max(abs(lo), abs(hi)):
             break
-    if feasible_side == "lo":
-        return lo, f_lo
-    return hi, f_hi
+    return lo, f_lo

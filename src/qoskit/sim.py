@@ -35,13 +35,12 @@ from ._dumptext import PACKET_TRACE_HEADER, parse_lines, render_lines
 from .errors import (
     DomainError,
     EmptyRunError,
-    InstabilityError,
     _count,
     _real,
     _seed,
 )
 from .metrics import _abs_differences, _mean
-from .model import _from_load
+from .model import _from_load, _require_stable
 
 SERVICE_EXPONENTIAL = "exponential"
 SERVICE_DETERMINISTIC = "deterministic"
@@ -93,10 +92,7 @@ class SimConfig:
         _real(self.capacity_C, "capacity", gt=0)
         _real(self.arrival_rate_lambda, "arrival rate", gt=0)
         if self.buffer_capacity is None:
-            if self.arrival_rate_lambda >= self.capacity_C:
-                raise InstabilityError(
-                    f"unbounded buffer requires lambda < C; got load {self.rho:.6g}"
-                )
+            _require_stable(self.capacity_C, self.arrival_rate_lambda)
         else:
             _count(self.buffer_capacity, "buffer capacity (a packet count)", 1)
         _real(self.tagged_fraction, "tagged fraction", gt=0, le=1)
@@ -856,7 +852,7 @@ def _at_point(rho, i: int, j: int, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, its domain errors naming the sweep point."""
     try:
         return fn(*args, **kwargs)
-    except (DomainError, InstabilityError) as exc:
+    except DomainError as exc:
         raise type(exc)(f"rho={rho!r} (grid index {i}, seed index {j}): {exc}") from exc
 
 

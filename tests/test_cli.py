@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -46,6 +47,14 @@ class TestModelCommand:
         assert code == 1
         assert "unstable" in err
 
+    @pytest.mark.parametrize("rho", ["-1", "0"])
+    def test_bad_load_named_as_typed(self, capsys, rho):
+        """The load used to be checked only as the arrival rate it forms
+        (``arrival rate must be ... got -1000.0``), a value never typed."""
+        code, out, err = run_cli(capsys, "model", "--capacity", "1000", "--rho", rho)
+        assert code == 1 and out == ""
+        assert err == f"error: load must be a finite number > 0, got {float(rho)!r}\n"
+
     def test_printed_literal_warns_and_prints_negative(self, capsys):
         code, out, err = run_cli(
             capsys, "model", "--capacity", "1000", "--rho", "0.5",
@@ -56,17 +65,19 @@ class TestModelCommand:
         assert "WARNING" in err
 
 
-    @pytest.mark.parametrize("argv", [
-        ("model", "--capacity", "1e-320", "--rho", "0.5"),
-        ("invert", "--lambda", "1e-320", "--budget", "1"),
+    @pytest.mark.parametrize("argv, line", [
+        (("model", "--capacity", "1e-320", "--rho", "0.5"), "error: the predicted jitter at C = "),
+        (("invert", "--lambda", "1e-320", "--budget", "1"),
+         "error: budget 1.0 s is below the attainable minimum at arrival rate 1e-320, "
+         "which passes the largest double\n"),
     ], ids=["model", "invert"])
-    def test_prediction_beyond_the_largest_float_rejected(self, capsys, argv):
+    def test_prediction_beyond_the_largest_float_rejected(self, capsys, argv, line):
         """C - lambda of 5e-321 or less: the prediction used to print as
         null, the spelling kept for an undefined estimate, and the inversion
-        named an attainable minimum of inf s."""
+        named an attainable minimum of inf s, then a capacity never typed."""
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith("error: the predicted jitter at C = ")
+        assert err.startswith(line)
         assert err.count("\n") == 1 and "inf" not in err
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
@@ -115,6 +126,39 @@ class TestInvertCommand:
         )
         assert code == 0
         assert json.loads(out)["capacity_C_min"] == pytest.approx(1000.0, rel=1e-4)
+
+    @pytest.mark.parametrize("argv, answer", [
+        (("--lambda", "1e308", "--budget", "1"), ("capacity_C_min", 1.000001e308)),
+        (("--capacity", "1e308", "--budget", "1"), ("arrival_rate_lambda_max", 9.99999e307)),
+    ], ids=["capacity", "load"])
+    def test_unconstrained_at_the_largest_double(self, capsys, argv, answer):
+        """The search brackets used to leave the range of a double and
+        name a value of inf that nobody typed."""
+        code, out, _ = run_cli(capsys, "invert", *argv, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[answer[0]] == answer[1] and payload["constrained"] is False
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--capacity", "5e-324", "--budget", "1"),
+         "budget 1.0 s is below the attainable minimum at capacity 5e-324, "
+         "which passes the largest double"),
+        (("--lambda", "5e-324", "--budget", "1"),
+         "budget 1.0 s is below the attainable minimum at arrival rate 5e-324, "
+         "which passes the largest double"),
+        (("--lambda", "1e-320", "--budget", "1"),
+         "budget 1.0 s is below the attainable minimum at arrival rate 1e-320, "
+         "which passes the largest double"),
+        (("--lambda", "1e308", "--budget", "1e-313"),
+         "the smallest capacity for arrival rate 1e+308 within budget 1e-313 s "
+         "passes the largest double"),
+    ], ids=["capacity-tiny", "lambda-tiny", "lambda-subnormal", "capacity-past-max"])
+    def test_range_end_errors_name_only_typed_values(self, capsys, argv, message):
+        """These used to say ``arrival rate is zero`` or name a capacity or
+        load found by the search, values nobody typed."""
+        code, out, err = run_cli(capsys, "invert", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_both_or_neither_axis_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "invert", "--budget", "1e-3")
@@ -384,7 +428,7 @@ class TestValidateCommand:
         ("-0.1:0.5:0.1", "rho_grid[0] must be a finite number > 0, got -0.1"),
         ("nan,0.5", "rho_grid[0] must be a finite number > 0, got nan"),
         ("1.2,0.5", "rho=1.2 (grid index 0, seed index 0): "
-                    "unbounded buffer requires lambda < C; got load 1.2"),
+                    "arrival rate 1200.0 >= capacity 1000.0: an unbounded queue is unstable"),
     ])
     def test_bad_first_grid_point_named_like_later_ones(self, capsys, tmp_path, grid, message):
         """The first point used to fail in the base config, naming no point
@@ -401,7 +445,7 @@ class TestValidateCommand:
         ("0.3", "rho=0.3 (grid index 0, seed index 0): "
                 "load 0.3 times capacity 5e-324 underflows the arrival rate"),
         ("0.7,0.3", "rho=0.7 (grid index 0, seed index 0): "
-                    "unbounded buffer requires lambda < C; got load 1"),
+                    "arrival rate 5e-324 >= capacity 5e-324: an unbounded queue is unstable"),
     ], ids=["underflow", "unstable"])
     def test_smallest_capacity_names_a_grid_point(self, capsys, tmp_path, grid, message):
         """No rate below the smallest double is positive, so every point
@@ -981,6 +1025,31 @@ def _argv(draw, flags: dict, valid: dict):
     return argv
 
 
+_NON_FINITE = re.compile(r"\b(inf|nan)\b", re.IGNORECASE)
+
+
+def _typed_only(line: str, argv: list) -> bool:
+    """Whether an error line names only values typed: no inf or nan unless
+    the argv has one, and every ``..., got V`` a V equal, as a float, to a
+    number in the argv (a grid's numbers included)."""
+    if _NON_FINITE.search(line) and not any(_NON_FINITE.search(arg) for arg in argv):
+        return False
+    typed = []
+    for part in (part for arg in argv for part in re.split("[,:]", arg)):
+        try:
+            typed.append(float(part))
+        except ValueError:
+            pass
+    for got in re.findall(r", got (\S+)$", line):
+        try:
+            value = float(got)
+        except ValueError:      # a name or a quoted string, not a number
+            continue
+        if not any(value == t or value != value and t != t for t in typed):
+            return False
+    return True
+
+
 # Scenario values that a file may hold by mistake. Every drawn
 # ``packet_size_B`` and ``duration_s`` is rejected or at most 5, and an
 # ``offered_Bps`` of 1e308 expects more packets than a trace may hold, so
@@ -1002,9 +1071,9 @@ _SCENARIO_VALUES = {
 class TestCliFuzz:
     """Whatever the command line, the CLI ends with exit code 0, 1 or 2, no
     traceback and at most one ``error:`` line, and an error line means exit
-    code 1. ``--packets`` stays at or below 10,000 and ``--seeds`` at or
-    below 7: a horizon or sweep too large for memory is a separate, known
-    defect."""
+    code 1 and names only values typed. ``--packets`` stays at or below
+    10,000 and ``--seeds`` at or below 7: a horizon or sweep too large for
+    memory is a separate, known defect."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
@@ -1047,6 +1116,8 @@ class TestCliFuzz:
         assert "Traceback" not in err, argv
         assert len(errors) <= 1, argv
         assert code == 1 or not errors, argv
+        for line in errors:
+            assert _typed_only(line, argv), (argv, line)
 
     @settings(deadline=None, max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,9 +1,10 @@
 """Closed-form model: frozen oracle values, identities, and inversions."""
 
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qoskit import model
 from qoskit.errors import (
@@ -11,6 +12,7 @@ from qoskit.errors import (
     DomainError,
     InfeasibleBudgetError,
     InstabilityError,
+    QoskitError,
     UndefinedJitterError,
 )
 from qoskit.model import (
@@ -253,8 +255,7 @@ def test_inversion_never_exceeds_budget(invert, fixed, budgets):
         assert res.jitter_seconds <= budget, (budget, res)
 
 
-@pytest.mark.parametrize("side", ["lo", "hi"])
-def test_bisection_stops_when_the_interval_collapses(side):
+def test_bisection_stops_when_the_interval_collapses():
     """A function that jumps over the budget: no value within budget comes
     within 1e-9 of it, so the bisection stops once the interval shrinks to
     1e-9 of its ends, about 32 halvings of [0, 3] rather than all 200, and
@@ -263,12 +264,58 @@ def test_bisection_stops_when_the_interval_collapses(side):
 
     def jump(v):
         calls.append(v)
-        return 0.5 if (v <= 1.0) == (side == "lo") else 2.0
+        return 0.5 if v <= 1.0 else 2.0
 
-    v, f = model._bisect_to_budget(jump, 0.0, 3.0, 1.0, feasible_side=side)
-    assert f == 0.5 and (v <= 1.0) == (side == "lo")
+    v, f = model._bisect_to_budget(jump, 0.0, 3.0, 1.0)
+    assert f == 0.5 and v <= 1.0
     assert v == pytest.approx(1.0, rel=2e-9)
     assert len(calls) < 40
+
+
+def test_answer_within_budget_where_the_prediction_rounds_above_the_curve():
+    """Here the budget is one ulp below the prediction at the load ceiling,
+    yet the scaled curve there, C * J = h(rho), is within budget * C: the
+    two round apart by a few ulps. The search runs again one ulp lower and
+    answers below the ceiling, within budget."""
+    capacity, budget = 870457.6567946738, 1.1488209589449524e-06
+    ceiling = analytical_jitter(LinkParams.from_rho(capacity, 1 - 1e-6)).jitter_seconds
+    assert math.nextafter(ceiling, 0.0) == budget
+    assert model._load_curve(1 - 1e-6, "nonneg-v1", False) <= budget * capacity
+    res = invert_load_for_jitter(capacity, budget)
+    assert res.constrained and res.value < (1 - 1e-6) * capacity
+    assert res.jitter_seconds <= budget
+
+
+@pytest.mark.parametrize("target", [0.99, 0.995, 2.0], ids=["low", "high", "free"])
+@pytest.mark.parametrize("k", [-1000, -500, -1, 1, 500, 1000])
+def test_load_answer_scales_with_capacity(target, k):
+    """J depends on C and lambda only through rho, with a 1/C scale, so
+    scaling C by 2**k and the budget by 2**-k scales the answer by exactly
+    2**k, out to C = 2**1020 and 2**-980."""
+    capacity = 2.0 ** 20
+    budget = target / capacity
+    base = invert_load_for_jitter(capacity, budget)
+    scaled = invert_load_for_jitter(math.ldexp(capacity, k), math.ldexp(budget, -k))
+    assert scaled.value == math.ldexp(base.value, k)
+    assert scaled.jitter_seconds == math.ldexp(base.jitter_seconds, -k)
+    assert scaled.constrained == base.constrained == (target < 1)
+
+
+@settings(max_examples=300)
+@given(load=st.booleans(), fixed=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+       budget=st.floats(min_value=1e-320, max_value=1e308))
+def test_inversion_across_the_double_range(load, fixed, budget):
+    """Any finite C or lambda and any budget: either an answer whose jitter
+    is the prediction at it and within budget, or an error that prints no
+    value beyond the range of a double."""
+    invert = invert_load_for_jitter if load else invert_capacity_for_jitter
+    try:
+        res = invert(fixed, budget)
+    except QoskitError as exc:
+        assert not re.search(r"\b(inf|nan)\b", str(exc), re.IGNORECASE), str(exc)
+        return
+    params = LinkParams(fixed, res.value) if load else LinkParams(res.value, fixed)
+    assert res.jitter_seconds == analytical_jitter(params).jitter_seconds <= budget
 
 
 class TestInvertCapacity:

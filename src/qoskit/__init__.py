@@ -19,24 +19,11 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .errors import (
-    AccountingError,
-    ConstantSeriesError,
-    DomainError,
-    EmptyRunError,
-    EmptyTraceError,
-    InfeasibleBudgetError,
-    InstabilityError,
-    InsufficientDataError,
-    QoskitError,
-    TraceParseError,
-    UndefinedJitterError,
-)
+from .errors import DomainError, InfeasibleBudgetError, QoskitError, TraceParseError
 from .model import (
     DEFAULT_VARIANT,
     VARIANTS,
     InversionResult,
-    JitterPrediction,
     LinkParams,
     analytical_jitter,
     invert_capacity_for_jitter,

@@ -85,9 +85,21 @@ def _writing(path: str):
             f"cannot write {exc.filename or path!r}: {exc.strerror or exc}") from None
 
 
-def _typed_rate(args) -> float:
-    """``--lambda``, or the rate ``--rho`` forms, the load checked as typed."""
-    return args.lam if args.lam is not None else _from_load(args.rho, args.capacity, gt=0)
+def _typed_rate(args, stable: bool) -> float:
+    """``--lambda``, or the rate ``--rho`` forms, the load checked as typed:
+    first as a load, then, where the queue must be ``stable``, below 1."""
+    if args.lam is not None:
+        return args.lam
+    rate = _from_load(args.rho, args.capacity, gt=0)
+    if stable:
+        _real(args.rho, "load", gt=0, lt=1)
+    return rate
+
+
+def _typed_link(args) -> str:
+    """The link as typed: ``C = 1000.0, rho = 0.5`` or ``C = ..., lambda = ...``."""
+    load = f"rho = {args.rho!r}" if args.rho is not None else f"lambda = {args.lam!r}"
+    return f"C = {args.capacity!r}, {load}"
 
 
 #: Most points a start:stop:step grid may have; its size is checked
@@ -146,12 +158,15 @@ def _emit(payload: dict, as_json: bool):
 
 
 def _cmd_model(args) -> int:
-    params = LinkParams(args.capacity, _typed_rate(args))
-    pred = analytical_jitter(params, args.variant)
-    if not math.isfinite(pred.jitter_seconds * 1e3):
-        load = f"rho = {args.rho!r}" if args.rho is not None else f"lambda = {args.lam!r}"
-        raise DomainError(f"the predicted jitter at C = {args.capacity!r}, {load} overflows in ms")
-    if pred.jitter_seconds < 0:
+    params = LinkParams(args.capacity, _typed_rate(args, stable=True))
+    jitter = math.inf
+    # params and variant are checked, so the only error left is the
+    # prediction's overflow, which the message below names as typed
+    with contextlib.suppress(DomainError):
+        jitter = analytical_jitter(params, args.variant)
+    if not math.isfinite(jitter * 1e3):
+        raise DomainError(f"the predicted jitter at {_typed_link(args)} overflows in ms")
+    if jitter < 0:
         sys.stderr.write(
             "=" * 66 + "\n"
             f"WARNING: variant {args.variant!r} evaluates to a negative value.\n"
@@ -163,9 +178,9 @@ def _cmd_model(args) -> int:
         "capacity_C": params.capacity_C,
         "arrival_rate_lambda": params.arrival_rate_lambda,
         "load_rho": params.load_rho,
-        "formula_variant": pred.formula_variant,
-        "jitter_seconds": pred.jitter_seconds,
-        "jitter_ms": pred.jitter_seconds * 1e3,
+        "formula_variant": args.variant,
+        "jitter_seconds": jitter,
+        "jitter_ms": jitter * 1e3,
     }
     _emit(payload, args.json)
     return 0
@@ -209,7 +224,7 @@ def _cmd_invert(args) -> int:
 def _config_from_args(args) -> SimConfig:
     return SimConfig(
         capacity_C=args.capacity,
-        arrival_rate_lambda=_typed_rate(args),
+        arrival_rate_lambda=_typed_rate(args, stable=args.buffer is None),
         tagged_fraction=args.tagged_fraction,
         buffer_capacity=args.buffer,
         horizon_packets=args.packets,
@@ -221,12 +236,16 @@ def _config_from_args(args) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    if args.trace_out:
-        log, summary = simulate_run(config)
+    log, summary = simulate_run(config) if args.trace_out else (None, _summarize_run(config))
+    # A few packets at a rate near the largest double can span less than
+    # 1 / 1.8e308 s; their rates would print as null, which marks an
+    # undefined estimate.
+    if not math.isfinite(summary.offered_lambda):
+        raise DomainError(f"the measured packet rates at {_typed_link(args)} over "
+                          f"{args.packets} packets pass the largest double")
+    if log is not None:
         with _writing(args.trace_out):
             write_packet_trace(log, args.trace_out)
-    else:
-        summary = _summarize_run(config)
     payload = {
         "mean_sojourn_s": summary.mean_sojourn,
         "empirical_jitter_J_s": summary.empirical_jitter_J,

@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
-Everything derives from QoskitError so callers (and the CLI) can catch
-toolkit failures in one place while still distinguishing the common cases.
+Everything derives from QoskitError, which the CLI catches. A bad argument,
+or an operation undefined on its input, raises DomainError, whose message
+says which. Two classes carry a value a caller can act on:
+InfeasibleBudgetError the attainable minimum, TraceParseError the line.
 
 The same module holds the one definition of a valid argument, used by every
 public constructor and function: a number is an ``int``, a ``float`` or a
@@ -18,15 +20,9 @@ class QoskitError(Exception):
 
 
 class DomainError(QoskitError, ValueError):
-    """An argument is outside the domain an operation is defined on."""
-
-
-class InstabilityError(DomainError):
-    """Offered load meets or exceeds capacity where stability is required."""
-
-
-class UndefinedJitterError(DomainError):
-    """Jitter is undefined: with no traffic there are no consecutive packets."""
+    """An argument is outside the domain an operation is defined on: a bad
+    value, an unstable load, an undefined jitter or correlation, too few
+    samples, counters that disagree, or nothing to simulate."""
 
 
 class InfeasibleBudgetError(QoskitError, ValueError):
@@ -38,26 +34,6 @@ class InfeasibleBudgetError(QoskitError, ValueError):
     def __init__(self, message: str, attained_min: float):
         super().__init__(message)
         self.attained_min = attained_min
-
-
-class InsufficientDataError(DomainError):
-    """Not enough samples to compute the requested statistic."""
-
-
-class ConstantSeriesError(DomainError):
-    """A correlation was requested against a constant series."""
-
-
-class AccountingError(DomainError):
-    """Counters are mutually inconsistent (e.g. delivered exceeds offered)."""
-
-
-class EmptyRunError(DomainError):
-    """A simulation was requested with nothing to simulate."""
-
-
-class EmptyTraceError(DomainError):
-    """A trace synthesis was requested with zero duration."""
 
 
 class TraceParseError(QoskitError, ValueError):

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _count
+from .errors import DomainError, _count
 
 #: Resamples used for the bootstrap confidence interval.
 BOOTSTRAP_RESAMPLES = 1000
@@ -51,9 +51,7 @@ def _as_delay_array(delays) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError("a delay series must be one-dimensional")
     if arr.size < 2:
-        raise InsufficientDataError(
-            f"need at least 2 delays to difference, got {arr.size}"
-        )
+        raise DomainError(f"need at least 2 delays to difference, got {arr.size}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise DomainError("delays must be finite and non-negative")
     return arr
@@ -146,13 +144,13 @@ def correlate(series_a, series_b) -> SeriesStats:
     if a.size != b.size:
         raise DomainError(f"series lengths differ: {a.size} vs {b.size}")
     if a.size < 3:
-        raise InsufficientDataError(f"need at least 3 paired samples, got {a.size}")
+        raise DomainError(f"need at least 3 paired samples, got {a.size}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("series must be finite")
     if np.all(a == a[0]):
-        raise ConstantSeriesError("first series is constant; correlation undefined")
+        raise DomainError("first series is constant; correlation undefined")
     if np.all(b == b[0]):
-        raise ConstantSeriesError("second series is constant; correlation undefined")
+        raise DomainError("second series is constant; correlation undefined")
     return SeriesStats(pearson_r=_pearson(a, b), n=int(a.size),
                        spearman_rho=_pearson(_average_ranks(a), _average_ranks(b)))
 

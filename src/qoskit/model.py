@@ -37,14 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import (
-    DomainError,
-    AccountingError,
-    InfeasibleBudgetError,
-    InstabilityError,
-    UndefinedJitterError,
-    _real,
-)
+from .errors import DomainError, InfeasibleBudgetError, _real
 
 #: Default algebraic reading of the jitter formula.
 DEFAULT_VARIANT = "nonneg-v1"
@@ -89,20 +82,18 @@ class LinkParams:
 
 
 def _arrival_rate(lam) -> None:
-    """Raise DomainError unless ``lam`` is a finite rate >= 0, and
-    UndefinedJitterError if it is zero: no consecutive packets exist."""
+    """Raise DomainError unless ``lam`` is a finite rate > 0; a zero rate
+    has its own message, as jitter is undefined without traffic."""
     _real(lam, "arrival rate", ge=0)
     if lam == 0:
-        raise UndefinedJitterError(
-            "arrival rate is zero: no consecutive packets exist, jitter undefined"
-        )
+        raise DomainError("arrival rate is zero: no consecutive packets exist, jitter undefined")
 
 
 def _require_stable(capacity_C, arrival_rate_lambda) -> None:
-    """Raise InstabilityError unless lambda < C, naming both as given."""
+    """Raise DomainError unless lambda < C, naming both as given."""
     if arrival_rate_lambda >= capacity_C:
-        raise InstabilityError(f"arrival rate {arrival_rate_lambda!r} >= capacity "
-                               f"{capacity_C!r}: an unbounded queue is unstable")
+        raise DomainError(f"arrival rate {arrival_rate_lambda!r} >= capacity "
+                          f"{capacity_C!r}: an unbounded queue is unstable")
 
 
 def _from_load(load_rho, given, solve_for: str = "arrival rate", **load_bounds) -> float:
@@ -121,15 +112,6 @@ def _from_load(load_rho, given, solve_for: str = "arrival rate", **load_bounds) 
     formed = (f"load {load_rho!r} times capacity {given!r}" if to_rate else
               f"arrival rate {given!r} over load {load_rho!r}")
     raise DomainError(f"{formed} {'underflows' if value == 0 else 'overflows'} the {solve_for}")
-
-
-@dataclass(frozen=True)
-class JitterPrediction:
-    """Predicted mean absolute delay variation, in seconds."""
-
-    jitter_seconds: float
-    params: LinkParams
-    formula_variant: str
 
 
 @dataclass(frozen=True)
@@ -159,8 +141,8 @@ def _shape_factor(x: float, variant: str) -> float:
     raise DomainError(f"unknown formula variant {variant!r}; expected one of {VARIANTS}")
 
 
-def analytical_jitter(params: LinkParams, variant: str = DEFAULT_VARIANT) -> JitterPrediction:
-    """Predict the mean absolute delay variation for one link.
+def analytical_jitter(params: LinkParams, variant: str = DEFAULT_VARIANT) -> float:
+    """Predict the mean absolute delay variation for one link, in seconds.
 
     The result depends on traffic only through (C, lambda, rho) and scales
     as 1/C at fixed load. Raises DomainError, naming C and lambda, where the
@@ -174,7 +156,7 @@ def analytical_jitter(params: LinkParams, variant: str = DEFAULT_VARIANT) -> Jit
     jitter = _shape_factor(x, variant) / (c - lam)
     if not math.isfinite(jitter):
         raise DomainError(f"the predicted jitter at C = {c!r}, lambda = {lam!r} overflows")
-    return JitterPrediction(jitter_seconds=jitter, params=params, formula_variant=variant)
+    return jitter
 
 
 def loss_from_throughput(arrival_rate_lambda: float, throughput_X: float) -> float:
@@ -182,9 +164,8 @@ def loss_from_throughput(arrival_rate_lambda: float, throughput_X: float) -> flo
     _real(arrival_rate_lambda, "arrival rate", gt=0)
     _real(throughput_X, "throughput", ge=0)
     if throughput_X > arrival_rate_lambda:
-        raise AccountingError(
-            f"throughput {throughput_X!r} exceeds the arrival rate {arrival_rate_lambda!r}"
-        )
+        raise DomainError(f"throughput {throughput_X!r} exceeds the arrival rate "
+                          f"{arrival_rate_lambda!r}")
     return (arrival_rate_lambda - throughput_X) / arrival_rate_lambda
 
 
@@ -239,7 +220,7 @@ def _invert(fixed: float, budget: float, variant: str, per_rate: bool) -> Invers
             raise DomainError(f"the smallest capacity for arrival rate {fixed!r} within "
                               f"budget {budget!r} s passes the largest double")
         c, lam = (value, fixed) if per_rate else (fixed, value)
-        jitter = analytical_jitter(LinkParams(c, lam), variant).jitter_seconds
+        jitter = analytical_jitter(LinkParams(c, lam), variant)
         if jitter <= budget:
             return InversionResult(value, jitter, constrained=k < _GRID_POINTS - 1)
         target = math.nextafter(target, 0.0)
@@ -270,7 +251,7 @@ def invert_capacity_for_jitter(
     lambda * J = rho * h(rho) is a fixed curve of the load, rising from about
     1e-6 to 1 on the bracket [1e-6, 1 / (1 + 1e-6)]; the largest load within
     budget * lambda gives C = lambda / rho. A zero arrival rate raises
-    UndefinedJitterError.
+    DomainError: jitter is undefined there.
     """
     _arrival_rate(arrival_rate_lambda)
     _real(jitter_budget_seconds, "jitter budget", gt=0)

@@ -15,7 +15,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ConstantSeriesError, DomainError, InsufficientDataError, _real
+from .errors import DomainError, _real
 from .metrics import _mean, _unit_scaled, correlate
 from .model import DEFAULT_VARIANT, LinkParams, _from_load, analytical_jitter
 from .sim import SimConfig, _at_point, simulate_sweep
@@ -106,7 +106,7 @@ def run_validation(
                        key=lambda s: s.seed)
         short = sum(1 for s in group if s.n_jitter_samples == 0)
         if short:
-            raise InsufficientDataError(
+            raise DomainError(
                 f"load point rho={rho:.12g}: {short} of {len(group)} runs have no pair of "
                 f"consecutive delivered tagged packets after warm-up; "
                 f"raise the packet count or the tagged fraction"
@@ -119,15 +119,15 @@ def run_validation(
             # extreme capacities; scaling by a power of two first is exact.
             scaled, exponent = _unit_scaled(jitters)
             stderr = math.ldexp(float(scaled.std(ddof=1)), exponent) / math.sqrt(len(group))
-        pred = analytical_jitter(LinkParams.from_rho(capacity_C, rho), variant)
+        jitter = analytical_jitter(LinkParams.from_rho(capacity_C, rho), variant)
         rows.append(
             ValidationRow(
                 load_rho=rho,
                 arrival_rate_lambda=group[0].config.arrival_rate_lambda,
-                jitter_model=pred.jitter_seconds,
+                jitter_model=jitter,
                 jitter_sim_mean=mean,
                 jitter_sim_stderr=stderr,
-                relative_error=abs(pred.jitter_seconds - mean) / mean,
+                relative_error=abs(jitter - mean) / mean,
             )
         )
     metadata = (
@@ -195,9 +195,11 @@ def _pairwise(columns: dict[str, np.ndarray], warnings: list[str], context: str 
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             key = f"{a}~{b}"
+            # The columns are 1-D, of one length and finite (QosLogRow checks
+            # each field), so a constant or short series is all that can fail.
             try:
                 out[key] = asdict(correlate(columns[a], columns[b]))
-            except (ConstantSeriesError, InsufficientDataError) as exc:
+            except DomainError as exc:
                 warnings.append(f"{context}{key}: {exc}")
                 out[key] = None
     return out

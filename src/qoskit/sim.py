@@ -32,13 +32,7 @@ from functools import partial
 import numpy as np
 
 from ._dumptext import PACKET_TRACE_HEADER, parse_lines, render_lines
-from .errors import (
-    DomainError,
-    EmptyRunError,
-    _count,
-    _real,
-    _seed,
-)
+from .errors import DomainError, _count, _real, _seed
 from .metrics import _abs_differences, _mean
 from .model import _from_load, _require_stable
 
@@ -98,7 +92,7 @@ class SimConfig:
         _real(self.tagged_fraction, "tagged fraction", gt=0, le=1)
         _count(self.horizon_packets, "horizon (a packet count)", 0)
         if self.horizon_packets == 0:
-            raise EmptyRunError("horizon of zero packets: nothing to simulate")
+            raise DomainError("horizon of zero packets: nothing to simulate")
         _real(self.warmup_fraction, "warmup fraction", ge=0, lt=0.5)
         # stored as an int: a numpy integer seed would not serialize as JSON
         object.__setattr__(self, "seed", _seed(self.seed, "seed"))
@@ -853,7 +847,7 @@ def _at_point(rho, i: int, j: int, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except DomainError as exc:
-        raise type(exc)(f"rho={rho!r} (grid index {i}, seed index {j}): {exc}") from exc
+        raise DomainError(f"rho={rho!r} (grid index {i}, seed index {j}): {exc}") from exc
 
 
 def simulate_sweep(

@@ -33,8 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (DomainError, EmptyTraceError, TraceParseError, _count, _parse, _real,
-                     _seed)
+from .errors import DomainError, TraceParseError, _count, _parse, _real, _seed
 from .metrics import _abs_differences
 from . import sim
 from .sim import DEFAULT_SEED
@@ -355,7 +354,7 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
     """
     d = scenario.duration_s
     if d == 0:
-        raise EmptyTraceError("zero-duration scenario produces no rows")
+        raise DomainError("zero-duration scenario produces no rows")
     speeds, positions = _per_second_kinematics(scenario)
     rates_pkts = _rates(scenario.rate_map, positions) / scenario.packet_size_B
 

@@ -45,7 +45,7 @@ class TestModelCommand:
     def test_saturated_load_exits_nonzero(self, capsys):
         code, _, err = run_cli(capsys, "model", "--capacity", "1000", "--rho", "1.0")
         assert code == 1
-        assert "unstable" in err
+        assert err == "error: load must be a finite number > 0 and < 1, got 1.0\n"
 
     @pytest.mark.parametrize("rho", ["-1", "0"])
     def test_bad_load_named_as_typed(self, capsys, rho):
@@ -66,19 +66,27 @@ class TestModelCommand:
 
 
     @pytest.mark.parametrize("argv, line", [
-        (("model", "--capacity", "1e-320", "--rho", "0.5"), "error: the predicted jitter at C = "),
+        (("model", "--capacity", "1e-320", "--rho", "0.5"),
+         "error: the predicted jitter at C = 1e-320, rho = 0.5 overflows in ms\n"),
         (("invert", "--lambda", "1e-320", "--budget", "1"),
          "error: budget 1.0 s is below the attainable minimum at arrival rate 1e-320, "
          "which passes the largest double\n"),
-    ], ids=["model", "invert"])
+        (("model", "--capacity", "1000", "--rho", "1.5"),
+         "error: load must be a finite number > 0 and < 1, got 1.5\n"),
+        (("simulate", "--capacity", "1000", "--rho", "1.2"),
+         "error: load must be a finite number > 0 and < 1, got 1.2\n"),
+    ], ids=["model", "invert", "model-unstable", "simulate-unstable"])
     def test_prediction_beyond_the_largest_float_rejected(self, capsys, argv, line):
         """C - lambda of 5e-321 or less: the prediction used to print as
         null, the spelling kept for an undefined estimate, and the inversion
-        named an attainable minimum of inf s, then a capacity never typed."""
+        named an attainable minimum of inf s, then a capacity never typed.
+        The model then named lambda = 5e-321, formed from the typed load,
+        and an unstable typed load was named as the rate it forms
+        (``arrival rate 1500.0 >= capacity 1000.0``); no such run has a
+        finite prediction, and each error names only the values typed."""
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith(line)
-        assert err.count("\n") == 1 and "inf" not in err
+        assert err == line
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
     def test_milliseconds_beyond_the_largest_float_rejected(self, capsys, json_flag):
@@ -290,12 +298,32 @@ class TestSimulateCommand:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_rates_past_the_largest_double_rejected(self, capsys, tmp_path):
+        """Two packets at 9e307 per second span less than 1 / 1.8e308 s, so
+        the measured rates pass the largest double. They used to print as
+        null, the spelling kept for an undefined estimate, after the dump
+        was written."""
+        dump = tmp_path / "dump.csv"
+        code, out, err = run_cli(capsys, "simulate", "--capacity", "1e308", "--rho", "0.9",
+                                 "--packets", "2", "--warmup", "0", "--trace-out", str(dump),
+                                 "--json")
+        assert code == 1 and out == ""
+        assert err == ("error: the measured packet rates at C = 1e+308, rho = 0.9 over 2 "
+                       "packets pass the largest double\n")
+        assert not dump.exists()
+
     def test_unstable_config_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--capacity", "1000", "--rho", "1.1", "--packets", "10"
         )
         assert code == 1
-        assert "unbounded" in err
+        assert err == "error: load must be a finite number > 0 and < 1, got 1.1\n"
+        code, _, err = run_cli(
+            capsys, "simulate", "--capacity", "1000", "--lambda", "1100", "--packets", "10"
+        )
+        assert code == 1
+        assert err == ("error: arrival rate 1100.0 >= capacity 1000.0: "
+                       "an unbounded queue is unstable\n")
 
     @pytest.mark.parametrize("rho", ["nan", "inf", "-0.5", "0"])
     def test_bad_load_named_as_typed(self, capsys, rho):
@@ -1050,6 +1078,33 @@ def _typed_only(line: str, argv: list) -> bool:
     return True
 
 
+def _null_paths(value, path=()):
+    """The key and index paths at which a parsed JSON value holds null."""
+    if value is None:
+        yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _null_paths(item, path + (key,))
+
+
+def _documented_null(command: str, path: tuple, payload: dict) -> bool:
+    """Whether the README documents a null at ``path`` of a --json output:
+    simulate's estimates without samples and its unbounded buffer, and
+    analyze's undefined correlations and off-diagonal Pearson entries."""
+    if command == "simulate":
+        counts = {("mean_sojourn_s",): "delivered_count",
+                  ("empirical_jitter_J_s",): "n_jitter_samples"}
+        return (path == ("config", "buffer_capacity")
+                or path in counts and payload[counts[path]] == 0)
+    if command == "analyze":
+        return (path[:1] == ("correlations",) and len(path) == 2
+                or path[:1] == ("pearson_matrix",) and len(path) == 3 and path[1] != path[2]
+                or path[:1] == ("speed_bins",) and path[2:3] == ("correlations",)
+                and len(path) == 4)
+    return False
+
+
 # Scenario values that a file may hold by mistake. Every drawn
 # ``packet_size_B`` and ``duration_s`` is rejected or at most 5, and an
 # ``offered_Bps`` of 1e308 expects more packets than a trace may hold, so
@@ -1070,8 +1125,9 @@ _SCENARIO_VALUES = {
 
 class TestCliFuzz:
     """Whatever the command line, the CLI ends with exit code 0, 1 or 2, no
-    traceback and at most one ``error:`` line, and an error line means exit
-    code 1 and names only values typed. ``--packets`` stays at or below
+    traceback and at most one ``error:`` line, an error line means exit
+    code 1 and names only values typed, and a --json output holds null only
+    where the README documents an undefined estimate. ``--packets`` stays at or below
     10,000 and ``--seeds`` at or below 7: a horizon or sweep too large for
     memory is a separate, known defect."""
 
@@ -1110,7 +1166,7 @@ class TestCliFuzz:
         monkeypatch.chdir(work)     # default output paths land here too
         argv = data.draw(_argv(flags, _valid_argv(work)), label="argv")
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
@@ -1118,6 +1174,10 @@ class TestCliFuzz:
         assert code == 1 or not errors, argv
         for line in errors:
             assert _typed_only(line, argv), (argv, line)
+        if code == 0 and "--json" in argv:
+            payload = json.loads(out)
+            for path in _null_paths(payload):
+                assert _documented_null(argv[0], path, payload), (argv, path)
 
     @settings(deadline=None, max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -9,12 +9,10 @@ import qoskit.errors
 
 
 _PUBLIC_NAMES = (
-    "AccountingError", "ConstantSeriesError", "DEFAULT_SEED", "DEFAULT_VARIANT",
-    "DomainError", "EmptyRunError", "EmptyTraceError", "InfeasibleBudgetError",
-    "InstabilityError", "InsufficientDataError", "InversionResult", "JitterEstimate",
-    "JitterPrediction", "LinkParams", "MobilityScenario", "PacketLog", "QosLogRow",
-    "QoskitError", "RateDistanceMap", "RunSummary", "SeriesStats", "SimConfig",
-    "TraceParseError", "UndefinedJitterError", "VARIANTS", "analytical_jitter",
+    "DEFAULT_SEED", "DEFAULT_VARIANT", "DomainError", "InfeasibleBudgetError",
+    "InversionResult", "JitterEstimate", "LinkParams", "MobilityScenario", "PacketLog",
+    "QosLogRow", "QoskitError", "RateDistanceMap", "RunSummary", "SeriesStats", "SimConfig",
+    "TraceParseError", "VARIANTS", "analytical_jitter",
     "child_seed", "correlate", "default_rate_map", "default_speed_profile",
     "fcfs_departures", "invert_capacity_for_jitter", "invert_load_for_jitter",
     "ipdv_series", "load_scenario", "loss_from_throughput", "mean_abs_jitter",
@@ -30,14 +28,16 @@ def test_public_surface_is_pinned():
 
 
 def test_every_error_class_is_exported():
-    """``LinkParams(1.0, 0.0)`` raises ``UndefinedJitterError``; every
-    error the package raises is reachable from ``qoskit``."""
-    with pytest.raises(qoskit.UndefinedJitterError):
+    """``LinkParams(1.0, 0.0)`` raises ``DomainError``; every error the
+    package raises is reachable from ``qoskit``, and there are four."""
+    with pytest.raises(qoskit.DomainError, match="arrival rate is zero"):
         qoskit.LinkParams(1.0, 0.0)
     exported = {getattr(qoskit, name) for name in qoskit.__all__}
     errors = [value for value in vars(qoskit.errors).values()
               if isinstance(value, type) and issubclass(value, qoskit.QoskitError)]
     assert set(errors) <= exported
+    assert sorted(error.__name__ for error in errors) == [
+        "DomainError", "InfeasibleBudgetError", "QoskitError", "TraceParseError"]
 
 
 def test_all_names_resolve_and_hold_no_module():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qoskit import sim
-from qoskit.errors import DomainError, EmptyTraceError, TraceParseError
+from qoskit.errors import DomainError, TraceParseError
 from qoskit.metrics import _abs_differences
 from qoskit.sim import fcfs_departures
 from qoskit.traces import (
@@ -243,7 +243,7 @@ class TestSpeedProfile:
 class TestScenario:
     def test_zero_duration_is_empty_trace(self):
         scenario = MobilityScenario("static", 0, static_dist_m=1000.0)
-        with pytest.raises(EmptyTraceError):
+        with pytest.raises(DomainError, match="zero-duration scenario"):
             synth_mobility_trace(scenario)
 
     def test_bad_track_bounds(self):

@@ -2,7 +2,7 @@
 rendered and parsed by numpy.
 
 This module owns the dump's lines: the header (``PACKET_TRACE_HEADER``),
-``render_lines`` for a chunk of packets and ``parse_lines`` for a block of
+``render_lines`` for chunks of packets and ``parse_lines`` for a block of
 whole lines, with every column name and every flow and flag token declared
 once below. ``qoskit.sim`` keeps the file loops around them.
 
@@ -305,9 +305,10 @@ _FLOW_AT, _TIMES_AT, _FLAG_AT, _LINE_WORDS = np.cumsum(
     [2, _FLOW_WORDS.shape[1], 4 * len(_TIMES), _FLAG_WORDS.shape[1]]).tolist()
 
 
-def render_lines(first: int, tagged, dropped, *times) -> np.ndarray:
-    """The dump lines of packets ``first``, ``first + 1``, ... from slices of
-    their columns, as the uint8 array of their text.
+def render_lines(chunk: int, *columns):
+    """The dump lines of the packets in 1-D columns of one length (tagged,
+    dropped and the four times), ``chunk`` lines at a time, each chunk
+    yielded as the uint8 array of its text.
 
     The bytes are those of ``"%d,%s,%.17g,%.17g,%.17g,%.17g,%s\\n"`` with the
     index, the flow token, the four times and the flag token, but with the
@@ -315,25 +316,33 @@ def render_lines(first: int, tagged, dropped, *times) -> np.ndarray:
     a fixed slot of a matrix of uint64 words, with byte 0 where its text is
     shorter, and dropping the 0 bytes leaves the text; no Python object is
     made per packet. Times of another dtype are written as their float64
-    values and flags by truth, as ``'%.17g'`` and ``if`` would.
+    values and flags by truth, as ``'%.17g'`` and ``if`` would. One word
+    matrix and one mask of its non-zero bytes, made once per call, serve
+    every chunk, so the system does not map and fault in fresh pages for
+    each chunk.
     """
-    n = len(tagged)
-    drop = dropped.astype(bool)
-    values = np.empty((n, len(times)))
-    for j, column in enumerate(times):
-        values[:, j] = column
-    values[drop, _BLANK_FROM:] = 1.0        # not written; 1.0 keeps them off the % path
-    lines = np.empty((n, _LINE_WORDS), np.uint64)
-    lines[:, :_FLOW_AT] = index_words(np.arange(first, first + n)).T
-    lines[:, _FLOW_AT:_TIMES_AT] = _FLOW_WORDS[tagged.astype(bool).view(np.uint8)]
-    slots = lines[:, _TIMES_AT:_FLAG_AT]
-    for j, word in enumerate(float_words(values.ravel())):
-        slots[:, j::4] = word.reshape(-1, 4)
-    slots[drop, 4 * _BLANK_FROM:] = 0
-    slots[:, 0::4] |= np.uint64(ord(","))
-    lines[:, _FLAG_AT:] = _FLAG_WORDS[drop.view(np.uint8)]
-    text = word_bytes(lines).ravel()
-    return text[text != 0]
+    size = len(columns[0])
+    line_buf = np.empty((min(chunk, size), _LINE_WORDS), np.uint64)
+    keep_buf = np.empty(line_buf.size * 8, bool)
+    for first in range(0, size, chunk):
+        tagged, dropped, *times = (c[first:first + chunk] for c in columns)
+        n = len(tagged)
+        drop = dropped.astype(bool)
+        values = np.empty((n, len(times)))
+        for j, column in enumerate(times):
+            values[:, j] = column
+        values[drop, _BLANK_FROM:] = 1.0    # not written; 1.0 keeps them off the % path
+        lines = line_buf[:n]
+        lines[:, :_FLOW_AT] = index_words(np.arange(first, first + n)).T
+        lines[:, _FLOW_AT:_TIMES_AT] = _FLOW_WORDS[tagged.astype(bool).view(np.uint8)]
+        slots = lines[:, _TIMES_AT:_FLAG_AT]
+        for j, word in enumerate(float_words(values.ravel())):
+            slots[:, j::4] = word.reshape(-1, 4)
+        slots[drop, 4 * _BLANK_FROM:] = 0
+        slots[:, 0::4] |= np.uint64(ord(","))
+        lines[:, _FLAG_AT:] = _FLAG_WORDS[drop.view(np.uint8)]
+        text = word_bytes(lines).ravel()
+        yield text[np.not_equal(text, 0, out=keep_buf[:text.size])]
 
 
 def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> int:

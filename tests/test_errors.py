@@ -2,6 +2,7 @@
 type the contract names is accepted."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,10 @@ def test_bad_value_is_a_domain_error(call):
 
 _SCENARIO = "kind = static\nduration_s = 5\n"
 
+# Two packets at 9e307 per second: at seed 1729 they span less than
+# 1 / 1.8e308 s, and so does a sweep's first run from base seed 6.
+_RATES_PAST = SimConfig(1e308, 9e307, horizon_packets=2, warmup_fraction=0.0)
+
 # Checks with a message of their own, each reached by no other test.
 _REJECTED_CALLS = {
     "departures of unequal shapes": (
@@ -100,6 +105,19 @@ _REJECTED_CALLS = {
     "scenario anchors without a pair": (
         lambda: parse_scenario(_SCENARIO + "rate_anchors = ,\n"), DomainError,
         "scenario line 3: rate_anchors must contain at least one 'a:b' pair"),
+    "scenario speed profile item without ':'": (
+        lambda: parse_scenario("kind = variable_speed\nduration_s = 5\nspeed_profile = 0:10, x\n"),
+        DomainError, "scenario line 3: cannot parse speed_profile entry 'x', expected 'a:b'"),
+    "scenario mask zone without its end": (
+        lambda: parse_scenario(_SCENARIO + "mask_zones = 1-2; 5-\n"), DomainError,
+        "scenario line 3: cannot parse mask zone '5-', expected 'lo-hi'"),
+    "run whose rates pass the largest double": (
+        lambda: simulate_run(_RATES_PAST), DomainError,
+        "the measured packet rates over 2 packets pass the largest double"),
+    "sweep whose first run's rates pass the largest double": (
+        lambda: simulate_sweep(replace(_RATES_PAST, seed=6), [0.9]), DomainError,
+        "rho=0.9 (grid index 0, seed index 0): the measured packet rates over 2 packets "
+        "pass the largest double"),
 }
 
 
@@ -119,4 +137,4 @@ def test_numpy_scalars_are_numbers():
                        horizon_packets=np.int64(50), seed=np.int64(3))
     assert config.seed == 3 and type(config.seed) is int
     _, summary = simulate_run(config)
-    assert summary.seed == 3
+    assert summary.config.seed == 3

@@ -681,6 +681,18 @@ class TestDepartureOverflow:
             with pytest.raises(DomainError, match="largest double"):
                 _in_pieces(arrivals, services, 5, [3, 4])
 
+    @pytest.mark.parametrize("buffer_capacity", [None, 5])
+    @pytest.mark.parametrize("run", [simulate_run, sim._summarize_run])
+    def test_zero_window_refused(self, monkeypatch, run, buffer_capacity):
+        """Packets that all arrive at one instant measure their rates over a
+        zero window; that was a ZeroDivisionError."""
+        monkeypatch.setattr(sim, "_exponential_into", lambda rng, scale, out: out.fill(0.0))
+        config = SimConfig(1.0, 0.5, buffer_capacity=buffer_capacity, horizon_packets=3,
+                           warmup_fraction=0.0)
+        with pytest.raises(DomainError, match="^the measured packet rates over 3 packets "
+                                              "pass the largest double$"):
+            run(config)
+
 
 class TestPieceGuard:
     """``_fcfs`` checks the last arrival and the largest service time of
@@ -1176,7 +1188,6 @@ def _reference_simulate_run(config):
         offered_lambda=offered / window,
         loss_B=(offered - delivered) / offered,
         n_jitter_samples=int(samples.size),
-        seed=config.seed,
         offered_count=offered,
         delivered_count=delivered,
         config=config,
@@ -1619,7 +1630,7 @@ class TestParallelSweep:
                 _assert_same_summary(two, one)
                 _assert_same_summary(three, one)
                 _assert_same_summary(one, simulate_run(one.config)[1])
-            assert [(s.config.rho, s.seed) for s in swept[0]] == [
+            assert [(s.config.rho, s.config.seed) for s in swept[0]] == [
                 (pytest.approx(rho), child_seed(horizon, i, j))
                 for i, rho in enumerate([0.3, 0.9]) for j in range(2)]
 
@@ -1727,7 +1738,7 @@ class TestValidationAggregate:
         summaries = simulate_sweep(base, [0.5], seeds_per_point=10)
         swept = np.array([s.empirical_jitter_J for s in summaries])
         jitters = np.array([s.empirical_jitter_J
-                            for s in sorted(summaries, key=lambda s: s.seed)])
+                            for s in sorted(summaries, key=lambda s: s.config.seed)])
         [row] = run_validation(1000.0, [0.5], 20_000, 10, base_seed=7).rows
         assert row.arrival_rate_lambda == 500.0
         assert row.jitter_sim_mean == jitters.mean() != swept.mean()
@@ -1769,7 +1780,7 @@ def _scaled_summary(summary, k):
             "throughput_X": math.ldexp(summary.throughput_X, k),
             "offered_lambda": math.ldexp(summary.offered_lambda, k),
             **{name: getattr(summary, name) for name in (
-                "loss_B", "n_jitter_samples", "seed", "offered_count", "delivered_count")}}
+                "loss_B", "n_jitter_samples", "offered_count", "delivered_count")}}
 
 
 class TestScaleInvariance:

@@ -50,6 +50,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import DomainError
+from .metrics import _one_ahead
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFF_FFFF)
@@ -88,9 +89,9 @@ _QUAD = le_words(_QUAD).ravel()
 #: at t (none at 0, 17, 18).
 _BYTE = np.arange(24)
 _T = np.arange(19)[:, None]
-_BEFORE = le_words((_BYTE < np.arange(25)[:, None]) * 255).T
-_AFTER = le_words((_BYTE > _T) * 255).T
-_POINT = le_words((_BYTE == _T) * ord(".")).T
+_BEFORE = np.ascontiguousarray(le_words((_BYTE < np.arange(25)[:, None]) * 255).T)
+_AFTER = np.ascontiguousarray(le_words((_BYTE > _T) * 255).T)
+_POINT = np.ascontiguousarray(le_words((_BYTE == _T) * ord(".")).T)
 _POINT[:, [0, 17, 18]] = 0
 
 #: Per decimal exponent X in [-11, 15] (row X + 11): whether %g writes it
@@ -109,69 +110,139 @@ _EXPONENT = _words([b"\0" * 4 + (b"e-%02d" % -x if sci else b"\0" * 4)
                     for x, sci in zip(_X.tolist(), _SCIENTIFIC)]).ravel()
 
 
-def _word8(y) -> np.ndarray:
-    """int64 numbers below 10**8 as 8 zero-padded ASCII digits, first in the lowest byte."""
-    a = y // 10_000
-    return _QUAD[a] | (_QUAD[y - a * 10_000] << _U64(32))
+def _word8(y, t=None):
+    """int64 numbers below 10**8 as 8 zero-padded ASCII digits, first in the
+    lowest byte, written over ``y`` and returned as uint64; ``t`` is two
+    uint64 rows of ``len(y)`` for the temporaries, made when None."""
+    t = np.empty((2, y.size), np.uint64) if t is None else t
+    a, b = np.floor_divide(y, 10_000, out=t[0].view(np.int64)), t[1].view(np.int64)
+    np.subtract(y, np.multiply(a, 10_000, out=b), out=b)
+    y = np.take(_QUAD, b, out=y.view(np.uint64), mode="clip")
+    y <<= _U64(32)
+    y |= np.take(_QUAD, a, out=t[1], mode="clip")
+    return y
 
 
-def _truncated17(m, q, e):
-    """floor(m * 2**q * 10**(16 - e)), and whether rounding it half-even adds
-    one, for 16 - e in [0, 27] and e - 16 - q in [1, 63] (clipped to them)."""
-    p = np.clip(16 - e, 0, 27)
-    u = np.clip(80 - e + q, 1, 63).astype(np.uint64)     # 64 - s
-    f1, f0 = _POW5_HI[p], _POW5_LO[p]
-    m1, m0 = m >> _U64(32), m & _M32
-    lo = m0 * f0
-    mid = m1 * f0 + m0 * f1 + (lo >> _U64(32))
-    hi = m1 * f1 + (mid >> _U64(32))                     # product = hi * 2**64 + lo
-    lo = (mid << _U64(32)) | (lo & _M32)
-    n = (hi << u) | (lo >> (_U64(64) - u))
-    rest = lo << u                                       # the bits shifted out, at the top
-    return n, (rest > _HALF) | ((rest == _HALF) & (n & _U64(1) == 1))
+def _truncated17(bits, e, t):
+    """floor(m * 2**q * 10**(16 - e)) for the doubles m * 2**q whose bits
+    are ``bits``, and whether rounding it half-even adds one, for 16 - e in
+    [0, 27] and e - 16 - q in [1, 63] (clipped to them). ``t`` is six uint64
+    rows of ``len(bits)`` for the temporaries; the results are views of its
+    rows 3 and 4."""
+    p = np.subtract(16, e, out=t[0].view(np.int64))
+    np.clip(p, 0, 27, out=p)
+    f1 = np.take(_POW5_HI, p, out=t[1], mode="clip")
+    f0 = np.take(_POW5_LO, p, out=t[2], mode="clip")
+    u = np.right_shift(bits, _U64(52), out=t[3]).view(np.int64)
+    np.add(u, 80 - 1075, out=p)
+    p -= e
+    np.clip(p, 1, 63, out=p)                                # 64 - s
+    u = p.view(np.uint64)
+    m1 = np.right_shift(bits, _U64(32), out=t[3])           # m = m1 * 2**32 + m0
+    m1 &= _U64(0xF_FFFF)
+    m1 |= _U64(1 << 20)
+    m0 = np.bitwise_and(bits, _M32, out=t[4])
+    lo = np.multiply(m0, f0, out=t[5])
+    mid = f0
+    mid *= m1
+    m0 *= f1
+    mid += m0
+    mid += np.right_shift(lo, _U64(32), out=m0)
+    hi = m1
+    hi *= f1
+    hi += np.right_shift(mid, _U64(32), out=f1)             # product = hi * 2**64 + lo
+    lo &= _M32
+    mid <<= _U64(32)
+    lo |= mid
+    n = hi
+    n <<= u
+    n |= np.right_shift(lo, np.subtract(_U64(64), u, out=f1), out=f1)
+    rest = lo
+    rest <<= u                                              # the bits shifted out, at the top
+    up, tie = t[4].view(bool)[:bits.size], t[2].view(bool)[:bits.size]
+    np.greater(rest, _HALF, out=up)
+    np.equal(rest, _HALF, out=tie)
+    np.logical_and(tie, np.bitwise_and(n, _U64(1), out=f1), out=tie)
+    up |= tie
+    return n, up
 
 
-def decimal17(v):
+def decimal17(v, t=None):
     """The 17 significant digits N of each double in the float64 array ``v``
     as an int64, its decimal exponent, and whether it is in the fast range
-    (elsewhere N and the exponent are placeholders)."""
+    (elsewhere N and the exponent are placeholders). ``t`` is eight uint64
+    rows of at least ``len(v)`` for the temporaries, made when None; the
+    results are views of its rows 3, 6 and 7."""
+    size = v.size
+    t = np.empty((8, size), np.uint64) if t is None else t[:, :size]
     bits = v.view(np.uint64)
-    m = (bits & _MANTISSA) | _HIDDEN_BIT
-    q = (bits >> _U64(52)).astype(np.int64) - 1075
-    fast = (v >= 1e-11) & (v < 2.0 ** 51)
-    e = np.floor(np.log10(np.where(fast, v, 1.0))).astype(np.int64)
-    n, up = _truncated17(m, q, e)
-    off = (n < 10 ** 16).astype(np.int64) - (n >= 10 ** 17)
-    redo = np.flatnonzero(fast & (off != 0))
+    fast, other = t[7].view(bool)[:size], t[7].view(bool)[size:2 * size]
+    np.greater_equal(v, 1e-11, out=fast)
+    fast &= np.less(v, 2.0 ** 51, out=other)
+    x = t[5].view(np.float64)
+    np.copyto(x, v)
+    np.copyto(x, 1.0, where=np.logical_not(fast, out=other))
+    np.log10(x, out=x)
+    e = np.floor(x, out=t[6].view(np.int64), casting="unsafe")
+    n, up = _truncated17(bits, e, t)
+    np.less(n, _U64(10 ** 16), out=other)
+    other |= n >= _U64(10 ** 17)
+    other &= fast
+    redo = np.flatnonzero(other)
     if redo.size:
-        e[redo] -= off[redo]
-        n[redo], up[redo] = _truncated17(m[redo], q[redo], e[redo])
+        e[redo] -= (n[redo] < 10 ** 16).astype(np.int64) - (n[redo] >= 10 ** 17)
+        n[redo], up[redo] = _truncated17(bits[redo], e[redo], np.empty((6, redo.size), np.uint64))
+    # In the fast range: N in [10**16, 10**17) before and after rounding,
+    # X in [-11, 15] and s in [1, 63].
+    fast &= np.greater_equal(n, _U64(10 ** 16), out=other)
     n += up
-    fast &= ((e >= _X_MIN) & (e <= 15) & (80 - e + q >= 1) & (80 - e + q <= 63)
-             & (n - up >= 10 ** 16) & (n < 10 ** 17))
-    return np.where(fast, n, _U64(10 ** 16)).view(np.int64), np.where(fast, e, 0), fast
+    fast &= np.less(n, _U64(10 ** 17), out=other)
+    fast &= np.greater_equal(e, _X_MIN, out=other)
+    fast &= np.less_equal(e, 15, out=other)
+    s = np.right_shift(bits, _U64(52), out=t[0]).view(np.int64)
+    s -= 1075 - 80
+    s -= e                                                  # 64 - s
+    fast &= np.greater_equal(s, 1, out=other)
+    fast &= np.less_equal(s, 63, out=other)
+    np.logical_not(fast, out=other)
+    np.copyto(n, _U64(10 ** 16), where=other)
+    np.copyto(e, 0, where=other)
+    return n.view(np.int64), e, fast
 
 
-def float_words(v) -> np.ndarray:
+#: Scratch rows ``float_words`` takes for its temporaries.
+FLOAT_SCRATCH = 8
+
+
+def float_words(v, out=None, t=None):
     """``'%.17g' % x`` of each x in the 1-D float64 array ``v``, as a (4, len(v))
     array of slot words: in each 32-byte slot, byte 0 is 0 (free for a
     separator), bytes 1-5 hold the "0." to "0.000" lead of a value below 1
     in fixed notation, bytes 8-25 the 17 digits with the point and bytes
     28-31 the exponent; a value outside the fast range has its text in bytes
-    8-31."""
-    n, exp10, fast = decimal17(v)
-    form = exp10 - _X_MIN
-    top = n // 10 ** 9
-    rest = n - top * 10 ** 9
-    mid = rest // 10
-    last = rest - mid * 10
-    digits = [_word8(top), _word8(mid), (last + 48).astype(np.uint64)]
-    point_at = _POINT_AT[form]
+    8-31.
+
+    ``out`` may be any uint64 array or view of 4 rows whose rows hold
+    ``len(v)`` words each in C order; ``t`` is ``FLOAT_SCRATCH`` uint64 rows
+    of at least ``len(v)`` for the temporaries. Each is made when None."""
+    size = v.size
+    out = np.empty((4, size), np.uint64) if out is None else out
+    t = np.empty((FLOAT_SCRATCH, size), np.uint64) if t is None else t[:, :size]
+    n, form, fast = decimal17(v, t)
+    slow = np.flatnonzero(np.logical_not(fast, out=fast))
+    form -= _X_MIN
+    top, last = np.floor_divide(n, 10 ** 9, out=t[0].view(np.int64)), t[1].view(np.int64)
+    np.subtract(n, np.multiply(top, 10 ** 9, out=last), out=last)
+    mid = np.floor_divide(last, 10, out=t[2].view(np.int64))
+    last -= np.multiply(mid, 10, out=t[4].view(np.int64))
+    zeros = np.flatnonzero(np.equal(last, 0, out=t[7].view(bool)[:size]))
+    left = n[zeros]
+    last += 48
+    digits = [_word8(top, t[4:6]), _word8(mid, t[4:6]), last.view(np.uint64)]
+    point_at = np.take(_POINT_AT, form, out=t[3].view(np.int64), mode="clip")
     point = point_at
-    zeros = np.flatnonzero(last == 0)
     if zeros.size:                        # drop trailing zeros, and a point left bare
         kept = np.full(zeros.size, 17)
-        left = n[zeros]
         for d in (16, 8, 4, 2, 1):
             whole = left % 10 ** d == 0
             kept -= d * whole
@@ -179,23 +250,31 @@ def float_words(v) -> np.ndarray:
         kept = np.maximum(kept, _INT_DIGITS[form[zeros]])
         for word, d in enumerate(digits):
             d[zeros] &= _BEFORE[word][kept]
-        point = point_at.copy()
+        point = t[4].view(np.int64)
+        np.copyto(point, point_at)
         point[zeros] = np.where(kept > point_at[zeros], point_at[zeros], 0)
-    words = np.empty((4, v.size), np.uint64)
-    words[0] = _LEAD[form]
-    carried = _U64(0)
-    for word, d in enumerate(digits):     # move the digits after the point up one byte
-        moved = (d << _U64(8)) | carried
-        carried = d >> _U64(56)
-        words[word + 1] = ((d & _BEFORE[word][point_at]) | (moved & _AFTER[word][point_at])
-                           | _POINT[word][point])
-    words[3] |= _EXPONENT[form]
-    slow = np.flatnonzero(~fast)
+    mask, moved = t[5], t[7]
+    shape = out[0].shape
+    out[0] = np.take(_LEAD, form, out=mask, mode="clip").reshape(shape)
+    for word in (2, 1, 0):                # move the digits after the point up one byte
+        d = digits[word]
+        np.left_shift(d, _U64(8), out=moved)
+        if word:
+            moved |= np.right_shift(digits[word - 1], _U64(56), out=mask)
+        d &= np.take(_BEFORE[word], point_at, out=mask, mode="clip")
+        moved &= np.take(_AFTER[word], point_at, out=mask, mode="clip")
+        d |= moved
+        d |= np.take(_POINT[word], point, out=mask, mode="clip")
+        if word == 2:
+            d |= np.take(_EXPONENT, form, out=mask, mode="clip")
+        out[word + 1] = d.reshape(shape)
     if slow.size:
         text = np.array(["%.17g" % x for x in v[slow].tolist()], dtype="S24")
-        words[0, slow] = 0
-        words[1:, slow] = le_words(text.view(np.uint8).reshape(-1, 24)).T
-    return words
+        at = np.unravel_index(slow, shape)
+        out[0][at] = 0
+        for word, d in enumerate(le_words(text.view(np.uint8).reshape(-1, 24)).T):
+            out[word + 1][at] = d
+    return out
 
 
 def index_words(i) -> np.ndarray:
@@ -203,9 +282,9 @@ def index_words(i) -> np.ndarray:
     16 bytes: a (2, len(i)) array of words."""
     i = np.asarray(i, dtype=np.int64)
     top = i // 10 ** 8
+    low = i - top * 10 ** 8
     blank = 15 - np.searchsorted(_POW10, i, side="right")     # leading bytes that stay 0
-    return np.stack([_word8(top) & ~_BEFORE[0][blank],
-                     _word8(i - top * 10 ** 8) & ~_BEFORE[1][blank]])
+    return np.stack([_word8(top) & ~_BEFORE[0][blank], _word8(low) & ~_BEFORE[1][blank]])
 
 
 #: The reader's fast path scales in x87 extended precision: a 64-bit
@@ -221,48 +300,78 @@ def unaligned_words(raw) -> np.ndarray:
     return np.ndarray((raw.size - 7,), "<u8", raw, strides=(1,))
 
 
-def parse_decimals(text, starts, stops):
+#: Scratch words ``parse_decimals`` takes for its temporaries, per token.
+PARSE_SCRATCH = 9
+
+
+def parse_decimals(text, starts, stops, t=None):
     """The double nearest each token ``text[starts[i]:stops[i]]`` of the uint8
     array ``text`` (24 bytes before the first, 8 after the last), and
     whether it is certified, else a placeholder: 1-19 digits and at most one
     point in 24 bytes, then ``e[+-]dd`` or nothing, |q| <= 27, and no
-    midpoint."""
-    size = stops - starts
-    exponent = (text[stops - 4] == ord("e")) & (size > 4)
-    mend = stops - 4 * exponent                   # where the digits end
-    good = np.ones(size.size, bool)
-    exp10 = np.zeros(size.size, np.int64)
+    midpoint.
+
+    ``t`` is a 1-D uint64 array of at least ``PARSE_SCRATCH * len(starts)``
+    words for the temporaries, made when None."""
+    count = starts.size
+    t = np.empty(PARSE_SCRATCH * count, np.uint64) if t is None else t
+    t = t[:PARSE_SCRATCH * count].reshape(PARSE_SCRATCH, count)
+    mend, size, exp10, point = (t[r].view(np.int64) for r in range(4))
+    w, tmp, tmp2 = t[4:7], t[7], t[8]
+    np.subtract(stops, 4, out=mend)
+    np.subtract(stops, starts, out=size)
+    exponent = (text[mend] == ord("e")) & (size > 4)
+    np.copyto(mend, stops, where=~exponent)       # where the digits end
+    good = np.ones(count, bool)
+    exp10[:] = 0
     at = np.flatnonzero(exponent)
     if at.size:
         sign = text[mend[at] + 1]
         d = [(text[mend[at] + k] - np.uint8(48)).astype(np.int64) for k in (2, 3)]  # > 9: no digit
         good[at] = ((sign == ord("+")) | (sign == ord("-"))) & (d[0] < 10) & (d[1] < 10)
         exp10[at] = np.where(sign == ord("-"), -1, 1) * (10 * d[0] + d[1])
-    size = mend - starts
+    np.subtract(mend, starts, out=size)
+    good &= size <= 24
     # The 24 bytes that end at the last digit as three words, the bytes
     # before the token made "0", and where the first "." is (24: none).
     words = unaligned_words(text)
-    w = np.empty((3, size.size), np.uint64)
-    lead = np.clip(24 - size, 0, 24).astype(np.uint8)
-    point = 0
+    lead = np.subtract(24, size, out=size)
+    np.clip(lead, 0, 24, out=lead)
+    point[:] = 0
     for k in (2, 1, 0):
-        w[k] = words[mend - 8 * (3 - k)]
-        w[k] ^= (w[k] ^ _BYTES[0x30]) & _BEFORE[k][lead]
-        dot = w[k] ^ _BYTES[0x2E]
-        dot |= ((dot & _BYTES[0x7F]) + _BYTES[0x7F]) | _BYTES[0x7F]   # 0x7F at a ".", else 0xFF
-        dot = ~dot >> _U64(7)                     # 1 in each "." byte
+        w[k] = words[np.subtract(mend, 8 * (3 - k), out=tmp.view(np.int64))]
+        np.bitwise_xor(w[k], _BYTES[0x30], out=tmp)
+        tmp &= np.take(_BEFORE[k], lead, out=tmp2, mode="clip")
+        w[k] ^= tmp
+        dot = np.bitwise_xor(w[k], _BYTES[0x2E], out=tmp)
+        np.bitwise_and(dot, _BYTES[0x7F], out=tmp2)
+        tmp2 += _BYTES[0x7F]
+        tmp2 |= _BYTES[0x7F]
+        dot |= tmp2                               # 0x7F at a ".", else 0xFF
+        np.invert(dot, out=dot)
+        dot >>= _U64(7)                           # 1 in each "." byte
         dot *= _U64(0x0807_0605_0403_0201)        # top byte: 8 - the "." byte (0: none)
-        top = (dot >> _U64(56)).astype(np.int64)
-        point = 8 - top + (top == 0) * point
+        top = np.right_shift(dot, _U64(56), out=tmp2).view(np.int64)
+        point *= top == 0
+        point += 8
+        point -= top
     has_point = point < 24
-    exp10 -= (23 - point) * has_point             # digits after the point
-    good &= (size <= 24) & (size > has_point)
-    up = (point + 1) % 25
-    del mend, lead                                # the block's memory peaks below
+    exp10 -= np.multiply(np.subtract(23, point, out=tmp.view(np.int64)), has_point,
+                         out=tmp.view(np.int64))  # digits after the point
+    good &= np.add(lead, has_point, out=lead) < 24     # a digit in the token
+    up = point
+    up += 1
+    np.subtract(up, 25, out=up, where=up == 25)
     for k in (2, 1, 0):                           # the bytes up to the point move up one
-        moved = (w[k] << _U64(8)) | (w[k - 1] >> _U64(56) if k else _U64(0x30))
-        w[k] ^= (w[k] ^ moved) & _BEFORE[k][up]
-        bad = (((w[k] + _BYTES[0x06]) & _BYTES[0xF0]) >> _U64(4)) | (w[k] & _BYTES[0xF0])
+        moved = np.left_shift(w[k], _U64(8), out=tmp)
+        moved |= np.right_shift(w[k - 1], _U64(56), out=tmp2) if k else _U64(0x30)
+        moved ^= w[k]
+        moved &= np.take(_BEFORE[k], up, out=tmp2, mode="clip")
+        w[k] ^= moved
+        bad = np.add(w[k], _BYTES[0x06], out=tmp)
+        bad &= _BYTES[0xF0]
+        bad >>= _U64(4)
+        bad |= np.bitwise_and(w[k], _BYTES[0xF0], out=tmp2)
         good &= bad == _BYTES[0x33]               # eight digits
     for mask, mul, shift in ((0x0F0F_0F0F_0F0F_0F0F, 2561, 8),          # digits to pairs,
                              (0x00FF_00FF_00FF_00FF, 6553601, 16),       # quads, then eights
@@ -270,16 +379,20 @@ def parse_decimals(text, starts, stops):
         w &= _U64(mask)
         w *= _U64(mul)
         w >>= _U64(shift)
-    good &= (w[0] < 1000) & (np.abs(exp10) <= 27)  # below 10**19; 10**27 is exact
+    good &= w[0] < 1000                           # below 10**19; 10**27 is exact
+    good &= np.abs(exp10, out=mend) <= 27
     w[0] *= _U64(10 ** 16)
-    w[0] += w[1] * _U64(10 ** 8) + w[2]
-    n = w[0].astype(np.longdouble)
-    del w
-    n /= _POW10_LD[np.clip(-exp10, 0, 27)]
+    w[1] *= _U64(10 ** 8)
+    w[0] += w[1]
+    w[0] += w[2]
+    n, scale = (rows.reshape(-1).view(np.longdouble)[:count] for rows in (t[7:9], t[4:6]))
+    np.copyto(n, w[0])
+    np.negative(exp10, out=mend)
+    n /= np.take(_POW10_LD, mend, out=scale, mode="clip")
     big = np.flatnonzero(exp10 > 0)
     n[big] *= _POW10_LD[np.minimum(exp10[big], 27)]
     low = np.ndarray(n.shape, "<u8", n, strides=(n.itemsize,))
-    good &= (low & _U64(0x7FF)) != 0x400
+    good &= np.bitwise_and(low, _U64(0x7FF), out=t[6]) != 0x400
     return n.astype(np.float64), good
 
 
@@ -307,8 +420,9 @@ _FLOW_AT, _TIMES_AT, _FLAG_AT, _LINE_WORDS = np.cumsum(
 
 def render_lines(chunk: int, *columns):
     """The dump lines of the packets in 1-D columns of one length (tagged,
-    dropped and the four times), ``chunk`` lines at a time, each chunk
-    yielded as the uint8 array of its text.
+    dropped and the four times), ``chunk`` lines at a time, the text of
+    each chunk yielded in two halves as uint8 arrays, each valid until the
+    next is asked for.
 
     The bytes are those of ``"%d,%s,%.17g,%.17g,%.17g,%.17g,%s\\n"`` with the
     index, the flow token, the four times and the flag token, but with the
@@ -316,58 +430,107 @@ def render_lines(chunk: int, *columns):
     a fixed slot of a matrix of uint64 words, with byte 0 where its text is
     shorter, and dropping the 0 bytes leaves the text; no Python object is
     made per packet. Times of another dtype are written as their float64
-    values and flags by truth, as ``'%.17g'`` and ``if`` would. One word
-    matrix and one mask of its non-zero bytes, made once per call, serve
-    every chunk, so the system does not map and fault in fresh pages for
-    each chunk.
+    values and flags by truth, as ``'%.17g'`` and ``if`` would.
+
+    Two stages overlap on two cores (``metrics._one_ahead``): a worker
+    thread renders chunk k + 1's times (``float_words``) while the calling
+    thread fills chunk k's index, flow, comma and flag words, drops its 0
+    bytes and hands it on. Two word matrices take turns; they, the mask of
+    non-zero bytes (half a chunk's) and the worker's scratch are made once
+    per call, so the system does not map and fault in fresh pages for each
+    chunk.
     """
-    size = len(columns[0])
-    line_buf = np.empty((min(chunk, size), _LINE_WORDS), np.uint64)
-    keep_buf = np.empty(line_buf.size * 8, bool)
-    for first in range(0, size, chunk):
-        tagged, dropped, *times = (c[first:first + chunk] for c in columns)
-        n = len(tagged)
-        drop = dropped.astype(bool)
-        values = np.empty((n, len(times)))
+    tagged, dropped, *times = columns
+    size = len(tagged)
+    rows = min(chunk, size)
+    lines = np.empty((2, rows, _LINE_WORDS), np.uint64)     # chunk k in lines[k % 2]
+    values = np.empty(len(times) * rows)
+    scratch = np.empty((FLOAT_SCRATCH, values.size), np.uint64)
+    half = -(-rows // 2)
+    keep = np.empty(half * _LINE_WORDS * 8, bool)
+
+    def render_times(first):
+        n = min(chunk, size - first)
+        v = values[:len(times) * n].reshape(len(times), n)      # one time column a row
         for j, column in enumerate(times):
-            values[:, j] = column
-        values[drop, _BLANK_FROM:] = 1.0    # not written; 1.0 keeps them off the % path
-        lines = line_buf[:n]
-        lines[:, :_FLOW_AT] = index_words(np.arange(first, first + n)).T
-        lines[:, _FLOW_AT:_TIMES_AT] = _FLOW_WORDS[tagged.astype(bool).view(np.uint8)]
-        slots = lines[:, _TIMES_AT:_FLAG_AT]
-        for j, word in enumerate(float_words(values.ravel())):
-            slots[:, j::4] = word.reshape(-1, 4)
+            v[j] = column[first:first + n]
+        # a dropped line's departure and sojourn are not written; 1.0 keeps
+        # them off the % path
+        v[_BLANK_FROM:, dropped[first:first + n].astype(bool)] = 1.0
+        slots = lines[first // chunk % 2, :n, _TIMES_AT:_FLAG_AT]
+        float_words(v.ravel(), slots.reshape(n, len(times), 4).T, scratch)
+        return first
+
+    for first in _one_ahead(render_times, range(0, size, chunk)):
+        n = min(chunk, size - first)
+        line = lines[first // chunk % 2, :n]
+        drop = dropped[first:first + n].astype(bool)
+        line[:, :_FLOW_AT] = index_words(np.arange(first, first + n)).T
+        flow = tagged[first:first + n].astype(bool)
+        line[:, _FLOW_AT:_TIMES_AT] = _FLOW_WORDS[flow.view(np.uint8)]
+        slots = line[:, _TIMES_AT:_FLAG_AT]
         slots[drop, 4 * _BLANK_FROM:] = 0
         slots[:, 0::4] |= np.uint64(ord(","))
-        lines[:, _FLAG_AT:] = _FLAG_WORDS[drop.view(np.uint8)]
-        text = word_bytes(lines).ravel()
-        yield text[np.not_equal(text, 0, out=keep_buf[:text.size])]
+        line[:, _FLAG_AT:] = _FLAG_WORDS[drop.view(np.uint8)]
+        for part in range(0, n, half):
+            text = word_bytes(line[part:part + half]).ravel()
+            yield text[np.not_equal(text, 0, out=keep[:text.size])]
 
 
-def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> int:
-    """Parse whole newline-terminated dump lines, the first of them line
-    ``line0`` of the file, into the first rows of slices of their columns,
-    one row a line, and return the number of lines; a dropped line's
-    departure and sojourn are not written. More lines than rows means that
-    the file changed while it was read (its lines were counted first).
+def parse_lines(blocks, line0: int, tagged, dropped, *times) -> int:
+    """Parse the blocks of whole newline-terminated dump lines that
+    ``blocks`` yields, the first line being line ``line0`` of the file, into
+    the first rows of their columns, one row a line, and return the number
+    of lines; a dropped line's departure and sojourn are not written. More
+    lines than rows means that the file changed while it was read (its
+    lines were counted first).
 
-    Where ``EXACT_SCALING`` holds the block is read in numpy
-    (``_read_fast``); else, or where a check fails there, by ``float()``
-    on its ``bytes`` tokens. The columns and errors are the same. Raises
-    DomainError, naming the line, on a line without one field per column
-    or with a NUL byte, an unknown flow or dropped flag, or a time that is
-    not a finite number (a delivered packet needs its departure and
-    sojourn; a dropped one's are ignored).
+    Where ``EXACT_SCALING`` holds a block is read in numpy (``_read_fast``),
+    in scratch made once per call; else, or where a check fails there, by
+    ``float()`` on its ``bytes`` tokens. The columns and errors are the
+    same. Raises DomainError, naming the line, on a line without one field
+    per column or with a NUL byte, an unknown flow or dropped flag, or a
+    time that is not a finite number (a delivered packet needs its
+    departure and sojourn; a dropped one's are ignored).
     """
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
+    scratch = np.empty(0, np.uint64)
+    done = 0
+    for block in blocks:
+        block, raw, lines = _lines(block, line0 + done, len(tagged) - done)
+        m = len(lines)
+        columns = [c[done:done + m] for c in (tagged, dropped, *times)]
+        if EXACT_SCALING and scratch.size < PARSE_SCRATCH * len(_TIMES) * m:
+            scratch = np.empty(PARSE_SCRATCH * len(_TIMES) * m, np.uint64)
+        if not (EXACT_SCALING and _read_fast(block, raw, lines, scratch, *columns)):
+            _read_tokens(block, line0 + done, *columns)
+        done += m
+    return done
+
+
+#: The bytes up to "," that end a dump line's fields: six "," and a newline.
+_SEPARATORS = np.frombuffer(b"," * (len(_COLUMNS) - 1) + b"\n", np.uint8)
+
+
+def _lines(block: bytes, line0: int, rows: int):
+    """A block of whole lines, the first of them line ``line0``, with CR LF
+    made LF, as ``bytes`` and uint8, and where each line's six "," and its
+    newline are, a row a line. One scan finds every byte up to ","; where
+    those are six "," and a newline a line, the block has no CR, no NUL
+    and no line without its seven fields. Raises DomainError, naming the
+    line, on more lines than ``rows``, a line without seven fields or a NUL
+    byte."""
     raw = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    m = ends.size
-    if m > len(tagged):
+    seps = np.flatnonzero(raw <= ord(","))
+    lines = seps.reshape(-1, len(_COLUMNS)) if seps.size % len(_COLUMNS) == 0 else None
+    plain = lines is not None and bool((raw[lines] == _SEPARATORS).all())
+    if not plain and b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+        raw = np.frombuffer(block, dtype=np.uint8)
+    ends = lines[:, -1] if plain else np.flatnonzero(raw == ord("\n"))
+    if ends.size > rows:
         raise DomainError(f"packet trace line {line0}: the file changed while it was read")
-    tagged, dropped, times = tagged[:m], dropped[:m], [column[:m] for column in times]
+    if plain:
+        return block, raw, lines
     commas = np.flatnonzero(raw == ord(","))
     bad = np.flatnonzero(np.diff(np.searchsorted(commas, ends), prepend=0) != len(_COLUMNS) - 1)
     if bad.size:
@@ -378,14 +541,66 @@ def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> int:
     if b"\0" in block:     # numpy bytes arrays drop trailing NULs: "1\0" would read as "1"
         j = int(np.searchsorted(ends, block.index(b"\0")))
         raise DomainError(f"packet trace line {line0 + j}: NUL byte in packet trace line")
-    if EXACT_SCALING and _read_fast(block, raw, commas, ends, tagged, dropped, times):
-        return m
+    return block, raw, np.column_stack([commas.reshape(-1, len(_COLUMNS) - 1), ends])
+
+
+_PAD = np.zeros(24, np.uint8)
+
+
+#: Each flow token between its two "," (8 to 16 bytes), as its first and
+#: its last 8 bytes and the offset of the last.
+_FLOW_TESTS = [(*_words([text[:8], text[-8:]])[:, 0], len(text) - 8)
+               for text in (b"," + token + b"," for token in _FLOWS)]
+
+
+def _read_fast(block, raw, lines, scratch, tagged, dropped, *times) -> bool:
+    """Parse the block as ``parse_lines`` does, given where its lines of one
+    field per column have their separators (``_lines``): the times are read
+    by ``parse_decimals`` (in ``scratch``), and by ``float()`` only where it
+    does not certify a token. A certified token (at most 19 digits,
+    |q| <= 27) is always finite, so only a ``float()`` value is checked.
+    Returns False, having written nothing, where a flow, a flag or a time is
+    bad, so that the token path names the line."""
+    text = np.concatenate([_PAD, raw, _PAD])
+    words = unaligned_words(text)
+    c = lines[:, :-1] + _PAD.size
+    at = c[:, 0]
+    near = {offset: words[at + offset] for offset in {0, *(t[-1] for t in _FLOW_TESTS)}}
+    background, is_tagged = ((near[0] == head) & (near[offset] == tail)
+                             for head, tail, offset in _FLOW_TESTS)
+    flag = text[c[:, -1] + 1]
+    kept, is_dropped = (flag == token[0] for token in _FLAGS)
+    if not ((is_tagged | background).all() and (is_dropped | kept).all()
+            and (lines[:, -1] - lines[:, -2] == 2).all()):      # a flag of one byte
+        return False
+    starts, stops = (c[:, 1:-1] + 1).ravel(), c[:, 2:].ravel()
+    values, good = (a.reshape(-1, len(_TIMES))
+                    for a in parse_decimals(text, starts, stops, t=scratch))
+    good[is_dropped, _BLANK_FROM:] = True     # never read
+    for i in np.flatnonzero(~good).tolist():
+        try:
+            values.flat[i] = value = float(block[starts[i] - _PAD.size:stops[i] - _PAD.size])
+        except ValueError:
+            return False
+        if not np.isfinite(value):
+            return False
+    tagged[:] = is_tagged
+    dropped[:] = is_dropped
+    delivered = ~is_dropped
+    for j, column in enumerate(times):
+        np.copyto(column, values[:, j], where=delivered if j >= _BLANK_FROM else True)
+    return True
+
+
+def _read_tokens(block, line0, tagged, dropped, *times) -> None:
+    """Store a block's lines, the first of them line ``line0``, read by
+    ``float()`` on its ``bytes`` tokens, or raise the error naming the line."""
     # Newlines become field separators, so column k of the block is
     # fields[k::len(_COLUMNS)]; the empty field after the last newline is
     # never read.
     fields = block.replace(b"\n", b",").split(b",")
     step = len(_COLUMNS)
-    line_nos = np.arange(line0, line0 + m)
+    line_nos = np.arange(line0, line0 + len(tagged))
     for column, k, known, what in ((tagged, 1, _FLOWS, _COLUMNS[1]),
                                    (dropped, step - 1, _FLAGS, f"{_COLUMNS[-1]} flag")):
         tokens = np.array(fields[k::step])
@@ -402,55 +617,6 @@ def parse_lines(block: bytes, line0: int, tagged, dropped, *times) -> int:
         if j >= _BLANK_FROM:
             tokens, rows = list(compress(tokens, keep)), delivered
         column[rows] = _parse_floats(tokens, line_nos[rows], name)
-    return m
-
-
-_PAD = np.zeros(24, np.uint8)
-
-
-#: Each flow token between its two "," (8 to 16 bytes), as its first and
-#: its last 8 bytes and the offset of the last.
-_FLOW_TESTS = [(*_words([text[:8], text[-8:]])[:, 0], len(text) - 8)
-               for text in (b"," + token + b"," for token in _FLOWS)]
-
-
-def _read_fast(block, raw, commas, ends, tagged, dropped, times) -> bool:
-    """Parse the block as ``parse_lines`` does, given its lines of one field
-    per column, their ``commas`` (consumed) and ``ends``: the times are read
-    by ``parse_decimals``, and by ``float()`` only where it does not certify
-    a token. A certified token (at most 19 digits, |q| <= 27) is always
-    finite, so only a ``float()`` value is checked. Returns False, having
-    written nothing, where a flow, a flag or a time is bad, so that the
-    token path names the line."""
-    text = np.concatenate([_PAD, raw, _PAD])
-    words = unaligned_words(text)
-    c = commas.reshape(-1, len(_COLUMNS) - 1)
-    c += _PAD.size
-    at = c[:, 0]
-    background, is_tagged = ((words[at] == head) & (words[at + offset] == tail)
-                             for head, tail, offset in _FLOW_TESTS)
-    flag = text[c[:, -1] + 1]
-    kept, is_dropped = (flag == token[0] for token in _FLAGS)
-    if not ((is_tagged | background).all() and (is_dropped | kept).all()
-            and (ends + _PAD.size - c[:, -1] == 2).all()):      # a flag of one byte
-        return False
-    starts, stops = (c[:, 1:-1] + 1).ravel(), c[:, 2:].ravel()
-    values, good = parse_decimals(text, starts, stops)
-    values, good = values.reshape(-1, len(_TIMES)), good.reshape(-1, len(_TIMES))
-    good[is_dropped, _BLANK_FROM:] = True     # never read
-    for i in np.flatnonzero(~good).tolist():
-        try:
-            values.flat[i] = value = float(block[starts[i] - _PAD.size:stops[i] - _PAD.size])
-        except ValueError:
-            return False
-        if not np.isfinite(value):
-            return False
-    tagged[:] = is_tagged
-    dropped[:] = is_dropped
-    delivered = ~is_dropped
-    for j, column in enumerate(times):
-        np.copyto(column, values[:, j], where=delivered if j >= _BLANK_FROM else True)
-    return True
 
 
 def _parse_floats(tokens: list, line_nos, column: str) -> np.ndarray:

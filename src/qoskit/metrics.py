@@ -98,31 +98,51 @@ def _bootstrap_means(samples, n_boot: int, seed: int) -> np.ndarray:
     """The ``_mean`` of each of ``n_boot`` resamples of ``samples``, drawn
     with replacement by one generator seeded with ``seed``.
 
-    A two-stage pipeline: the calling thread draws resample b + 1's indices
-    while one worker thread gathers resample b and averages it, at most one
-    resample ahead. numpy releases the GIL in both steps, so they overlap on
-    two cores. The draws, their order and every mean are those of a plain
-    loop, so the bits do not depend on the core count. The worker runs under
-    the caller's numpy error handling (``np.errstate``), has ended when the
-    call returns or raises, and an error reaches the caller in resample
-    order.
+    The calling thread draws resample b + 1's indices while the worker of
+    ``_one_ahead`` gathers resample b and averages it; numpy releases the
+    GIL in both steps, so they overlap on two cores. The draws, their order
+    and every mean are those of a plain loop, so the bits do not depend on
+    the core count.
     """
     rng = np.random.default_rng(seed)
     n = samples.size
-    means = np.empty(n_boot)
+    draws = (rng.integers(0, n, size=n) for _ in range(n_boot))
+    means = _one_ahead(lambda idx: _mean(samples[idx]), draws)
+    return np.fromiter(means, float, n_boot)
 
-    def average(b, idx):
-        means[b] = _mean(samples[idx])
 
+def _one_ahead(fn, items):
+    """Yield ``fn(item)`` for each of ``items`` in order, computed on one
+    worker thread one item ahead of the caller: the worker computes item
+    k + 1 while the caller uses result k, and the caller makes item k + 2
+    (items are made on the calling thread) while the worker computes k + 1.
+
+    Errors come in item order: an error of ``fn`` on item k, or of making
+    item k, reaches the caller in place of result k, after results 0 to
+    k - 1, and no later item is computed. The worker runs under the
+    caller's numpy error handling and is joined when the consumer stops,
+    whether it is done, breaks off or raises.
+    """
+    items = iter(items)
     with _worker_pool(1) as pool:
-        summed = None
-        for b in range(n_boot):
-            idx = rng.integers(0, n, size=n)
-            if summed is not None:
-                summed.result()
-            summed = pool.submit(average, b, idx)
-        summed.result()
-    return means
+        running = None
+        while True:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except Exception:
+                if running is not None:
+                    yield running.result()
+                raise
+            if running is None:
+                running = pool.submit(fn, item)
+                continue
+            result = running.result()
+            running = pool.submit(fn, item)
+            yield result
+        if running is not None:
+            yield running.result()
 
 
 def _worker_pool(workers: int):

@@ -919,15 +919,18 @@ def simulate_sweep(
         return list(pool.map(run, jobs))
 
 
-#: Packets rendered per ``write`` call by ``write_packet_trace``. A chunk's
-#: word matrix, its text and the renderer's temporaries peak at 2.3 MiB
-#: (4.6 MiB at 4,096 packets, at the same speed).
-_DUMP_WRITE_PACKETS = 2_048
+#: Packets rendered per chunk by ``write_packet_trace``. The two word
+#: matrices, the mask and the worker's scratch, made once per call, and
+#: half a chunk's text peak at 3.3 MiB traced (2.5 MiB at 3,072 packets);
+#: of 2,048-4,096 packets, 4,096 took the least time and CPU.
+_DUMP_WRITE_PACKETS = 4_096
 
 #: Bytes read per block by ``read_packet_trace``; each block is cut back to
-#: whole lines. Either path's temporaries take about 6-8x a block's size, so
-#: the reader's working memory is about 4 MiB.
-_DUMP_READ_BYTES = 512 << 10
+#: whole lines. A block's temporaries and the parser's scratch, made once
+#: per call, peak at 2.6 MiB traced; at 512 KiB a first read in a fresh
+#: process took about 19k minor faults against 4k.
+_DUMP_READ_BYTES = 384 << 10
+
 
 def write_packet_trace(log: PacketLog, path) -> None:
     """Dump one packet per line; floats carry 17 significant digits so the
@@ -939,7 +942,8 @@ def write_packet_trace(log: PacketLog, path) -> None:
     flow ``tagged`` or ``background``, each line ended by a newline. Time
     columns of another dtype are written as their float64 values and flags
     by truth. ``_DUMP_WRITE_PACKETS`` lines at a time are rendered in numpy
-    (``_dumptext.render_lines``) and written in one ``write``.
+    on two threads (``_dumptext.render_lines``) and written half a chunk
+    per ``write``.
 
     Raises DomainError, before the file is opened, unless the six columns
     are 1-D arrays of one length.
@@ -957,6 +961,20 @@ def write_packet_trace(log: PacketLog, path) -> None:
             fh.write(text)
 
 
+def _whole_lines(fh):
+    """Blocks of whole lines of about ``_DUMP_READ_BYTES`` from ``fh``; once
+    the file is read, a last line without its newline gets one."""
+    tail = b""
+    while data := fh.read(_DUMP_READ_BYTES) or tail and b"\n":
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            block, tail = tail + memoryview(data)[:cut], data[cut:]
+            del data                    # one copy of the block while it is parsed
+            yield block
+        else:
+            tail += data
+
+
 def read_packet_trace(path) -> PacketLog:
     """Inverse of write_packet_trace.
 
@@ -966,8 +984,8 @@ def read_packet_trace(path) -> PacketLog:
     packet); the second parses blocks of whole lines of about
     ``_DUMP_READ_BYTES`` into the rest of the arrays
     (``_dumptext.parse_lines``). So memory is the output arrays plus one
-    block's temporaries, about 8x its bytes, and no per-packet Python
-    object outlives its block.
+    block's temporaries and the parser's scratch, about 7x its bytes, and
+    no per-packet Python object outlives its block.
 
     Raises DomainError, naming the 1-based line, on a wrong header, a line
     without exactly 7 fields or with a NUL byte, a flow other than
@@ -992,15 +1010,7 @@ def read_packet_trace(path) -> PacketLog:
         tagged, dropped, *times = columns = (
             np.empty(n, dtype=bool), np.empty(n, dtype=bool), np.empty(n), np.empty(n),
             np.full(n, math.nan), np.full(n, math.nan))
-        done = 0
-        tail = b""
-        # once the file is read, a last line without its newline gets one
-        while data := fh.read(_DUMP_READ_BYTES) or tail and b"\n":
-            block = tail + data
-            del data                    # one copy of the block while it is parsed
-            cut = block.rfind(b"\n") + 1
-            tail, block = block[cut:], block[:cut]
-            done += parse_lines(block, done + 2, *(c[done:] for c in columns))
+        done = parse_lines(_whole_lines(fh), 2, *columns)
     if done != n:
         raise DomainError(f"packet trace changed while it was read: {path!r}")
     return PacketLog(*times, tagged, dropped)

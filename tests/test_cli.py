@@ -3,12 +3,15 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -187,6 +190,28 @@ class TestSimulateCommand:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_write_error_mid_dump_exits_1(self, capsys, tmp_path, monkeypatch):
+        """The disk fills after a few chunks: the command names the file,
+        exits 1, and the writer's worker thread has ended."""
+        path = tmp_path / "dump.csv"
+        writes = []
+
+        class FillingFile(io.FileIO):
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) > 5:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+                return super().write(data)
+
+        monkeypatch.setattr(sim, "open", lambda name, mode: FillingFile(name, "w"), raising=False)
+        monkeypatch.setattr(sim, "_DUMP_WRITE_PACKETS", 100)
+        before = threading.active_count()
+        code, out, err = run_cli(capsys, "simulate", "--capacity", "1000", "--rho", "0.5",
+                                 "--packets", "2000", "--trace-out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {str(path)!r}: {os.strerror(errno.ENOSPC)}\n"
+        assert len(writes) == 6 and threading.active_count() == before
 
     def test_trace_out_is_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

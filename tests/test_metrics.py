@@ -1,5 +1,6 @@
 """Estimator unit truths and invariance properties."""
 
+import contextlib
 import json
 import math
 import sys
@@ -263,6 +264,89 @@ class TestBootstrapPipeline:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * n * 8
+
+
+class TestOneAhead:
+    """``metrics._one_ahead``, the two-stage pipeline under the bootstrap and
+    the packet dump's writer and reader."""
+
+    def test_results_in_item_order(self):
+        before = threading.active_count()
+        assert list(metrics._one_ahead(lambda x: x * x, range(50))) == [x * x for x in range(50)]
+        assert list(metrics._one_ahead(lambda x: x, [])) == []
+        assert list(metrics._one_ahead(lambda x: x, [7])) == [7]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 9])
+    def test_error_in_item_k_reaches_the_caller_at_k(self, k):
+        """Item k fails: the caller gets results 0 to k - 1, then the error,
+        and no later item is computed."""
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            if x >= k:
+                raise RuntimeError(f"item {x}")
+            return x
+
+        got = []
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^item {k}$"):
+            for result in metrics._one_ahead(fn, range(10)):
+                got.append(result)
+        assert got == list(range(k)) and calls == list(range(k + 1))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_error_making_item_k_comes_after_result_k_minus_1(self, k):
+        """Items are made on the calling thread; one that fails to be made
+        fails in its place, after every earlier result."""
+        calls = []
+
+        def items():
+            for x in range(10):
+                if x == k:
+                    raise ValueError(f"making {x}")
+                yield x
+
+        got = []
+        with pytest.raises(ValueError, match=f"^making {k}$"):
+            for result in metrics._one_ahead(calls.append, items()):
+                got.append(result)
+        assert got == [None] * k and calls == list(range(k))
+
+    def test_items_made_on_the_calling_thread(self):
+        caller = threading.get_ident()
+        made = []
+
+        def items():
+            for x in range(5):
+                made.append(threading.get_ident())
+                yield x
+
+        workers = set(metrics._one_ahead(lambda x: threading.get_ident(), items()))
+        assert set(made) == {caller} and caller not in workers and len(workers) == 1
+
+    @pytest.mark.parametrize("how", ["break", "raise"])
+    def test_consumer_that_stops_early_leaves_no_thread(self, how):
+        before = threading.active_count()
+        calls = []
+        with pytest.raises(KeyError) if how == "raise" else contextlib.nullcontext():
+            for result in metrics._one_ahead(lambda x: calls.append(x) or x, range(100)):
+                if result == 3:
+                    if how == "break":
+                        break
+                    raise KeyError(result)
+        assert threading.active_count() == before
+        assert calls == list(range(5))      # item 4 had started when result 3 came
+
+    @pytest.mark.parametrize("errors", [{"divide": "raise"}, {"divide": "ignore"},
+                                        {"all": "warn"}])
+    def test_worker_runs_under_the_callers_error_handling(self, errors):
+        with np.errstate(**errors):
+            caller = np.geterr()
+            seen = list(metrics._one_ahead(lambda _: np.geterr(), range(3)))
+        assert seen == [caller] * 3
 
 
 class TestWindowedThroughput:

@@ -2037,6 +2037,22 @@ class TestPacketTraceWriter:
         _reference_write_packet_trace(log, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_bytes_match_reference_under_fine_thread_switching(self, tmp_path, monkeypatch):
+        """The worker renders a chunk into one word matrix while the caller
+        finishes the other; threads switching every microsecond must not
+        mix them. 2,000 packets with drops span 400 chunks."""
+        log, _ = simulate_run(SimConfig(1000.0, 1100.0, buffer_capacity=20, tagged_fraction=0.1,
+                                        horizon_packets=2_000, seed=5))
+        monkeypatch.setattr(sim, "_DUMP_WRITE_PACKETS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            write_packet_trace(log, tmp_path / "a.csv")
+        finally:
+            sys.setswitchinterval(interval)
+        _reference_write_packet_trace(log, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_index_digits_across_powers_of_ten(self, tmp_path):
         """At the real chunk size the index gains a digit inside a chunk at
         10, 100, ..., 100,000; the lines are the reference writer's."""
@@ -2199,11 +2215,14 @@ class TestPacketTrace:
         body = text.index(b"\n") + 1
         parse = sim.parse_lines
 
-        def changing(block, line0, *columns):
-            if line0 == 2:
-                path.write_bytes(text + text[body:] if grow
-                                 else text[:text.index(b"\n", body + 65_536) + 1])
-            return parse(block, line0, *columns)
+        def changing(blocks, line0, *columns):
+            def first_then_change():
+                for k, block in enumerate(blocks):
+                    yield block
+                    if k == 0:
+                        path.write_bytes(text + text[body:] if grow
+                                         else text[:text.index(b"\n", body + 65_536) + 1])
+            return parse(first_then_change(), line0, *columns)
 
         monkeypatch.setattr(sim, "_DUMP_READ_BYTES", 256)
         monkeypatch.setattr(sim, "parse_lines", changing)
@@ -2238,6 +2257,37 @@ class TestPacketTrace:
                         + line + "\n2,background,0.9,0.1,1.0,0.1,0\n")
         with pytest.raises(DomainError, match=f"line 3: {message}"):
             read_packet_trace(path)
+
+    @pytest.mark.parametrize("read_bytes", [1, 40, 100])
+    @pytest.mark.parametrize("token, message", [
+        ("abc", "line 42: arrival_s 'abc' is not a number"),
+        ("1e5", "line 43: malformed packet trace line: '41,tagged,0.7,0.1,0.8,0.1,0,'"),
+    ], ids=["refused", "read-by-float"])
+    def test_errors_in_line_order_across_blocks(self, tmp_path, monkeypatch, read_bytes, token,
+                                                message):
+        """A time the fast path refuses on line 42 and a malformed line 43,
+        in one block or two: the first bad line is the one named, though the
+        field count is checked before any time is read, and no worker thread
+        is left."""
+        good = "".join(f"{i},background,0.5,0.1,0.6,0.1,0\n" for i in range(40))
+        path = tmp_path / "trace.csv"
+        path.write_text(PACKET_TRACE_HEADER + "\n" + good + f"40,tagged,{token},0.1,0.8,0.1,0\n"
+                        + "41,tagged,0.7,0.1,0.8,0.1,0,\n" + good)
+        monkeypatch.setattr(sim, "_DUMP_READ_BYTES", read_bytes)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match=f"^packet trace {re.escape(message)}$"):
+            read_packet_trace(path)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_write_or_a_read(self, tmp_path, monkeypatch):
+        log, _ = simulate_run(SimConfig(1000.0, 500.0, horizon_packets=3_000, seed=4))
+        monkeypatch.setattr(sim, "_DUMP_WRITE_PACKETS", 500)
+        monkeypatch.setattr(sim, "_DUMP_READ_BYTES", 10_000)
+        before = threading.active_count()
+        write_packet_trace(log, tmp_path / "a.csv")
+        assert threading.active_count() == before
+        _assert_same_log(read_packet_trace(tmp_path / "a.csv"), log)
+        assert threading.active_count() == before
 
     def test_dropped_row_ignores_non_finite_departure(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -2454,8 +2504,8 @@ class TestDumpParse:
         refused = []
         parse = _dumptext.parse_decimals
 
-        def counted(text, starts, stops):
-            values, good = parse(text, starts, stops)
+        def counted(text, starts, stops, **scratch):
+            values, good = parse(text, starts, stops, **scratch)
             refused.extend((stops - starts)[~good].tolist())
             return values, good
 

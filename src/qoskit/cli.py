@@ -42,6 +42,7 @@ from .sim import (
     SERVICE_DETERMINISTIC,
     SERVICE_EXPONENTIAL,
     SimConfig,
+    _MAX_SWEEP_RUNS,
     _summarize_run,
     simulate_run,
     write_packet_trace,
@@ -403,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list or start:stop:step range of loads "
                         f"(a range has at most {_MAX_GRID_POINTS:,} points)")
     p.add_argument("--packets", type=int, default=1_000_000)
-    p.add_argument("--seeds", type=int, default=5, help="independent runs per grid point")
+    p.add_argument("--seeds", type=int, default=5, help="independent runs per grid point "
+                   f"(grid points x seeds: at most {_MAX_SWEEP_RUNS:,} runs)")
     p.add_argument("--threshold", type=float, default=DEFAULT_VALIDATION_THRESHOLD,
                    help="max tolerated relative error (exit 2 beyond it)")
     p.add_argument("--variant", choices=VARIANTS, default=DEFAULT_VARIANT)

@@ -79,18 +79,17 @@ def run_validation(
     if not grid:
         raise DomainError("the validation grid must not be empty")
     # The sweep sets lambda = rho * C at each point and names a bad point. The
-    # points are checked here first, as the sweep checks them, so an error
-    # names a load typed; the base, at the first point's rate, then fails only
-    # on a field that every point shares, named without a point.
+    # base takes the first point's rate, so that point is checked here first,
+    # as the sweep checks it, and its error names the load typed; the base
+    # then fails only on a field that every point shares, named without a
+    # point, and the sweep checks every later point.
     _real(capacity_C, "capacity", gt=0)
-    rates = []
-    for i, rho in enumerate(grid):
-        _real(rho, f"rho_grid[{i}]", gt=0)
-        rates.append(_at_point(rho, i, 0, _from_load, rho, capacity_C))
-        _at_point(rho, i, 0, SimConfig, capacity_C, rates[-1])     # lambda < C
+    _real(grid[0], "rho_grid[0]", gt=0)
+    rate = _at_point(grid[0], 0, 0, _from_load, grid[0], capacity_C)
+    _at_point(grid[0], 0, 0, SimConfig, capacity_C, rate)     # lambda < C
     base = SimConfig(
         capacity_C=capacity_C,
-        arrival_rate_lambda=rates[0],
+        arrival_rate_lambda=rate,
         tagged_fraction=tagged_fraction,
         buffer_capacity=None,
         horizon_packets=packets,

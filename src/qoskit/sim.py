@@ -854,6 +854,13 @@ def _at_point(rho, i: int, j: int, fn, *args, **kwargs):
         raise DomainError(f"rho={rho!r} (grid index {i}, seed index {j}): {exc}") from exc
 
 
+#: Most runs (grid points x seeds) one sweep may make. A run holds about
+#: 2 KiB traced while the sweep runs: a future of 1.6 KiB until its result
+#: is read, and a config and a summary of about 190 bytes each. So 10**6
+#: runs peak near 2 GiB, which a host of 8 GiB holds.
+_MAX_SWEEP_RUNS = 1_000_000
+
+
 def simulate_sweep(
     base_config: SimConfig,
     rho_grid,
@@ -867,14 +874,16 @@ def simulate_sweep(
     at fixed arrival rate, reproducing a link whose capacity degrades under a
     constant offered rate. Child seeds come from ``child_seed(base, i, j)``.
 
-    Every load is checked and every run's config built before any run
-    starts, so a bad load is reported before any run is made. An error
-    names its grid point; of the runs that fail, the first in grid order is
-    reported, and the runs not yet started are cancelled. Each summary
-    equals ``simulate_run``'s for the same config, but no packet log is
-    built: each worker draws, queues and summarises its runs in one reused
-    workspace sized to the horizon. The summaries come back in grid order,
-    and their bits do not depend on the number of workers.
+    Every load is checked, and one config built for it, before any run
+    starts, so a bad load is reported, at seed index 0, before any run is
+    made; a run's config, its load's with the run's child seed, is made as
+    the run starts. More than ``_MAX_SWEEP_RUNS`` runs are then refused. An
+    error names its grid point; of the runs that fail, the first in grid
+    order is reported, and the runs not yet started are cancelled. Each
+    summary equals ``simulate_run``'s for the same config, but no packet log
+    is built: each worker draws, queues and summarises its runs in one
+    reused workspace sized to the horizon. The summaries come back in grid
+    order, and their bits do not depend on the number of workers.
 
     The runs share nothing, and numpy releases the GIL in the draws and
     array passes that take almost all of an unbounded run's time, so an
@@ -888,35 +897,33 @@ def simulate_sweep(
     if vary not in ("arrival", "capacity"):
         raise DomainError(f"vary must be 'arrival' or 'capacity', got {vary!r}")
     _count(seeds_per_point, "seeds_per_point", 1)
-    jobs = []
+    field, given, solve_for = (("arrival_rate_lambda", base_config.capacity_C, "arrival rate")
+                               if vary == "arrival" else
+                               ("capacity_C", base_config.arrival_rate_lambda, "capacity"))
+    loads = []
     for i, rho in enumerate(rho_grid):
         _real(rho, f"rho_grid[{i}]", gt=0)
-        if vary == "arrival":
-            load = {"arrival_rate_lambda": _at_point(rho, i, 0, _from_load, rho,
-                                                     base_config.capacity_C)}
-        else:
-            load = {"capacity_C": _at_point(rho, i, 0, _from_load, rho,
-                                            base_config.arrival_rate_lambda, "capacity")}
-        for j in range(seeds_per_point):
-            seed = child_seed(base_config.seed, i, j)
-            jobs.append((rho, i, j, _at_point(rho, i, j, replace, base_config, **load,
-                                              seed=seed)))
-    if not jobs:
+        value = _at_point(rho, i, 0, _from_load, rho, given, solve_for)
+        loads.append((rho, _at_point(rho, i, 0, replace, base_config, **{field: value})))
+    runs = len(loads) * int(seeds_per_point)      # a numpy integer would wrap
+    if runs > _MAX_SWEEP_RUNS:
+        raise DomainError(f"{len(loads)} grid point(s) x {seeds_per_point!r} seeds per point "
+                          f"is more than the {_MAX_SWEEP_RUNS:,} runs a sweep may make")
+    if not runs:
         return []
     local = threading.local()
 
-    def run(job):
-        rho, i, j, config = job
+    def run(k):
+        i, j = divmod(k, runs // len(loads))
+        rho, config = loads[i]
         if not hasattr(local, "ws"):
             local.ws = _Workspace(base_config, logged=False)
+        config = replace(config, seed=child_seed(base_config.seed, i, j))
         return _at_point(rho, i, j, _simulate, config, local.ws)
 
-    if base_config.buffer_capacity is None:
-        workers = min(_usable_cores(), len(jobs))
-    else:
-        workers = 1
+    workers = 1 if base_config.buffer_capacity is not None else min(_usable_cores(), runs)
     with _worker_pool(workers) as pool:
-        return list(pool.map(run, jobs))
+        return list(pool.map(run, range(runs)))
 
 
 #: Packets rendered per chunk by ``write_packet_trace``. The two word

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -560,6 +561,50 @@ class TestValidateCommand:
         assert code == 1
         assert err == f"error: grid {grid!r} has more than 100,000 points\n"
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0.5,-0.1", "rho_grid[1] must be a finite number > 0, got -0.1"),
+        ("0.5,0.6,nan", "rho_grid[2] must be a finite number > 0, got nan"),
+        ("0.5,1.2", "rho=1.2 (grid index 1, seed index 0): "
+                    "arrival rate 1200.0 >= capacity 1000.0: an unbounded queue is unstable"),
+        ("0.5,1e306", "rho=1e+306 (grid index 1, seed index 0): "
+                      "load 1e+306 times capacity 1000.0 overflows the arrival rate"),
+    ])
+    def test_bad_later_grid_point_named_by_the_sweep(self, capsys, tmp_path, grid, message):
+        """Only the first point is checked before the sweep, which checks
+        every point in the same words."""
+        code, out, err = run_cli(
+            capsys, "validate", "--capacity", "1000", f"--rho-grid={grid}",
+            "--packets", "5000", "--seeds", "1", "--out", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_run_count_refused_at_once(self, tmp_path):
+        """2**64 seeds used to build every run's config before the first
+        run, ending in an interpreter MemoryError dump. They are refused
+        before any run, in a child whose address space alone is limited."""
+        resource = pytest.importorskip("resource")
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "qoskit.cli", "validate", "--capacity", "1000",
+             "--rho-grid", "0.5", "--packets", "1000", "--seeds", str(2 ** 64)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=10,
+            preexec_fn=limit_address_space)
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 1
+        assert result.stderr.decode().splitlines() == [
+            "error: 1 grid point(s) x 18446744073709551616 seeds per point is more than "
+            "the 1,000,000 runs a sweep may make"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("grid", ["0:99999:1", "0:99999.4:1"])
     def test_grid_of_the_most_points_is_built(self, grid):
         """A range rounds its step count, so both grids have 100,000 points."""
@@ -1001,10 +1046,13 @@ _SENSIBLE = {float: ["1000", "600", "0.5", "0.9", "2"], int: ["1", "2", "7", "20
 # A text option that is not a path is a load grid.
 _GRIDS = ["0.5", "0.3,0.6", "0.2:0.8:0.3", ",", "0.2,x", "a:b:c", "1:2", "0:1:0", "0.5:0.1:0.1",
           "0.1:0.2:1e-7", "0:1e300:1e-300", "0.9999999", "nan:1:0.1", "0.2:inf:0.1"]
-# The largest value drawn for an option that multiplies the work. A sweep
-# builds every run's config before the first run, so --seeds 2**64 would
-# fill memory: the CLI does not yet state a memory need before allocating.
+# The largest value drawn for an option that multiplies the work: the CLI
+# does not yet state a memory need before allocating, so no horizon or sweep
+# near the memory's size is run. A sweep of more than 1,000,000 runs is
+# refused before any run, so --seeds also draws 2**64 and 1,000,001, and
+# each must exit 1 at once.
 _MOST = {"--packets": 10 ** 4, "--seeds": 7}
+_REFUSED = {"--seeds": [str(2 ** 64), str(10 ** 6 + 1)]}
 
 
 def _option_values(option: str, action, paths: dict):
@@ -1020,8 +1068,20 @@ def _option_values(option: str, action, paths: dict):
     values = _ODD + _SENSIBLE.get(action.type, _GRIDS)
     if option in _MOST:
         values = [v for v in values if not v.isdigit() or int(v) < _MOST[option]]
-        values.append(str(_MOST[option]))
+        values += [str(_MOST[option])] + _REFUSED.get(option, [])
     return values
+
+
+def _fails_after(calls: int, fn):
+    """``fn``, failing the test from its call ``calls + 1`` on."""
+    made = []
+
+    def counted(*args):
+        made.append(None)
+        assert len(made) <= calls, f"more than {calls} calls of {fn.__qualname__}"
+        return fn(*args)
+
+    return counted
 
 
 def _fuzz_flags(work: Path) -> dict:
@@ -1152,8 +1212,9 @@ class TestCliFuzz:
     traceback and at most one ``error:`` line, an error line means exit
     code 1 and names only values typed, and a --json output holds null only
     where the README documents an undefined estimate. ``--packets`` stays at or below
-    10,000 and ``--seeds`` at or below 7: a horizon or sweep too large for
-    memory is a separate, known defect."""
+    10,000 and a ``--seeds`` that runs at or below 7: a horizon or sweep too
+    large for memory is a separate, known defect. A ``--seeds`` of 2**64 or
+    1,000,001, more runs than a sweep may make, exits 1 at once."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
@@ -1177,6 +1238,8 @@ class TestCliFuzz:
             "--service", "--tagged-fraction", "--trace-out", "--warmup"]
         assert flags["simulate"]["--service"] == ["exponential", "deterministic", "bogus", ""]
         assert max(int(v) for v in flags["validate"]["--packets"] if v.isdigit()) == 10 ** 4
+        assert sorted(int(v) for v in flags["validate"]["--seeds"] if v.isdigit())[-3:] == [
+            7, 10 ** 6 + 1, 2 ** 64]
         assert "0.1:0.2:1e-7" in flags["validate"]["--rho-grid"]
         for command in flags.values():
             for option, values in command.items():
@@ -1189,7 +1252,13 @@ class TestCliFuzz:
                                                        data):
         monkeypatch.chdir(work)     # default output paths land here too
         argv = data.draw(_argv(flags, _valid_argv(work)), label="argv")
-        code = main(argv)
+        refused = any(a in _REFUSED and b in _REFUSED[a] for a, b in zip(argv, argv[1:]))
+        with monkeypatch.context() as patch:
+            if refused:     # a config built per run before the refusal would fill memory
+                patch.setattr(SimConfig, "__post_init__", _fails_after(100, SimConfig.__post_init__))
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code in (0, 1, 2), argv
@@ -1198,6 +1267,8 @@ class TestCliFuzz:
         assert code == 1 or not errors, argv
         for line in errors:
             assert _typed_only(line, argv), (argv, line)
+        if refused:
+            assert code == 1 and elapsed < 1, (argv, elapsed)
         if code == 0 and "--json" in argv:
             payload = json.loads(out)
             for path in _null_paths(payload):

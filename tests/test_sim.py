@@ -987,10 +987,11 @@ class TestSimulateRun:
     def test_tagged_jitter_matches_the_exact_value(self, i, rho, j, fraction):
         """M/M/1 with a measured flow of a fraction p: E|T_{n+G} - T_n| over
         a geometric gap G is (sqrt((C + lambda)**2 - 4 lambda C (1 - p)) -
-        (C - lambda)) / (2 lambda p C), established numerically (the README
-        gives the evidence). At C = 1 that is 1.21320 / 1.09902 at rho 0.2,
-        1.70820 / 1.23607 at 0.5 and 2.5 / 1.35078 at 0.8 (p = 0.1 / 0.5).
-        Each cell's seed is fixed by its place in the grid."""
+        (C - lambda)) / (2 lambda p C), derived (the README has the
+        derivation and the evidence). At C = 1 that is 1.21320 / 1.09902 at
+        rho 0.2, 1.70820 / 1.23607 at 0.5 and 2.5 / 1.35078 at 0.8
+        (p = 0.1 / 0.5). Each cell's seed is fixed by its place in the
+        grid."""
         capacity, lam = 1.0, rho
         exact = ((math.sqrt((capacity + lam) ** 2 - 4 * lam * capacity * (1 - fraction))
                   - (capacity - lam)) / (2 * lam * fraction * capacity))
@@ -1441,6 +1442,36 @@ class TestSweep:
         with pytest.raises(DomainError) as got:
             simulate_sweep(base, [0.5, rho], vary=vary)
         assert str(got.value) == f"rho={rho!r} (grid index 1, seed index 0): {formed}"
+
+    @pytest.mark.parametrize("seeds", [2 ** 64, np.uint64(2 ** 63)], ids=["int", "numpy"])
+    def test_run_count_refused_after_one_config_per_load(self, monkeypatch, seeds):
+        """A sweep used to build every run's config before the first run,
+        so 2**64 seeds a point filled memory. It builds one config per
+        load and refuses the sweep before any run starts; a config past one
+        per load stops the test instead. A numpy count does not wrap."""
+        base = SimConfig(1000.0, 500.0, horizon_packets=100, seed=1)
+        built = []
+        post_init = SimConfig.__post_init__
+
+        def counted(config):
+            built.append(config.arrival_rate_lambda)
+            assert len(built) <= 2, "a config built past one per load"
+            post_init(config)
+
+        monkeypatch.setattr(SimConfig, "__post_init__", counted)
+        with pytest.raises(DomainError) as got:
+            simulate_sweep(base, [0.5, 0.6], seeds)
+        assert built == [500.0, 600.0]
+        assert str(got.value) == (f"2 grid point(s) x {seeds!r} seeds per point is "
+                                  "more than the 1,000,000 runs a sweep may make")
+
+    def test_most_runs_are_made_and_no_more(self, monkeypatch):
+        monkeypatch.setattr(sim, "_MAX_SWEEP_RUNS", 6, raising=False)
+        base = SimConfig(1000.0, 500.0, horizon_packets=100, seed=1)
+        assert len(simulate_sweep(base, [0.5, 0.6], 3)) == 6
+        with pytest.raises(DomainError, match=r"^2 grid point\(s\) x 4 seeds per point is "
+                                              r"more than the 6 runs a sweep may make$"):
+            simulate_sweep(base, [0.5, 0.6], 4)
 
     def test_capacity_mode_holds_arrival_rate(self):
         base = SimConfig(1000.0, 800.0, buffer_capacity=10, horizon_packets=1000, seed=5)

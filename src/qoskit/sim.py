@@ -32,7 +32,7 @@ import numpy as np
 
 from ._dumptext import PACKET_TRACE_HEADER, parse_lines, render_lines
 from .errors import DomainError, _count, _real, _seed
-from .metrics import _abs_differences, _mean, _worker_pool
+from .metrics import _abs_differences, _mean, _one_ahead
 from .model import _from_load, _require_stable
 
 SERVICE_EXPONENTIAL = "exponential"
@@ -854,10 +854,12 @@ def _at_point(rho, i: int, j: int, fn, *args, **kwargs):
         raise DomainError(f"rho={rho!r} (grid index {i}, seed index {j}): {exc}") from exc
 
 
-#: Most runs (grid points x seeds) one sweep may make. A run holds about
-#: 2 KiB traced while the sweep runs: a future of 1.6 KiB until its result
-#: is read, and a config and a summary of about 190 bytes each. So 10**6
-#: runs peak near 2 GiB, which a host of 8 GiB holds.
+#: Most runs (grid points x seeds) one sweep may make. A sweep keeps only
+#: ``2 * workers - 1`` runs submitted, each with a future of 1.6 KiB, so a
+#: run holds 0.54-0.57 KiB traced at the sweep's peak (2,000 runs of 20
+#: packets): its summary and the summary's config, about 190 bytes each,
+#: and its slot in the result list. So 10**6 runs peak near 0.55 GiB, which
+#: a host of 8 GiB holds.
 _MAX_SWEEP_RUNS = 1_000_000
 
 
@@ -874,21 +876,26 @@ def simulate_sweep(
     at fixed arrival rate, reproducing a link whose capacity degrades under a
     constant offered rate. Child seeds come from ``child_seed(base, i, j)``.
 
-    Every load is checked, and one config built for it, before any run
+    The runs are counted first: more than ``_MAX_SWEEP_RUNS`` are refused
+    before any load is checked (a grid without a length is made a list).
+    Then every load is checked, and one config built for it, before any run
     starts, so a bad load is reported, at seed index 0, before any run is
     made; a run's config, its load's with the run's child seed, is made as
-    the run starts. More than ``_MAX_SWEEP_RUNS`` runs are then refused. An
-    error names its grid point; of the runs that fail, the first in grid
-    order is reported, and the runs not yet started are cancelled. Each
-    summary equals ``simulate_run``'s for the same config, but no packet log
-    is built: each worker draws, queues and summarises its runs in one
-    reused workspace sized to the horizon. The summaries come back in grid
-    order, and their bits do not depend on the number of workers.
+    the run starts. An error names its grid point; of the runs that fail,
+    the first in grid order is reported, no later run is started, and the
+    submitted runs not yet started are cancelled. Each summary equals
+    ``simulate_run``'s for the same config, but no packet log is built:
+    each worker draws, queues and summarises its runs in one reused
+    workspace sized to the horizon. The summaries come back in grid order,
+    and their bits do not depend on the number of workers.
 
     The runs share nothing, and numpy releases the GIL in the draws and
     array passes that take almost all of an unbounded run's time, so an
     unbounded sweep runs on one worker thread per available core (at most
-    one per run), each in a workspace of 8 bytes a packet. A finite buffer
+    one per run), each in a workspace of 8 bytes a packet, through
+    ``metrics._one_ahead``: ``2 * workers - 1`` runs are submitted at a
+    time, so a worker that finishes takes the next run at once and the
+    sweep holds about 0.55 KiB a run besides the workspaces. A finite buffer
     runs on one worker: its ring loop holds the GIL, and its workspace
     takes 16 bytes a packet and one piece of the queue's loop, which below
     K = 96 is up to one probe and one group of lanes (about 1M packets). The
@@ -900,15 +907,16 @@ def simulate_sweep(
     field, given, solve_for = (("arrival_rate_lambda", base_config.capacity_C, "arrival rate")
                                if vary == "arrival" else
                                ("capacity_C", base_config.arrival_rate_lambda, "capacity"))
+    grid = rho_grid if hasattr(rho_grid, "__len__") else list(rho_grid)
+    runs = len(grid) * int(seeds_per_point)       # a numpy integer would wrap
+    if runs > _MAX_SWEEP_RUNS:
+        raise DomainError(f"{len(grid)} grid point(s) x {seeds_per_point!r} seeds per point "
+                          f"is more than the {_MAX_SWEEP_RUNS:,} runs a sweep may make")
     loads = []
-    for i, rho in enumerate(rho_grid):
+    for i, rho in enumerate(grid):
         _real(rho, f"rho_grid[{i}]", gt=0)
         value = _at_point(rho, i, 0, _from_load, rho, given, solve_for)
         loads.append((rho, _at_point(rho, i, 0, replace, base_config, **{field: value})))
-    runs = len(loads) * int(seeds_per_point)      # a numpy integer would wrap
-    if runs > _MAX_SWEEP_RUNS:
-        raise DomainError(f"{len(loads)} grid point(s) x {seeds_per_point!r} seeds per point "
-                          f"is more than the {_MAX_SWEEP_RUNS:,} runs a sweep may make")
     if not runs:
         return []
     local = threading.local()
@@ -922,8 +930,7 @@ def simulate_sweep(
         return _at_point(rho, i, j, _simulate, config, local.ws)
 
     workers = 1 if base_config.buffer_capacity is not None else min(_usable_cores(), runs)
-    with _worker_pool(workers) as pool:
-        return list(pool.map(run, range(runs)))
+    return list(_one_ahead(run, range(runs), workers))
 
 
 #: Packets rendered per chunk by ``write_packet_trace``. The two word

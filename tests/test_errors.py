@@ -79,6 +79,12 @@ _REJECTED_CALLS = {
     "correlation with a NaN": (
         lambda: correlate([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]), DomainError,
         "series must be finite"),
+    "bootstrap of 2**64 resamples": (
+        lambda: mean_abs_jitter([1.0, 2.0, 3.0], n_boot=2 ** 64), DomainError,
+        "n_boot must be at most 1,000,000, got 18446744073709551616"),
+    "bootstrap of 10**12 resamples": (
+        lambda: mean_abs_jitter([1.0, 2.0, 3.0], n_boot=10 ** 12), DomainError,
+        "n_boot must be at most 1,000,000, got 1000000000000"),
     "jitter of a 2-D series": (
         lambda: mean_abs_jitter([[1.0, 2.0, 3.0]]), DomainError,
         "a delay series must be one-dimensional"),

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -267,8 +268,8 @@ class TestBootstrapPipeline:
 
 
 class TestOneAhead:
-    """``metrics._one_ahead``, the two-stage pipeline under the bootstrap and
-    the packet dump's writer and reader."""
+    """``metrics._one_ahead``, the bounded worker map under the bootstrap and
+    the packet dump's writer (one worker) and the sweep (one per core)."""
 
     def test_results_in_item_order(self):
         before = threading.active_count()
@@ -347,6 +348,127 @@ class TestOneAhead:
             caller = np.geterr()
             seen = list(metrics._one_ahead(lambda _: np.geterr(), range(3)))
         assert seen == [caller] * 3
+
+    def test_results_in_item_order_on_two_workers(self):
+        """Calls that finish out of order still come back in item order."""
+        before = threading.active_count()
+
+        def fn(x):
+            time.sleep(0.002 * (x % 3 == 0))
+            return x * x
+
+        assert list(metrics._one_ahead(fn, range(60), 2)) == [x * x for x in range(60)]
+        assert list(metrics._one_ahead(fn, [], 2)) == []
+        assert list(metrics._one_ahead(fn, [7], 2)) == [49]
+        assert threading.active_count() == before
+
+    def test_three_calls_submitted_on_two_workers(self):
+        """While item 0 runs, the other worker takes items 1 and 2 at once;
+        item 3 is made but waits for result 0."""
+        calls, made, seen = [], [], []
+
+        def items():
+            for x in range(10):
+                made.append(x)
+                yield x
+
+        def fn(x):
+            calls.append(x)
+            if x == 0:
+                deadline = time.monotonic() + 10
+                while len(calls) < 3 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.05)        # a call past the window would start now
+                seen.append((list(made), sorted(calls)))
+            return x
+
+        assert list(metrics._one_ahead(fn, items(), 2)) == list(range(10))
+        assert seen == [([0, 1, 2, 3], [0, 1, 2])]
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 9])
+    def test_error_in_item_k_on_two_workers(self, k):
+        """Item k fails: the caller gets results 0 to k - 1, then the error,
+        and nothing past item k + 3 is called."""
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            if x == k:
+                raise RuntimeError(f"item {x}")
+            return x
+
+        got = []
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^item {k}$"):
+            for result in metrics._one_ahead(fn, range(20), 2):
+                got.append(result)
+        assert got == list(range(k))
+        assert set(range(k + 1)) <= set(calls) <= set(range(k + 4))
+        assert threading.active_count() == before
+
+    def test_calls_not_started_are_cancelled(self):
+        """On three workers five calls are submitted. Item 0 fails once
+        items 1 and 2 hold the other workers; item 4, and item 3 unless the
+        freed worker took it first, are cancelled and never run."""
+        calls = []
+        started = threading.Barrier(3, timeout=10)
+
+        def fn(x):
+            calls.append(x)
+            if x < 3:
+                started.wait()
+            if x == 0:
+                raise RuntimeError("item 0")
+            time.sleep(0.2)
+            return x
+
+        with pytest.raises(RuntimeError, match="^item 0$"):
+            list(metrics._one_ahead(fn, range(20), 3))
+        assert sorted(calls) in ([0, 1, 2], [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_error_making_item_k_on_two_workers(self, k):
+        def items():
+            for x in range(10):
+                if x == k:
+                    raise ValueError(f"making {x}")
+                yield x
+
+        got = []
+        with pytest.raises(ValueError, match=f"^making {k}$"):
+            for result in metrics._one_ahead(lambda x: x, items(), 2):
+                got.append(result)
+        assert got == list(range(k))
+
+    @pytest.mark.parametrize("how", ["break", "raise"])
+    def test_consumer_that_stops_early_on_two_workers(self, how):
+        before = threading.active_count()
+        calls = []
+        with pytest.raises(KeyError) if how == "raise" else contextlib.nullcontext():
+            for result in metrics._one_ahead(lambda x: calls.append(x) or x, range(100), 2):
+                if result == 3:
+                    if how == "break":
+                        break
+                    raise KeyError(result)
+        assert threading.active_count() == before
+        assert set(range(4)) <= set(calls) <= set(range(7))
+
+    @pytest.mark.parametrize("errors", [{"divide": "raise"}, {"divide": "ignore"},
+                                        {"all": "warn"}])
+    def test_two_workers_run_under_the_callers_error_handling(self, errors):
+        """Items 0 and 1 meet at a barrier, so both workers run."""
+        barrier = threading.Barrier(2, timeout=10)
+
+        def fn(x):
+            if x < 2:
+                barrier.wait()
+            return threading.get_ident(), np.geterr()
+
+        with np.errstate(**errors):
+            caller = np.geterr()
+            seen = list(metrics._one_ahead(fn, range(6), 2))
+        assert len({ident for ident, _ in seen}) == 2
+        assert [state for _, state in seen] == [caller] * 6
 
 
 class TestWindowedThroughput:

@@ -1412,6 +1412,24 @@ class TestSeeds:
         assert child_seed(1729, 3, 4) != child_seed(1729, 4, 3)
 
 
+_SWEEP_BASE = SimConfig(1000.0, 500.0, horizon_packets=20, seed=1)
+
+
+def _counted_configs(monkeypatch):
+    """The arrival rate of every ``SimConfig`` built from here on; a third
+    build fails the test."""
+    built = []
+    post_init = SimConfig.__post_init__
+
+    def counted(config):
+        built.append(config.arrival_rate_lambda)
+        assert len(built) <= 2, "a config built past one per load"
+        post_init(config)
+
+    monkeypatch.setattr(SimConfig, "__post_init__", counted)
+    return built
+
+
 class TestSweep:
     def test_single_point_matches_direct_run(self):
         base = SimConfig(1000.0, 500.0, horizon_packets=20_000, seed=77)
@@ -1446,24 +1464,42 @@ class TestSweep:
     @pytest.mark.parametrize("seeds", [2 ** 64, np.uint64(2 ** 63)], ids=["int", "numpy"])
     def test_run_count_refused_after_one_config_per_load(self, monkeypatch, seeds):
         """A sweep used to build every run's config before the first run,
-        so 2**64 seeds a point filled memory. It builds one config per
-        load and refuses the sweep before any run starts; a config past one
-        per load stops the test instead. A numpy count does not wrap."""
-        base = SimConfig(1000.0, 500.0, horizon_packets=100, seed=1)
-        built = []
-        post_init = SimConfig.__post_init__
-
-        def counted(config):
-            built.append(config.arrival_rate_lambda)
-            assert len(built) <= 2, "a config built past one per load"
-            post_init(config)
-
-        monkeypatch.setattr(SimConfig, "__post_init__", counted)
+        so 2**64 seeds a point filled memory. It counts its runs and refuses
+        the sweep before it builds any config; a config past one per load
+        stops the test instead. A numpy count does not wrap."""
+        built = _counted_configs(monkeypatch)
         with pytest.raises(DomainError) as got:
-            simulate_sweep(base, [0.5, 0.6], seeds)
-        assert built == [500.0, 600.0]
+            simulate_sweep(_SWEEP_BASE, [0.5, 0.6], seeds)
+        assert built == []
         assert str(got.value) == (f"2 grid point(s) x {seeds!r} seeds per point is "
                                   "more than the 1,000,000 runs a sweep may make")
+
+    @pytest.mark.parametrize("kind, points", [("numpy", 10 ** 7), ("generator", 1_000_001)])
+    def test_long_grid_refused_before_any_config(self, monkeypatch, kind, points):
+        """A grid of 10**7 loads used to build a config for each before the
+        runs were counted (a 10**6-point grid took 11 s and 321 MB); a grid
+        without a length is counted once it is listed."""
+        grid = (np.linspace(0.1, 0.9, points) if kind == "numpy" else
+                (0.5 for _ in range(points)))
+        built = _counted_configs(monkeypatch)
+        with pytest.raises(DomainError) as got:
+            simulate_sweep(_SWEEP_BASE, grid)
+        assert built == []
+        assert str(got.value) == (f"{points} grid point(s) x 1 seeds per point is "
+                                  "more than the 1,000,000 runs a sweep may make")
+
+    def test_run_count_named_before_a_bad_load(self):
+        with pytest.raises(DomainError, match=r"^2 grid point\(s\) x 2000000 seeds"):
+            simulate_sweep(_SWEEP_BASE, [0.5, 1.2], 2_000_000)
+
+    def test_peak_memory_per_run(self):
+        """Every run used to be handed to the pool at once, each holding a
+        future until its result was read: 1.83-2.01 KiB traced a run. With
+        at most ``2 * workers - 1`` runs submitted, a run holds its summary,
+        the summary's config and its list slot, 0.54-0.57 KiB."""
+        grid = list(np.linspace(0.1, 0.9, 1_000))
+        runs = len(grid) * 2
+        assert _sweep_peak(_SWEEP_BASE, grid, seeds_per_point=2) <= 0.75 * 1024 * runs
 
     def test_most_runs_are_made_and_no_more(self, monkeypatch):
         monkeypatch.setattr(sim, "_MAX_SWEEP_RUNS", 6, raising=False)
